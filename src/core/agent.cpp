@@ -354,6 +354,7 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       if (wit != waiting_restarts_.end()) {
         auto op = wit->second;
         waiting_restarts_.erase(wit);
+        op->stream_op = streams_[tag].op_id;
         restart_with_image(op, streams_[tag].data);
       }
       break;
@@ -394,6 +395,16 @@ void Agent::on_closed(Conn* conn) {
   // a successful op); an unfinished one means the Manager died mid-op.
   if (conn->restart && !conn->restart->finished) {
     restart_abort(conn->restart, "manager connection lost");
+  }
+  // The Manager closes the channel once the coordinated op is over: a
+  // restore that finished OK and was never aborted is done with its
+  // migration stream.  (An aborted one keeps it for a whole-op retry;
+  // a newer stream reusing the tag is not this restore's to drop.)
+  if (conn->restart && conn->restart->ok && !conn->restart->aborted) {
+    auto it = streams_.find(conn->restart->stream_tag);
+    if (it != streams_.end() && it->second.op_id == conn->restart->stream_op) {
+      streams_.erase(it);
+    }
   }
   if (conn->ch.get() == supervise_ch_) {
     supervise_ch_ = nullptr;  // supervisor went away; beacons stop
@@ -446,6 +457,7 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
       !op->cmd.pipelined && ordering_ == CkptOrdering::NETWORK_FIRST) {
     auto uri = parse_uri(op->cmd.dest_uri);
     op->cow = uri && uri.value().scheme == "san";
+    if (op->cow) op->san_final = uri.value().path;
   }
 
   op->wm.enter("ckpt.suspend");
@@ -772,7 +784,7 @@ void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op,
     std::size_t n = std::min(kStreamChunk, total - sent);
     std::size_t off = sent;
     sent += n;
-    at += costs_.stream_chunk_cost(n);
+    at += costs_.serialize_cost(n);
     const bool last = sent >= total;
     after(at, [this, op, raw, tag, off, n, last, t0, endpoint] {
       if (op->aborted) return;
@@ -926,70 +938,18 @@ void Agent::ckpt_drain_chunk(const std::shared_ptr<CkptOp>& op,
 
 void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   if (op->aborted) return;
-  auto uri = parse_uri(op->cmd.dest_uri);
-  if (!uri) {
-    return ckpt_drain_fail(op, uri.status().to_string(), /*transient=*/false);
-  }
-
-  // Same two-phase commit as the blocking path: stage at `<path>.tmp`,
-  // verify, rename.  A drain that dies anywhere in here leaves at worst
-  // a .tmp for the GC — the last committed image is never clobbered.
-  op->san_tmp = uri.value().path + ".tmp";
-  op->san_final = uri.value().path;
-  Status wst = node_.san().write(op->san_tmp, op->encoded_image);
-  if (!wst) {
-    op->san_tmp.clear();
-    return ckpt_drain_fail(op, "image write failed: " + wst.message(),
-                           /*transient=*/true);
-  }
-  auto back = node_.san().read(op->san_tmp);
-  if (!back || back.value().size() != op->encoded_image.size()) {
-    (void)node_.san().remove(op->san_tmp);
-    op->san_tmp.clear();
-    return ckpt_drain_fail(op, "image verification failed (torn write)",
-                           /*transient=*/true);
-  }
-  Status cst = node_.san().rename(op->san_tmp, op->san_final);
-  if (!cst) {
-    return ckpt_drain_fail(op, "image commit failed: " + cst.message(),
-                           /*transient=*/true);
-  }
-  op->san_tmp.clear();
-  obs::metrics().counter("ckpt.commit.committed").inc();
-
-  IncrState& ist = incr_[op->cmd.pod_name];
-  if (op->is_delta) {
-    ist.chain_len += 1;
-    ist.delta_seq = op->image.header.delta_seq;
-  } else {
-    ist.chain_uris.clear();
-    ist.chain_len = 0;
-    ist.delta_seq = 0;
-  }
-  ist.chain_uris.insert(op->san_final);
-  ist.last_uri = op->cmd.dest_uri;
-  ist.base = ckpt::DeltaBaseline::from_images(op->image.processes);
-  ist.valid = true;
-  // COW tax, part 2: regions dirtied during the drain are stale in this
-  // baseline.  Poison their recorded generations (no live region ever
-  // reaches ~0) so the next incremental delta re-emits them instead of
-  // wrongly treating them as clean.
-  u64 budget = op->dirtied_bytes;
-  for (const auto& p : op->image.processes) {
-    for (const auto& [name, meta] : p.manifest) {
-      if (budget == 0) break;
-      ist.base.gens[p.vpid][name] = ~u64{0};
-      budget -= std::min(budget, meta.size);
-    }
-    if (budget == 0) break;
-  }
+  // The blocking path's two-phase commit in one go: nothing to wait for,
+  // the pod has long resumed.
+  Status st = commit_image(*op, op->san_final, /*publish=*/true);
+  if (!st) return ckpt_drain_fail(op, st.message(), /*transient=*/true);
 
   op->drain_pending = false;
   op->finished = true;
   node_.san().stream_end(op->san_stream);
   op->san_stream = 0;
-  const u64 drain_us = node_.now() - op->t_drain_start;
-  obs::metrics().histogram("agent.ckpt.drain_us").observe(drain_us);
+  EpilogueDone dd = drain_epilogue(*op, /*ok=*/true);
+  dd.image_bytes = op->encoded_image.size();
+  obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.epilogue_us);
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
   trace_op("5a: image drained and committed to " + op->san_final + " (" +
@@ -1002,22 +962,24 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
     r->end_at(node_.now(), op->span_drain);
     r->end_at(node_.now(), op->span_root);
   }
-
-  DrainDone dd;
-  dd.op_id = op->cmd.op_id;
-  dd.pod_name = op->cmd.pod_name;
-  dd.ok = true;
-  dd.image_bytes = op->encoded_image.size();
-  dd.drain_us = drain_us;
-  dd.dirtied_bytes = op->dirtied_bytes;
-  dd.throttled_us = op->throttled_us;
-  dd.contended_us = op->contended_us;
-  dd.granted_bps = op->drain_busy_us > 0
-                       ? op->drained_bytes * sim::kSecond / op->drain_busy_us
-                       : 0;
   if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode_drain_done(dd));
+    (void)op->mgr->send(encode_epilogue_done(dd));
   }
+}
+
+EpilogueDone Agent::drain_epilogue(const CkptOp& op, bool ok) {
+  EpilogueDone dd;
+  dd.op_id = op.cmd.op_id;
+  dd.pod_name = op.cmd.pod_name;
+  dd.ok = ok;
+  dd.epilogue_us = op.t_drain_start > 0 ? node_.now() - op.t_drain_start : 0;
+  dd.dirtied_bytes = op.dirtied_bytes;
+  dd.throttled_us = op.throttled_us;
+  dd.contended_us = op.contended_us;
+  dd.granted_bps = op.drain_busy_us > 0
+                       ? op.drained_bytes * sim::kSecond / op.drain_busy_us
+                       : 0;
+  return dd;
 }
 
 void Agent::ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
@@ -1046,21 +1008,68 @@ void Agent::ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
   // The pod is already running: a failed drain loses only this
   // checkpoint attempt, never application state.
   if (op->mgr != nullptr && op->mgr->open()) {
-    DrainDone dd;
-    dd.op_id = op->cmd.op_id;
-    dd.pod_name = op->cmd.pod_name;
-    dd.ok = false;
+    EpilogueDone dd = drain_epilogue(*op, /*ok=*/false);
     dd.error = why;
     dd.transient = transient;
-    dd.drain_us =
-        op->t_drain_start > 0 ? node_.now() - op->t_drain_start : 0;
-    dd.dirtied_bytes = op->dirtied_bytes;
-    dd.throttled_us = op->throttled_us;
-    dd.contended_us = op->contended_us;
-    dd.granted_bps = op->drain_busy_us > 0
-                         ? op->drained_bytes * sim::kSecond / op->drain_busy_us
-                         : 0;
-    (void)op->mgr->send(encode_drain_done(dd));
+    (void)op->mgr->send(encode_epilogue_done(dd));
+  }
+}
+
+Status Agent::commit_image(CkptOp& op, const std::string& path,
+                           bool publish) {
+  if (op.san_tmp.empty()) {
+    op.san_tmp = path + ".tmp";
+    op.san_final = path;
+    Status wst = node_.san().write(op.san_tmp, op.encoded_image);
+    if (!wst) {
+      op.san_tmp.clear();
+      return Status(Err::IO, "image write failed: " + wst.message());
+    }
+    // Size verification catches short/torn writes pre-commit.
+    auto size = node_.san().size_of(op.san_tmp);
+    if (!size || size.value() != op.encoded_image.size()) {
+      (void)node_.san().remove(op.san_tmp);
+      op.san_tmp.clear();
+      return Status(Err::IO, "image verification failed (torn write)");
+    }
+  }
+  if (!publish) return Status::ok();
+  Status cst = node_.san().rename(op.san_tmp, op.san_final);
+  if (!cst) return Status(Err::IO, "image commit failed: " + cst.message());
+  op.san_tmp.clear();
+  obs::metrics().counter("ckpt.commit.committed").inc();
+  // Only a committed image advances the incremental chain — an aborted
+  // delta must not become the next base.
+  if (op.cmd.mode == CkptMode::SNAPSHOT) advance_chain(op);
+  return Status::ok();
+}
+
+void Agent::advance_chain(const CkptOp& op) {
+  IncrState& ist = incr_[op.cmd.pod_name];
+  if (op.is_delta) {
+    ist.chain_len += 1;
+    ist.delta_seq = op.image.header.delta_seq;
+  } else {
+    ist.chain_uris.clear();
+    ist.chain_len = 0;
+    ist.delta_seq = 0;
+  }
+  ist.chain_uris.insert(op.san_final);
+  ist.last_uri = op.cmd.dest_uri;
+  ist.base = ckpt::DeltaBaseline::from_images(op.image.processes);
+  ist.valid = true;
+  // COW tax, part 2: regions dirtied during a drain are stale in this
+  // baseline.  Poison their recorded generations (no live region ever
+  // reaches ~0) so the next incremental delta re-emits them instead of
+  // wrongly treating them as clean.
+  u64 budget = op.dirtied_bytes;
+  for (const auto& p : op.image.processes) {
+    for (const auto& [name, meta] : p.manifest) {
+      if (budget == 0) break;
+      ist.base.gens[p.vpid][name] = ~u64{0};
+      budget -= std::min(budget, meta.size);
+    }
+    if (budget == 0) break;
   }
 }
 
@@ -1091,28 +1100,13 @@ void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
   if (!uri) return ckpt_abort(op, uri.status().to_string());
 
   if (uri.value().scheme == "san") {
-    // Two-phase commit: stage the image at `<path>.tmp` now; it only
-    // replaces the previous image via rename in ckpt_maybe_finish, after
-    // the continue barrier.  Until then an abort or crash leaves the
-    // last committed image untouched (at worst a .tmp for the GC), and
-    // the incremental chain state — updated at commit — stays in sync
-    // with what is actually on the SAN.
-    op->san_tmp = uri.value().path + ".tmp";
-    op->san_final = uri.value().path;
-    Status wst = node_.san().write(op->san_tmp, op->encoded_image);
-    if (!wst) {
-      op->san_tmp.clear();
-      return ckpt_abort(op, "image write failed: " + wst.message(),
-                        /*transient=*/true);
-    }
-    // Read-back size verification catches short/torn writes pre-commit.
-    auto back = node_.san().read(op->san_tmp);
-    if (!back || back.value().size() != op->encoded_image.size()) {
-      (void)node_.san().remove(op->san_tmp);
-      op->san_tmp.clear();
-      return ckpt_abort(op, "image verification failed (torn write)",
-                        /*transient=*/true);
-    }
+    // Two-phase commit: stage the image now; it only replaces the
+    // previous image in ckpt_maybe_finish, after the continue barrier.
+    // Until then an abort or crash leaves the last committed image
+    // untouched, and the incremental chain state — updated at commit —
+    // stays in sync with what is actually on the SAN.
+    Status st = commit_image(*op, uri.value().path, /*publish=*/false);
+    if (!st) ckpt_abort(op, st.message(), /*transient=*/true);
     return;
   }
   if (uri.value().scheme == "agent") {
@@ -1154,33 +1148,13 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   // only now, past the barrier.  Only a committed image advances the
   // incremental chain — an aborted delta must not become the next base.
   if (!op->san_tmp.empty()) {
-    Status cst = node_.san().rename(op->san_tmp, op->san_final);
-    if (!cst) {
-      return ckpt_abort(op, "image commit failed: " + cst.message(),
-                        /*transient=*/true);
-    }
-    op->san_tmp.clear();
-    obs::metrics().counter("ckpt.commit.committed").inc();
-    if (op->cmd.mode == CkptMode::SNAPSHOT) {
-      IncrState& ist = incr_[op->cmd.pod_name];
-      if (op->is_delta) {
-        ist.chain_len += 1;
-        ist.delta_seq = op->image.header.delta_seq;
-      } else {
-        ist.chain_uris.clear();
-        ist.chain_len = 0;
-        ist.delta_seq = 0;
-      }
-      ist.chain_uris.insert(op->san_final);
-      ist.last_uri = op->cmd.dest_uri;
-      ist.base = ckpt::DeltaBaseline::from_images(op->image.processes);
-      ist.valid = true;
-    }
+    Status st = commit_image(*op, op->san_final, /*publish=*/true);
+    if (!st) return ckpt_abort(op, st.message(), /*transient=*/true);
     trace_op("3b: image committed to " + op->san_final, op->cmd.op_id,
              op->span_barrier);
   }
   // COW mode: the pod resumes now, but the op stays open — the image
-  // drains to the SAN in the background and DRAIN_DONE closes it.
+  // drains to the SAN in the background and EPILOGUE_DONE closes it.
   if (op->cow) {
     op->drain_pending = true;
   } else {
@@ -1260,7 +1234,7 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
                        const std::string& why, bool transient) {
   if (op->finished || op->aborted) return;
   // Once the pod has resumed, a failure only loses the in-flight drain:
-  // report it on the DRAIN_DONE leg instead of the (already sent) done.
+  // report it on the EPILOGUE_DONE leg instead of the (already sent) done.
   if (op->drain_pending) return ckpt_drain_fail(op, why, transient);
   op->aborted = true;
   op->finished = true;
@@ -1373,8 +1347,10 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
     return;
   }
   if (uri.value().scheme == "stream") {
+    op->stream_tag = uri.value().path;
     auto it = streams_.find(uri.value().path);
     if (it != streams_.end() && it->second.complete) {
+      op->stream_op = it->second.op_id;
       restart_with_image(op, it->second.data);
     } else {
       // The checkpoint stream is still arriving; resume when complete.
@@ -1766,7 +1742,7 @@ void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
 // ---- Lazy restore window (DESIGN.md §13) -------------------------------------
 
 bool Agent::lazy_live(const std::shared_ptr<RestartOp>& op) {
-  return !crashed_ && !op->lazy_aborted && op->pod != nullptr &&
+  return !crashed_ && !op->aborted && op->pod != nullptr &&
          find_pod(op->cmd.pod_name) == op->pod;
 }
 
@@ -1867,22 +1843,23 @@ void Agent::restart_lazy_finish(const std::shared_ptr<RestartOp>& op) {
     r->end_at(node_.now(), op->span_lazy);
     r->end_at(node_.now(), op->span_root);
   }
-  LazyDone ld;
+  EpilogueDone ld;
   ld.op_id = op->cmd.op_id;
   ld.pod_name = op->cmd.pod_name;
   ld.ok = true;
-  ld.lazy_us = lazy_us;
+  ld.epilogue_us = lazy_us;
   ld.lazy_bytes = op->lazy_filled_bytes;
   ld.faults = op->lazy_faults;
   ld.fault_bytes = op->lazy_fault_bytes;
   if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode_lazy_done(ld));
+    (void)op->mgr->send(encode_epilogue_done(ld));
   }
 }
 
 void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   if (op->finished) return;
   op->finished = true;
+  op->ok = st.is_ok();
   const bool lazy_pending = st.is_ok() && op->lazy_remaining > 0;
   if (obs::SpanRecorder* r = rec()) {
     r->end_at(node_.now(), op->span_connectivity);
@@ -1934,7 +1911,7 @@ void Agent::restart_abort(const std::shared_ptr<RestartOp>& op,
   // Runs on live AND already-finished restores: a Manager abort means
   // the coordinated restart failed as a whole, so even a pod this agent
   // restored successfully must be torn down.
-  op->lazy_aborted = true;  // stops the lazy window, if one is running
+  op->aborted = true;  // stops the lazy window, if one is running
   node_.san().stream_end(op->fetch_stream);
   op->fetch_stream = 0;
   if (op->pod != nullptr) op->pod->set_lazy_fault_handler(nullptr);

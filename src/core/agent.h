@@ -58,6 +58,12 @@ class Agent {
   /// Whether any checkpoint/restart operation is currently in flight.
   bool busy() const;
 
+  /// Received agent:// migration streams still held in memory.  A stream
+  /// is released once the restore that consumed it has finished OK and
+  /// its coordinated op closed; an aborted restore keeps it so a
+  /// whole-op retry can restart from it.
+  std::size_t retained_streams() const { return streams_.size(); }
+
   /// Checkpoint phase ordering (ablation hook; default NETWORK_FIRST).
   void set_ordering(CkptOrdering o) { ordering_ = o; }
   CkptOrdering ordering() const { return ordering_; }
@@ -152,6 +158,11 @@ class Agent {
     std::unique_ptr<ConnectivityRestore> connectivity;
     ckpt::SockMap socks;
     bool finished = false;
+    bool ok = false;       // finished with the pod restored
+    bool aborted = false;  // Manager abort: stops a running lazy window
+    // stream:// source: the consumed stream's tag and opening op.
+    std::string stream_tag;
+    obs::OpId stream_op = 0;
     obs::SpanId span_root = 0;          // "restart"
     obs::SpanId span_connectivity = 0;  // "restart.connectivity"
     obs::SpanId span_netstate = 0;      // "restart.netstate"
@@ -174,7 +185,6 @@ class Agent {
     u64 lazy_fault_bytes = 0;
     std::size_t lazy_remaining = 0;  // cold regions not yet filled
     bool lazy_done_sent = false;
-    bool lazy_aborted = false;
     double last_share = -1.0;  // last granted share (QoS receipt dedup)
     obs::SpanId span_lazy = 0;  // "restart.lazy"
     // Introspection plane (cmd.heartbeat_us > 0).
@@ -212,6 +222,17 @@ class Agent {
   void ckpt_drain_commit(const std::shared_ptr<CkptOp>& op);
   void ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
                        const std::string& why, bool transient);
+  /// The drain's EPILOGUE_DONE, with the fields its commit and its
+  /// failure share.
+  EpilogueDone drain_epilogue(const CkptOp& op, bool ok);
+  /// Two-phase SAN commit shared by the blocking and COW paths: stages
+  /// the image at `<path>.tmp` and verifies its size (once per op), then
+  /// with `publish` renames it into place and advances the pod's
+  /// incremental chain.  A failure leaves at worst a `.tmp` for the GC —
+  /// the last committed image is never clobbered.
+  Status commit_image(CkptOp& op, const std::string& path, bool publish);
+  /// Moves the pod's incremental chain onto a just-committed image.
+  void advance_chain(const CkptOp& op);
   /// `transient` marks failures the Manager may safely retry (storage
   /// hiccup, barrier watchdog) in the CKPT_DONE report.
   void ckpt_abort(const std::shared_ptr<CkptOp>& op, const std::string& why,
@@ -247,7 +268,7 @@ class Agent {
                             u64 total);
   void restart_resume(const std::shared_ptr<RestartOp>& op);
   // Lazy window: background fills of the cold regions (plus demand
-  // faults raised by the running pod), ending in a LAZY_DONE report.
+  // faults raised by the running pod), ending in an EPILOGUE_DONE.
   void restart_lazy_begin(const std::shared_ptr<RestartOp>& op);
   void restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
                          std::size_t idx);

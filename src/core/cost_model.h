@@ -74,17 +74,10 @@ struct CostModel {
   }
 
   /// Serialization time of `bytes` of image data at the checkpoint copy
-  /// rate — the one shared byte term behind standalone_ckpt_cost,
-  /// stream_chunk_cost, pipelined_stream_cost and drain_chunk_cost.
+  /// rate — the one shared byte term behind standalone_ckpt_cost, each
+  /// streamed chunk, pipelined_stream_cost and qos_drain_chunk_cost.
   sim::Time serialize_cost(u64 bytes) const {
     return bytes_cost(bytes, ckpt_bytes_per_sec);
-  }
-
-  /// Serialization time of one streamed chunk; the per-chunk slice of
-  /// standalone_ckpt_cost's byte term (the per-process term is charged
-  /// once, up front, by the caller).
-  sim::Time stream_chunk_cost(u64 chunk_bytes) const {
-    return serialize_cost(chunk_bytes);
   }
 
   /// Modeled elapsed time of a pipelined image transfer: serialization
@@ -112,18 +105,10 @@ struct CostModel {
 
   /// Background drain of one chunk: serialization overlaps the SAN
   /// write (the drain is pipelined like the migration stream), so the
-  /// chunk takes the slower of the two legs — the serialize slice or a
-  /// fair 1/`sharers` share of the SAN's ingest bandwidth.
-  sim::Time drain_chunk_cost(u64 chunk_bytes, std::size_t sharers) const {
-    if (sharers == 0) sharers = 1;
-    sim::Time serialize = serialize_cost(chunk_bytes);
-    sim::Time san = bytes_cost(chunk_bytes * sharers, san_drain_bytes_per_sec);
-    return serialize >= san ? serialize : san;
-  }
-
-  /// QoS-aware variant: the SAN leg runs at `san_share` of the pipe (the
-  /// fraction VirtualSAN::stream_share granted this drain at the chunk
-  /// boundary) instead of the flat 1/sharers split.
+  /// chunk takes the slower of the two legs — the serialize slice or the
+  /// SAN write at `san_share` of the pipe (the fraction
+  /// VirtualSAN::stream_share granted this drain at the chunk boundary;
+  /// 0 = the whole pipe).
   sim::Time qos_drain_chunk_cost(u64 chunk_bytes, double san_share) const {
     if (san_share <= 0.0) san_share = 1.0;
     sim::Time serialize = serialize_cost(chunk_bytes);
@@ -134,16 +119,10 @@ struct CostModel {
     return serialize >= san ? serialize : san;
   }
 
-  /// Bytes the running pod dirties while its drain takes `drain_us`
-  /// (capped at the image size — re-dirtying a page is free).
-  u64 cow_dirty_bytes(sim::Time drain_us, u64 cap_bytes) const {
-    u64 d = drain_us * cow_dirty_bytes_per_sec / sim::kSecond;
-    return d < cap_bytes ? d : cap_bytes;
-  }
-
-  /// Rate-aware variant: same cap, but dirtying proceeds at `rate_bps`
-  /// (normally cow_dirty_rate(observed) — the workload's measured write
-  /// rate clamped by the flat model).
+  /// Bytes the running pod dirties at `rate_bps` while its drain takes
+  /// `drain_us` (normally rate = cow_dirty_rate(observed), the workload's
+  /// measured write rate clamped by the flat model), capped at the image
+  /// size — re-dirtying a page is free.
   u64 cow_dirty_bytes(sim::Time drain_us, u64 cap_bytes, u64 rate_bps) const {
     u64 d = drain_us * rate_bps / sim::kSecond;
     return d < cap_bytes ? d : cap_bytes;

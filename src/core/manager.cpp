@@ -9,6 +9,53 @@
 #include "util/log.h"
 
 namespace zapc::core {
+namespace {
+
+/// The words that differ between a checkpoint and a restart running the
+/// shared op skeleton: span, metric, ledger, event and error text.
+struct KindText {
+  const char* tag;   // "mgr.<tag>" spans and metrics, ledger kind
+  const char* noun;  // log and event wording
+  const char* done_event;  // Manager event on a pod's DONE arrival
+  const char* done_error;  // reason prefix of a failed DONE
+  const char* epilogue;    // background epilogue: "<epilogue>_wait" phase
+  const char* epilogue_event;
+  const char* epilogue_error;
+  const char* bad_epilogue;
+  const char* resumed;  // all pods resumed, epilogues still in flight
+};
+
+constexpr KindText kCkptText{
+    "ckpt",
+    "checkpoint",
+    "4: 'done' received from ",
+    "agent reported failure for ",
+    "drain",
+    "5: 'drain-done' received from ",
+    "agent reported drain failure for ",
+    "bad drain report",
+    "4b: all pods resumed (downtime over); drains in flight"};
+constexpr KindText kRestartText{
+    "restart",
+    "restart",
+    "2: 'done' received from ",
+    "agent reported restart failure for ",
+    "lazy",
+    "6: 'lazy-done' received from ",
+    "agent reported lazy-restore failure for ",
+    "bad lazy report",
+    "3b: all pods resumed (downtime over); lazy fills in flight"};
+
+template <typename Report>
+Report failed_report(const std::string& why, obs::OpId op, u32 attempts) {
+  Report r;
+  r.error = why;
+  r.op_id = op;
+  r.attempts = attempts;
+  return r;
+}
+
+}  // namespace
 
 Manager::Manager(os::Node& node, Trace* trace)
     : node_(node), trace_(trace) {
@@ -54,122 +101,81 @@ void Manager::ledger_attribute(obs::LedgerEntry& e) {
   e.has_attrib = true;
 }
 
-void Manager::ledger_ckpt(const std::string& outcome,
-                          const std::string& error, bool transient,
-                          bool will_retry) {
-  if (ledger_ == nullptr || op_ == nullptr) return;
+void Manager::write_ledger(const OpState& op, const std::string& outcome,
+                           const std::string& error, bool transient,
+                           bool will_retry) {
+  if (ledger_ == nullptr) return;
   obs::LedgerEntry e;
-  e.op = op_->op_id;
-  e.kind = "ckpt";
+  e.op = op.op_id;
+  e.kind = op.is_ckpt() ? kCkptText.tag : kRestartText.tag;
   e.outcome = outcome;
   e.error = error;
   e.transient = transient;
   e.will_retry = will_retry;
-  e.attempt = op_->attempt;
-  e.start_us = op_->t_start;
+  e.attempt = op.attempt;
+  e.start_us = op.t_start;
   e.end_us = node_.now();
-  // Downtime ends when every pod has resumed; in COW mode the op's
-  // latency keeps running until the background drains commit, so the
-  // two fields diverge (DESIGN.md §11).  On a failure before all pods
-  // resumed, both collapse to the abort instant.
-  e.downtime_us = (op_->t_downtime_end != 0 ? op_->t_downtime_end
-                                            : node_.now()) -
-                  op_->t_start;
-  e.latency_us = node_.now() - op_->t_start;
-  for (const CkptPeer& p : op_->peers) {
+  // Downtime ends when every pod has resumed; with a background epilogue
+  // (COW drain, lazy fill) the op's latency keeps running until it
+  // finishes, so the two fields diverge (DESIGN.md §11, §13).  On a
+  // failure before all pods resumed, both collapse to the abort instant.
+  const sim::Time dt_end =
+      op.t_downtime_end != 0 ? op.t_downtime_end : node_.now();
+  e.downtime_us = dt_end - op.t_start;
+  e.latency_us = node_.now() - op.t_start;
+  // Slowest pod per phase: the ledger's no-tracing attribution floor.
+  auto slowest = [&e](const char* name, u64 us) {
+    if (us > 0) e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
+  };
+  for (const Peer& p : op.peers) {
     if (!p.done_received) continue;
     e.pods++;
-    e.image_bytes =
-        std::max({e.image_bytes, p.done.image_bytes, p.drain.image_bytes});
-    e.network_bytes = std::max(e.network_bytes, p.done.network_bytes);
-    e.logical_bytes = std::max(e.logical_bytes, p.done.logical_bytes);
-    // Slowest pod per phase: the ledger's no-tracing attribution floor.
-    auto slowest = [&](const char* name, u64 us) {
-      if (us > 0) {
-        e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
-      }
-    };
-    slowest("suspend", p.done.suspend_us);
-    slowest("netckpt", p.done.netckpt_us);
-    slowest("standalone", p.done.standalone_us);
-    slowest("barrier", p.done.barrier_us);
-    slowest("cowmark", p.done.cowmark_us);
-    slowest("drain", p.drain.drain_us);
-    if (p.drain_received) {
+    const EpilogueDone& epi = p.epilogue;
+    if (op.is_ckpt()) {
+      const CkptDone& d = p.ckpt_done;
+      e.image_bytes = std::max({e.image_bytes, d.image_bytes, epi.image_bytes});
+      e.network_bytes = std::max(e.network_bytes, d.network_bytes);
+      e.logical_bytes = std::max(e.logical_bytes, d.logical_bytes);
+      slowest("suspend", d.suspend_us);
+      slowest("netckpt", d.netckpt_us);
+      slowest("standalone", d.standalone_us);
+      slowest("barrier", d.barrier_us);
+      slowest("cowmark", d.cowmark_us);
+      slowest("drain", epi.epilogue_us);
+      if (!p.epilogue_received) continue;
       // Worst-case QoS picture across pods: most throttled/contended
       // drain time and the lowest bandwidth grant — the inputs
       // zapc-report uses to attribute a slow drain.
       e.drain_throttled_us =
-          std::max(e.drain_throttled_us, obs::Time{p.drain.throttled_us});
+          std::max(e.drain_throttled_us, obs::Time{epi.throttled_us});
       e.drain_contended_us =
-          std::max(e.drain_contended_us, obs::Time{p.drain.contended_us});
-      if (p.drain.granted_bps != 0 &&
-          (e.drain_granted_bps == 0 ||
-           p.drain.granted_bps < e.drain_granted_bps)) {
-        e.drain_granted_bps = p.drain.granted_bps;
+          std::max(e.drain_contended_us, obs::Time{epi.contended_us});
+      if (epi.granted_bps != 0 && (e.drain_granted_bps == 0 ||
+                                   epi.granted_bps < e.drain_granted_bps)) {
+        e.drain_granted_bps = epi.granted_bps;
       }
+    } else {
+      const RestartDone& d = p.restart_done;
+      slowest("connectivity", d.connectivity_us);
+      slowest("netstate", d.net_restore_us);
+      slowest("standalone", d.standalone_us);
+      slowest("fetch", d.fetch_us);
+      if (!p.epilogue_received) continue;
+      slowest("lazy", epi.epilogue_us);
+      e.lazy_faults += epi.faults;
+      e.lazy_bytes += epi.lazy_bytes;
     }
   }
-  obs::Straggler s = health_.straggler(op_->op_id);
+  obs::Straggler s = health_.straggler(op.op_id);
   e.straggler_pod = s.pod;
   e.straggler_phase = s.phase;
   e.straggler_lag_us = s.lag_us;
-  e.trigger = op_->opts.trigger;
-  ledger_attribute(e);
-  obs::metrics().counter("mgr.ledger.appends").inc();
-  if (Status st = ledger_->append(e); !st) {
-    ZLOG_WARN("manager: ledger append failed: " << st.to_string());
-  }
-}
-
-void Manager::ledger_restart(const std::string& outcome,
-                             const std::string& error, bool transient,
-                             bool will_retry) {
-  if (ledger_ == nullptr || rop_ == nullptr) return;
-  obs::LedgerEntry e;
-  e.op = rop_->op_id;
-  e.kind = "restart";
-  e.outcome = outcome;
-  e.error = error;
-  e.transient = transient;
-  e.will_retry = will_retry;
-  e.attempt = rop_->attempt;
-  e.start_us = rop_->t_start;
-  e.end_us = node_.now();
-  // With lazy restore the pods resume at t_downtime_end while cold-region
-  // fills trail behind; downtime stops there, latency runs to the end of
-  // the fill tail (symmetric to the COW drain split in ledger_ckpt).
-  const sim::Time dt_end =
-      rop_->t_downtime_end != 0 ? rop_->t_downtime_end : node_.now();
-  e.downtime_us = dt_end - rop_->t_start;
-  e.latency_us = node_.now() - rop_->t_start;
-  for (const RestartPeer& p : rop_->peers) {
-    if (!p.done_received) continue;
-    e.pods++;
-    auto slowest = [&](const char* name, u64 us) {
-      if (us > 0) {
-        e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
-      }
-    };
-    slowest("connectivity", p.done.connectivity_us);
-    slowest("netstate", p.done.net_restore_us);
-    slowest("standalone", p.done.standalone_us);
-    slowest("fetch", p.done.fetch_us);
-    if (p.lazy_received) {
-      slowest("lazy", p.lazy.lazy_us);
-      e.lazy_faults += p.lazy.faults;
-      e.lazy_bytes += p.lazy.lazy_bytes;
-    }
-  }
-  obs::Straggler s = health_.straggler(rop_->op_id);
-  e.straggler_pod = s.pod;
-  e.straggler_phase = s.phase;
-  e.straggler_lag_us = s.lag_us;
-  e.trigger = rop_->opts.trigger;
-  // MTTR only on the attempt that actually restored the application —
-  // and it ends when the pods resume, not when the lazy tail drains.
-  if (rop_->opts.detect_us != 0 && outcome == "ok") {
-    e.mttr_us = dt_end - rop_->opts.detect_us;
+  e.trigger = op.is_ckpt() ? op.in.ckpt.trigger : op.in.restart.trigger;
+  // MTTR only on the restart attempt that actually restored the
+  // application — and it ends when the pods resume, not when the lazy
+  // tail drains.
+  if (!op.is_ckpt() && op.in.restart.detect_us != 0 && outcome == "ok") {
+    e.mttr_us = dt_end - op.in.restart.detect_us;
   }
   ledger_attribute(e);
   obs::metrics().counter("mgr.ledger.appends").inc();
@@ -231,10 +237,10 @@ void Manager::status_on_msg(MsgChannel* ch, Bytes msg) {
 }
 
 void Manager::abort_current(const std::string& why) {
-  if (op_ != nullptr && !op_->finished) {
-    ckpt_fail(why, /*transient=*/false);
-  } else if (rop_ != nullptr && !rop_->finished) {
-    restart_fail(why, /*transient=*/false);
+  for (OpState* op : {ckpt_op_.get(), restart_op_.get()}) {
+    if (op != nullptr && !op->finished) {
+      return fail(*op, why, /*transient=*/false);
+    }
   }
 }
 
@@ -251,499 +257,72 @@ void Manager::health_drain_warnings(obs::OpId op, obs::SpanId root) {
   }
 }
 
-// ---- Checkpoint -----------------------------------------------------------------
+// ---- Entry points ---------------------------------------------------------
 
 void Manager::checkpoint(std::vector<Target> targets, CkptMode mode,
                          CheckpointDoneFn done, CkptOptions opts) {
-  if (op_ != nullptr) {
-    CheckpointReport r;
-    r.error = "manager busy";
-    done(std::move(r));
-    return;
-  }
-  ckpt_begin_attempt(std::move(targets), mode, std::move(opts),
-                     std::move(done), 1);
+  OpInputs in;
+  in.kind = OpKind::CKPT;
+  in.targets = std::move(targets);
+  in.mode = mode;
+  in.ckpt = std::move(opts);
+  in.ckpt_done = std::move(done);
+  if (ckpt_op_ != nullptr) return report_failure(in, "manager busy", 0, 1);
+  begin_attempt(std::move(in), 1);
 }
 
-void Manager::ckpt_begin_attempt(std::vector<Target> targets, CkptMode mode,
-                                 CkptOptions opts, CheckpointDoneFn done,
-                                 u32 attempt) {
-  op_ = std::make_unique<CkptState>();
-  op_->targets = std::move(targets);
-  op_->opts = std::move(opts);
-  op_->mode = mode;
-  op_->redirect =
-      op_->opts.redirect_send_queues && mode == CkptMode::MIGRATE;
-  op_->attempt = attempt;
-  op_->t_start = node_.now();
-  op_->done_fn = std::move(done);
-  op_->op_id = obs::next_op_id();
-  obs::metrics().counter("mgr.ops_started").inc();
-  if (obs::SpanRecorder* r = rec()) {
-    op_->span_root =
-        r->begin_at(op_->t_start, "mgr.ckpt", "manager", 0, op_->op_id);
-    op_->span_meta_wait = r->begin_at(op_->t_start, "mgr.ckpt.meta_wait",
-                                      "manager", op_->span_root, op_->op_id);
-  }
-  if (op_->opts.heartbeat_us > 0) {
-    // Stale = three missed beacons; a slow node's dilated cadence still
-    // fits (it reports, just late), a dead one does not.
-    health_.set_policy(obs::ClusterHealth::Policy{
-        op_->opts.warn_lag_us, 3 * op_->opts.heartbeat_us});
-    std::vector<std::string> pods;
-    for (const Target& t : op_->targets) pods.push_back(t.pod_name);
-    health_.op_begin(op_->op_id, "ckpt", op_->t_start, pods);
-  }
-  ckpt_start();
-}
+void Manager::restart(std::vector<Target> targets,
+                      std::map<std::string, ckpt::NetMeta> metas,
+                      RestartDoneFn done, RestartOptions opts) {
+  OpInputs in;
+  in.kind = OpKind::RESTART;
+  in.restart = std::move(opts);
+  in.restart_done = std::move(done);
+  if (restart_op_ != nullptr) return report_failure(in, "manager busy", 0, 1);
+  if (metas.empty()) metas = last_metas_;
 
-void Manager::ckpt_start() {
-  // For the redirect optimization, every agent needs to know which agent
-  // receives each peer pod's checkpoint stream: (vip -> endpoint) pairs
-  // derived from targets with agent:// URIs.  The vip comes from the
-  // target itself when supplied, otherwise from the previous checkpoint's
-  // meta-data.  Pods whose vip cannot be determined are simply not
-  // covered — their connections fall back to the normal send-queue
-  // resend.
-  std::vector<std::pair<net::IpAddr, net::SockAddr>> peer_agents;
-  last_redirect_covered_.clear();
-  if (op_->redirect) {
-    for (const Target& t : op_->targets) {
-      net::IpAddr vip = t.vip;
-      if (vip.is_any()) {
-        auto it = last_metas_.find(t.pod_name);
-        if (it != last_metas_.end()) vip = it->second.pod_vip;
-      }
-      if (vip.is_any()) continue;
-      if (t.uri.rfind("agent://", 0) != 0) continue;
-      std::string rest = t.uri.substr(8);
-      auto slash = rest.find('/');
-      auto colon = rest.find(':');
-      if (slash == std::string::npos || colon == std::string::npos ||
-          colon > slash) {
-        continue;
-      }
-      auto ip = net::IpAddr::parse(rest.substr(0, colon));
-      if (!ip) continue;
-      net::SockAddr ep{ip.value(),
-                       static_cast<u16>(std::stoul(
-                           rest.substr(colon + 1, slash - colon - 1)))};
-      peer_agents.emplace_back(vip, ep);
-      last_redirect_covered_.insert(vip);
+  // Derive the restart schedule from the meta-data tables.  Failures
+  // here are configuration errors, never retried.
+  std::vector<ckpt::NetMeta> meta_list;
+  for (auto& t : targets) {
+    auto it = metas.find(t.pod_name);
+    if (it == metas.end()) {
+      return report_failure(in, "no meta-data for pod " + t.pod_name, 0, 1);
     }
+    meta_list.push_back(it->second);
   }
-
-  trace_op("1: send 'checkpoint' to " +
-               std::to_string(op_->targets.size()) + " agents",
-           op_->op_id, op_->span_root);
-  op_->peers.reserve(op_->targets.size());
-  for (const Target& t : op_->targets) {
-    CkptPeer peer;
-    peer.target = t;
-    peer.ch = connect_channel(node_.host_stack(), t.agent);
-    op_->peers.push_back(std::move(peer));
+  auto plan = build_restart_plan(meta_list);
+  if (!plan) {
+    return report_failure(in, "schedule: " + plan.status().to_string(), 0,
+                          1);
   }
-  for (std::size_t i = 0; i < op_->peers.size(); ++i) {
-    CkptPeer& peer = op_->peers[i];
-    if (peer.ch == nullptr) {
-      ckpt_fail("cannot connect to agent " + peer.target.agent.to_string(),
-                /*transient=*/true);
-      return;
-    }
-    peer.ch->set_on_msg(
-        [this, i, alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
-          if (auto a = alive.lock(); a && *a) ckpt_on_msg(i, std::move(msg));
-        });
-    peer.ch->set_on_closed([this, i, alive = std::weak_ptr<bool>(alive_)] {
-      if (auto a = alive.lock(); a && *a) ckpt_on_closed(i);
-    });
-
-    CheckpointCmd cmd;
-    cmd.op_id = op_->op_id;
-    cmd.parent_span = op_->span_root;
-    cmd.pod_name = peer.target.pod_name;
-    cmd.dest_uri = peer.target.uri;
-    cmd.mode = op_->mode;
-    cmd.redirect_send_queues = op_->opts.redirect_send_queues;
-    cmd.fs_snapshot = op_->opts.fs_snapshot;
-    cmd.peer_agents = peer_agents;
-    cmd.incremental = op_->opts.incremental;
-    cmd.chain_cap = op_->opts.chain_cap;
-    cmd.codec_flags = op_->opts.codec_flags;
-    cmd.pipelined = op_->opts.pipelined_stream;
-    cmd.barrier_wait_us = op_->opts.deadlines.agent_barrier_us;
-    cmd.heartbeat_us = op_->opts.heartbeat_us;
-    cmd.cow = op_->opts.cow;
-    cmd.drain_wait_us = op_->opts.deadlines.drain_us;
-    (void)peer.ch->send(encode_checkpoint_cmd(cmd));
-  }
-
-  // Arm the phase watchdogs.  Both run from invocation; the connect
-  // deadline only looks at channel establishment, the meta deadline at
-  // META_REPORT arrival.  An expiry with nothing actually stalled (the
-  // phase completed but the cancel raced the event) is a no-op.
-  const Deadlines& dl = op_->opts.deadlines;
-  if (dl.connect_us > 0) {
-    op_->connect_deadline = node_.engine().schedule(
-        dl.connect_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->connect_deadline = 0;
-          ckpt_deadline_expired("connect");
-        });
-  }
-  if (dl.meta_us > 0) {
-    op_->phase_deadline = node_.engine().schedule(
-        dl.meta_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->phase_deadline = 0;
-          ckpt_deadline_expired("meta_wait");
-        });
-  }
-}
-
-void Manager::ckpt_on_msg(std::size_t idx, Bytes msg) {
-  if (op_ == nullptr || op_->finished) return;
-  CkptPeer& peer = op_->peers[idx];
-  auto type = peek_type(msg);
-  if (!type) return;
-
-  switch (type.value()) {
-    case MsgType::META_REPORT: {
-      auto m = decode_meta_report(msg);
-      if (!m) return ckpt_fail("bad meta report", /*transient=*/false);
-      peer.meta_received = true;
-      op_->report.metas[m.value().pod_name] = m.value().meta;
-      op_->report.max_net_ckpt_us =
-          std::max(op_->report.max_net_ckpt_us, m.value().net_ckpt_us);
-      trace_op("2: meta-data received from " + peer.target.pod_name,
-               op_->op_id, op_->span_meta_wait);
-      ckpt_maybe_continue();
-      break;
-    }
-    case MsgType::CKPT_DONE: {
-      auto m = decode_ckpt_done(msg);
-      if (!m) return ckpt_fail("bad done report", /*transient=*/false);
-      peer.done_received = true;
-      peer.done = m.value();
-      // COW mode: the pod is resumed but its drain is still running, so
-      // keep its health entry live (drain progress beacons still flow)
-      // until the DRAIN_DONE epilogue.
-      if (!m.value().drain_pending) {
-        health_.pod_done(op_->op_id, m.value().pod_name, node_.now());
-      }
-      if (!m.value().ok) {
-        return ckpt_fail("agent reported failure for " +
-                             m.value().pod_name + ": " + m.value().error,
-                         m.value().transient);
-      }
-      trace_op("4: 'done' received from " + peer.target.pod_name,
-               op_->op_id, op_->span_done_wait);
-      ckpt_maybe_finish();
-      break;
-    }
-    case MsgType::DRAIN_DONE: {
-      auto m = decode_drain_done(msg);
-      if (!m) return ckpt_fail("bad drain report", /*transient=*/false);
-      peer.drain_received = true;
-      peer.drain = m.value();
-      health_.pod_done(op_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return ckpt_fail("agent reported drain failure for " +
-                             m.value().pod_name + ": " + m.value().error,
-                         m.value().transient);
-      }
-      trace_op("5: 'drain-done' received from " + peer.target.pod_name,
-               op_->op_id, op_->span_drain_wait);
-      ckpt_maybe_finish();
-      break;
-    }
-    case MsgType::HEARTBEAT: {
-      auto m = decode_heartbeat(msg);
-      if (!m) break;
-      obs::metrics().counter("mgr.hb.received").inc();
-      health_.heartbeat(op_->op_id, m.value().pod_name, m.value().phase,
-                        node_.now());
-      health_drain_warnings(op_->op_id, op_->span_root);
-      break;
-    }
-    case MsgType::PROGRESS: {
-      auto m = decode_progress(msg);
-      if (!m) break;
-      obs::metrics().counter("mgr.progress.received").inc();
-      const ProgressMsg& p = m.value();
-      health_.progress(op_->op_id, p.pod_name, p.phase, node_.now(),
-                       p.bytes_done, p.bytes_expected, p.throughput_bps,
-                       p.eta_us);
-      health_drain_warnings(op_->op_id, op_->span_root);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void Manager::ckpt_on_closed(std::size_t idx) {
-  if (op_ == nullptr || op_->finished) return;
-  ckpt_fail("lost connection to agent of pod " +
-                op_->peers[idx].target.pod_name,
-            /*transient=*/true);
-}
-
-void Manager::ckpt_maybe_continue() {
-  if (op_->continued) return;
-  for (const CkptPeer& p : op_->peers) {
-    if (!p.meta_received) return;
-  }
-  // The single synchronization point (paper §4, Figure 2 "sync").
-  op_->continued = true;
-  op_->t_sync = node_.now();
-  ckpt_cancel_deadlines();  // connect + meta phases are over
-  ContinueMsg cont;
-  cont.op_id = op_->op_id;
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(op_->t_sync, op_->span_meta_wait);
-    op_->span_done_wait = r->begin_at(op_->t_sync, "mgr.ckpt.done_wait",
-                                      "manager", op_->span_root, op_->op_id);
-    // The barrier decision itself: agents parent their resume under it,
-    // so the causal tree shows continue → unblock → first retransmit.
-    cont.continue_event = r->event_at(op_->t_sync, "manager", "mgr.continue",
-                                      op_->span_root, op_->op_id);
-  }
-  trace_op("3: all meta-data in; send 'continue' to agents (sync point)",
-           op_->op_id, op_->span_root);
-  for (CkptPeer& p : op_->peers) {
-    (void)p.ch->send(encode_continue(cont));
-  }
-  if (op_->opts.deadlines.done_us > 0) {
-    op_->phase_deadline = node_.engine().schedule(
-        op_->opts.deadlines.done_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->phase_deadline = 0;
-          ckpt_deadline_expired("done_wait");
-        });
-  }
-}
-
-void Manager::ckpt_maybe_finish() {
-  for (const CkptPeer& p : op_->peers) {
-    if (!p.done_received) return;
-  }
-  // Every pod has reported done — they are all resumed, so the
-  // application's downtime ends HERE, even if COW drains are still in
-  // flight (DESIGN.md §11).  Record the instant exactly once; later
-  // DRAIN_DONE arrivals re-enter this function with it already set.
-  if (op_->t_downtime_end == 0) {
-    op_->t_downtime_end = node_.now();
-    ckpt_cancel_deadlines();  // done phase is over
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op_->span_done_wait);
-    }
-    bool draining = false;
-    for (const CkptPeer& p : op_->peers) {
-      if (p.done.drain_pending && !p.drain_received) draining = true;
-    }
-    if (draining) {
-      trace_op("4b: all pods resumed (downtime over); drains in flight",
-               op_->op_id, op_->span_root);
-      if (obs::SpanRecorder* r = rec()) {
-        op_->span_drain_wait =
-            r->begin_at(node_.now(), "mgr.ckpt.drain_wait", "manager",
-                        op_->span_root, op_->op_id);
-      }
-      if (op_->opts.deadlines.drain_us > 0) {
-        op_->phase_deadline = node_.engine().schedule(
-            op_->opts.deadlines.drain_us,
-            [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-              if (auto a = alive.lock(); !a || !*a) return;
-              if (op_ == nullptr || op_->op_id != id) return;
-              op_->phase_deadline = 0;
-              ckpt_deadline_expired("drain_wait");
-            });
+  if (last_redirect_) {
+    // The checkpoint shipped each covered connection's send queue to the
+    // agent receiving its peer's stream; mark those entries so the
+    // restore waits for the records.  A record for pod X's connection is
+    // produced only if the sender (the peer) knew X's destination agent,
+    // i.e. X's vip was in the advertised map.
+    for (auto& [vip, meta] : plan.value().pod_meta) {
+      if (last_redirect_covered_.count(vip) == 0) continue;
+      for (auto& e : meta.entries) {
+        if ((e.state == ckpt::ConnState::FULL_DUPLEX ||
+             e.state == ckpt::ConnState::HALF_DUPLEX) &&
+            last_redirect_covered_.count(e.target.ip) > 0) {
+          e.redirect_expected = true;
+        }
       }
     }
   }
-  for (const CkptPeer& p : op_->peers) {
-    if (p.done.drain_pending && !p.drain_received) return;
+
+  // New placement: each pod's virtual address now resolves to the real
+  // address of the agent restarting it.
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    in.locations.emplace_back(meta_list[i].pod_vip, targets[i].agent.ip);
+    in.peer_metas.push_back(plan.value().pod_meta[meta_list[i].pod_vip]);
   }
-  op_->finished = true;
-  ckpt_cancel_deadlines();
-  health_.op_end(op_->op_id, node_.now(), /*ok=*/true);
-  CheckpointReport report = std::move(op_->report);
-  report.ok = true;
-  report.op_id = op_->op_id;
-  report.attempts = op_->attempt;
-  report.total_us = node_.now() - op_->t_start;
-  report.downtime_us = op_->t_downtime_end - op_->t_start;
-  report.sync_us = op_->t_sync - op_->t_start;
-  for (const CkptPeer& p : op_->peers) {
-    report.agents.push_back(p.done);
-    report.max_image_bytes = std::max(
-        {report.max_image_bytes, p.done.image_bytes, p.drain.image_bytes});
-    report.max_network_bytes =
-        std::max(report.max_network_bytes, p.done.network_bytes);
-    report.max_drain_us = std::max(report.max_drain_us, p.drain.drain_us);
-    report.max_dirtied_bytes =
-        std::max(report.max_dirtied_bytes, p.drain.dirtied_bytes);
-  }
-  last_metas_ = report.metas;
-  last_redirect_ = op_->redirect;
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op_->span_drain_wait);
-    r->end_at(node_.now(), op_->span_root);
-  }
-  obs::metrics().counter("mgr.checkpoints").inc();
-  obs::metrics().histogram("mgr.ckpt.total_us").observe(report.total_us);
-  obs::metrics().histogram("mgr.ckpt.downtime_us").observe(report.downtime_us);
-  obs::metrics().histogram("mgr.ckpt.sync_wait_us").observe(report.sync_us);
-  trace_op("checkpoint complete in " + std::to_string(report.total_us) +
-               "us (downtime " + std::to_string(report.downtime_us) + "us)",
-           op_->op_id, op_->span_root);
-  ledger_ckpt("ok", "", /*transient=*/false, /*will_retry=*/false);
-  CheckpointDoneFn fn = std::move(op_->done_fn);
-  bool cataloged = op_->mode == CkptMode::SNAPSHOT && commit_fn_ != nullptr;
-  std::vector<Target> targets = std::move(op_->targets);
-  op_.reset();
-  // Commit hook after the op state is torn down: the supervisor may
-  // react by scheduling the next op immediately.
-  if (cataloged) commit_fn_(report, targets);
-  fn(std::move(report));
+  in.targets = std::move(targets);
+  begin_attempt(std::move(in), 1);
 }
-
-void Manager::ckpt_cancel_deadlines() {
-  if (op_ == nullptr) return;
-  if (op_->connect_deadline != 0) {
-    (void)node_.engine().cancel(op_->connect_deadline);
-    op_->connect_deadline = 0;
-  }
-  if (op_->phase_deadline != 0) {
-    (void)node_.engine().cancel(op_->phase_deadline);
-    op_->phase_deadline = 0;
-  }
-}
-
-void Manager::ckpt_deadline_expired(const std::string& phase) {
-  if (op_ == nullptr || op_->finished) return;
-  std::string stalled;
-  for (const CkptPeer& p : op_->peers) {
-    bool waiting;
-    if (phase == "connect") {
-      waiting = p.ch == nullptr || !p.ch->established();
-    } else if (phase == "meta_wait") {
-      waiting = !p.meta_received;
-    } else if (phase == "drain_wait") {
-      waiting = p.done_received && p.done.drain_pending && !p.drain_received;
-    } else {
-      waiting = !p.done_received;
-    }
-    if (!waiting) continue;
-    if (!stalled.empty()) stalled += ",";
-    stalled += p.target.pod_name + "@" + p.target.agent.to_string();
-    // With the introspection plane on, say where the stalled pod last
-    // was — a deadline with an attributed phase beats a blind timeout.
-    if (const obs::PodHealth* ph =
-            health_.pod(op_->op_id, p.target.pod_name);
-        ph != nullptr && ph->beacons > 0) {
-      stalled += "(phase=" + ph->phase + " hb_age=" +
-                 obs::vtime_us(node_.now() - ph->last_seen_us) + ")";
-    }
-  }
-  if (stalled.empty()) return;
-  obs::metrics().counter("mgr.phase.deadline_expired").inc();
-  ckpt_fail("phase deadline expired: phase=" + phase + " stalled=" + stalled,
-            /*transient=*/true);
-}
-
-void Manager::ckpt_gc_tmp() {
-  // The commit protocol stages every SAN image at `<path>.tmp` and only
-  // renames it into place after the continue barrier, so after an abort
-  // the temp — if the agent got that far — is the only debris.
-  for (const CkptPeer& p : op_->peers) {
-    if (p.target.uri.rfind("san://", 0) != 0) continue;
-    std::string tmp = p.target.uri.substr(6) + ".tmp";
-    if (node_.san().remove(tmp).is_ok()) {
-      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-      trace_op("gc half-written image " + tmp, op_->op_id, op_->span_root);
-    }
-  }
-}
-
-void Manager::ckpt_fail(const std::string& why, bool transient) {
-  if (op_ == nullptr || op_->finished) return;
-  op_->finished = true;
-  ckpt_cancel_deadlines();
-  health_.op_end(op_->op_id, node_.now(), /*ok=*/false);
-  ZLOG_WARN("manager: checkpoint failed: " << why);
-  obs::dump_op_failure(rec(), "ckpt_fail", op_->op_id, "manager", why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op_->span_meta_wait);
-    r->end_at(node_.now(), op_->span_done_wait);
-    r->end_at(node_.now(), op_->span_drain_wait);
-    r->end_at(node_.now(), op_->span_root);
-  }
-  obs::metrics().counter("mgr.checkpoint_failures").inc();
-  trace_op("checkpoint ABORTED: " + why, op_->op_id, op_->span_root);
-  for (CkptPeer& p : op_->peers) {
-    if (p.ch != nullptr && p.ch->open()) {
-      (void)p.ch->send(encode_abort(AbortMsg{op_->op_id, why}));
-    }
-  }
-  ckpt_gc_tmp();
-
-  // Retry transient failures while the op is still safe to re-run from
-  // scratch: a SNAPSHOT abort resumes every pod in place, but a MIGRATE
-  // is only repeatable before the sync point (after it, agents may
-  // already have destroyed source pods at commit).
-  bool retryable = transient &&
-                   op_->attempt <= op_->opts.retry.max_retries &&
-                   (op_->mode == CkptMode::SNAPSHOT || !op_->continued);
-  // Aborted attempts get their ledger line too — retries mint a fresh
-  // op id, so every attempt is its own row in the run history.
-  ledger_ckpt("aborted", why, transient, retryable);
-  if (retryable) {
-    u32 next = op_->attempt + 1;
-    sim::Time delay = retry_delay(op_->opts.retry, op_->attempt);
-    obs::metrics().counter("mgr.ckpt.retries").inc();
-    trace("retrying checkpoint in " + std::to_string(delay) +
-          "us (attempt " + std::to_string(next) + ")");
-    node_.engine().schedule(
-        delay,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         targets = std::move(op_->targets), mode = op_->mode,
-         opts = std::move(op_->opts), fn = std::move(op_->done_fn),
-         next]() mutable {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ != nullptr) {
-            CheckpointReport r;
-            r.error = "manager busy at checkpoint retry";
-            r.attempts = next;
-            fn(std::move(r));
-            return;
-          }
-          ckpt_begin_attempt(std::move(targets), mode, std::move(opts),
-                             std::move(fn), next);
-        });
-    op_.reset();
-    return;
-  }
-
-  CheckpointReport report;
-  report.ok = false;
-  report.error = why;
-  report.op_id = op_->op_id;
-  report.attempts = op_->attempt;
-  CheckpointDoneFn fn = std::move(op_->done_fn);
-  op_.reset();
-  fn(std::move(report));
-}
-
-// ---- Migration -------------------------------------------------------------------
 
 void Manager::migrate(std::vector<MigrateTarget> targets, MigrateDoneFn done,
                       MigrateOptions opts) {
@@ -792,362 +371,452 @@ void Manager::migrate(std::vector<MigrateTarget> targets, MigrateDoneFn done,
                   /*deadlines=*/opts.deadlines, /*retry=*/opts.retry});
 }
 
-// ---- Restart ---------------------------------------------------------------------
+// ---- The coordinated-op skeleton -------------------------------------------
 
-void Manager::restart(std::vector<Target> targets,
-                      std::map<std::string, ckpt::NetMeta> metas,
-                      RestartDoneFn done, RestartOptions opts) {
-  if (rop_ != nullptr) {
-    RestartReport r;
-    r.error = "manager busy";
-    done(std::move(r));
-    return;
-  }
-  if (metas.empty()) metas = last_metas_;
-
-  // Derive the restart schedule from the meta-data tables.  Failures
-  // here are configuration errors, never retried.
-  std::vector<ckpt::NetMeta> meta_list;
-  for (auto& t : targets) {
-    auto it = metas.find(t.pod_name);
-    if (it == metas.end()) {
-      RestartReport r;
-      r.error = "no meta-data for pod " + t.pod_name;
-      done(std::move(r));
-      return;
-    }
-    meta_list.push_back(it->second);
-  }
-  auto plan = build_restart_plan(meta_list);
-  if (!plan) {
-    RestartReport r;
-    r.error = "schedule: " + plan.status().to_string();
-    done(std::move(r));
-    return;
-  }
-  if (last_redirect_) {
-    // The checkpoint shipped each covered connection's send queue to the
-    // agent receiving its peer's stream; mark those entries so the
-    // restore waits for the records.  A record for pod X's connection is
-    // produced only if the sender (the peer) knew X's destination agent,
-    // i.e. X's vip was in the advertised map.
-    for (auto& [vip, meta] : plan.value().pod_meta) {
-      if (last_redirect_covered_.count(vip) == 0) continue;
-      for (auto& e : meta.entries) {
-        if ((e.state == ckpt::ConnState::FULL_DUPLEX ||
-             e.state == ckpt::ConnState::HALF_DUPLEX) &&
-            last_redirect_covered_.count(e.target.ip) > 0) {
-          e.redirect_expected = true;
-        }
-      }
-    }
-  }
-
-  // New placement: each pod's virtual address now resolves to the real
-  // address of the agent restarting it.
-  std::vector<std::pair<net::IpAddr, net::IpAddr>> locations;
-  std::vector<ckpt::NetMeta> peer_metas;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    locations.emplace_back(meta_list[i].pod_vip, targets[i].agent.ip);
-    peer_metas.push_back(plan.value().pod_meta[meta_list[i].pod_vip]);
-  }
-
-  restart_begin_attempt(std::move(targets), std::move(peer_metas),
-                        std::move(locations), std::move(opts),
-                        std::move(done), 1);
+Manager::OpState* Manager::live(OpKind kind, obs::OpId id) {
+  OpState* op = slot(kind).get();
+  return op != nullptr && op->op_id == id && !op->finished ? op : nullptr;
 }
 
-void Manager::restart_begin_attempt(
-    std::vector<Target> targets, std::vector<ckpt::NetMeta> peer_metas,
-    std::vector<std::pair<net::IpAddr, net::IpAddr>> locations,
-    RestartOptions opts, RestartDoneFn done, u32 attempt) {
-  rop_ = std::make_unique<RestartState>();
-  rop_->targets = std::move(targets);
-  rop_->peer_metas = std::move(peer_metas);
-  rop_->locations = std::move(locations);
-  rop_->opts = std::move(opts);
-  rop_->attempt = attempt;
-  rop_->t_start = node_.now();
-  rop_->done_fn = std::move(done);
-  rop_->op_id = obs::next_op_id();
+void Manager::begin_attempt(OpInputs in, u32 attempt) {
+  std::unique_ptr<OpState>& s = slot(in.kind);
+  s = std::make_unique<OpState>();
+  OpState& op = *s;
+  op.in = std::move(in);
+  op.redirect = op.is_ckpt() && op.in.ckpt.redirect_send_queues &&
+                op.in.mode == CkptMode::MIGRATE;
+  op.attempt = attempt;
+  op.t_start = node_.now();
+  op.op_id = obs::next_op_id();
   obs::metrics().counter("mgr.ops_started").inc();
-  if (rop_->opts.heartbeat_us > 0) {
-    health_.set_policy(obs::ClusterHealth::Policy{
-        rop_->opts.warn_lag_us, 3 * rop_->opts.heartbeat_us});
-    std::vector<std::string> pods;
-    for (const Target& t : rop_->targets) pods.push_back(t.pod_name);
-    health_.op_begin(rop_->op_id, "restart", rop_->t_start, pods);
-  }
+  const KindText& k = op.is_ckpt() ? kCkptText : kRestartText;
   if (obs::SpanRecorder* r = rec()) {
-    rop_->span_root = r->begin_at(rop_->t_start, "mgr.restart", "manager", 0,
-                                  rop_->op_id);
+    op.span_root = r->begin_at(op.t_start, std::string("mgr.") + k.tag,
+                               "manager", 0, op.op_id);
+    if (op.is_ckpt()) {
+      op.span_meta_wait = r->begin_at(op.t_start, "mgr.ckpt.meta_wait",
+                                      "manager", op.span_root, op.op_id);
+    }
     // The restart schedule: record each connection's discard/redirect
     // decision so the offline analyzer can check recv >= acked on the
     // restored pairs without the images.
-    for (const ckpt::NetMeta& meta : rop_->peer_metas) {
+    for (const ckpt::NetMeta& meta : op.in.peer_metas) {
       for (const auto& e : meta.entries) {
         if (e.state != ckpt::ConnState::FULL_DUPLEX &&
             e.state != ckpt::ConnState::HALF_DUPLEX) {
           continue;
         }
-        r->event_at(rop_->t_start, "manager",
+        r->event_at(op.t_start, "manager",
                     "sched.conn vip=" + meta.pod_vip.to_string() + " peer=" +
                         e.target.ip.to_string() +
                         " discard=" + std::to_string(e.discard_send) +
                         (e.redirect_expected ? " redirect" : ""),
-                    rop_->span_root, rop_->op_id);
+                    op.span_root, op.op_id);
       }
     }
   }
-  restart_start();
+  const sim::Time hb_us =
+      op.is_ckpt() ? op.in.ckpt.heartbeat_us : op.in.restart.heartbeat_us;
+  if (hb_us > 0) {
+    // Stale = three missed beacons; a slow node's dilated cadence still
+    // fits (it reports, just late), a dead one does not.
+    health_.set_policy(obs::ClusterHealth::Policy{
+        op.is_ckpt() ? op.in.ckpt.warn_lag_us : op.in.restart.warn_lag_us,
+        3 * hb_us});
+    std::vector<std::string> pods;
+    for (const Target& t : op.in.targets) pods.push_back(t.pod_name);
+    health_.op_begin(op.op_id, k.tag, op.t_start, pods);
+  }
+  connect_and_send(op);
 }
 
-void Manager::restart_start() {
-  trace_op("1: send 'restart' + meta-data to " +
-               std::to_string(rop_->targets.size()) + " agents",
-           rop_->op_id, rop_->span_root);
-  rop_->peers.reserve(rop_->targets.size());
-  for (const Target& t : rop_->targets) {
-    RestartPeer peer;
+void Manager::connect_and_send(OpState& op) {
+  // For the redirect optimization, every agent needs to know which agent
+  // receives each peer pod's checkpoint stream: (vip -> endpoint) pairs
+  // derived from targets with agent:// URIs.  The vip comes from the
+  // target itself when supplied, otherwise from the previous checkpoint's
+  // meta-data.  Pods whose vip cannot be determined are simply not
+  // covered — their connections fall back to the normal send-queue
+  // resend.
+  std::vector<std::pair<net::IpAddr, net::SockAddr>> peer_agents;
+  if (op.is_ckpt()) last_redirect_covered_.clear();
+  if (op.redirect) {
+    for (const Target& t : op.in.targets) {
+      net::IpAddr vip = t.vip;
+      if (vip.is_any()) {
+        auto it = last_metas_.find(t.pod_name);
+        if (it != last_metas_.end()) vip = it->second.pod_vip;
+      }
+      if (vip.is_any()) continue;
+      if (t.uri.rfind("agent://", 0) != 0) continue;
+      std::string rest = t.uri.substr(8);
+      auto slash = rest.find('/');
+      auto colon = rest.find(':');
+      if (slash == std::string::npos || colon == std::string::npos ||
+          colon > slash) {
+        continue;
+      }
+      auto ip = net::IpAddr::parse(rest.substr(0, colon));
+      if (!ip) continue;
+      net::SockAddr ep{ip.value(),
+                       static_cast<u16>(std::stoul(
+                           rest.substr(colon + 1, slash - colon - 1)))};
+      peer_agents.emplace_back(vip, ep);
+      last_redirect_covered_.insert(vip);
+    }
+  }
+
+  const std::string n = std::to_string(op.in.targets.size());
+  trace_op(op.is_ckpt() ? "1: send 'checkpoint' to " + n + " agents"
+                        : "1: send 'restart' + meta-data to " + n + " agents",
+           op.op_id, op.span_root);
+  op.peers.reserve(op.in.targets.size());
+  for (const Target& t : op.in.targets) {
+    Peer peer;
     peer.target = t;
     peer.ch = connect_channel(node_.host_stack(), t.agent);
-    rop_->peers.push_back(std::move(peer));
+    op.peers.push_back(std::move(peer));
   }
-  for (std::size_t i = 0; i < rop_->peers.size(); ++i) {
-    RestartPeer& peer = rop_->peers[i];
+  const Deadlines& dl = op.deadlines();
+  for (std::size_t i = 0; i < op.peers.size(); ++i) {
+    Peer& peer = op.peers[i];
     if (peer.ch == nullptr) {
-      restart_fail("cannot connect to agent " + peer.target.agent.to_string(),
-                   /*transient=*/true);
-      return;
+      return fail(op,
+                  "cannot connect to agent " + peer.target.agent.to_string(),
+                  /*transient=*/true);
     }
+    const OpKind kind = op.in.kind;
+    const obs::OpId id = op.op_id;
     peer.ch->set_on_msg(
-        [this, i, alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
-          if (auto a = alive.lock(); a && *a) {
-            restart_on_msg(i, std::move(msg));
+        [this, kind, id, i, alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
+          if (auto a = alive.lock(); !a || !*a) return;
+          if (OpState* o = live(kind, id)) on_msg(*o, i, std::move(msg));
+        });
+    peer.ch->set_on_closed(
+        [this, kind, id, i, alive = std::weak_ptr<bool>(alive_)] {
+          if (auto a = alive.lock(); !a || !*a) return;
+          if (OpState* o = live(kind, id)) {
+            fail(*o, "lost connection to agent of pod " +
+                         o->peers[i].target.pod_name,
+                 /*transient=*/true);
           }
         });
-    peer.ch->set_on_closed([this, i, alive = std::weak_ptr<bool>(alive_)] {
-      if (auto a = alive.lock(); a && *a) restart_on_closed(i);
-    });
 
-    RestartCmd cmd;
-    cmd.op_id = rop_->op_id;
-    cmd.parent_span = rop_->span_root;
-    cmd.pod_name = peer.target.pod_name;
-    cmd.source_uri = peer.target.uri;
-    cmd.meta = rop_->peer_metas[i];
-    cmd.locations = rop_->locations;
-    cmd.stream_wait_us = rop_->opts.deadlines.agent_stream_us;
-    cmd.heartbeat_us = rop_->opts.heartbeat_us;
-    cmd.replace_existing = rop_->opts.replace_existing;
-    cmd.pipelined = rop_->opts.pipelined;
-    cmd.lazy = rop_->opts.lazy;
-    cmd.lazy_hot_permille = rop_->opts.lazy_hot_permille;
-    cmd.lazy_wait_us = rop_->opts.deadlines.lazy_us;
-    (void)peer.ch->send(encode_restart_cmd(cmd));
+    if (op.is_ckpt()) {
+      const CkptOptions& o = op.in.ckpt;
+      CheckpointCmd cmd;
+      cmd.op_id = op.op_id;
+      cmd.parent_span = op.span_root;
+      cmd.pod_name = peer.target.pod_name;
+      cmd.dest_uri = peer.target.uri;
+      cmd.mode = op.in.mode;
+      cmd.redirect_send_queues = o.redirect_send_queues;
+      cmd.fs_snapshot = o.fs_snapshot;
+      cmd.peer_agents = peer_agents;
+      cmd.incremental = o.incremental;
+      cmd.chain_cap = o.chain_cap;
+      cmd.codec_flags = o.codec_flags;
+      cmd.pipelined = o.pipelined_stream;
+      cmd.barrier_wait_us = dl.agent_barrier_us;
+      cmd.heartbeat_us = o.heartbeat_us;
+      cmd.cow = o.cow;
+      cmd.drain_wait_us = dl.drain_us;
+      (void)peer.ch->send(encode_checkpoint_cmd(cmd));
+    } else {
+      const RestartOptions& o = op.in.restart;
+      RestartCmd cmd;
+      cmd.op_id = op.op_id;
+      cmd.parent_span = op.span_root;
+      cmd.pod_name = peer.target.pod_name;
+      cmd.source_uri = peer.target.uri;
+      cmd.meta = op.in.peer_metas[i];
+      cmd.locations = op.in.locations;
+      cmd.stream_wait_us = dl.agent_stream_us;
+      cmd.heartbeat_us = o.heartbeat_us;
+      cmd.replace_existing = o.replace_existing;
+      cmd.pipelined = o.pipelined;
+      cmd.lazy = o.lazy;
+      cmd.lazy_hot_permille = o.lazy_hot_permille;
+      cmd.lazy_wait_us = dl.lazy_us;
+      (void)peer.ch->send(encode_restart_cmd(cmd));
+    }
   }
 
-  const Deadlines& dl = rop_->opts.deadlines;
-  if (dl.connect_us > 0) {
-    rop_->connect_deadline = node_.engine().schedule(
-        dl.connect_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ == nullptr || rop_->op_id != id) return;
-          rop_->connect_deadline = 0;
-          restart_deadline_expired("connect");
-        });
-  }
-  if (dl.restart_us > 0) {
-    rop_->phase_deadline = node_.engine().schedule(
-        dl.restart_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ == nullptr || rop_->op_id != id) return;
-          rop_->phase_deadline = 0;
-          restart_deadline_expired("restart_wait");
-        });
+  // Both watchdogs run from invocation; the connect deadline only looks
+  // at channel establishment, the other at the first report phase
+  // (META_REPORTs for a checkpoint, RESTART_DONEs for a restart).
+  arm_deadline(op, dl.connect_us, "connect");
+  if (op.is_ckpt()) {
+    arm_deadline(op, dl.meta_us, "meta_wait");
+  } else {
+    arm_deadline(op, dl.restart_us, "restart_wait");
   }
 }
 
-void Manager::restart_on_msg(std::size_t idx, Bytes msg) {
-  if (rop_ == nullptr || rop_->finished) return;
+void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
+  Peer& peer = op.peers[idx];
   auto type = peek_type(msg);
   if (!type) return;
+  const KindText& k = op.is_ckpt() ? kCkptText : kRestartText;
 
   switch (type.value()) {
+    case MsgType::META_REPORT: {
+      auto m = decode_meta_report(msg);
+      if (!m) return fail(op, "bad meta report", /*transient=*/false);
+      peer.meta_received = true;
+      op.report.metas[m.value().pod_name] = m.value().meta;
+      op.report.max_net_ckpt_us =
+          std::max(op.report.max_net_ckpt_us, m.value().net_ckpt_us);
+      trace_op("2: meta-data received from " + peer.target.pod_name,
+               op.op_id, op.span_meta_wait);
+      return maybe_continue(op);
+    }
+    case MsgType::CKPT_DONE: {
+      auto m = decode_ckpt_done(msg);
+      if (!m) return fail(op, "bad done report", /*transient=*/false);
+      peer.ckpt_done = m.value();
+      return on_done(op, peer, m.value().ok, m.value().error,
+                     m.value().transient);
+    }
     case MsgType::RESTART_DONE: {
       auto m = decode_restart_done(msg);
-      if (!m) return restart_fail("bad restart report", /*transient=*/false);
-      RestartPeer& peer = rop_->peers[idx];
-      peer.done_received = true;
-      peer.done = m.value();
-      health_.pod_done(rop_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return restart_fail("agent reported restart failure for " +
-                                m.value().pod_name + ": " + m.value().error,
-                            m.value().transient);
-      }
-      trace_op("2: 'done' received from " + peer.target.pod_name,
-               rop_->op_id, rop_->span_root);
-      restart_maybe_finish();
-      break;
+      if (!m) return fail(op, "bad restart report", /*transient=*/false);
+      peer.restart_done = m.value();
+      return on_done(op, peer, m.value().ok, m.value().error,
+                     m.value().transient);
     }
-    case MsgType::LAZY_DONE: {
-      auto m = decode_lazy_done(msg);
-      if (!m) return restart_fail("bad lazy report", /*transient=*/false);
-      RestartPeer& peer = rop_->peers[idx];
-      peer.lazy_received = true;
-      peer.lazy = m.value();
-      health_.pod_done(rop_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return restart_fail("agent reported lazy-restore failure for " +
-                                m.value().pod_name + ": " + m.value().error,
-                            m.value().transient);
+    case MsgType::EPILOGUE_DONE: {
+      auto m = decode_epilogue_done(msg);
+      if (!m) return fail(op, k.bad_epilogue, /*transient=*/false);
+      const EpilogueDone& d = m.value();
+      peer.epilogue_received = true;
+      peer.epilogue = d;
+      health_.pod_done(op.op_id, d.pod_name, node_.now());
+      if (!d.ok) {
+        return fail(op, k.epilogue_error + d.pod_name + ": " + d.error,
+                    d.transient);
       }
-      trace_op("6: 'lazy-done' received from " + peer.target.pod_name,
-               rop_->op_id, rop_->span_lazy_wait);
-      restart_maybe_finish();
-      break;
+      trace_op(k.epilogue_event + peer.target.pod_name, op.op_id,
+               op.span_epilogue_wait);
+      return maybe_finish(op);
     }
     case MsgType::HEARTBEAT: {
       auto m = decode_heartbeat(msg);
-      if (!m) break;
+      if (!m) return;
       obs::metrics().counter("mgr.hb.received").inc();
-      health_.heartbeat(rop_->op_id, m.value().pod_name, m.value().phase,
+      health_.heartbeat(op.op_id, m.value().pod_name, m.value().phase,
                         node_.now());
-      health_drain_warnings(rop_->op_id, rop_->span_root);
-      break;
+      return health_drain_warnings(op.op_id, op.span_root);
     }
     case MsgType::PROGRESS: {
       auto m = decode_progress(msg);
-      if (!m) break;
+      if (!m) return;
       obs::metrics().counter("mgr.progress.received").inc();
       const ProgressMsg& p = m.value();
-      health_.progress(rop_->op_id, p.pod_name, p.phase, node_.now(),
+      health_.progress(op.op_id, p.pod_name, p.phase, node_.now(),
                        p.bytes_done, p.bytes_expected, p.throughput_bps,
                        p.eta_us);
-      health_drain_warnings(rop_->op_id, rop_->span_root);
-      break;
+      return health_drain_warnings(op.op_id, op.span_root);
     }
     default:
-      break;
+      return;
   }
 }
 
-void Manager::restart_on_closed(std::size_t idx) {
-  if (rop_ == nullptr || rop_->finished) return;
-  restart_fail("lost connection to agent of pod " +
-                   rop_->peers[idx].target.pod_name,
-               /*transient=*/true);
+void Manager::on_done(OpState& op, Peer& peer, bool ok,
+                      const std::string& error, bool transient) {
+  const KindText& k = op.is_ckpt() ? kCkptText : kRestartText;
+  const std::string& pod = peer.target.pod_name;
+  peer.done_received = true;
+  // The pod is resumed.  A draining agent keeps beaconing its drain
+  // progress, so that pod's health entry stays live until the
+  // EPILOGUE_DONE; a lazy restore's beacons stop at resume.
+  if (!peer.ckpt_done.drain_pending) {
+    health_.pod_done(op.op_id, pod, node_.now());
+  }
+  if (!ok) return fail(op, k.done_error + pod + ": " + error, transient);
+  // A checkpoint's DONEs land in its done-wait phase; a restart has none.
+  trace_op(k.done_event + pod, op.op_id,
+           op.span_done_wait != 0 ? op.span_done_wait : op.span_root);
+  maybe_finish(op);
 }
 
-void Manager::restart_maybe_finish() {
-  for (const RestartPeer& p : rop_->peers) {
+void Manager::maybe_continue(OpState& op) {
+  if (op.continued) return;
+  for (const Peer& p : op.peers) {
+    if (!p.meta_received) return;
+  }
+  // The single synchronization point (paper §4, Figure 2 "sync").
+  op.continued = true;
+  op.t_sync = node_.now();
+  cancel_deadlines(op);  // connect + meta phases are over
+  ContinueMsg cont;
+  cont.op_id = op.op_id;
+  if (obs::SpanRecorder* r = rec()) {
+    r->end_at(op.t_sync, op.span_meta_wait);
+    op.span_done_wait = r->begin_at(op.t_sync, "mgr.ckpt.done_wait",
+                                    "manager", op.span_root, op.op_id);
+    // The barrier decision itself: agents parent their resume under it,
+    // so the causal tree shows continue → unblock → first retransmit.
+    cont.continue_event = r->event_at(op.t_sync, "manager", "mgr.continue",
+                                      op.span_root, op.op_id);
+  }
+  trace_op("3: all meta-data in; send 'continue' to agents (sync point)",
+           op.op_id, op.span_root);
+  for (Peer& p : op.peers) (void)p.ch->send(encode_continue(cont));
+  arm_deadline(op, op.deadlines().done_us, "done_wait");
+}
+
+void Manager::maybe_finish(OpState& op) {
+  for (const Peer& p : op.peers) {
     if (!p.done_received) return;
   }
+  const KindText& k = op.is_ckpt() ? kCkptText : kRestartText;
+  const sim::Time now = node_.now();
   // Every pod has reported done — they are all resumed, so the
-  // application's downtime ends HERE, even if lazy cold-region fills are
-  // still in flight (DESIGN.md §13).  Record the instant exactly once;
-  // later LAZY_DONE arrivals re-enter this function with it already set.
-  if (rop_->t_downtime_end == 0) {
-    rop_->t_downtime_end = node_.now();
-    restart_cancel_deadlines();  // restart phase is over
-    bool lazy = false;
-    for (const RestartPeer& p : rop_->peers) {
-      if (p.done.lazy_pending && !p.lazy_received) lazy = true;
-    }
-    if (lazy) {
-      trace_op("3b: all pods resumed (downtime over); lazy fills in flight",
-               rop_->op_id, rop_->span_root);
+  // application's downtime ends HERE, even if background epilogues (COW
+  // drains, lazy fills) are still in flight (DESIGN.md §11, §13).  Record
+  // the instant exactly once; EPILOGUE_DONE arrivals re-enter with it set.
+  if (op.t_downtime_end == 0) {
+    op.t_downtime_end = now;
+    cancel_deadlines(op);  // the done phase is over
+    if (obs::SpanRecorder* r = rec()) r->end_at(now, op.span_done_wait);
+    if (std::any_of(op.peers.begin(), op.peers.end(),
+                    [](const Peer& p) { return p.awaiting_epilogue(); })) {
+      trace_op(k.resumed, op.op_id, op.span_root);
+      const std::string phase = std::string(k.epilogue) + "_wait";
       if (obs::SpanRecorder* r = rec()) {
-        rop_->span_lazy_wait =
-            r->begin_at(node_.now(), "mgr.restart.lazy_wait", "manager",
-                        rop_->span_root, rop_->op_id);
+        op.span_epilogue_wait =
+            r->begin_at(now, std::string("mgr.") + k.tag + "." + phase,
+                        "manager", op.span_root, op.op_id);
       }
-      if (rop_->opts.deadlines.lazy_us > 0) {
-        rop_->phase_deadline = node_.engine().schedule(
-            rop_->opts.deadlines.lazy_us,
-            [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-              if (auto a = alive.lock(); !a || !*a) return;
-              if (rop_ == nullptr || rop_->op_id != id) return;
-              rop_->phase_deadline = 0;
-              restart_deadline_expired("lazy_wait");
-            });
-      }
+      const Deadlines& dl = op.deadlines();
+      arm_deadline(op, op.is_ckpt() ? dl.drain_us : dl.lazy_us, phase);
     }
   }
-  for (const RestartPeer& p : rop_->peers) {
-    if (p.done.lazy_pending && !p.lazy_received) return;
+  for (const Peer& p : op.peers) {
+    if (p.awaiting_epilogue()) return;
   }
-  rop_->finished = true;
-  restart_cancel_deadlines();
-  health_.op_end(rop_->op_id, node_.now(), /*ok=*/true);
-  RestartReport report;
-  report.ok = true;
-  report.op_id = rop_->op_id;
-  report.attempts = rop_->attempt;
-  report.total_us = node_.now() - rop_->t_start;
-  report.downtime_us = rop_->t_downtime_end - rop_->t_start;
-  for (const RestartPeer& p : rop_->peers) {
-    report.agents.push_back(p.done);
-    report.max_connectivity_us =
-        std::max(report.max_connectivity_us, p.done.connectivity_us);
-    report.max_net_restore_us =
-        std::max(report.max_net_restore_us, p.done.net_restore_us);
-    if (p.lazy_received) {
-      report.max_lazy_us = std::max(report.max_lazy_us, p.lazy.lazy_us);
-      report.lazy_faults += p.lazy.faults;
-      report.lazy_bytes += p.lazy.lazy_bytes;
-    }
-  }
+  op.finished = true;
+  cancel_deadlines(op);
+  health_.op_end(op.op_id, now, /*ok=*/true);
+  const sim::Time total_us = now - op.t_start;
+  const sim::Time downtime_us = op.t_downtime_end - op.t_start;
   if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), rop_->span_lazy_wait);
-    r->end_at(node_.now(), rop_->span_root);
+    r->end_at(now, op.span_epilogue_wait);
+    r->end_at(now, op.span_root);
   }
-  obs::metrics().counter("mgr.restarts").inc();
-  obs::metrics().histogram("mgr.restart.total_us").observe(report.total_us);
-  obs::metrics()
-      .histogram("mgr.restart.downtime_us")
-      .observe(report.downtime_us);
-  trace_op("restart complete in " + std::to_string(report.total_us) +
-               "us (downtime " + std::to_string(report.downtime_us) + "us)",
-           rop_->op_id, rop_->span_root);
-  ledger_restart("ok", "", /*transient=*/false, /*will_retry=*/false);
-  RestartDoneFn fn = std::move(rop_->done_fn);
-  rop_.reset();
+  const std::string mgr = std::string("mgr.") + k.tag;
+  obs::metrics().counter(std::string("mgr.") + k.noun + "s").inc();
+  obs::metrics().histogram(mgr + ".total_us").observe(total_us);
+  obs::metrics().histogram(mgr + ".downtime_us").observe(downtime_us);
+  trace_op(std::string(k.noun) + " complete in " + std::to_string(total_us) +
+               "us (downtime " + std::to_string(downtime_us) + "us)",
+           op.op_id, op.span_root);
+  write_ledger(op, "ok", "", /*transient=*/false, /*will_retry=*/false);
+
+  // The op state is torn down before any callback runs: the caller (or
+  // the supervisor's commit hook) may start the next op of this kind.
+  if (!op.is_ckpt()) {
+    RestartReport report;
+    report.ok = true;
+    report.op_id = op.op_id;
+    report.attempts = op.attempt;
+    report.total_us = total_us;
+    report.downtime_us = downtime_us;
+    for (const Peer& p : op.peers) {
+      const RestartDone& d = p.restart_done;
+      report.agents.push_back(d);
+      report.max_connectivity_us =
+          std::max(report.max_connectivity_us, d.connectivity_us);
+      report.max_net_restore_us =
+          std::max(report.max_net_restore_us, d.net_restore_us);
+      if (!p.epilogue_received) continue;
+      report.max_lazy_us = std::max(report.max_lazy_us, p.epilogue.epilogue_us);
+      report.lazy_faults += p.epilogue.faults;
+      report.lazy_bytes += p.epilogue.lazy_bytes;
+    }
+    RestartDoneFn fn = std::move(op.in.restart_done);
+    restart_op_.reset();
+    return fn(std::move(report));
+  }
+  CheckpointReport report = std::move(op.report);
+  report.ok = true;
+  report.op_id = op.op_id;
+  report.attempts = op.attempt;
+  report.total_us = total_us;
+  report.downtime_us = downtime_us;
+  report.sync_us = op.t_sync - op.t_start;
+  obs::metrics().histogram("mgr.ckpt.sync_wait_us").observe(report.sync_us);
+  for (const Peer& p : op.peers) {
+    const CkptDone& d = p.ckpt_done;
+    report.agents.push_back(d);
+    report.max_image_bytes = std::max(
+        {report.max_image_bytes, d.image_bytes, p.epilogue.image_bytes});
+    report.max_network_bytes =
+        std::max(report.max_network_bytes, d.network_bytes);
+    report.max_drain_us = std::max(report.max_drain_us, p.epilogue.epilogue_us);
+    report.max_dirtied_bytes =
+        std::max(report.max_dirtied_bytes, p.epilogue.dirtied_bytes);
+  }
+  last_metas_ = report.metas;
+  last_redirect_ = op.redirect;
+  CheckpointDoneFn fn = std::move(op.in.ckpt_done);
+  const bool cataloged =
+      op.in.mode == CkptMode::SNAPSHOT && commit_fn_ != nullptr;
+  std::vector<Target> targets = std::move(op.in.targets);
+  ckpt_op_.reset();
+  if (cataloged) commit_fn_(report, targets);
   fn(std::move(report));
 }
 
-void Manager::restart_cancel_deadlines() {
-  if (rop_ == nullptr) return;
-  if (rop_->connect_deadline != 0) {
-    (void)node_.engine().cancel(rop_->connect_deadline);
-    rop_->connect_deadline = 0;
-  }
-  if (rop_->phase_deadline != 0) {
-    (void)node_.engine().cancel(rop_->phase_deadline);
-    rop_->phase_deadline = 0;
+void Manager::arm_deadline(OpState& op, sim::Time us,
+                           const std::string& phase) {
+  if (us == 0) return;
+  const bool connect = phase == "connect";
+  (connect ? op.connect_deadline : op.phase_deadline) =
+      node_.engine().schedule(
+          us, [this, alive = std::weak_ptr<bool>(alive_), kind = op.in.kind,
+               id = op.op_id, phase, connect] {
+            if (auto a = alive.lock(); !a || !*a) return;
+            OpState* o = live(kind, id);
+            if (o == nullptr) return;
+            (connect ? o->connect_deadline : o->phase_deadline) = 0;
+            deadline_expired(*o, phase);
+          });
+}
+
+void Manager::cancel_deadlines(OpState& op) {
+  for (sim::EventId* ev : {&op.connect_deadline, &op.phase_deadline}) {
+    if (*ev != 0) {
+      (void)node_.engine().cancel(*ev);
+      *ev = 0;
+    }
   }
 }
 
-void Manager::restart_deadline_expired(const std::string& phase) {
-  if (rop_ == nullptr || rop_->finished) return;
+void Manager::deadline_expired(OpState& op, const std::string& phase) {
+  // An expiry with nothing actually stalled (the phase completed but the
+  // cancel raced the event) is a no-op.
+  const bool epilogue = phase == "drain_wait" || phase == "lazy_wait";
   std::string stalled;
-  for (const RestartPeer& p : rop_->peers) {
+  for (const Peer& p : op.peers) {
     bool waiting;
     if (phase == "connect") {
       waiting = p.ch == nullptr || !p.ch->established();
-    } else if (phase == "lazy_wait") {
-      waiting = p.done_received && p.done.lazy_pending && !p.lazy_received;
+    } else if (phase == "meta_wait") {
+      waiting = !p.meta_received;
+    } else if (epilogue) {
+      waiting = p.awaiting_epilogue();
     } else {
       waiting = !p.done_received;
     }
     if (!waiting) continue;
     if (!stalled.empty()) stalled += ",";
     stalled += p.target.pod_name + "@" + p.target.agent.to_string();
-    if (const obs::PodHealth* ph =
-            health_.pod(rop_->op_id, p.target.pod_name);
+    // With the introspection plane on, say where the stalled pod last
+    // was — a deadline with an attributed phase beats a blind timeout.
+    if (const obs::PodHealth* ph = health_.pod(op.op_id, p.target.pod_name);
         ph != nullptr && ph->beacons > 0) {
       stalled += "(phase=" + ph->phase + " hb_age=" +
                  obs::vtime_us(node_.now() - ph->last_seen_us) + ")";
@@ -1155,76 +824,100 @@ void Manager::restart_deadline_expired(const std::string& phase) {
   }
   if (stalled.empty()) return;
   obs::metrics().counter("mgr.phase.deadline_expired").inc();
-  restart_fail("phase deadline expired: phase=" + phase + " stalled=" +
-                   stalled,
-               /*transient=*/true);
+  fail(op, "phase deadline expired: phase=" + phase + " stalled=" + stalled,
+       /*transient=*/true);
 }
 
-void Manager::restart_fail(const std::string& why, bool transient) {
-  if (rop_ == nullptr || rop_->finished) return;
-  rop_->finished = true;
-  restart_cancel_deadlines();
-  health_.op_end(rop_->op_id, node_.now(), /*ok=*/false);
-  ZLOG_WARN("manager: restart failed: " << why);
-  obs::dump_op_failure(rec(), "restart_fail", rop_->op_id, "manager", why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), rop_->span_lazy_wait);
-    r->end_at(node_.now(), rop_->span_root);
-  }
-  obs::metrics().counter("mgr.restart_failures").inc();
-  trace_op("restart ABORTED: " + why, rop_->op_id, rop_->span_root);
-  // Mirror of the checkpoint abort: agents that already (or partially)
-  // restored their pod tear it down, so a failed coordinated restart
-  // never leaves half the application running.
-  for (RestartPeer& p : rop_->peers) {
-    if (p.ch != nullptr && p.ch->open()) {
-      (void)p.ch->send(encode_abort(AbortMsg{rop_->op_id, why}));
+void Manager::gc_tmp(const OpState& op) {
+  // The commit protocol stages every SAN image at `<path>.tmp` and only
+  // renames it into place after the continue barrier, so after an abort
+  // the temp — if the agent got that far — is the only debris.
+  for (const Peer& p : op.peers) {
+    if (p.target.uri.rfind("san://", 0) != 0) continue;
+    std::string tmp = p.target.uri.substr(6) + ".tmp";
+    if (node_.san().remove(tmp).is_ok()) {
+      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
+      trace_op("gc half-written image " + tmp, op.op_id, op.span_root);
     }
   }
+}
 
-  // The abort teardown above makes a whole-op re-run safe: every target
-  // agent is back to not hosting the pod.
-  bool retryable =
-      transient && rop_->attempt <= rop_->opts.retry.max_retries;
-  ledger_restart("aborted", why, transient, retryable);
+void Manager::fail(OpState& op, const std::string& why, bool transient) {
+  if (op.finished) return;
+  const KindText& k = op.is_ckpt() ? kCkptText : kRestartText;
+  op.finished = true;
+  cancel_deadlines(op);
+  health_.op_end(op.op_id, node_.now(), /*ok=*/false);
+  ZLOG_WARN("manager: " << k.noun << " failed: " << why);
+  obs::dump_op_failure(rec(), std::string(k.tag) + "_fail", op.op_id,
+                       "manager", why, node_.now());
+  if (obs::SpanRecorder* r = rec()) {
+    for (obs::SpanId s : {op.span_meta_wait, op.span_done_wait,
+                          op.span_epilogue_wait, op.span_root}) {
+      r->end_at(node_.now(), s);
+    }
+  }
+  obs::metrics().counter(std::string("mgr.") + k.noun + "_failures").inc();
+  trace_op(std::string(k.noun) + " ABORTED: " + why, op.op_id, op.span_root);
+  // Agents resume (checkpoint) or tear down (restart) their pod, so a
+  // failed coordinated op never leaves half the application suspended or
+  // half of it running.
+  for (Peer& p : op.peers) {
+    if (p.ch != nullptr && p.ch->open()) {
+      (void)p.ch->send(encode_abort(AbortMsg{op.op_id, why}));
+    }
+  }
+  if (op.is_ckpt()) gc_tmp(op);
+
+  // Retry transient failures while the op is still safe to re-run from
+  // scratch: the abort teardown puts every restart agent back to not
+  // hosting the pod and resumes every SNAPSHOT pod in place, but a
+  // MIGRATE is only repeatable before the sync point (after it, agents
+  // may already have destroyed source pods at commit).
+  const RetryPolicy& retry =
+      op.is_ckpt() ? op.in.ckpt.retry : op.in.restart.retry;
+  const bool retryable =
+      transient && op.attempt <= retry.max_retries &&
+      (!op.is_ckpt() || op.in.mode == CkptMode::SNAPSHOT || !op.continued);
+  // Aborted attempts get their ledger line too — retries mint a fresh
+  // op id, so every attempt is its own row in the run history.
+  write_ledger(op, "aborted", why, transient, retryable);
+  std::unique_ptr<OpState> dead = std::move(slot(op.in.kind));
   if (retryable) {
-    u32 next = rop_->attempt + 1;
-    sim::Time delay = retry_delay(rop_->opts.retry, rop_->attempt);
-    obs::metrics().counter("mgr.restart.retries").inc();
-    trace("retrying restart in " + std::to_string(delay) + "us (attempt " +
-          std::to_string(next) + ")");
+    const u32 next = op.attempt + 1;
+    const sim::Time delay = retry_delay(retry, op.attempt);
+    obs::metrics().counter(std::string("mgr.") + k.tag + ".retries").inc();
+    trace(std::string("retrying ") + k.noun + " in " + std::to_string(delay) +
+          "us (attempt " + std::to_string(next) + ")");
     node_.engine().schedule(
-        delay,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         targets = std::move(rop_->targets),
-         peer_metas = std::move(rop_->peer_metas),
-         locations = std::move(rop_->locations), opts = std::move(rop_->opts),
-         fn = std::move(rop_->done_fn), next]() mutable {
+        delay, [this, alive = std::weak_ptr<bool>(alive_),
+                in = std::move(op.in), next, noun = k.noun]() mutable {
           if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ != nullptr) {
-            RestartReport r;
-            r.error = "manager busy at restart retry";
-            r.attempts = next;
-            fn(std::move(r));
-            return;
+          if (slot(in.kind) != nullptr) {
+            return report_failure(
+                in, std::string("manager busy at ") + noun + " retry", 0,
+                next);
           }
-          restart_begin_attempt(std::move(targets), std::move(peer_metas),
-                                std::move(locations), std::move(opts),
-                                std::move(fn), next);
+          begin_attempt(std::move(in), next);
         });
-    rop_.reset();
     return;
   }
+  const obs::OpId id = op.op_id;
+  const u32 attempts = op.attempt;
+  OpInputs in = std::move(op.in);
+  dead.reset();
+  report_failure(in, why, id, attempts);
+}
 
-  RestartReport report;
-  report.ok = false;
-  report.error = why;
-  report.op_id = rop_->op_id;
-  report.attempts = rop_->attempt;
-  RestartDoneFn fn = std::move(rop_->done_fn);
-  rop_.reset();
-  fn(std::move(report));
+void Manager::report_failure(OpInputs& in, const std::string& why,
+                             obs::OpId op, u32 attempts) {
+  if (in.kind == OpKind::CKPT) {
+    CheckpointDoneFn fn = std::move(in.ckpt_done);
+    fn(failed_report<CheckpointReport>(why, op, attempts));
+  } else {
+    RestartDoneFn fn = std::move(in.restart_done);
+    fn(failed_report<RestartReport>(why, op, attempts));
+  }
 }
 
 }  // namespace zapc::core

@@ -47,12 +47,11 @@ class Manager {
     /// Shipped to agents: fail a stream:// restart if the checkpoint
     /// stream hasn't fully arrived this long after the command.
     sim::Time agent_stream_us = 0;
-    /// COW mode: downtime end → every pending DRAIN_DONE received (the
-    /// background drains must not be allowed to hang the op forever).
+    /// Background epilogue: downtime end → every pending EPILOGUE_DONE
+    /// received, for a COW checkpoint's drains (`drain_us`) and a lazy
+    /// restart's cold-region fills (`lazy_us`).  A stuck epilogue must
+    /// not be allowed to hang the op forever.
     sim::Time drain_us = 0;
-    /// Lazy restart: downtime end → every pending LAZY_DONE received
-    /// (the background cold-region fills are the restart's mirror of the
-    /// COW drains).
     sim::Time lazy_us = 0;
   };
 
@@ -157,7 +156,7 @@ class Manager {
     /// COW concurrent checkpoint (DESIGN.md §11): agents mark snapshots
     /// copy-on-write inside the stop-the-world window and drain the
     /// image to the SAN after their pod resumes; the op completes on
-    /// the DRAIN_DONE epilogues.  Agents fall back to a blocking
+    /// the EPILOGUE_DONE reports.  Agents fall back to a blocking
     /// checkpoint where the mode does not apply (migration, non-SAN
     /// destinations, pipelined streaming).
     bool cow = false;
@@ -263,7 +262,9 @@ class Manager {
     return last_metas_;
   }
 
-  bool busy() const { return op_ != nullptr || rop_ != nullptr; }
+  bool busy() const {
+    return ckpt_op_ != nullptr || restart_op_ != nullptr;
+  }
 
   // ---- Introspection plane (DESIGN.md §9) ----------------------------------
 
@@ -305,111 +306,111 @@ class Manager {
   using StatusExtraFn = std::function<obs::Json()>;
   void set_status_extra(StatusExtraFn fn) { status_extra_ = std::move(fn); }
 
-  /// Aborts whatever coordinated op is in flight (no-op when idle).
-  /// The failure is non-transient on purpose: the Manager's own retry
+  /// Aborts whatever coordinated op is in flight (no-op when idle) — the
+  /// checkpoint first when a checkpoint and a restart overlap.  The
+  /// failure is non-transient on purpose: the Manager's own retry
   /// machinery stands down and the caller — the recovery orchestrator —
   /// owns what happens next.
   void abort_current(const std::string& why);
 
  private:
-  struct CkptPeer {
+  enum class OpKind : u8 { CKPT, RESTART };
+
+  struct Peer {
     Target target;
     std::unique_ptr<MsgChannel> ch;
-    bool meta_received = false;
+    bool meta_received = false;  // checkpoint only
     bool done_received = false;
-    CkptDone done;
-    // COW mode: set when this peer's background drain has reported in
-    // (only meaningful when done.drain_pending).
-    bool drain_received = false;
-    DrainDone drain;
-  };
-  struct CkptState {
-    std::vector<CkptPeer> peers;
-    std::vector<Target> targets;  // kept verbatim for retries
-    CkptOptions opts;
-    CkptMode mode{};
-    bool redirect = false;
-    u32 attempt = 1;
-    sim::Time t_start = 0;
-    sim::Time t_sync = 0;
-    CheckpointReport report;
-    CheckpointDoneFn done_fn;
-    bool continued = false;
-    bool finished = false;
-    /// COW mode: instant every pod had resumed (all CKPT_DONEs in);
-    /// the op's downtime ends here even while drains are in flight.
-    sim::Time t_downtime_end = 0;
-    obs::OpId op_id = 0;
-    obs::SpanId span_root = 0;       // "mgr.ckpt"
-    obs::SpanId span_meta_wait = 0;  // invocation → sync point
-    obs::SpanId span_done_wait = 0;  // sync point → all done
-    obs::SpanId span_drain_wait = 0; // all done → all drains in (COW)
-    sim::EventId connect_deadline = 0;  // 0 = not armed
-    sim::EventId phase_deadline = 0;    // meta_wait, done_wait, drain_wait
+    CkptDone ckpt_done;        // checkpoint: the pod's CKPT_DONE
+    RestartDone restart_done;  // restart: the pod's RESTART_DONE
+    /// Background epilogue (COW drain / lazy fill): set once the
+    /// EPILOGUE_DONE promised by the DONE report has arrived.
+    bool epilogue_received = false;
+    EpilogueDone epilogue;
+
+    /// The DONE report left a background epilogue that has not closed.
+    bool awaiting_epilogue() const {
+      return done_received &&
+             (ckpt_done.drain_pending || restart_done.lazy_pending) &&
+             !epilogue_received;
+    }
   };
 
-  struct RestartPeer {
-    Target target;
-    std::unique_ptr<MsgChannel> ch;
-    bool done_received = false;
-    RestartDone done;
-    // Lazy restore: set when this peer's background fill window has
-    // reported in (only meaningful when done.lazy_pending).
-    bool lazy_received = false;
-    LazyDone lazy;
-  };
-  struct RestartState {
-    std::vector<RestartPeer> peers;
-    std::vector<Target> targets;  // kept verbatim for retries
-    /// Per-target modified meta-data (plan output) and the new virtual →
-    /// real placement, both reused verbatim on retry.
+  /// Everything an attempt is started from, moved verbatim into a retry.
+  struct OpInputs {
+    OpKind kind{};
+    std::vector<Target> targets;
+    CkptMode mode{};  // checkpoint
+    CkptOptions ckpt;
+    CheckpointDoneFn ckpt_done;
+    /// Restart: per-target modified meta-data (plan output) and the new
+    /// virtual → real placement.
     std::vector<ckpt::NetMeta> peer_metas;
     std::vector<std::pair<net::IpAddr, net::IpAddr>> locations;
-    RestartOptions opts;
-    u32 attempt = 1;
-    sim::Time t_start = 0;
-    RestartReport report;
-    RestartDoneFn done_fn;
-    bool finished = false;
-    /// Lazy mode: instant every pod had resumed (all RESTART_DONEs in);
-    /// the op's downtime ends here even while lazy fills are in flight.
-    sim::Time t_downtime_end = 0;
-    obs::OpId op_id = 0;
-    obs::SpanId span_root = 0;  // "mgr.restart"
-    obs::SpanId span_lazy_wait = 0;  // all done → all lazy fills in
-    sim::EventId connect_deadline = 0;  // 0 = not armed
-    sim::EventId phase_deadline = 0;    // restart_wait, lazy_wait
+    RestartOptions restart;
+    RestartDoneFn restart_done;
   };
 
-  /// (Re)starts a checkpoint attempt: creates CkptState from the saved
-  /// inputs, then connects and broadcasts the commands.
-  void ckpt_begin_attempt(std::vector<Target> targets, CkptMode mode,
-                          CkptOptions opts, CheckpointDoneFn done,
-                          u32 attempt);
-  void ckpt_start();
-  void ckpt_on_msg(std::size_t idx, Bytes msg);
-  void ckpt_on_closed(std::size_t idx);
-  void ckpt_maybe_continue();
-  void ckpt_maybe_finish();
-  void ckpt_cancel_deadlines();
-  void ckpt_deadline_expired(const std::string& phase);
-  /// Removes the peers' half-written `<uri>.tmp` objects after an abort.
-  void ckpt_gc_tmp();
-  void ckpt_fail(const std::string& why, bool transient);
+  /// One coordinated op, checkpoint or restart: broadcast the command,
+  /// gather per-pod reports, close on the last DONE — or, when a pod
+  /// left a background epilogue running, on the last EPILOGUE_DONE.
+  struct OpState {
+    OpInputs in;
+    std::vector<Peer> peers;
+    u32 attempt = 1;
+    sim::Time t_start = 0;
+    sim::Time t_sync = 0;  // checkpoint: continue broadcast
+    /// Instant every pod had resumed (all DONEs in): the op's downtime
+    /// ends here even while epilogues are in flight.
+    sim::Time t_downtime_end = 0;
+    bool redirect = false;   // checkpoint: send-queue redirect in use
+    bool continued = false;  // checkpoint: past the sync point
+    bool finished = false;
+    CheckpointReport report;  // checkpoint: metas gathered so far
+    obs::OpId op_id = 0;
+    obs::SpanId span_root = 0;           // "mgr.ckpt" / "mgr.restart"
+    obs::SpanId span_meta_wait = 0;      // checkpoint: invocation → sync
+    obs::SpanId span_done_wait = 0;      // checkpoint: sync → all done
+    obs::SpanId span_epilogue_wait = 0;  // all done → all epilogues in
+    sim::EventId connect_deadline = 0;   // 0 = not armed
+    sim::EventId phase_deadline = 0;     // every other watchdog
 
-  void restart_begin_attempt(std::vector<Target> targets,
-                             std::vector<ckpt::NetMeta> peer_metas,
-                             std::vector<std::pair<net::IpAddr, net::IpAddr>>
-                                 locations,
-                             RestartOptions opts, RestartDoneFn done,
-                             u32 attempt);
-  void restart_start();
-  void restart_on_msg(std::size_t idx, Bytes msg);
-  void restart_on_closed(std::size_t idx);
-  void restart_maybe_finish();
-  void restart_cancel_deadlines();
-  void restart_deadline_expired(const std::string& phase);
-  void restart_fail(const std::string& why, bool transient);
+    bool is_ckpt() const { return in.kind == OpKind::CKPT; }
+    const Deadlines& deadlines() const {
+      return is_ckpt() ? in.ckpt.deadlines : in.restart.deadlines;
+    }
+  };
+
+  std::unique_ptr<OpState>& slot(OpKind kind) {
+    return kind == OpKind::CKPT ? ckpt_op_ : restart_op_;
+  }
+  /// The running (unfinished) op `id` of `kind`, or nullptr.
+  OpState* live(OpKind kind, obs::OpId id);
+
+  /// (Re)starts an attempt: creates the op state, then connects and
+  /// broadcasts the commands.
+  void begin_attempt(OpInputs in, u32 attempt);
+  void connect_and_send(OpState& op);
+  void on_msg(OpState& op, std::size_t idx, Bytes msg);
+  void on_done(OpState& op, Peer& peer, bool ok, const std::string& error,
+               bool transient);
+  /// Checkpoint: the single 'continue' barrier once all meta-data is in.
+  void maybe_continue(OpState& op);
+  void maybe_finish(OpState& op);
+  /// Schedules the `phase` watchdog `us` from now (0 = disarmed); the
+  /// connect deadline has its own slot, every other phase shares one.
+  void arm_deadline(OpState& op, sim::Time us, const std::string& phase);
+  void cancel_deadlines(OpState& op);
+  void deadline_expired(OpState& op, const std::string& phase);
+  /// Checkpoint: removes the peers' half-written `<uri>.tmp` objects
+  /// after an abort.
+  void gc_tmp(const OpState& op);
+  /// Aborts the op: tells the agents, then retries the whole op or
+  /// reports the failure.
+  void fail(OpState& op, const std::string& why, bool transient);
+  /// Hands a failure report of `in`'s kind to its done callback.
+  void report_failure(OpInputs& in, const std::string& why, obs::OpId op,
+                      u32 attempts);
 
   /// Backoff delay before retry number `attempt` (1-based), jittered.
   sim::Time retry_delay(const RetryPolicy& p, u32 attempt);
@@ -421,10 +422,9 @@ class Manager {
   /// Writes the op's ledger line (no-op with no ledger attached).  Must
   /// run after the op's spans are closed — the critical-path attribution
   /// reads the finished tree — and before the op state is reset.
-  void ledger_ckpt(const std::string& outcome, const std::string& error,
-                   bool transient, bool will_retry);
-  void ledger_restart(const std::string& outcome, const std::string& error,
-                      bool transient, bool will_retry);
+  void write_ledger(const OpState& op, const std::string& outcome,
+                    const std::string& error, bool transient,
+                    bool will_retry);
   /// Fills the attribution + straggler half of a ledger entry from the
   /// span stream and live health model; counts attribution failures.
   void ledger_attribute(obs::LedgerEntry& e);
@@ -441,8 +441,10 @@ class Manager {
 
   os::Node& node_;
   Trace* trace_;
-  std::unique_ptr<CkptState> op_;
-  std::unique_ptr<RestartState> rop_;
+  /// One checkpoint and one restart may run concurrently (a COW drain
+  /// overlapping a restart); each kind has its own slot.
+  std::unique_ptr<OpState> ckpt_op_;
+  std::unique_ptr<OpState> restart_op_;
   std::map<std::string, ckpt::NetMeta> last_metas_;
   bool last_redirect_ = false;  // last checkpoint used the redirect opt.
   // Pods whose destination agents were advertised for the redirect (only

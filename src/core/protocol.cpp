@@ -176,38 +176,48 @@ Result<CkptDone> decode_ckpt_done(const Bytes& msg) {
   return m;
 }
 
-Bytes encode_drain_done(const DrainDone& m) {
-  Encoder e = header(MsgType::DRAIN_DONE);
+Bytes encode_epilogue_done(const EpilogueDone& m) {
+  Encoder e = header(MsgType::EPILOGUE_DONE);
   e.put_u64(m.op_id);
   e.put_string(m.pod_name);
   e.put_bool(m.ok);
   e.put_string(m.error);
   e.put_bool(m.transient);
   e.put_u64(m.image_bytes);
-  e.put_u64(m.drain_us);
+  e.put_u64(m.epilogue_us);
   e.put_u64(m.dirtied_bytes);
   e.put_u64(m.throttled_us);
   e.put_u64(m.contended_us);
   e.put_u64(m.granted_bps);
+  // A drain's epilogue stops here, byte for byte the old DRAIN_DONE frame.
+  if (m.lazy_bytes == 0 && m.faults == 0 && m.fault_bytes == 0) {
+    return e.take();
+  }
+  e.put_u64(m.lazy_bytes);
+  e.put_u64(m.faults);
+  e.put_u64(m.fault_bytes);
   return e.take();
 }
 
-Result<DrainDone> decode_drain_done(const Bytes& msg) {
-  auto dr = open_msg(msg, MsgType::DRAIN_DONE);
+Result<EpilogueDone> decode_epilogue_done(const Bytes& msg) {
+  auto dr = open_msg(msg, MsgType::EPILOGUE_DONE);
   if (!dr) return dr.status();
   Decoder& d = dr.value();
-  DrainDone m;
+  EpilogueDone m;
   m.op_id = d.u64_().value_or(0);
   m.pod_name = d.string_().value_or("");
   m.ok = d.bool_().value_or(false);
   m.error = d.string_().value_or("");
   m.transient = d.bool_().value_or(false);
   m.image_bytes = d.u64_().value_or(0);
-  m.drain_us = d.u64_().value_or(0);
+  m.epilogue_us = d.u64_().value_or(0);
   m.dirtied_bytes = d.u64_().value_or(0);
   m.throttled_us = d.u64_().value_or(0);
   m.contended_us = d.u64_().value_or(0);
   m.granted_bps = d.u64_().value_or(0);
+  m.lazy_bytes = d.u64_().value_or(0);
+  m.faults = d.u64_().value_or(0);
+  m.fault_bytes = d.u64_().value_or(0);
   return m;
 }
 
@@ -299,37 +309,6 @@ Result<RestartDone> decode_restart_done(const Bytes& msg) {
   m.hot_bytes = d.u64_().value_or(0);
   m.lazy_bytes = d.u64_().value_or(0);
   m.fetch_us = d.u64_().value_or(0);
-  return m;
-}
-
-Bytes encode_lazy_done(const LazyDone& m) {
-  Encoder e = header(MsgType::LAZY_DONE);
-  e.put_u64(m.op_id);
-  e.put_string(m.pod_name);
-  e.put_bool(m.ok);
-  e.put_string(m.error);
-  e.put_bool(m.transient);
-  e.put_u64(m.lazy_us);
-  e.put_u64(m.lazy_bytes);
-  e.put_u64(m.faults);
-  e.put_u64(m.fault_bytes);
-  return e.take();
-}
-
-Result<LazyDone> decode_lazy_done(const Bytes& msg) {
-  auto dr = open_msg(msg, MsgType::LAZY_DONE);
-  if (!dr) return dr.status();
-  Decoder& d = dr.value();
-  LazyDone m;
-  m.op_id = d.u64_().value_or(0);
-  m.pod_name = d.string_().value_or("");
-  m.ok = d.bool_().value_or(false);
-  m.error = d.string_().value_or("");
-  m.transient = d.bool_().value_or(false);
-  m.lazy_us = d.u64_().value_or(0);
-  m.lazy_bytes = d.u64_().value_or(0);
-  m.faults = d.u64_().value_or(0);
-  m.fault_bytes = d.u64_().value_or(0);
   return m;
 }
 

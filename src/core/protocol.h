@@ -4,9 +4,9 @@
 // Figures 1 and 3 of the paper:
 //
 //   checkpoint:  M→A CHECKPOINT_CMD,  A→M META_REPORT,  M→A CONTINUE,
-//                A→M CKPT_DONE
+//                A→M CKPT_DONE  [A→M EPILOGUE_DONE after a COW drain]
 //   restart:     M→A RESTART_CMD (with the modified meta-data),
-//                A→M RESTART_DONE
+//                A→M RESTART_DONE  [A→M EPILOGUE_DONE after a lazy fill]
 //   migration:   A→A STREAM_* (direct checkpoint streaming) and
 //                REDIRECT_DATA (send-queue redirect optimization)
 //   failure:     M→A / A→M ABORT
@@ -48,20 +48,19 @@ enum class MsgType : u8 {
   PROGRESS = 13,
   HEALTH_QUERY = 14,
   HEALTH_SNAPSHOT = 15,
-  /// COW concurrent checkpoint (DESIGN.md §11): the agent's CKPT_DONE
-  /// carried drain_pending=true; this closes the op once the background
-  /// image drain has committed (or failed).
-  DRAIN_DONE = 16,
+  /// Background epilogue (DESIGN.md §11, §13): the agent's CKPT_DONE
+  /// carried drain_pending=true or its RESTART_DONE lazy_pending=true;
+  /// this closes the op once the COW drain has committed or the lazy
+  /// cold-region fill has finished (or either failed).
+  EPILOGUE_DONE = 16,
   /// Self-healing supervisor (DESIGN.md §12): puts the agent in
   /// supervised mode — it publishes node-level HEARTBEAT beacons
   /// (op_id=0) on the channel this command arrived on, even while no
   /// coordinated op is running, so the failure detector can tell a dead
   /// node from an idle one.
   SUPERVISE_CMD = 17,
-  /// Lazy restart epilogue (DESIGN.md §13): the agent's RESTART_DONE
-  /// carried lazy_pending=true; this closes the op once every cold
-  /// region has been filled in — the restore-side mirror of DRAIN_DONE.
-  LAZY_DONE = 18,
+  // 18 is retired: it was the lazy restart's own epilogue message, now
+  // folded into EPILOGUE_DONE.
 };
 
 /// What happens to the pod after its checkpoint completes (paper §4: "the
@@ -106,7 +105,7 @@ struct CheckpointCmd {
   /// apply (migration, non-SAN destination, pipelined streaming).
   bool cow = false;
   /// Manager-side drain deadline shipped for symmetry with
-  /// barrier_wait_us; 0 = wait forever for DRAIN_DONE.
+  /// barrier_wait_us; 0 = wait forever for EPILOGUE_DONE.
   u64 drain_wait_us = 0;
 };
 
@@ -147,34 +146,42 @@ struct CkptDone {
   u64 standalone_us = 0;  // standalone process image (incl. streaming)
   u64 barrier_us = 0;     // continue-barrier wait + commit + resume
   /// COW mode: the pod has resumed but the image is still draining to
-  /// the SAN; a DRAIN_DONE message will complete the op.
+  /// the SAN; an EPILOGUE_DONE message will complete the op.
   bool drain_pending = false;
   /// COW snapshot-marking duration (0 in blocking mode).
   u64 cowmark_us = 0;
 };
 
-/// COW concurrent checkpoint epilogue (DESIGN.md §11): sent by the agent
-/// once the background drain has committed the image — or failed trying.
-/// Pairs with the CkptDone that carried drain_pending=true.
-struct DrainDone {
+/// Background epilogue (DESIGN.md §11, §13): sent by the agent once the
+/// work its DONE report left pending has finished — or failed.  For a
+/// COW checkpoint that is the image drain (pairs with a CkptDone that
+/// carried drain_pending=true); for a lazy restart the cold-region fill
+/// (pairs with a RestartDone that carried lazy_pending=true).
+struct EpilogueDone {
   u64 op_id = 0;
   std::string pod_name;
   bool ok = false;
   std::string error;
   /// Failed for a transient reason (storage hiccup): retryable.
   bool transient = false;
-  u64 image_bytes = 0;    // committed encoded image size
-  u64 drain_us = 0;       // resume → commit, as seen by the agent
-  u64 dirtied_bytes = 0;  // COW tax: bytes the pod dirtied during drain
+  u64 image_bytes = 0;    // drain: committed encoded image size
+  u64 epilogue_us = 0;    // resume → epilogue done, as seen by the agent
+  u64 dirtied_bytes = 0;  // drain: COW tax, bytes the pod dirtied meanwhile
   // Appended fields (old peers decode them as defaults).
-  /// SAN QoS attribution (DESIGN.md §13): time this drain spent throttled
-  /// to the background floor because foreground restart/migration traffic
-  /// held the pipe, vs. time it merely shared the pipe with other drains.
+  /// SAN QoS attribution of a drain (DESIGN.md §13): time it spent
+  /// throttled to the background floor because foreground
+  /// restart/migration traffic held the pipe, vs. time it merely shared
+  /// the pipe with other drains.
   u64 throttled_us = 0;
   u64 contended_us = 0;
   /// Average granted SAN bandwidth over the drain (bytes/sec; 0 = the
   /// drain never wrote a chunk).
   u64 granted_bps = 0;
+  /// Lazy fill: cold bytes filled in the background, regions touched
+  /// before their fill landed, and the bytes those demand faults pulled.
+  u64 lazy_bytes = 0;
+  u64 faults = 0;
+  u64 fault_bytes = 0;
 };
 
 struct RestartCmd {
@@ -204,13 +211,13 @@ struct RestartCmd {
   /// Lazy demand-paged restore: eagerly restore only the hot working set
   /// (ranked by the manifest's region-touch stats), resume early, and
   /// fill cold regions in the background / on first touch.  The op stays
-  /// open until a LAZY_DONE epilogue.
+  /// open until an EPILOGUE_DONE.
   bool lazy = false;
   /// Eager budget for the lazy restore, in permille of total region
   /// bytes.  0 = the default (250 = hot 25%).
   u32 lazy_hot_permille = 0;
   /// Manager-side lazy-epilogue deadline, shipped for symmetry with
-  /// drain_wait_us; 0 = wait forever for LAZY_DONE.
+  /// drain_wait_us; 0 = wait forever for EPILOGUE_DONE.
   u64 lazy_wait_us = 0;
 };
 
@@ -228,7 +235,7 @@ struct RestartDone {
   /// Standalone-image restore duration, for the op ledger.
   u64 standalone_us = 0;
   /// Lazy restore (DESIGN.md §13): the pod has resumed but cold regions
-  /// are still filling in; a LAZY_DONE message will complete the op.
+  /// are still filling in; an EPILOGUE_DONE message will complete the op.
   bool lazy_pending = false;
   /// Command receipt → pod resumed, as the agent measured it.  With lazy
   /// restore this is strictly less than total_us; 0 on old peers (the
@@ -239,23 +246,6 @@ struct RestartDone {
   u64 lazy_bytes = 0;
   /// Streaming-fetch duration of the pipelined restore (0 = monolithic).
   u64 fetch_us = 0;
-};
-
-/// Lazy restart epilogue (DESIGN.md §13): sent by the agent once every
-/// cold region has been filled (by background fill or demand fault) — or
-/// the fill failed.  Pairs with the RestartDone that carried
-/// lazy_pending=true.
-struct LazyDone {
-  u64 op_id = 0;
-  std::string pod_name;
-  bool ok = false;
-  std::string error;
-  /// Failed for a transient reason: retryable.
-  bool transient = false;
-  u64 lazy_us = 0;      // resume → all cold regions filled
-  u64 lazy_bytes = 0;   // cold bytes filled in the background
-  u64 faults = 0;       // regions touched before their fill landed
-  u64 fault_bytes = 0;  // bytes those demand faults pulled in
 };
 
 struct StreamOpen {
@@ -341,10 +331,9 @@ Bytes encode_checkpoint_cmd(const CheckpointCmd& m);
 Bytes encode_meta_report(const MetaReport& m);
 Bytes encode_continue(const ContinueMsg& m = {});
 Bytes encode_ckpt_done(const CkptDone& m);
-Bytes encode_drain_done(const DrainDone& m);
+Bytes encode_epilogue_done(const EpilogueDone& m);
 Bytes encode_restart_cmd(const RestartCmd& m);
 Bytes encode_restart_done(const RestartDone& m);
-Bytes encode_lazy_done(const LazyDone& m);
 Bytes encode_stream_open(const StreamOpen& m);
 Bytes encode_stream_chunk(const StreamChunk& m);
 Bytes encode_stream_close(const StreamClose& m);
@@ -363,10 +352,9 @@ Result<CheckpointCmd> decode_checkpoint_cmd(const Bytes& msg);
 Result<MetaReport> decode_meta_report(const Bytes& msg);
 Result<ContinueMsg> decode_continue(const Bytes& msg);
 Result<CkptDone> decode_ckpt_done(const Bytes& msg);
-Result<DrainDone> decode_drain_done(const Bytes& msg);
+Result<EpilogueDone> decode_epilogue_done(const Bytes& msg);
 Result<RestartCmd> decode_restart_cmd(const Bytes& msg);
 Result<RestartDone> decode_restart_done(const Bytes& msg);
-Result<LazyDone> decode_lazy_done(const Bytes& msg);
 Result<StreamOpen> decode_stream_open(const Bytes& msg);
 Result<StreamChunk> decode_stream_chunk(const Bytes& msg);
 Result<StreamClose> decode_stream_close(const Bytes& msg);

@@ -174,7 +174,7 @@ FaultPlan FaultPlan::random(u64 seed, const std::vector<NodeRef>& nodes) {
 
   // Protocol messages worth losing: META_REPORT(2), CONTINUE(3),
   // CKPT_DONE(4), RESTART_DONE(6), STREAM_CHUNK(8), STREAM_CLOSE(9),
-  // DRAIN_DONE(16).
+  // EPILOGUE_DONE(16).
   static constexpr u8 kMsgTypes[] = {2, 3, 4, 6, 8, 9, 16};
   // Agent phases a node can die in.  The COW phases cover a crash while
   // marking the snapshot (inside the stop-the-world window) and mid

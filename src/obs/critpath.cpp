@@ -182,15 +182,17 @@ Result<OpAttribution> attribute_op(
   out.end = t1;
   out.latency_us = t1 > out.start ? t1 - out.start : 0;
 
-  // COW concurrent checkpoint (DESIGN.md §11): the Manager opens
-  // "mgr.ckpt.drain_wait" the instant every pod has resumed — that is
-  // where the application's downtime ends, even though the op (and its
-  // root span) runs on until the background drains commit.  Without the
-  // marker (blocking mode, or drains that beat the last done) downtime
-  // and latency coincide.
+  // Background epilogue (DESIGN.md §11, §13): the Manager opens its
+  // epilogue wait ("mgr.ckpt.drain_wait" for COW drains,
+  // "mgr.restart.lazy_wait" for lazy fills) the instant every pod has
+  // resumed — that is where the application's downtime ends, even though
+  // the op (and its root span) runs on until the epilogues finish.
+  // Without the marker (blocking ops, or epilogues that beat the last
+  // done) downtime and latency coincide.
   Time downtime_end = t1;
   for (const SpanRecord* r : records) {
-    if (r->kind == SpanKind::SPAN && r->name == "mgr.ckpt.drain_wait") {
+    if (r->kind == SpanKind::SPAN && (r->name == "mgr.ckpt.drain_wait" ||
+                                      r->name == "mgr.restart.lazy_wait")) {
       downtime_end = std::min(downtime_end, r->start);
     }
   }
@@ -201,16 +203,17 @@ Result<OpAttribution> attribute_op(
   w.t1 = downtime_end;
   w.cursor = downtime_end;
 
-  // Span children (events excluded) by parent.  Background drain spans
-  // are pulled out of the walk entirely: they start before the last
-  // CKPT_DONE lands at the Manager (the agent resumes its pod and starts
-  // draining immediately), so the backward descent would otherwise cut
-  // post-resume work into the downtime.  They are reported as separate
-  // off-path segments, clipped to the full op window.
+  // Span children (events excluded) by parent.  Background epilogue
+  // spans (COW drains, lazy fills) are pulled out of the walk entirely:
+  // they start before the last DONE lands at the Manager (the agent
+  // resumes its pod and starts the epilogue immediately), so the
+  // backward descent would otherwise cut post-resume work into the
+  // downtime.  They are reported as separate off-path segments, clipped
+  // to the full op window.
   std::map<SpanId, std::vector<const SpanRecord*>> kids;
   for (const SpanRecord* r : records) {
     if (r->kind != SpanKind::SPAN || r->parent == 0) continue;
-    if (r->name == "ckpt.drain") {
+    if (r->name == "ckpt.drain" || r->name == "restart.lazy") {
       Time de = r->open ? t1 : std::min(r->end, t1);
       if (de > r->start) {
         out.drain_segments.push_back(CritSegment{
@@ -316,14 +319,15 @@ Result<OpAttribution> attribute_op(
       }
     }
     // DONE message flight (plus the Manager's close-out bookkeeping).
-    // In COW mode the agent's root span runs past the downtime end (it
-    // covers the background drain), so anchor the done send on the
-    // barrier child's close instead: the agent resumes its pod and
-    // reports done the instant that span ends.
+    // With a background epilogue the agent's root span runs past the
+    // downtime end (it covers the drain or lazy fill), so anchor the done
+    // send on the last pre-resume child's close instead: the agent
+    // resumes its pod and reports done the instant that span ends.
     Time done_sent = w.clip_end(gate->span);
     if (done_sent >= w.cursor) {
       for (const SpanRecord* c : kids[gate->span->id]) {
-        if (c->name == "ckpt.barrier" && !c->open) {
+        if ((c->name == "ckpt.barrier" || c->name == "restart.standalone") &&
+            !c->open) {
           done_sent = std::min(c->end, w.cursor);
         }
       }

@@ -55,20 +55,21 @@ struct OpAttribution {
   std::string kind;  // "ckpt", "restart" or "unknown"
   Time start = 0;
   Time end = 0;
-  /// Application downtime: op start → every pod resumed.  In a COW
-  /// checkpoint this ends at the Manager's drain-wait handoff (the
-  /// "mgr.ckpt.drain_wait" span start); segments sum to THIS, because
-  /// the background drains are not the application's outage.
+  /// Application downtime: op start → every pod resumed.  With a
+  /// background epilogue this ends at the Manager's epilogue-wait handoff
+  /// (the "mgr.ckpt.drain_wait" / "mgr.restart.lazy_wait" span start);
+  /// segments sum to THIS, because the COW drains and lazy fills are not
+  /// the application's outage.
   Time downtime_us = 0;
   /// Full op latency: op start → op close (== downtime_us for blocking
-  /// checkpoints and restarts; >= downtime_us in COW mode, the tail
-  /// being the background drains).
+  /// checkpoints and monolithic restarts; >= downtime_us with an
+  /// epilogue, the tail being the background drains or fills).
   Time latency_us = 0;
   std::vector<CritSegment> segments;  // ordered, contiguous over downtime
-  /// Off-critical-path background work (COW drains): each "ckpt.drain"
-  /// span, clipped to the op window.  These overlap application runtime
-  /// and each other, so they are reported separately and never summed
-  /// into the downtime.
+  /// Off-critical-path background work: each "ckpt.drain" (COW drain)
+  /// and "restart.lazy" (lazy fill) span, clipped to the op window.
+  /// These overlap application runtime and each other, so they are
+  /// reported separately and never summed into the downtime.
   std::vector<CritSegment> drain_segments;
   std::vector<PodSlack> slack;        // every pod, gating pod at 0
   std::string critical_pod;    // pod holding the largest share of the path

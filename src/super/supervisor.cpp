@@ -295,9 +295,12 @@ void Supervisor::gc_superseded_generations() {
   // latest plus one fallback) and delete every other supervisor-stamped
   // generation under the job's base URIs — including stragglers an
   // aborted op renamed into place before its epoch ever reached the
-  // catalog.  Safe because the Manager runs one op at a time: at commit
-  // time nobody else is writing a generation.  Only '@'-stamped paths
-  // are touched: operator checkpoints at canonical URIs are never GC'd.
+  // catalog.  Safe because the Manager runs one checkpoint at a time: at
+  // commit time no other op is writing a generation.  A restart may be
+  // running alongside (a COW checkpoint's drain can overlap one), but it
+  // only reads images, and recoveries read the newest committed set,
+  // which is kept.  Only '@'-stamped paths are touched: operator
+  // checkpoints at canonical URIs are never GC'd.
   if (catalog_.size() < 2) return;
   const std::vector<CatalogEntry>& entries = catalog_.entries();
   std::set<std::string> live;

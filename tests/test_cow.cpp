@@ -44,27 +44,28 @@ TEST(CowCostModel, DrainChunkIsSlowerLegOfSerializeAndSanShare) {
   const sim::Time serialize = m.serialize_cost(chunk);
   const sim::Time san_solo =
       CostModel::bytes_cost(chunk, m.san_drain_bytes_per_sec);
-  // Defaults: SAN ingest outruns one node's serializer, so a solo drain
-  // is serialize-bound and costs no more than the blocking writeout.
+  // Defaults: SAN ingest outruns one node's serializer, so a drain with
+  // the whole pipe is serialize-bound and costs no more than the
+  // blocking writeout.
   ASSERT_LT(san_solo, serialize);
-  EXPECT_EQ(m.drain_chunk_cost(chunk, 1), serialize);
-  EXPECT_EQ(m.drain_chunk_cost(chunk, 0), serialize);  // 0 = "just me"
-  // Enough sharers and the fair SAN share becomes the bottleneck,
-  // scaling linearly with contention.
-  EXPECT_EQ(m.drain_chunk_cost(chunk, 4),
-            CostModel::bytes_cost(chunk * 4, m.san_drain_bytes_per_sec));
-  EXPECT_GT(m.drain_chunk_cost(chunk, 4), m.drain_chunk_cost(chunk, 1));
+  EXPECT_EQ(m.qos_drain_chunk_cost(chunk, 1.0), serialize);
+  EXPECT_EQ(m.qos_drain_chunk_cost(chunk, 0.0), serialize);  // 0 = whole pipe
+  // A small enough share makes the SAN leg the bottleneck, scaling
+  // linearly with the squeeze.
+  EXPECT_EQ(m.qos_drain_chunk_cost(chunk, 0.25),
+            CostModel::bytes_cost(chunk, m.san_drain_bytes_per_sec / 4));
+  EXPECT_GT(m.qos_drain_chunk_cost(chunk, 0.25),
+            m.qos_drain_chunk_cost(chunk, 1.0));
 }
 
 TEST(CowCostModel, DirtyBytesGrowWithWallTimeAndCapAtImage) {
   CostModel m;
-  EXPECT_EQ(m.cow_dirty_bytes(0, 1 << 30), 0u);
-  EXPECT_EQ(m.cow_dirty_bytes(sim::kSecond, 1 << 30),
-            m.cow_dirty_bytes_per_sec);
-  EXPECT_EQ(m.cow_dirty_bytes(2 * sim::kSecond, 1 << 30),
-            2 * m.cow_dirty_bytes_per_sec);
+  const u64 rate = m.cow_dirty_bytes_per_sec;
+  EXPECT_EQ(m.cow_dirty_bytes(0, 1 << 30, rate), 0u);
+  EXPECT_EQ(m.cow_dirty_bytes(sim::kSecond, 1 << 30, rate), rate);
+  EXPECT_EQ(m.cow_dirty_bytes(2 * sim::kSecond, 1 << 30, rate), 2 * rate);
   // Re-dirtying a page is free: the tax never exceeds the image itself.
-  EXPECT_EQ(m.cow_dirty_bytes(60 * sim::kSecond, 4096), 4096u);
+  EXPECT_EQ(m.cow_dirty_bytes(60 * sim::kSecond, 4096, rate), 4096u);
   EXPECT_EQ(m.cow_copy_cost(0), 0u);
   EXPECT_GT(m.cow_copy_cost(1 << 20), 0u);
 }

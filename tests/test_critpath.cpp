@@ -1,9 +1,10 @@
 // Critical-path downtime attribution and the op ledger (DESIGN.md §10):
 // the backward walk over synthetic span trees (barrier jump across the
-// continue edge, plain standalone-gated descent, restart descent,
-// open-span clipping for crashed agents, manager-only fallback), the
-// exact-sum property (segments partition the downtime), JSON round-trips
-// for attributions and ledger entries, torn-tail ledger loading, and the
+// continue edge, plain standalone-gated descent, restart descent, COW
+// drains and lazy fills kept off the path, open-span clipping for
+// crashed agents, manager-only fallback), the exact-sum property
+// (segments partition the downtime), JSON round-trips for attributions
+// and ledger entries, torn-tail ledger loading, and the
 // end-to-end acceptance scenario: a checkpoint with an injected slow
 // node must attribute the plurality of the downtime to the slow pod's
 // costed phase.
@@ -335,6 +336,66 @@ TEST(CritPath, CowDrainStaysOffDowntimeCriticalPath) {
   EXPECT_EQ(back.value().drain_segments[0].pod, "a");
   EXPECT_EQ(back.value().drain_segments[0].duration(), 290u);
   EXPECT_EQ(back.value().max_drain_us(), 290u);
+}
+
+/// Lazy restart shape: the restart's background epilogue is the cold-
+/// region fill.  Downtime ends where the manager's lazy-wait span
+/// begins, the fill is an off-path segment, and the gating agent's DONE
+/// is anchored on its standalone phase, not its still-open root span.
+TEST(CritPath, LazyFillStaysOffDowntimeCriticalPath) {
+  SpanRecorder rec;
+  const OpId op = 14;
+  SpanId root = rec.begin_at(2000, "mgr.restart", "manager", 0, op);
+  SpanId sp = rec.begin_at(2010, "restart", "agent@n3", root, op);
+  rec.event_at(2010, "agent@n3", "1: pod p created for restart", sp, op);
+  SpanId s = rec.begin_at(2010, "restart.connectivity", "agent@n3", sp, op);
+  rec.end_at(2100, s);
+  s = rec.begin_at(2100, "restart.netstate", "agent@n3", sp, op);
+  rec.end_at(2150, s);
+  s = rec.begin_at(2150, "restart.standalone", "agent@n3", sp, op);
+  rec.end_at(2250, s);  // hot set restored, pod resumed, RESTART_DONE sent
+  rec.event_at(2260, "manager", "2: 'done' received from p", root, op);
+
+  // Downtime over; the cold regions fill while the pod runs (and the
+  // agent's root span stays open until they have).
+  SpanId lz = rec.begin_at(2250, "restart.lazy", "agent@n3", sp, op);
+  SpanId lw =
+      rec.begin_at(2260, "mgr.restart.lazy_wait", "manager", root, op);
+  rec.end_at(2900, lz);
+  rec.end_at(2900, sp);
+  rec.event_at(2910, "manager", "6: 'lazy-done' received from p", lw, op);
+  rec.end_at(2910, lw);
+  rec.end_at(2910, root);
+
+  auto res = attribute_op(rec.spans(), op);
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  const OpAttribution& a = res.value();
+  EXPECT_EQ(a.kind, "restart");
+  EXPECT_EQ(a.downtime_us, 260u);
+  EXPECT_EQ(a.latency_us, 910u);
+
+  // The walked segments tile exactly the downtime window, with the fill
+  // nowhere on it: the costliest slice is the eager standalone restore.
+  ASSERT_FALSE(a.segments.empty());
+  EXPECT_EQ(a.segments.front().start, a.start);
+  EXPECT_EQ(a.segments.back().end, a.start + a.downtime_us);
+  Time sum = 0;
+  for (const CritSegment& seg : a.segments) {
+    sum += seg.duration();
+    EXPECT_NE(seg.phase, "restart.lazy") << "lazy fill leaked onto the path";
+  }
+  EXPECT_EQ(sum, a.downtime_us);
+  EXPECT_EQ(a.critical_phase, "restart.standalone");
+  EXPECT_EQ(a.critical_phase_us, 100u);
+  const CritSegment* done = find_phase(a, "edge:done");
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->start, 2250u);
+  EXPECT_EQ(done->end, 2260u);
+
+  ASSERT_EQ(a.drain_segments.size(), 1u);
+  EXPECT_EQ(a.drain_segments[0].phase, "restart.lazy");
+  EXPECT_EQ(a.drain_segments[0].pod, "p");
+  EXPECT_EQ(a.drain_segments[0].duration(), 650u);
 }
 
 TEST(CritPath, RejectsEmptyAndRootlessRecordSets) {

@@ -1,6 +1,6 @@
 // Pipelined lazy restart (DESIGN.md §13): the SAN QoS scheduler's
 // weighted fair shares, ranged SAN reads, the pipelined/lazy cost-model
-// identities, the LAZY_DONE protocol epilogue, and the end-to-end
+// identities, the EPILOGUE_DONE message, and the end-to-end
 // properties — pipelining and laziness cut restart downtime
 // monotonically, lazy images restart live apps byte-exactly across a
 // node remap, demand faults pull cold regions forward, and a node crash
@@ -172,30 +172,75 @@ TEST(LazyCostModel, SplitRatesHarmonizeToMonolithicRate) {
 
 // ---- Protocol ---------------------------------------------------------------
 
-TEST(LazyProtocol, LazyDoneRoundTrips) {
-  LazyDone in;
+TEST(LazyProtocol, EpilogueDoneRoundTrips) {
+  EpilogueDone in;
   in.op_id = 42;
   in.pod_name = "pod-a";
-  in.ok = true;
-  in.error = "";
-  in.transient = false;
-  in.lazy_us = 123456;
+  in.ok = false;
+  in.error = "fill failed";
+  in.transient = true;
+  in.image_bytes = 777;
+  in.epilogue_us = 123456;
+  in.dirtied_bytes = 4242;
+  in.throttled_us = 11;
+  in.contended_us = 22;
+  in.granted_bps = 33;
   in.lazy_bytes = 98765;
   in.faults = 7;
   in.fault_bytes = 4096;
-  Bytes wire = encode_lazy_done(in);
+  Bytes wire = encode_epilogue_done(in);
   auto t = peek_type(wire);
   ASSERT_TRUE(t.is_ok());
-  EXPECT_EQ(t.value(), MsgType::LAZY_DONE);
-  auto out = decode_lazy_done(wire);
+  EXPECT_EQ(t.value(), MsgType::EPILOGUE_DONE);
+  EXPECT_EQ(static_cast<int>(t.value()), 16);  // the old DRAIN_DONE id
+  auto out = decode_epilogue_done(wire);
   ASSERT_TRUE(out.is_ok());
-  EXPECT_EQ(out.value().op_id, 42u);
-  EXPECT_EQ(out.value().pod_name, "pod-a");
-  EXPECT_TRUE(out.value().ok);
-  EXPECT_EQ(out.value().lazy_us, 123456u);
-  EXPECT_EQ(out.value().lazy_bytes, 98765u);
-  EXPECT_EQ(out.value().faults, 7u);
-  EXPECT_EQ(out.value().fault_bytes, 4096u);
+  const EpilogueDone& o = out.value();
+  EXPECT_EQ(o.op_id, 42u);
+  EXPECT_EQ(o.pod_name, "pod-a");
+  EXPECT_FALSE(o.ok);
+  EXPECT_EQ(o.error, "fill failed");
+  EXPECT_TRUE(o.transient);
+  EXPECT_EQ(o.image_bytes, 777u);
+  EXPECT_EQ(o.epilogue_us, 123456u);
+  EXPECT_EQ(o.dirtied_bytes, 4242u);
+  EXPECT_EQ(o.throttled_us, 11u);
+  EXPECT_EQ(o.contended_us, 22u);
+  EXPECT_EQ(o.granted_bps, 33u);
+  EXPECT_EQ(o.lazy_bytes, 98765u);
+  EXPECT_EQ(o.faults, 7u);
+  EXPECT_EQ(o.fault_bytes, 4096u);
+}
+
+TEST(LazyProtocol, OldDrainDoneFrameStillDecodes) {
+  // An id-16 frame in the pre-epilogue DRAIN_DONE layout: the drain
+  // fields only, no lazy fields appended.
+  Encoder e;
+  e.put_u8(16);  // DRAIN_DONE
+  e.put_u64(9);
+  e.put_string("pod-b");
+  e.put_bool(true);
+  e.put_string("");
+  e.put_bool(false);
+  e.put_u64(1 << 20);  // image_bytes
+  e.put_u64(5000);     // drain_us
+  e.put_u64(64);       // dirtied_bytes
+  e.put_u64(100);      // throttled_us
+  e.put_u64(200);      // contended_us
+  e.put_u64(300);      // granted_bps
+  auto out = decode_epilogue_done(e.take());
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  const EpilogueDone& o = out.value();
+  EXPECT_EQ(o.op_id, 9u);
+  EXPECT_EQ(o.pod_name, "pod-b");
+  EXPECT_TRUE(o.ok);
+  EXPECT_EQ(o.image_bytes, 1u << 20);
+  EXPECT_EQ(o.epilogue_us, 5000u);
+  EXPECT_EQ(o.dirtied_bytes, 64u);
+  EXPECT_EQ(o.granted_bps, 300u);
+  EXPECT_EQ(o.lazy_bytes, 0u);
+  EXPECT_EQ(o.faults, 0u);
+  EXPECT_EQ(o.fault_bytes, 0u);
 }
 
 TEST(LazyProtocol, RestartCmdLazyFieldsRoundTripAndDefaultOff) {
@@ -369,6 +414,93 @@ TEST_F(LazyRestartTest, PipeliningAndLazinessCutDowntimeMonotonically) {
   EXPECT_EQ(lazy_row->lazy_bytes, lazy.lazy_bytes);
 }
 
+/// One Manager runs a COW checkpoint and a lazy restart side by side —
+/// the checkpoint and restart slots of the shared op skeleton.  Each
+/// closes on its own background epilogue with one ledger row, and
+/// abort_current takes the checkpoint first.
+TEST_F(LazyRestartTest, CowCheckpointAndLazyRestartRunConcurrently) {
+  make_multi_region_pod(0, 1, "pod-a", 8, 4 << 20);
+  make_multi_region_pod(1, 2, "pod-b", 8, 4 << 20);
+  cl_.run_for(10 * sim::kMillisecond);
+  auto base = ckpt({target(1, "pod-b", "san://ckpt/b")});
+  ASSERT_TRUE(base.ok) << base.error;
+  ASSERT_TRUE(agents_[1]->destroy_pod("pod-b").is_ok());
+  cl_.run_for(50 * sim::kMillisecond);
+
+  Manager::CkptOptions cow;
+  cow.cow = true;
+  cow.deadlines.drain_us = 60 * sim::kSecond;
+  bool c_done = false;
+  bool r_done = false;
+  Manager::CheckpointReport c;
+  Manager::RestartReport r;
+  auto start_both = [&](int restart_agent) {
+    c_done = r_done = false;
+    manager_->checkpoint({target(0, "pod-a", "san://ckpt/a")},
+                         CkptMode::SNAPSHOT,
+                         [&](Manager::CheckpointReport rep) {
+                           c = std::move(rep);
+                           c_done = true;
+                         },
+                         cow);
+    manager_->restart({target(restart_agent, "pod-b", "san://ckpt/b")},
+                      base.metas,
+                      [&](Manager::RestartReport rep) {
+                        r = std::move(rep);
+                        r_done = true;
+                      },
+                      lazy_opts());
+  };
+  start_both(2);
+  for (int i = 0; i < 120000 && !(c_done && r_done); ++i) {
+    cl_.run_for(sim::kMillisecond);
+  }
+  ASSERT_TRUE(c_done && r_done);
+  ASSERT_TRUE(c.ok) << c.error;
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_LT(c.downtime_us, c.total_us);  // closed on the drain epilogue
+  EXPECT_LT(r.downtime_us, r.total_us);  // closed on the lazy epilogue
+  EXPECT_GT(r.lazy_bytes, 0u);
+
+  const obs::LedgerEntry* c_row = nullptr;
+  const obs::LedgerEntry* r_row = nullptr;
+  for (const auto& e : ledger_.entries()) {
+    if (e.op == c.op_id) {
+      EXPECT_EQ(c_row, nullptr) << "second ledger row for the checkpoint";
+      c_row = &e;
+    }
+    if (e.op == r.op_id) {
+      EXPECT_EQ(r_row, nullptr) << "second ledger row for the restart";
+      r_row = &e;
+    }
+  }
+  ASSERT_NE(c_row, nullptr);
+  ASSERT_NE(r_row, nullptr);
+  EXPECT_EQ(c_row->kind, "ckpt");
+  EXPECT_EQ(r_row->kind, "restart");
+  EXPECT_EQ(c_row->downtime_us, c.downtime_us);
+  EXPECT_EQ(r_row->downtime_us, r.downtime_us);
+  // The two ops really overlapped in time.
+  EXPECT_LT(r_row->start_us, c_row->end_us);
+  EXPECT_LT(c_row->start_us, r_row->end_us);
+
+  // With both in flight, abort_current aborts the checkpoint and leaves
+  // the restart running to completion.
+  ASSERT_TRUE(agents_[2]->destroy_pod("pod-b").is_ok());
+  cl_.run_for(50 * sim::kMillisecond);
+  start_both(3);
+  manager_->abort_current("operator abort");
+  EXPECT_TRUE(c_done);
+  EXPECT_FALSE(c.ok);
+  EXPECT_EQ(c.error, "operator abort");
+  EXPECT_FALSE(r_done);
+  for (int i = 0; i < 120000 && !r_done; ++i) cl_.run_for(sim::kMillisecond);
+  ASSERT_TRUE(r_done);
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_NE(agents_[0]->find_pod("pod-a"), nullptr);
+  EXPECT_FALSE(manager_->busy());
+}
+
 /// Transparency: a live TCP transfer checkpointed mid-flight restarts
 /// lazily onto two fresh nodes and completes byte-exact, with the
 /// client's ballast regions (cold, filled after resume) intact.
@@ -515,7 +647,7 @@ TEST_F(LazyRestartTest, NodeCrashDuringLazyWindowFailsCleanly) {
   cl_.run_for(50 * sim::kMillisecond);
 
   // n2 (agents_[1]) dies the moment its restore enters the lazy-fill
-  // phase — after the pod resumed, before LAZY_DONE.
+  // phase — after the pod resumed, before its EPILOGUE_DONE.
   fault::FaultSpec crash;
   crash.kind = fault::FaultKind::CRASH_AT_PHASE;
   crash.node = "n2";

@@ -70,6 +70,53 @@ TEST(MigrateApi, OneCallMovesAWholeJob) {
   FAIL() << "client did not finish after migration";
 }
 
+/// Each received agent:// stream is released once the restore it fed
+/// has finished OK and its op closed: back-to-back migrations of a job
+/// between two node pairs leave no image bytes behind on any agent.
+TEST(MigrateApi, BackToBackMigrationsRetainNoStreams) {
+  os::Cluster cl;
+  os::Node* mgr_node = &cl.add_node("mgr");
+  std::vector<std::unique_ptr<Agent>> agents;
+  for (int i = 0; i < 4; ++i) {
+    agents.push_back(
+        std::make_unique<Agent>(cl.add_node("n" + std::to_string(i + 1))));
+  }
+  Manager mgr(*mgr_node);
+
+  agents[0]->create_pod(vip(1), "srv").spawn(
+      std::make_unique<EchoServer>(5000));
+  agents[1]->create_pod(vip(2), "cli").spawn(
+      std::make_unique<EchoClient>(net::SockAddr{vip(1), 5000}, 6 << 20));
+  cl.run_for(20 * sim::kMillisecond);
+
+  for (int round = 0; round < 4; ++round) {
+    const int from = round % 2 == 0 ? 0 : 2;
+    const int to = 2 - from;
+    bool done = false;
+    Manager::MigrateReport mr;
+    mgr.migrate(
+        {
+            {agents[from]->addr(), agents[to]->addr(), "srv", vip(1)},
+            {agents[from + 1]->addr(), agents[to + 1]->addr(), "cli",
+             vip(2)},
+        },
+        [&](Manager::MigrateReport r) {
+          mr = std::move(r);
+          done = true;
+        });
+    for (int i = 0; i < 60000 && !done; ++i) cl.run_for(sim::kMillisecond);
+    ASSERT_TRUE(done) << "round " << round;
+    ASSERT_TRUE(mr.ok) << "round " << round << ": " << mr.error;
+    ASSERT_NE(agents[to]->find_pod("srv"), nullptr);
+    // Long enough for the Manager's channel close to reach the agents.
+    cl.run_for(20 * sim::kMillisecond);
+    for (std::size_t a = 0; a < agents.size(); ++a) {
+      EXPECT_EQ(agents[a]->retained_streams(), 0u)
+          << "round " << round << ", agent " << a;
+    }
+  }
+}
+
 TEST(MigrateApi, FailedCheckpointReportsAndPreservesSource) {
   os::Cluster cl;
   os::Node* mgr_node = &cl.add_node("mgr");

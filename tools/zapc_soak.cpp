@@ -98,7 +98,7 @@ core::Manager::CkptOptions soak_ckpt_options(bool incremental) {
   opts.deadlines.done_us = 5 * sim::kSecond;
   opts.deadlines.agent_barrier_us = 5 * sim::kSecond;
   // COW ops park in drain_wait after the pods resume; without this a
-  // dropped DRAIN_DONE would hang the op forever.
+  // dropped EPILOGUE_DONE would hang the op forever.
   opts.deadlines.drain_us = 5 * sim::kSecond;
   opts.retry.max_retries = 2;
   opts.retry.backoff_us = 200 * sim::kMillisecond;
@@ -185,7 +185,7 @@ std::vector<std::string> run_seed(u64 seed, bool verbose) {
 
   const u64 committed_before = counter_value("ckpt.commit.committed");
   // Half the seeds run the faulted op in COW concurrent mode, so the
-  // drain-phase failure paths (crash mid-drain, lost DRAIN_DONE, SAN
+  // drain-phase failure paths (crash mid-drain, lost EPILOGUE_DONE, SAN
   // write faults after the pods resumed) get the same soak coverage as
   // the blocking protocol.
   core::Manager::CkptOptions faulted_opts = soak_ckpt_options(with_baseline);
@@ -258,7 +258,7 @@ std::vector<std::string> run_seed(u64 seed, bool verbose) {
       ropts.retry.max_retries = 2;
       ropts.retry.backoff_us = 200 * sim::kMillisecond;
       // Seed-random restore scheme, so the pipelined/lazy paths (hot-set
-      // ranking, demand faults racing background fills, LAZY_DONE loss)
+      // ranking, demand faults racing background fills, the lazy epilogue)
       // soak alongside the monolithic one.
       ropts.pipelined = seed % 3 != 0;
       ropts.lazy = seed % 3 == 2;
