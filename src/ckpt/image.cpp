@@ -49,7 +49,7 @@ Bytes encode_header(const PodImageHeader& h) {
   return e.take();
 }
 
-Result<PodImageHeader> decode_header(const Bytes& b) {
+Result<PodImageHeader> decode_header(ByteView b) {
   Decoder d(b);
   auto magic = d.u32_();
   if (!magic || magic.value() != kImageMagic) {
@@ -101,7 +101,7 @@ Bytes encode_socket(const SocketImage& s) {
   return e.take();
 }
 
-Result<SocketImage> decode_socket(const Bytes& b) {
+Result<SocketImage> decode_socket(ByteView b) {
   Decoder d(b);
   SocketImage s;
   s.old_id = d.u32_().value_or(0);
@@ -164,7 +164,7 @@ Bytes encode_process(const ProcessImage& p) {
   return e.take();
 }
 
-Result<ProcessImage> decode_process(const Bytes& b) {
+Result<ProcessImage> decode_process(ByteView b) {
   Decoder d(b);
   ProcessImage p;
   p.vpid = d.i32_().value_or(0);
@@ -232,7 +232,7 @@ Bytes encode_meta_payload(const NetMeta& m) {
   return e.take();
 }
 
-Result<NetMeta> decode_meta_payload(const Bytes& b) {
+Result<NetMeta> decode_meta_payload(ByteView b) {
   Decoder d(b);
   NetMeta m;
   m.pod_vip.v = d.u32_().value_or(0);
@@ -453,7 +453,7 @@ Result<PodImage> decode_image(const Bytes& data) {
   while (!r.at_end() && !ended) {
     auto rec = r.next();
     if (!rec) return rec.status();
-    const Record& record = rec.value();
+    const RecordView& record = rec.value();
     switch (record.tag) {
       case RecordTag::IMAGE_HEADER: {
         auto h = decode_header(record.payload);
@@ -476,7 +476,7 @@ Result<PodImage> decode_image(const Bytes& data) {
       }
       case RecordTag::GM_DEVICE: {
         image.has_gm_device = true;
-        image.gm_state = record.payload;
+        image.gm_state = record.payload.to_bytes();
         break;
       }
       case RecordTag::REDIRECTED_SEND_Q: {
@@ -521,39 +521,56 @@ Result<PodImage> decode_image(const Bytes& data) {
         }
         break;
       }
+      // Region records are strict: a short field or trailing bytes mean
+      // the length prefix disagrees with the payload, which must not
+      // decode to a silently empty or truncated region.
       case RecordTag::MEM_REGION: {
         Decoder d(record.payload);
-        i32 vpid = d.i32_().value_or(0);
-        std::string name = d.string_().value_or("");
-        Bytes bytes = d.bytes_().value_or({});
-        auto it = proc_index.find(vpid);
+        auto vpid = d.i32_();
+        auto name = d.string_();
+        auto bytes = d.bytes_view_();
+        if (!vpid || !name || !bytes || !d.at_end()) {
+          return Status(Err::PROTO, "malformed region record");
+        }
+        auto it = proc_index.find(vpid.value());
         if (it == proc_index.end()) {
           return Status(Err::PROTO, "region for unknown vpid");
         }
-        image.processes[it->second].regions[name] = std::move(bytes);
+        // The one copy of the region's bytes: image buffer -> region.
+        image.processes[it->second].regions[std::move(name).value()] =
+            bytes.value().to_bytes();
         break;
       }
       case RecordTag::MEM_REGION_ZERO: {
         Decoder d(record.payload);
-        i32 vpid = d.i32_().value_or(0);
-        std::string name = d.string_().value_or("");
-        u64 size = d.u64_().value_or(0);
-        auto it = proc_index.find(vpid);
+        auto vpid = d.i32_();
+        auto name = d.string_();
+        auto size = d.u64_();
+        if (!vpid || !name || !size || !d.at_end()) {
+          return Status(Err::PROTO, "malformed zero region record");
+        }
+        auto it = proc_index.find(vpid.value());
         if (it == proc_index.end()) {
           return Status(Err::PROTO, "zero region for unknown vpid");
         }
-        image.processes[it->second].regions[name] =
-            Bytes(static_cast<std::size_t>(size), 0);
+        image.processes[it->second].regions[std::move(name).value()] =
+            Bytes(static_cast<std::size_t>(size.value()), 0);
         break;
       }
       case RecordTag::MEM_REGION_REF: {
         Decoder d(record.payload);
-        i32 vpid = d.i32_().value_or(0);
-        std::string name = d.string_().value_or("");
-        i32 src_vpid = d.i32_().value_or(0);
-        std::string src_name = d.string_().value_or("");
-        auto it = proc_index.find(vpid);
-        auto src_it = proc_index.find(src_vpid);
+        auto vpid_r = d.i32_();
+        auto name_r = d.string_();
+        auto src_vpid_r = d.i32_();
+        auto src_name_r = d.string_();
+        if (!vpid_r || !name_r || !src_vpid_r || !src_name_r ||
+            !d.at_end()) {
+          return Status(Err::PROTO, "malformed region ref record");
+        }
+        const std::string& name = name_r.value();
+        const std::string& src_name = src_name_r.value();
+        auto it = proc_index.find(vpid_r.value());
+        auto src_it = proc_index.find(src_vpid_r.value());
         if (it == proc_index.end() || src_it == proc_index.end()) {
           return Status(Err::PROTO, "region ref for unknown vpid");
         }
@@ -641,7 +658,7 @@ Result<PodImage> compose_delta(PodImage base, const PodImage& delta) {
 Bytes encode_meta(const NetMeta& meta) { return encode_meta_payload(meta); }
 
 Result<NetMeta> decode_meta(const Bytes& data) {
-  return decode_meta_payload(data);
+  return decode_meta_payload(ByteView{data.data(), data.size()});
 }
 
 }  // namespace zapc::ckpt

@@ -118,7 +118,7 @@ void Standalone::restore_header(pod::Pod& pod, const PodImageHeader& header) {
   }
 }
 
-Status Standalone::restore_process(pod::Pod& pod, const ProcessImage& image,
+Status Standalone::restore_process(pod::Pod& pod, ProcessImage& image,
                                    const SockMap& socks) {
   auto prog = os::ProgramRegistry::instance().create(image.kind);
   if (!prog) return prog.status();
@@ -145,7 +145,8 @@ Status Standalone::restore_process(pod::Pod& pod, const ProcessImage& image,
   }
   proc.set_next_fd(image.next_fd);
 
-  proc.regions_mut() = image.regions;
+  proc.regions_mut() = std::move(image.regions);
+  image.regions.clear();
   // Reinstate the dirty-tracking clock so a delta taken after restart
   // diffs against the same generations the image recorded.
   {
@@ -168,9 +169,9 @@ Status Standalone::restore_process(pod::Pod& pod, const ProcessImage& image,
 }
 
 Status Standalone::restore_processes(pod::Pod& pod,
-                                     const std::vector<ProcessImage>& images,
+                                     std::vector<ProcessImage>& images,
                                      const SockMap& socks) {
-  for (const auto& img : images) {
+  for (auto& img : images) {
     Status st = restore_process(pod, img, socks);
     if (!st) {
       ZLOG_ERROR("restore of vpid " << img.vpid << " failed: "

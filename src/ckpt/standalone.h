@@ -57,13 +57,15 @@ class Standalone {
 
   /// Recreates one process in STOPPED state.  fd table entries are
   /// remapped through `socks`; Err::NO_ENT if the program kind is not
-  /// registered or a socket id is missing.
-  static Status restore_process(pod::Pod& pod, const ProcessImage& image,
+  /// registered or a socket id is missing.  On success the region bytes
+  /// are moved into the process, leaving `image.regions` empty; the rest
+  /// of the image (manifest included) is left as it was.
+  static Status restore_process(pod::Pod& pod, ProcessImage& image,
                                 const SockMap& socks);
 
-  /// Restores all processes.
+  /// Restores all processes (see restore_process for what is moved).
   static Status restore_processes(pod::Pod& pod,
-                                  const std::vector<ProcessImage>& images,
+                                  std::vector<ProcessImage>& images,
                                   const SockMap& socks);
 };
 

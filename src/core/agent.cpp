@@ -616,6 +616,7 @@ void Agent::ckpt_network_post(const std::shared_ptr<CkptOp>& op) {
     report.net_ckpt_us = cost;
     (void)op->mgr->send(encode_meta_report(report));
     op->encoded_image = ckpt::encode_image(op->image);
+    op->encoded_size = op->encoded_image.size();
     ckpt_standalone_done(op);
   });
 }
@@ -723,36 +724,34 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
     }
   }
 
-  Bytes encoded = ckpt::encode_image(op->image);
-  u64 image_bytes = encoded.size();
+  op->encoded_image = ckpt::encode_image(op->image);
+  op->encoded_size = op->encoded_image.size();
 
   // Pipelined migration streaming: hand chunks to the wire as their
   // serialization slices complete instead of materializing-then-sending.
   if (op->cmd.pipelined) {
     auto uri = parse_uri(op->cmd.dest_uri);
     if (uri && uri.value().scheme == "agent") {
-      op->encoded_image = std::move(encoded);
       ckpt_stream(op, uri.value().endpoint, uri.value().path);
       return;
     }
   }
 
-  sim::Time cost = costs_.standalone_ckpt_cost(image_bytes,
+  sim::Time cost = costs_.standalone_ckpt_cost(op->encoded_size,
                                                op->image.processes.size());
   op->wm.enter("ckpt.standalone", node_.now(),
-               node_.now() + slowdown(cost), image_bytes);
-  after(cost, [this, op, cost, encoded = std::move(encoded)]() mutable {
+               node_.now() + slowdown(cost), op->encoded_size);
+  after(cost, [this, op, cost] {
     if (op->aborted) return;
     op->standalone_us = cost;
     obs::metrics().histogram("agent.ckpt.standalone_us").observe(cost);
     trace_op("3: standalone checkpoint done for " + op->cmd.pod_name + " (" +
-                 std::to_string(encoded.size()) + " bytes)" +
+                 std::to_string(op->encoded_size) + " bytes)" +
                  (op->is_delta
                       ? " [delta #" +
                             std::to_string(op->image.header.delta_seq) + "]"
                       : ""),
              op->cmd.op_id, op->span_root);
-    op->encoded_image = std::move(encoded);
     ckpt_standalone_done(op);
   });
 }
@@ -807,7 +806,7 @@ void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op,
         r->end_at(node_.now(), op->span_stream);
       }
       trace_op("3: standalone checkpoint streamed for " + op->cmd.pod_name +
-                   " (" + std::to_string(op->encoded_image.size()) +
+                   " (" + std::to_string(op->encoded_size) +
                    " bytes pipelined)",
                op->cmd.op_id, op->span_root);
       op->delivered = true;
@@ -894,8 +893,9 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
                                  op->span_root, op->cmd.op_id);
   }
   op->encoded_image = ckpt::encode_image(op->image);
+  op->encoded_size = op->encoded_image.size();
   trace_op("5: background drain started for " + op->cmd.pod_name + " (" +
-               std::to_string(op->encoded_image.size()) + " bytes, " +
+               std::to_string(op->encoded_size) + " bytes, " +
                std::to_string(node_.san().active_drains()) +
                " concurrent drains)",
            op->cmd.op_id, op->span_drain);
@@ -905,7 +905,7 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
 void Agent::ckpt_drain_chunk(const std::shared_ptr<CkptOp>& op,
                              std::size_t off) {
   if (op->aborted) return;
-  const std::size_t total = op->encoded_image.size();
+  const std::size_t total = op->encoded_size;
   if (off >= total) {
     // COW tax, part 1: pages the running pod dirtied while the drain was
     // in flight were each copied before their first overwrite; charge
@@ -948,12 +948,12 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   node_.san().stream_end(op->san_stream);
   op->san_stream = 0;
   EpilogueDone dd = drain_epilogue(*op, /*ok=*/true);
-  dd.image_bytes = op->encoded_image.size();
+  dd.image_bytes = op->encoded_size;
   obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.epilogue_us);
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
   trace_op("5a: image drained and committed to " + op->san_final + " (" +
-               std::to_string(op->encoded_image.size()) + " bytes, " +
+               std::to_string(op->encoded_size) + " bytes, " +
                std::to_string(op->dirtied_bytes) + " dirtied, " +
                std::to_string(op->throttled_us) + "us throttled, " +
                std::to_string(op->contended_us) + "us contended)",
@@ -1020,14 +1020,15 @@ Status Agent::commit_image(CkptOp& op, const std::string& path,
   if (op.san_tmp.empty()) {
     op.san_tmp = path + ".tmp";
     op.san_final = path;
-    Status wst = node_.san().write(op.san_tmp, op.encoded_image);
+    // The SAN takes the encoded buffer over: staging copies no bytes.
+    Status wst = node_.san().write(op.san_tmp, std::move(op.encoded_image));
     if (!wst) {
       op.san_tmp.clear();
       return Status(Err::IO, "image write failed: " + wst.message());
     }
     // Size verification catches short/torn writes pre-commit.
     auto size = node_.san().size_of(op.san_tmp);
-    if (!size || size.value() != op.encoded_image.size()) {
+    if (!size || size.value() != op.encoded_size) {
       (void)node_.san().remove(op.san_tmp);
       op.san_tmp.clear();
       return Status(Err::IO, "image verification failed (torn write)");
@@ -1213,7 +1214,7 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   done.op_id = op->cmd.op_id;
   done.pod_name = op->cmd.pod_name;
   done.ok = true;
-  done.image_bytes = op->encoded_image.size();
+  done.image_bytes = op->encoded_size;
   done.network_bytes = op->image.network_bytes();
   done.total_us = node_.now() - op->t_start;
   done.logical_bytes = op->logical_bytes;
@@ -1318,32 +1319,21 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
   if (!uri) return restart_finish(op, uri.status());
 
   if (uri.value().scheme == "san") {
+    // Both paths decode straight from the committed object.  Pipelined
+    // restore charges its fetch leg per chunk in restart_stream_chunk;
+    // the bytes themselves land instantly (simulation logic).
+    auto data = node_.san().view(uri.value().path);
+    if (!data) return restart_finish(op, data.status());
+    const Bytes& img = *data.value();
     if (op->cmd.pipelined) {
-      // Pipelined restore: assemble the image through the ranged read
-      // API, chunk by chunk, the way the streaming loop will charge for
-      // it.  The bytes land instantly (simulation logic); the fetch leg's
-      // virtual time is costed per chunk in restart_stream_chunk.
-      auto sz = node_.san().size_of(uri.value().path);
-      if (!sz) return restart_finish(op, sz.status());
-      Bytes data;
-      data.reserve(sz.value());
-      for (std::size_t off = 0; off < sz.value(); off += kStreamChunk) {
-        auto chunk = node_.san().read_at(uri.value().path, off, kStreamChunk);
-        if (!chunk) return restart_finish(op, chunk.status());
-        data.insert(data.end(), chunk.value().begin(), chunk.value().end());
-      }
       trace_op("0a: pipelined fetch plan for " + op->cmd.pod_name + " (" +
-                   std::to_string(data.size()) + " bytes in " +
-                   std::to_string((data.size() + kStreamChunk - 1) /
+                   std::to_string(img.size()) + " bytes in " +
+                   std::to_string((img.size() + kStreamChunk - 1) /
                                   std::max<std::size_t>(1, kStreamChunk)) +
                    " chunks)",
                op->cmd.op_id, op->span_root);
-      restart_with_image(op, std::move(data));
-      return;
     }
-    auto data = node_.san().read(uri.value().path);
-    if (!data) return restart_finish(op, data.status());
-    restart_with_image(op, std::move(data).value());
+    restart_with_image(op, img);
     return;
   }
   if (uri.value().scheme == "stream") {
@@ -1373,7 +1363,7 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
 }
 
 void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
-                               Bytes image_bytes) {
+                               const Bytes& image_bytes) {
   if (op->finished) return;
   if (fault_crashed("restart.connectivity")) return;
   auto image = ckpt::decode_image(image_bytes);
@@ -1397,9 +1387,9 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
             op, Status(Err::PROTO, "delta base must be on the SAN: " +
                                        op->image.header.base_uri));
       }
-      auto data = node_.san().read(base_uri.value().path);
+      auto data = node_.san().view(base_uri.value().path);
       if (!data) return restart_finish(op, data.status());
-      auto base = ckpt::decode_image(data.value());
+      auto base = ckpt::decode_image(*data.value());
       if (!base) return restart_finish(op, base.status());
       chain.push_back(std::move(op->image));
       op->image = std::move(base).value();
@@ -1597,39 +1587,18 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   }
   // Step 4: standalone restart.  The *logic* (rebuilding processes, fd
   // tables, region bytes) happens instantly either way; what differs is
-  // how the virtual time is charged.
-  Status st = ckpt::Standalone::restore_processes(*op->pod,
-                                                  op->image.processes,
-                                                  op->socks);
-  if (!st) return restart_finish(op, st);
-
+  // how the virtual time is charged.  The image is sized and the lazy
+  // cold set ranked first: restore_processes moves the region bytes out
+  // of the image into the pod.
   u64 image_bytes = 0;
   for (const auto& p : op->image.processes) {
     for (const auto& [name, r] : p.regions) image_bytes += r.size();
   }
-
-  if (!op->cmd.pipelined) {
-    // Monolithic path: fetch + decode + rebuild charged serially as one
-    // blocking byte term.
-    sim::Time cost = costs_.standalone_restart_cost(
-        image_bytes, op->image.processes.size());
-    op->wm.enter("restart.standalone", node_.now(),
-                 node_.now() + slowdown(cost), image_bytes);
-    after(cost, [this, op, cost] {
-      if (op->finished || op->pod == nullptr) return;
-      obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
-      trace_op("4: standalone restart done for " + op->cmd.pod_name,
-               op->cmd.op_id, op->span_root);
-      restart_resume(op);
-    });
-    return;
-  }
-
-  // Pipelined restore (DESIGN.md §13): rank regions by the working-set
-  // signal persisted in the manifest; with cmd.lazy the cold tail is
+  // Lazy pipelined restore (DESIGN.md §13): rank regions by the
+  // working-set signal persisted in the manifest; the cold tail is
   // deferred past resume and filled in the background / on demand fault.
-  op->hot_bytes = image_bytes;
-  if (op->cmd.lazy && image_bytes > 0) {
+  std::vector<RestartOp::ColdRegion> cold;
+  if (op->cmd.pipelined && op->cmd.lazy && image_bytes > 0) {
     u32 permille = op->cmd.lazy_hot_permille != 0 ? op->cmd.lazy_hot_permille
                                                   : kDefaultHotPermille;
     if (permille > 1000) permille = 1000;
@@ -1668,21 +1637,45 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
       hot += ranked[i].bytes;
     }
     for (; i < ranked.size(); ++i) {
-      op->cold.push_back({ranked[i].vpid, *ranked[i].name, ranked[i].bytes});
-      op->lazy_total_bytes += ranked[i].bytes;
+      cold.push_back({ranked[i].vpid, *ranked[i].name, ranked[i].bytes});
     }
-    op->hot_bytes = image_bytes - op->lazy_total_bytes;
-    op->lazy_remaining = op->cold.size();
-    if (!op->cold.empty()) {
-      for (const auto& c : op->cold) {
-        op->pod->mark_lazy_pending(c.vpid, c.name);
-      }
-      std::weak_ptr<RestartOp> wop = op;
-      op->pod->set_lazy_fault_handler(
-          [this, wop](i32 vpid, const std::string& name) {
-            if (auto sp = wop.lock()) restart_lazy_fault(sp, vpid, name);
-          });
+  }
+
+  Status st = ckpt::Standalone::restore_processes(*op->pod,
+                                                  op->image.processes,
+                                                  op->socks);
+  if (!st) return restart_finish(op, st);
+
+  if (!op->cmd.pipelined) {
+    // Monolithic path: fetch + decode + rebuild charged serially as one
+    // blocking byte term.
+    sim::Time cost = costs_.standalone_restart_cost(
+        image_bytes, op->image.processes.size());
+    op->wm.enter("restart.standalone", node_.now(),
+                 node_.now() + slowdown(cost), image_bytes);
+    after(cost, [this, op, cost] {
+      if (op->finished || op->pod == nullptr) return;
+      obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
+      trace_op("4: standalone restart done for " + op->cmd.pod_name,
+               op->cmd.op_id, op->span_root);
+      restart_resume(op);
+    });
+    return;
+  }
+
+  op->cold = std::move(cold);
+  for (const auto& c : op->cold) op->lazy_total_bytes += c.bytes;
+  op->hot_bytes = image_bytes - op->lazy_total_bytes;
+  op->lazy_remaining = op->cold.size();
+  if (!op->cold.empty()) {
+    for (const auto& c : op->cold) {
+      op->pod->mark_lazy_pending(c.vpid, c.name);
     }
+    std::weak_ptr<RestartOp> wop = op;
+    op->pod->set_lazy_fault_handler(
+        [this, wop](i32 vpid, const std::string& name) {
+          if (auto sp = wop.lock()) restart_lazy_fault(sp, vpid, name);
+        });
   }
 
   op->t_fetch_start = node_.now();

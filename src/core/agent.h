@@ -92,7 +92,10 @@ class Agent {
     sim::Time t_start = 0;
     sim::Time t_standalone_done = 0;
     ckpt::PodImage image;
+    // The encoded image until a SAN commit takes it over; encoded_size
+    // outlives that hand-off for the done messages and traces.
     Bytes encoded_image;
+    u64 encoded_size = 0;
     std::vector<RedirectData> redirects;  // to ship to peer agents
     u64 queued_bytes = 0;
     bool continue_received = false;
@@ -253,8 +256,10 @@ class Agent {
 
   // Restart phases (Figure 3, agent side).
   void restart_begin(Conn* conn, RestartCmd cmd);
+  /// Decodes `image_bytes` (borrowed, read synchronously and not kept)
+  /// and starts the restore.
   void restart_with_image(const std::shared_ptr<RestartOp>& op,
-                          Bytes image_bytes);
+                          const Bytes& image_bytes);
   void restart_connectivity_done(const std::shared_ptr<RestartOp>& op,
                                  Status st, ckpt::SockMap map);
   void restart_wait_redirects(const std::shared_ptr<RestartOp>& op,

@@ -38,6 +38,12 @@ Result<Bytes> VirtualSAN::read(const std::string& path) const {
   return it->second;
 }
 
+Result<const Bytes*> VirtualSAN::view(const std::string& path) const {
+  auto it = objects_.find(path);
+  if (it == objects_.end()) return Status(Err::NO_ENT, path);
+  return &it->second;
+}
+
 Result<Bytes> VirtualSAN::read_at(const std::string& path, std::size_t offset,
                                   std::size_t len) const {
   auto it = objects_.find(path);

@@ -49,13 +49,18 @@ class VirtualSAN {
   /// Appends to the object at `path`, creating it if missing.
   void append(const std::string& path, const Bytes& data);
 
-  /// Reads a whole object; Err::NO_ENT if missing.
+  /// Reads a whole object (a copy); Err::NO_ENT if missing.
   Result<Bytes> read(const std::string& path) const;
 
+  /// Borrows a whole object without copying it; Err::NO_ENT if missing.
+  /// The pointer is valid until that path is next written, appended to,
+  /// renamed, removed or overwritten by a snapshot, so a caller reads it
+  /// synchronously and never holds it across an event.
+  Result<const Bytes*> view(const std::string& path) const;
+
   /// Reads `len` bytes starting at `offset` (clamped to the object's
-  /// end; empty past the end).  The chunked streaming paths use this so
-  /// a per-chunk transfer never pays for — or pretends to move — the
-  /// whole object.  Err::NO_ENT if missing.
+  /// end; empty past the end): a ranged copy that never touches the
+  /// rest of the object.  Err::NO_ENT if missing.
   Result<Bytes> read_at(const std::string& path, std::size_t offset,
                         std::size_t len) const;
 

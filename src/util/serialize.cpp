@@ -31,7 +31,7 @@ void RecordWriter::write(RecordTag tag, u16 version, const Bytes& payload) {
   buf_.put_u16(version);
   buf_.put_u64(payload.size());
   buf_.put_raw(payload.data(), payload.size());
-  buf_.put_u32(record_crc(tag, version, payload));
+  buf_.put_u32(record_crc(tag, version, payload.data(), payload.size()));
 }
 
 void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
@@ -45,8 +45,9 @@ void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
   buf_.put_u32(record_crc_split(tag, version, head, body, body_len));
 }
 
-u32 record_crc(RecordTag tag, u16 version, const Bytes& payload) {
-  return record_crc_split(tag, version, payload, nullptr, 0);
+u32 record_crc(RecordTag tag, u16 version, const u8* payload,
+               std::size_t len) {
+  return record_crc_split(tag, version, Bytes{}, payload, len);
 }
 
 u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
@@ -64,7 +65,7 @@ u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
   return crc32_final(c);
 }
 
-Result<Record> RecordReader::next() {
+Result<RecordView> RecordReader::next() {
   if (dec_.at_end()) return Status(Err::NO_ENT, "end of image");
   auto tag = dec_.u32_();
   if (!tag) return Status(Err::PROTO, "truncated record tag");
@@ -72,18 +73,21 @@ Result<Record> RecordReader::next() {
   if (!version) return Status(Err::PROTO, "truncated record version");
   auto len = dec_.u64_();
   if (!len) return Status(Err::PROTO, "truncated record length");
-  auto payload = dec_.raw(static_cast<std::size_t>(len.value()));
+  if (len.value() > dec_.remaining()) {
+    return Status(Err::PROTO, "truncated record payload");
+  }
+  auto payload = dec_.raw_view(static_cast<std::size_t>(len.value()));
   if (!payload) return Status(Err::PROTO, "truncated record payload");
   auto crc = dec_.u32_();
   if (!crc) return Status(Err::PROTO, "truncated record crc");
-  if (crc.value() != record_crc(static_cast<RecordTag>(tag.value()),
-                                version.value(), payload.value())) {
-    return Status(Err::PROTO, "record crc mismatch");
-  }
-  Record r;
+  RecordView r;
   r.tag = static_cast<RecordTag>(tag.value());
   r.version = version.value();
-  r.payload = std::move(payload).value();
+  r.payload = payload.value();
+  if (crc.value() !=
+      record_crc(r.tag, r.version, r.payload.data, r.payload.size)) {
+    return Status(Err::PROTO, "record crc mismatch");
+  }
   return r;
 }
 

@@ -8,7 +8,8 @@
 //  * Encoder/Decoder — little-endian primitive encoding with bounds checks.
 //  * RecordWriter/RecordReader — typed, versioned, CRC-protected records
 //    (tag, version, length, payload, crc32) so images can be validated and
-//    skipped record-by-record.
+//    skipped record-by-record.  The reader hands out views into the image
+//    buffer, so validating a record copies none of its bytes.
 #pragma once
 
 #include <cstring>
@@ -23,6 +24,16 @@
 #include "util/types.h"
 
 namespace zapc {
+
+/// A borrowed run of bytes inside a buffer someone else owns.  Valid only
+/// while that buffer lives unchanged.
+struct ByteView {
+  const u8* data = nullptr;
+  std::size_t size = 0;
+
+  /// Copies the viewed bytes into an owned buffer.
+  Bytes to_bytes() const { return Bytes(data, data + size); }
+};
 
 /// Appends primitives, strings and containers to a byte buffer in a
 /// fixed little-endian wire format.
@@ -88,6 +99,7 @@ class Decoder {
   // would leave it dangling immediately.
   explicit Decoder(const Bytes&&) = delete;
   Decoder(const u8* p, std::size_t n) : p_(p), n_(n) {}
+  explicit Decoder(ByteView v) : p_(v.data), n_(v.size) {}
 
   Result<u8> u8_() { return get_le<u8>(); }
   Result<u16> u16_() { return get_le<u16>(); }
@@ -140,20 +152,25 @@ class Decoder {
   }
 
   Result<Bytes> bytes_() {
+    auto v = bytes_view_();
+    if (!v) return v.status();
+    return v.value().to_bytes();
+  }
+
+  /// Length-prefixed bytes as a view into the decoded buffer (no copy).
+  Result<ByteView> bytes_view_() {
     auto len = u32_();
     if (!len) return len.status();
     if (len.value() > remaining()) return Status(Err::PROTO, "short bytes");
-    Bytes b(p_ + off_, p_ + off_ + len.value());
-    off_ += len.value();
-    return b;
+    return raw_view(len.value());
   }
 
-  /// Reads `n` raw bytes (no length prefix).
-  Result<Bytes> raw(std::size_t n) {
+  /// Views the next `n` raw bytes of the decoded buffer (no copy).
+  Result<ByteView> raw_view(std::size_t n) {
     if (n > remaining()) return Status(Err::PROTO, "short raw");
-    Bytes b(p_ + off_, p_ + off_ + n);
+    ByteView v{p_ + off_, n};
     off_ += n;
-    return b;
+    return v;
   }
 
   std::size_t remaining() const { return n_ - off_; }
@@ -235,27 +252,32 @@ class RecordWriter {
 };
 
 /// CRC covering a record's header fields and payload.
-u32 record_crc(RecordTag tag, u16 version, const Bytes& payload);
+u32 record_crc(RecordTag tag, u16 version, const u8* payload,
+               std::size_t len);
 
 /// Same CRC over a payload given as two spans (head + body).
 u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
                      const u8* body, std::size_t body_len);
 
-/// One parsed record.
-struct Record {
+/// One parsed record.  The payload is a view into the image buffer the
+/// RecordReader iterates, so it is valid only while that buffer is.
+struct RecordView {
   RecordTag tag{};
   u16 version{};
-  Bytes payload;
+  ByteView payload;
 };
 
-/// Iterates the records of a checkpoint image, validating CRCs.
+/// Iterates the records of a checkpoint image, validating CRCs.  Borrows
+/// the image: it must outlive the reader and every record it returns.
 class RecordReader {
  public:
   explicit RecordReader(const Bytes& image) : dec_(image) {}
+  explicit RecordReader(const Bytes&&) = delete;
 
   /// Reads the next record; Err::NO_ENT at end of stream, Err::PROTO on
-  /// corruption (bad CRC or truncated frame).
-  Result<Record> next();
+  /// corruption (bad CRC or truncated frame).  The CRC is checked over
+  /// the whole record before the view is returned.
+  Result<RecordView> next();
 
   bool at_end() const { return dec_.at_end(); }
 

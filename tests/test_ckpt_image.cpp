@@ -117,6 +117,125 @@ TEST(Image, MissingHeaderRejected) {
   EXPECT_EQ(decode_image(w.take()).err(), Err::PROTO);
 }
 
+// ---- Region record framing -------------------------------------------------
+// A CRC-valid region record whose fields disagree with its length prefix
+// must fail with Err::PROTO, never decode to an empty or short region.
+
+/// A valid one-process image (with an 8-byte region "src" for refs to
+/// point at) plus one hand-framed record spliced in before the terminator.
+Bytes image_with_record(RecordTag tag, const Bytes& payload) {
+  PodImage img;
+  img.header.pod_name = "framing";
+  ProcessImage p;
+  p.vpid = 1;
+  p.kind = "test.counter";
+  p.regions["src"] = Bytes(8, 0x11);
+  img.processes.push_back(p);
+  Bytes data = encode_image(img);
+  data.resize(data.size() - 18);  // drop the (empty) IMAGE_END record
+  RecordWriter w;
+  w.write(tag, 2, payload);
+  w.write(RecordTag::IMAGE_END, 2, Bytes{});
+  append_bytes(data, w.bytes());
+  return data;
+}
+
+/// MEM_REGION payload whose length prefix claims `claimed` bytes while
+/// `actual` follow.
+Bytes region_payload(u32 claimed, std::size_t actual) {
+  Encoder e;
+  e.put_i32(1);
+  e.put_string("r");
+  e.put_u32(claimed);
+  Bytes body(actual, 0x22);
+  e.put_raw(body.data(), body.size());
+  return e.take();
+}
+
+Bytes zero_region_payload() {
+  Encoder e;
+  e.put_i32(1);
+  e.put_string("z");
+  e.put_u64(64);
+  return e.take();
+}
+
+Bytes region_ref_payload() {
+  Encoder e;
+  e.put_i32(1);
+  e.put_string("copy");
+  e.put_i32(1);
+  e.put_string("src");
+  return e.take();
+}
+
+TEST(RegionFraming, WellFramedRecordsDecode) {
+  auto r = decode_image(
+      image_with_record(RecordTag::MEM_REGION, region_payload(50, 50)));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().processes[0].regions.at("r"), Bytes(50, 0x22));
+
+  auto z = decode_image(
+      image_with_record(RecordTag::MEM_REGION_ZERO, zero_region_payload()));
+  ASSERT_TRUE(z.is_ok()) << z.status().to_string();
+  EXPECT_EQ(z.value().processes[0].regions.at("z"), Bytes(64, 0));
+
+  auto f = decode_image(
+      image_with_record(RecordTag::MEM_REGION_REF, region_ref_payload()));
+  ASSERT_TRUE(f.is_ok()) << f.status().to_string();
+  EXPECT_EQ(f.value().processes[0].regions.at("copy"), Bytes(8, 0x11));
+}
+
+TEST(RegionFraming, MemRegionLengthOverrunRejected) {
+  EXPECT_EQ(decode_image(image_with_record(RecordTag::MEM_REGION,
+                                           region_payload(100, 50)))
+                .err(),
+            Err::PROTO);
+}
+
+TEST(RegionFraming, MemRegionTrailingBytesRejected) {
+  EXPECT_EQ(decode_image(image_with_record(RecordTag::MEM_REGION,
+                                           region_payload(50, 60)))
+                .err(),
+            Err::PROTO);
+}
+
+TEST(RegionFraming, ZeroRegionShortFieldRejected) {
+  Bytes short_size = zero_region_payload();
+  short_size.resize(short_size.size() - 4);  // half of the u64 size
+  EXPECT_EQ(
+      decode_image(image_with_record(RecordTag::MEM_REGION_ZERO, short_size))
+          .err(),
+      Err::PROTO);
+}
+
+TEST(RegionFraming, ZeroRegionTrailingBytesRejected) {
+  Bytes trailing = zero_region_payload();
+  trailing.push_back(0);
+  EXPECT_EQ(
+      decode_image(image_with_record(RecordTag::MEM_REGION_ZERO, trailing))
+          .err(),
+      Err::PROTO);
+}
+
+TEST(RegionFraming, RegionRefShortFieldRejected) {
+  Bytes short_name = region_ref_payload();
+  short_name.resize(short_name.size() - 2);  // source name cut short
+  EXPECT_EQ(
+      decode_image(image_with_record(RecordTag::MEM_REGION_REF, short_name))
+          .err(),
+      Err::PROTO);
+}
+
+TEST(RegionFraming, RegionRefTrailingBytesRejected) {
+  Bytes trailing = region_ref_payload();
+  trailing.push_back(0);
+  EXPECT_EQ(
+      decode_image(image_with_record(RecordTag::MEM_REGION_REF, trailing))
+          .err(),
+      Err::PROTO);
+}
+
 TEST(Image, MetaRoundTrip) {
   NetMeta m = sample_image().meta;
   auto back = decode_meta(encode_meta(m));
@@ -170,6 +289,23 @@ TEST(Standalone, SaveRestoreProcessRoundTrip) {
   cl.run_for(10 * sim::kMillisecond);
   EXPECT_EQ(q->state(), os::ProcState::EXITED);
   EXPECT_EQ(static_cast<test::CounterProgram&>(q->program()).count(), 100u);
+}
+
+TEST(Standalone, RestoreMovesRegionBytesLeavingManifest) {
+  os::Cluster cl;
+  os::Node& n = cl.add_node("n1");
+  pod::Pod pod(n, net::IpAddr(10, 77, 0, 1), "pod1");
+  i32 pid = pod.spawn(std::make_unique<test::CounterProgram>(100, 10));
+  pod.find_process(pid)->region("heap", 8192).assign(8192, 0x3C);
+  pod.suspend();
+  ProcessImage img = Standalone::save_process(pod, *pod.find_process(pid));
+
+  pod::Pod pod2(n, net::IpAddr(10, 77, 0, 2), "pod2");
+  ASSERT_TRUE(Standalone::restore_process(pod2, img, {}).is_ok());
+  EXPECT_EQ(pod2.find_process(pid)->regions().at("heap"), Bytes(8192, 0x3C));
+  // The bytes moved; the manifest (read by lazy ranking) stayed.
+  EXPECT_TRUE(img.regions.empty());
+  EXPECT_EQ(img.manifest.at("heap").size, 8192u);
 }
 
 TEST(Standalone, TimeVirtualizationContinuity) {

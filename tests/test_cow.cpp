@@ -182,6 +182,30 @@ TEST_F(CowTest, CowCutsDowntimeWithoutInflatingLatency) {
   EXPECT_EQ(blk.phase_us.count("drain"), 0u);
 }
 
+/// The SAN takes the encoded image over at commit; the reported size
+/// must still be the committed object's, on both commit paths.
+TEST_F(CowTest, ReportedImageBytesMatchCommittedObject) {
+  make_ballast_pod(0, 1, "pod-blk", 1 << 20);
+  make_ballast_pod(1, 2, "pod-cow", 1 << 20);
+  cl_.run_for(10 * sim::kMillisecond);
+
+  auto blocking =
+      ckpt({target(0, "pod-blk", "san://ckpt/blk")}, Manager::CkptOptions{});
+  ASSERT_TRUE(blocking.ok) << blocking.error;
+  auto blk_size = cl_.san().size_of("ckpt/blk");
+  ASSERT_TRUE(blk_size.is_ok());
+  ASSERT_EQ(blocking.agents.size(), 1u);
+  EXPECT_EQ(blocking.agents[0].image_bytes, blk_size.value());
+  EXPECT_EQ(blocking.max_image_bytes, blk_size.value());
+
+  auto cow = ckpt({target(1, "pod-cow", "san://ckpt/cow")}, cow_opts());
+  ASSERT_TRUE(cow.ok) << cow.error;
+  auto cow_size = cl_.san().size_of("ckpt/cow");
+  ASSERT_TRUE(cow_size.is_ok());
+  EXPECT_GT(cow_size.value(), u64{1 << 20});
+  EXPECT_EQ(cow.max_image_bytes, cow_size.value());
+}
+
 /// Downtime is flat in image size under COW (only the mark is inside the
 /// stop-the-world window); total latency keeps scaling with the bytes.
 TEST_F(CowTest, CowDowntimeIsFlatInImageSize) {

@@ -2,6 +2,8 @@
 // and pipelined migration streaming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ckpt/image.h"
 #include "ckpt/standalone.h"
 #include "core/agent.h"
@@ -10,6 +12,7 @@
 #include "os/cluster.h"
 #include "pod/pod.h"
 #include "tests/guest_programs.h"
+#include "tests/helpers.h"
 
 namespace zapc::ckpt {
 namespace {
@@ -305,13 +308,17 @@ struct Rig {
   }
 
   core::Manager::RestartReport restart(
-      std::vector<core::Manager::Target> targets) {
+      std::vector<core::Manager::Target> targets,
+      core::Manager::RestartOptions opts = {}) {
     core::Manager::RestartReport out;
     bool done = false;
-    mgr->restart(std::move(targets), {}, [&](auto r) {
-      out = std::move(r);
-      done = true;
-    });
+    mgr->restart(
+        std::move(targets), {},
+        [&](auto r) {
+          out = std::move(r);
+          done = true;
+        },
+        opts);
     for (int i = 0; i < 60000 && !done; ++i) cl.run_for(sim::kMillisecond);
     return out;
   }
@@ -383,6 +390,94 @@ TEST(IncrementalE2E, DeltaChainRestartsOnDifferentNode) {
   rig.cl.run_for(2 * sim::kSecond);
   EXPECT_EQ(p->state(), os::ProcState::EXITED);
   EXPECT_EQ(p->exit_code(), 0);
+}
+
+// ---- Zero-copy restore -----------------------------------------------------
+// Restart decodes committed SAN objects (the image and its delta bases)
+// through borrowed views: a view must never be consumed, and the record
+// CRC must still be enforced on it.
+
+TEST(ZeroCopyRestore, RestartTwiceFromOneImageLeavesItIntact) {
+  Rig rig(3);
+  pod::Pod& pod = rig.agents[0]->create_pod(vip(1), "job");
+  i32 pid = pod.spawn(std::make_unique<CounterProgram>(1000000, 1000));
+  const Bytes heap = test::pattern_bytes(256 << 10, 3);
+  pod.find_process(pid)->region("heap", heap.size()) = heap;
+  rig.cl.run_for(10 * sim::kMillisecond);
+
+  core::Manager::CkptOptions opts;
+  opts.incremental = true;
+  opts.chain_cap = 8;
+  auto full = rig.ckpt({{rig.agents[0]->addr(), "job", "san://zc/base"}}, opts);
+  ASSERT_TRUE(full.ok) << full.error;
+  pod.find_process(pid)->region("scratch", 4096)[0] = 7;
+  rig.cl.run_for(5 * sim::kMillisecond);
+  auto delta =
+      rig.ckpt({{rig.agents[0]->addr(), "job", "san://zc/delta"}}, opts);
+  ASSERT_TRUE(delta.ok) << delta.error;
+  ASSERT_EQ(delta.agents[0].delta_seq, 1u);
+  const Bytes base_obj = rig.cl.san().read("zc/base").value();
+  const Bytes delta_obj = rig.cl.san().read("zc/delta").value();
+  ASSERT_TRUE(rig.agents[0]->destroy_pod("job"));
+  rig.cl.run_for(10 * sim::kMillisecond);
+
+  // Monolithic and pipelined restores, each twice from the same delta
+  // (whose base is read through a view too).
+  std::vector<std::map<std::string, Bytes>> restored;
+  for (bool pipelined : {false, true}) {
+    for (int agent : {1, 2}) {
+      core::Manager::RestartOptions ro;
+      ro.pipelined = pipelined;
+      auto rr = rig.restart(
+          {{rig.agents[agent]->addr(), "job", "san://zc/delta"}}, ro);
+      ASSERT_TRUE(rr.ok) << rr.error;
+      pod::Pod* p = rig.agents[agent]->find_pod("job");
+      ASSERT_NE(p, nullptr);
+      ASSERT_NE(p->find_process(pid), nullptr);
+      restored.push_back(p->find_process(pid)->regions());
+      ASSERT_TRUE(rig.agents[agent]->destroy_pod("job"));
+      rig.cl.run_for(10 * sim::kMillisecond);
+      EXPECT_EQ(rig.cl.san().read("zc/base").value(), base_obj);
+      EXPECT_EQ(rig.cl.san().read("zc/delta").value(), delta_obj);
+    }
+  }
+  ASSERT_EQ(restored.size(), 4u);
+  EXPECT_EQ(restored[0].at("heap"), heap);
+  EXPECT_EQ(restored[0].at("scratch")[0], 7);
+  for (const auto& r : restored) EXPECT_EQ(r, restored[0]);
+}
+
+TEST(ZeroCopyRestore, BitFlipInCommittedRegionFailsWithProto) {
+  Rig rig(2);
+  pod::Pod& pod = rig.agents[0]->create_pod(vip(1), "job");
+  i32 pid = pod.spawn(std::make_unique<CounterProgram>(1000000, 1000));
+  const Bytes heap = test::pattern_bytes(64 << 10, 5);
+  pod.find_process(pid)->region("heap", heap.size()) = heap;
+  rig.cl.run_for(10 * sim::kMillisecond);
+  auto r = rig.ckpt({{rig.agents[0]->addr(), "job", "san://zc/job"}}, {});
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(rig.agents[0]->destroy_pod("job"));
+  rig.cl.run_for(10 * sim::kMillisecond);
+
+  // Flip one bit in the middle of the MEM_REGION payload.
+  Bytes obj = rig.cl.san().read("zc/job").value();
+  auto at = std::search(obj.begin(), obj.end(), heap.begin(),
+                        heap.begin() + 64);
+  ASSERT_NE(at, obj.end());
+  obj[static_cast<std::size_t>(at - obj.begin()) + heap.size() / 2] ^= 0x10;
+  ASSERT_TRUE(rig.cl.san().write("zc/job", obj).is_ok());
+
+  // The view the agent decodes fails the record CRC with Err::PROTO...
+  auto view = rig.cl.san().view("zc/job");
+  ASSERT_TRUE(view.is_ok());
+  EXPECT_EQ(decode_image(*view.value()).err(), Err::PROTO);
+
+  // ...so the restart fails on it and leaves no pod behind.
+  auto rr = rig.restart({{rig.agents[1]->addr(), "job", "san://zc/job"}});
+  EXPECT_FALSE(rr.ok);
+  EXPECT_NE(rr.error.find("record crc mismatch"), std::string::npos)
+      << rr.error;
+  EXPECT_EQ(rig.agents[1]->find_pod("job"), nullptr);
 }
 
 TEST(IncrementalE2E, ChainCapForcesPeriodicFull) {

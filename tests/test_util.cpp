@@ -1,6 +1,9 @@
 // Unit tests for util: serialization, records, crc32, status, rng.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -130,6 +133,58 @@ TEST(Crc32, KnownVector) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(Bytes{}), 0u); }
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& v : b) v = static_cast<u8>(rng.next_u32());
+  return b;
+}
+
+// The dispatched kernel (PCLMUL folding where the CPU has it) and the
+// slice-by-8 fallback both match the bytewise oracle at every length
+// around the 16/64-byte fold boundaries and every input alignment, from
+// arbitrary mid-stream register states.
+TEST(Crc32, KernelsMatchBytewiseAtAllLengthsAndAlignments) {
+  Rng rng(0xC3C3);
+  Bytes buf = random_bytes(rng, 300 + 16);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const u8* p = buf.data() + align;
+      u32 state = rng.next_u32();
+      u32 want = crc32_update_bytewise(state, p, len);
+      ASSERT_EQ(crc32_update(state, p, len), want)
+          << "len " << len << " align " << align;
+      ASSERT_EQ(crc32_update_slice8(state, p, len), want)
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32, KernelsMatchBytewiseOnAnImageSizedBuffer) {
+  Rng rng(94);
+  Bytes big = random_bytes(rng, (94u << 20) + 13);
+  u32 want = crc32_update_bytewise(crc32_init(), big.data(), big.size());
+  EXPECT_EQ(crc32_update(crc32_init(), big.data(), big.size()), want);
+  EXPECT_EQ(crc32_update_slice8(crc32_init(), big.data(), big.size()), want);
+}
+
+TEST(Crc32, ChainedUpdatesEqualOneShot) {
+  Rng rng(7);
+  Bytes b = random_bytes(rng, 64 << 10);
+  const u32 whole = crc32(b);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Split at random points: short pieces take the table walk, long
+    // ones the folding path, and each must pick up the other's state.
+    std::vector<std::size_t> cuts{0, b.size()};
+    for (int k = 0; k < 6; ++k) cuts.push_back(rng.below(b.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    u32 c = crc32_init();
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      c = crc32_update(c, b.data() + cuts[k], cuts[k + 1] - cuts[k]);
+    }
+    ASSERT_EQ(crc32_final(c), whole) << "trial " << trial;
+  }
+}
 
 TEST(Rng, Deterministic) {
   Rng a(123), b(123);
