@@ -13,44 +13,6 @@
 namespace zapc::core {
 namespace {
 
-/// Parses "san://<path>", "agent://<ip>:<port>/<tag>", "stream://<tag>".
-struct Uri {
-  std::string scheme;
-  std::string path;        // san path or stream tag
-  net::SockAddr endpoint;  // agent scheme only
-};
-
-Result<Uri> parse_uri(const std::string& s) {
-  auto sep = s.find("://");
-  if (sep == std::string::npos) return Status(Err::INVALID, "bad uri " + s);
-  Uri u;
-  u.scheme = s.substr(0, sep);
-  std::string rest = s.substr(sep + 3);
-  if (u.scheme == "san" || u.scheme == "stream") {
-    u.path = rest;
-    return u;
-  }
-  if (u.scheme == "agent") {
-    auto slash = rest.find('/');
-    if (slash == std::string::npos) {
-      return Status(Err::INVALID, "agent uri missing tag: " + s);
-    }
-    u.path = rest.substr(slash + 1);
-    std::string hostport = rest.substr(0, slash);
-    auto colon = hostport.find(':');
-    if (colon == std::string::npos) {
-      return Status(Err::INVALID, "agent uri missing port: " + s);
-    }
-    auto ip = net::IpAddr::parse(hostport.substr(0, colon));
-    if (!ip) return ip.status();
-    u.endpoint.ip = ip.value();
-    u.endpoint.port = static_cast<u16>(
-        std::stoul(hostport.substr(colon + 1)));
-    return u;
-  }
-  return Status(Err::INVALID, "unknown uri scheme: " + s);
-}
-
 constexpr std::size_t kStreamChunk = 256 * 1024;
 
 /// Default share of region bytes restored eagerly when a lazy restart
@@ -98,29 +60,21 @@ void Agent::after(sim::Time delay, Fn&& fn) {
 bool Agent::fault_crashed(const char* phase) {
   if (crashed_ || !fault::injector().enabled()) return false;
   if (!fault::injector().crash_at_phase(node_.name(), phase)) return false;
+  die("injected crash at " + std::string(phase));
+  return true;
+}
+
+void Agent::die(const std::string& why) {
   crashed_ = true;
   // A dead node must not keep a grant on the cluster-wide SAN: release
   // any stream its in-flight ops registered so survivors get the full
   // pipe back.
   for (auto& c : conns_) {
-    if (c.ckpt != nullptr && c.ckpt->san_stream != 0) {
-      node_.san().stream_end(c.ckpt->san_stream);
-      c.ckpt->san_stream = 0;
-    }
-    if (c.restart != nullptr && c.restart->fetch_stream != 0) {
-      node_.san().stream_end(c.restart->fetch_stream);
-      c.restart->fetch_stream = 0;
-    }
+    if (c.ckpt != nullptr) san_release(c.ckpt->san);
+    if (c.restart != nullptr) san_release(c.restart->san);
   }
-  ZLOG_WARN("agent@" << node_.name() << ": injected crash at " << phase);
+  ZLOG_WARN("agent@" << node_.name() << ": " << why);
   node_.fail();
-  return true;
-}
-
-void Agent::trace(const std::string& what) {
-  if (trace_ != nullptr) {
-    trace_->add(node_.now(), "agent@" + node_.name(), what);
-  }
 }
 
 void Agent::trace_op(const std::string& what, obs::OpId op,
@@ -135,23 +89,79 @@ obs::ObsTag Agent::tag(obs::OpId op, obs::SpanId parent) {
                      [this] { return node_.now(); }};
 }
 
-double Agent::san_grant(u64 stream, const char* what, obs::OpId op_id,
-                        obs::SpanId parent, double& last_share) {
-  double share = node_.san().stream_share(stream);
-  // Receipts only on grant *transitions*, so the trace stays bounded: a
-  // steady-state drain stamps one receipt, and each squeeze/release by
-  // foreground traffic stamps one more.
-  if (share != last_share) {
-    last_share = share;
-    trace_op("qos: " + std::string(what) + " granted " +
+template <typename Op>
+obs::SpanId Agent::begin_phase(const Op& op, const char* name) {
+  obs::SpanRecorder* r = rec();
+  return r == nullptr ? 0
+                      : r->begin_at(node_.now(), name, who(), op.span_root,
+                                    op.cmd.op_id);
+}
+
+void Agent::end_spans(std::initializer_list<obs::SpanId> spans) {
+  if (obs::SpanRecorder* r = rec()) {
+    for (obs::SpanId s : spans) r->end_at(node_.now(), s);
+  }
+}
+
+// ---- QoS-metered SAN transfers (DESIGN.md §13) ------------------------------
+
+void Agent::san_open(SanXfer& x, os::SanStreamClass cls) {
+  x.stream = node_.san().stream_begin(cls);
+  x.t_start = node_.now();
+  x.steps = 0;
+}
+
+void Agent::san_release(SanXfer& x) {
+  node_.san().stream_end(x.stream);  // no-op once released
+  x.stream = 0;
+}
+
+template <typename Op>
+void Agent::san_step(const std::shared_ptr<Op>& op,
+                     const std::shared_ptr<const SanLeg>& leg, u64 off,
+                     bool tail_paid) {
+  SanXfer& x = op->san;
+  if (leg->live && !leg->live()) return san_release(x);
+  if (off >= leg->total && (x.steps > 0 || leg->chunk != 0)) {
+    if (leg->tail && !tail_paid) {
+      // The tail is charged with the grant still held; then the step
+      // runs once more to release and finish.
+      after(leg->tail(), [this, op, leg, off] {
+        san_step(op, leg, off, /*tail_paid=*/true);
+      });
+      return;
+    }
+    san_release(x);
+    return leg->done();
+  }
+  const u64 n = leg->chunk == 0 ? leg->total - off
+                                : std::min(leg->chunk, leg->total - off);
+  // Each chunk is costed against the share the SAN grants this stream
+  // right now: foreground restart or migration traffic squeezes drains
+  // to the background floor (pause-resume) and concurrent drains split
+  // the rest.  A "qos: ..." receipt is stamped only on grant transitions,
+  // so the trace stays bounded; the validator checks them where a drain
+  // window overlaps restart traffic.
+  const double share = node_.san().stream_share(x.stream);
+  if (share != x.last_share) {
+    x.last_share = share;
+    trace_op("qos: " + std::string(leg->what) + " granted " +
                  std::to_string(static_cast<int>(share * 100.0 + 0.5)) +
                  "% of SAN (" +
                  std::to_string(node_.san().active_foreground()) +
                  " foreground, " + std::to_string(node_.san().active_drains()) +
                  " drains)",
-             op_id, parent);
+             op->cmd.op_id, leg->span);
   }
-  return share;
+  const sim::Time cost = (costs_.*leg->cost)(n, share);
+  ++x.steps;
+  x.busy_us += cost;
+  x.bytes += n;
+  if (node_.san().foreground_active()) x.throttled_us += cost;
+  if (node_.san().active_drains() > 1) x.contended_us += cost;
+  const sim::Time eta = slowdown((costs_.*leg->cost)(leg->total - off, share));
+  op->wm.enter(leg->phase, x.t_start, node_.now() + eta, leg->total);
+  after(cost, [this, op, leg, next = off + n] { san_step(op, leg, next); });
 }
 
 // ---- Introspection plane (DESIGN.md §9) --------------------------------------
@@ -161,32 +171,44 @@ bool Agent::beacons_blacked_out() const {
          fault::injector().heartbeat_blackout(node_.name(), node_.now());
 }
 
-void Agent::publish_beacon(MsgChannel* mgr, obs::OpId op_id,
-                           const std::string& pod, u32 seq,
-                           const Watermark& wm, obs::SpanId parent) {
+template <typename Op>
+void Agent::beacon(const std::shared_ptr<Op>& op) {
+  if (op->finished || op->aborted) return;
+  ++op->hb_seq;
+  publish_beacon(*op);
+  // after() dilates the interval on an injected slow node — its
+  // userspace beacon loop is slow like everything else there, and each
+  // (rarer) beacon still carries an honest watermark.
+  after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
+}
+
+template <typename Op>
+void Agent::publish_beacon(const Op& op) {
   if (beacons_blacked_out()) return;
   const sim::Time now = node_.now();
+  const Watermark& wm = op.wm;
+  MsgChannel* mgr = op.mgr;
   HeartbeatMsg hb;
-  hb.op_id = op_id;
-  hb.pod_name = pod;
+  hb.op_id = op.cmd.op_id;
+  hb.pod_name = op.cmd.pod_name;
   hb.phase = wm.phase;
   hb.t_us = now;
-  hb.seq = seq;
+  hb.seq = op.hb_seq;
   if (mgr != nullptr && mgr->open()) (void)mgr->send(encode_heartbeat(hb));
   obs::metrics().counter("agent.hb.sent").inc();
 
   // Watermarks accompany the beacon only while a byte-moving phase is
   // in flight; control phases (suspend, barrier) have nothing to meter.
   if (wm.bytes == 0 || wm.end <= wm.start) {
-    trace_op("hb seq=" + std::to_string(seq) + " phase=" + wm.phase, op_id,
-             parent);
+    trace_op("hb seq=" + std::to_string(hb.seq) + " phase=" + wm.phase,
+             hb.op_id, op.span_root);
     return;
   }
   const sim::Time extent = wm.end - wm.start;
   const sim::Time elapsed = now >= wm.end ? extent : now - wm.start;
   ProgressMsg pm;
-  pm.op_id = op_id;
-  pm.pod_name = pod;
+  pm.op_id = hb.op_id;
+  pm.pod_name = hb.pod_name;
   pm.phase = wm.phase;
   pm.t_us = now;
   pm.bytes_expected = wm.bytes;
@@ -199,30 +221,11 @@ void Agent::publish_beacon(MsgChannel* mgr, obs::OpId op_id,
   pm.eta_us = now >= wm.end ? 0 : wm.end - now;
   if (mgr != nullptr && mgr->open()) (void)mgr->send(encode_progress(pm));
   obs::metrics().counter("agent.progress.sent").inc();
-  trace_op("hb seq=" + std::to_string(seq) + " phase=" + wm.phase +
+  trace_op("hb seq=" + std::to_string(hb.seq) + " phase=" + wm.phase +
                " done=" + std::to_string(pm.bytes_done) + "/" +
                std::to_string(pm.bytes_expected) + " eta=" +
                obs::vtime_us(pm.eta_us),
-           op_id, parent);
-}
-
-void Agent::ckpt_beacon(const std::shared_ptr<CkptOp>& op) {
-  if (op->finished || op->aborted) return;
-  ++op->hb_seq;
-  publish_beacon(op->mgr, op->cmd.op_id, op->cmd.pod_name, op->hb_seq,
-                 op->wm, op->span_root);
-  // after() dilates the interval on an injected slow node — its
-  // userspace beacon loop is slow like everything else there, and each
-  // (rarer) beacon still carries an honest watermark.
-  after(op->cmd.heartbeat_us, [this, op] { ckpt_beacon(op); });
-}
-
-void Agent::restart_beacon(const std::shared_ptr<RestartOp>& op) {
-  if (op->finished) return;
-  ++op->hb_seq;
-  publish_beacon(op->mgr, op->cmd.op_id, op->cmd.pod_name, op->hb_seq,
-                 op->wm, op->span_root);
-  after(op->cmd.heartbeat_us, [this, op] { restart_beacon(op); });
+           hb.op_id, op.span_root);
 }
 
 // ---- Supervised mode (DESIGN.md §12) ----------------------------------------
@@ -230,8 +233,9 @@ void Agent::restart_beacon(const std::shared_ptr<RestartOp>& op) {
 void Agent::supervise_begin(Conn* conn, SuperviseCmd cmd) {
   supervise_ch_ = conn->ch.get();
   supervise_hb_us_ = cmd.heartbeat_us;
-  trace("supervised mode: node beacons every " +
-        std::to_string(supervise_hb_us_) + "us");
+  trace_op("supervised mode: node beacons every " +
+               std::to_string(supervise_hb_us_) + "us",
+           0, 0);
   if (supervise_hb_us_ > 0) supervise_tick();
 }
 
@@ -242,11 +246,7 @@ void Agent::supervise_tick() {
   // whole node goes away, not just this agent's beacons.
   if (fault::injector().enabled() &&
       fault::injector().crash_due(node_.name(), now)) {
-    crashed_ = true;
-    ZLOG_WARN("agent@" << node_.name() << ": injected node crash at t="
-                       << now << "us");
-    node_.fail();
-    return;
+    return die("injected node crash at t=" + std::to_string(now) + "us");
   }
   if (!beacons_blacked_out() && supervise_ch_->open()) {
     HeartbeatMsg hb;
@@ -365,12 +365,8 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::ABORT: {
-      if (conn->ckpt && !conn->ckpt->finished) {
-        ckpt_abort(conn->ckpt, "manager abort");
-      }
-      if (conn->restart) {
-        restart_abort(conn->restart, "manager abort");
-      }
+      if (conn->ckpt) ckpt_abort(conn->ckpt, "manager abort");
+      if (conn->restart) restart_abort(conn->restart, "manager abort");
       break;
     }
     case MsgType::SUPERVISE_CMD: {
@@ -388,9 +384,7 @@ void Agent::on_closed(Conn* conn) {
   // ... Similarly a failure of the Manager itself will be noted by the
   // Agents.  In both cases, the operation will be gracefully aborted, and
   // the application will resume its execution."
-  if (conn->ckpt && !conn->ckpt->finished) {
-    ckpt_abort(conn->ckpt, "manager connection lost");
-  }
+  if (conn->ckpt) ckpt_abort(conn->ckpt, "manager connection lost");
   // A finished restore is left alone on channel close (the normal end of
   // a successful op); an unfinished one means the Manager died mid-op.
   if (conn->restart && !conn->restart->finished) {
@@ -425,15 +419,14 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
   op->cmd = std::move(cmd);
   op->mgr = conn->ch.get();
   op->t_start = node_.now();
+  op->dest = parse_uri(op->cmd.dest_uri);
+  op->ordering = ordering_;
   conn->ckpt = op;
   if (fault_crashed("ckpt.begin")) return;
 
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod == nullptr) {
-    CkptDone done;
-    done.op_id = op->cmd.op_id;
-    done.pod_name = op->cmd.pod_name;
-    done.ok = false;
+    CkptDone done = ckpt_report(*op);
     done.error = "no such pod";
     op->finished = true;
     (void)op->mgr->send(encode_ckpt_done(done));
@@ -445,24 +438,22 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
     // (Testbed/Trace) the agent's subtree hangs off the Manager's op.
     op->span_root = r->begin_at(op->t_start, "ckpt", who(),
                                 op->cmd.parent_span, op->cmd.op_id);
-    op->span_suspend = r->begin_at(op->t_start, "ckpt.suspend", who(),
-                                   op->span_root, op->cmd.op_id);
   }
+  op->span_suspend = begin_phase(*op, "ckpt.suspend");
 
   // COW eligibility (DESIGN.md §11): snapshots to the SAN under
   // NETWORK_FIRST ordering only; anything else (migration, pipelined
   // streaming, the ablation ordering) silently falls back to the
   // blocking checkpoint.
   if (op->cmd.cow && op->cmd.mode == CkptMode::SNAPSHOT &&
-      !op->cmd.pipelined && ordering_ == CkptOrdering::NETWORK_FIRST) {
-    auto uri = parse_uri(op->cmd.dest_uri);
-    op->cow = uri && uri.value().scheme == "san";
-    if (op->cow) op->san_final = uri.value().path;
+      !op->cmd.pipelined && op->ordering == CkptOrdering::NETWORK_FIRST) {
+    op->cow = op->dest && op->dest.value().scheme == "san";
+    if (op->cow) op->san_final = op->dest.value().path;
   }
 
   op->wm.enter("ckpt.suspend");
   if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { ckpt_beacon(op); });
+    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
   }
 
   // Step 1: suspend the pod and block its network.
@@ -471,16 +462,22 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
   pod->suspend();
   pod->filter().set_obs_tag(tag(op->cmd.op_id, op->span_suspend));
   pod->filter().block_addr(pod->vip());
-  if (ordering_ == CkptOrdering::NETWORK_FIRST) {
-    after(costs_.suspend_cost(pod->process_count()),
-          [this, op] { ckpt_network(op); });
-  } else {
-    after(costs_.suspend_cost(pod->process_count()),
-          [this, op] { ckpt_standalone_pre(op); });
-  }
+  after(costs_.suspend_cost(pod->process_count()), [this, op] {
+    if (op->ordering == CkptOrdering::NETWORK_FIRST) return ckpt_network(op);
+    ckpt_standalone(op);
+  });
 }
 
-// ---- NETWORK_LAST ablation path ------------------------------------------------
+std::string Agent::delta_tag(const CkptOp& op) {
+  if (!op.is_delta) return "";
+  return " [delta #" + std::to_string(op.image.header.delta_seq) + "]";
+}
+
+void Agent::ckpt_end_suspend(CkptOp& op) {
+  op.suspend_us = node_.now() - op.t_start;
+  obs::metrics().histogram("agent.ckpt.suspend_us").observe(op.suspend_us);
+  end_spans({op.span_suspend});
+}
 
 void Agent::capture_standalone(const std::shared_ptr<CkptOp>& op,
                                pod::Pod& pod) {
@@ -493,11 +490,10 @@ void Agent::capture_standalone(const std::shared_ptr<CkptOp>& op,
   // not overwrite one of the chain's own images.
   const ckpt::DeltaBaseline* baseline = nullptr;
   if (op->cmd.incremental && op->cmd.mode == CkptMode::SNAPSHOT) {
-    auto uri = parse_uri(op->cmd.dest_uri);
     auto it = incr_.find(op->cmd.pod_name);
-    if (uri && uri.value().scheme == "san" && it != incr_.end() &&
+    if (op->dest && op->dest.value().scheme == "san" && it != incr_.end() &&
         it->second.valid && it->second.chain_len < op->cmd.chain_cap &&
-        it->second.chain_uris.count(uri.value().path) == 0) {
+        it->second.chain_uris.count(op->dest.value().path) == 0) {
       baseline = &it->second.base;
       op->is_delta = true;
       op->image.header.codec_flags |= ckpt::kCodecDelta;
@@ -538,102 +534,17 @@ void Agent::capture_standalone(const std::shared_ptr<CkptOp>& op,
   ist.last_capture_at = node_.now();
 }
 
-void Agent::ckpt_standalone_pre(const std::shared_ptr<CkptOp>& op) {
-  if (op->aborted) return;
-  if (fault_crashed("ckpt.standalone")) return;
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod == nullptr) return ckpt_abort(op, "pod vanished");
-
-  op->suspend_us = node_.now() - op->t_start;
-  obs::metrics().histogram("agent.ckpt.suspend_us").observe(op->suspend_us);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_suspend);
-    op->span_standalone = r->begin_at(node_.now(), "ckpt.standalone", who(),
-                                      op->span_root, op->cmd.op_id);
-  }
-
-  capture_standalone(op, *pod);
-  u64 bytes = 0;
-  for (const auto& p : op->image.processes) {
-    for (const auto& [name, r] : p.regions) bytes += r.size();
-  }
-  sim::Time cost =
-      costs_.standalone_ckpt_cost(bytes, op->image.processes.size());
-  op->wm.enter("ckpt.standalone", node_.now(),
-               node_.now() + slowdown(cost), bytes);
-  after(cost, [this, op, cost] {
-    if (op->aborted) return;
-    op->standalone_us = cost;
-    obs::metrics().histogram("agent.ckpt.standalone_us").observe(cost);
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op->span_standalone);
-    }
-    trace_op("3(early): standalone checkpoint done for " + op->cmd.pod_name,
-             op->cmd.op_id, op->span_root);
-    ckpt_network_post(op);
-  });
-}
-
-void Agent::ckpt_network_post(const std::shared_ptr<CkptOp>& op) {
-  if (op->aborted) return;
-  if (fault_crashed("ckpt.netckpt")) return;
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod == nullptr) return ckpt_abort(op, "pod vanished");
-
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_netckpt = r->begin_at(node_.now(), "ckpt.netckpt", who(),
-                                   op->span_root, op->cmd.op_id);
-  }
-
-  Status st = NetCheckpoint::save(*pod, op->image.meta, op->image.sockets,
-                                  tag(op->cmd.op_id, op->span_netckpt));
-  if (!st) return ckpt_abort(op, st.to_string());
-  if (gm::GmDevice* dev = pod->gm_device_if_present()) {
-    op->image.has_gm_device = true;
-    op->image.gm_state = dev->extract_state();
-    op->queued_bytes += op->image.gm_state.size();
-  }
-  for (const auto& s : op->image.sockets) {
-    op->queued_bytes += s.byte_size();
-  }
-  sim::Time cost =
-      costs_.net_ckpt_cost(op->image.sockets.size(), op->queued_bytes);
-  op->wm.enter("ckpt.netckpt", node_.now(), node_.now() + slowdown(cost),
-               op->queued_bytes);
-  after(cost, [this, op, cost] {
-    if (op->aborted) return;
-    op->netckpt_us = cost;
-    obs::metrics().histogram("agent.ckpt.netckpt_us").observe(cost);
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op->span_netckpt);
-    }
-    trace_op("2(late): network checkpoint done for " + op->cmd.pod_name,
-             op->cmd.op_id, op->span_root);
-    MetaReport report;
-    report.op_id = op->cmd.op_id;
-    report.pod_name = op->cmd.pod_name;
-    report.meta = op->image.meta;
-    report.net_ckpt_us = cost;
-    (void)op->mgr->send(encode_meta_report(report));
-    op->encoded_image = ckpt::encode_image(op->image);
-    op->encoded_size = op->encoded_image.size();
-    ckpt_standalone_done(op);
-  });
-}
-
 void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
+  // NETWORK_LAST runs this phase second; its continuation then encodes
+  // the image the standalone phase captured.
+  const bool late = op->ordering == CkptOrdering::NETWORK_LAST;
   if (op->aborted) return;
   if (fault_crashed("ckpt.netckpt")) return;
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod == nullptr) return ckpt_abort(op, "pod vanished");
 
-  op->suspend_us = node_.now() - op->t_start;
-  obs::metrics().histogram("agent.ckpt.suspend_us").observe(op->suspend_us);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_suspend);
-    op->span_netckpt = r->begin_at(node_.now(), "ckpt.netckpt", who(),
-                                   op->span_root, op->cmd.op_id);
-  }
+  if (!late) ckpt_end_suspend(*op);
+  op->span_netckpt = begin_phase(*op, "ckpt.netckpt");
 
   // Step 2: network-state checkpoint (sockets + kernel-bypass device).
   Status st = NetCheckpoint::save(*pod, op->image.meta, op->image.sockets,
@@ -651,17 +562,14 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
       costs_.net_ckpt_cost(op->image.sockets.size(), op->queued_bytes);
   op->wm.enter("ckpt.netckpt", node_.now(), node_.now() + slowdown(cost),
                op->queued_bytes);
-  after(cost, [this, op, cost] {
+  after(cost, [this, op, cost, late] {
     if (op->aborted) return;
     op->netckpt_us = cost;
     obs::metrics().histogram("agent.ckpt.netckpt_us").observe(cost);
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op->span_netckpt);
-    }
-    // Step 2a: report meta-data to the Manager, then immediately proceed
-    // with the standalone checkpoint (the barrier overlaps it).
-    trace_op("2: network checkpoint done for " + op->cmd.pod_name + " (" +
-                 std::to_string(cost) + "us)",
+    end_spans({op->span_netckpt});
+    trace_op(late ? "2(late): network checkpoint done for " + op->cmd.pod_name
+                  : "2: network checkpoint done for " + op->cmd.pod_name +
+                        " (" + std::to_string(cost) + "us)",
              op->cmd.op_id, op->span_root);
     MetaReport report;
     report.op_id = op->cmd.op_id;
@@ -669,163 +577,166 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
     report.meta = op->image.meta;
     report.net_ckpt_us = cost;
     (void)op->mgr->send(encode_meta_report(report));
+    if (late) {
+      op->encoded_image = ckpt::encode_image(op->image);
+      op->encoded_size = op->encoded_image.size();
+      return ckpt_standalone_done(op);
+    }
+    // Step 2a: meta-data reported; the standalone checkpoint proceeds at
+    // once (the barrier overlaps it).
     trace_op("2a: meta-data reported for " + op->cmd.pod_name,
              op->cmd.op_id, op->span_root);
-    if (op->cow) {
-      ckpt_cowmark(op);
-    } else {
-      ckpt_standalone(op);
-    }
+    if (op->cow) return ckpt_cowmark(op);
+    ckpt_standalone(op);
   });
 }
 
 void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
+  // NETWORK_LAST runs this phase first: it charges the raw region bytes
+  // (no image is encoded yet), and neither redirects nor pipelines.
+  const bool early = op->ordering == CkptOrdering::NETWORK_LAST;
   if (op->aborted) return;
   if (fault_crashed("ckpt.standalone")) return;
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod == nullptr) return ckpt_abort(op, "pod vanished");
 
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_standalone = r->begin_at(node_.now(), "ckpt.standalone", who(),
-                                      op->span_root, op->cmd.op_id);
-  }
+  if (early) ckpt_end_suspend(*op);
+  op->span_standalone = begin_phase(*op, "ckpt.standalone");
 
   // Step 3: standalone pod checkpoint (Zap substrate).
   capture_standalone(op, *pod);
-
-  // Migration redirect optimization (paper §5): ship each send queue
-  // directly to the agent receiving the peer's stream instead of
-  // embedding it in our image.
-  if (op->cmd.redirect_send_queues && op->cmd.mode == CkptMode::MIGRATE) {
-    // A (possibly empty) record is shipped for EVERY connected socket
-    // whose peer's destination agent is known, so the restoring side can
-    // deterministically wait for it.  If the peer's destination is not in
-    // the command's map, the send queue stays in the image and restores
-    // through the normal resend path.
-    for (auto& s : op->image.sockets) {
-      if (s.proto != net::Proto::TCP || !s.connected) {
-        continue;
+  u64 bytes = 0;
+  if (early) {
+    for (const auto& p : op->image.processes) {
+      for (const auto& [name, r] : p.regions) bytes += r.size();
+    }
+  } else {
+    // Migration redirect optimization (paper §5): every connected TCP
+    // socket whose peer's destination agent is known ships its (possibly
+    // empty) send queue straight to that agent, so the restoring side can
+    // deterministically wait for it.  Any other send queue stays in the
+    // image and restores through the normal resend path.
+    if (op->cmd.redirect_send_queues && op->cmd.mode == CkptMode::MIGRATE) {
+      const auto& peers = op->cmd.peer_agents;
+      for (auto& s : op->image.sockets) {
+        if (s.proto != net::Proto::TCP || !s.connected ||
+            std::none_of(peers.begin(), peers.end(), [&s](const auto& p) {
+              return p.first == s.remote.ip;
+            })) {
+          continue;
+        }
+        op->redirects.push_back(RedirectData{op->cmd.op_id, s.remote.ip,
+                                             s.remote, s.local, s.pcb_acked,
+                                             std::move(s.send_queue)});
+        s.send_queue.clear();
+        s.send_queue_redirected = true;
       }
-      bool peer_known = false;
-      for (const auto& [vip, a] : op->cmd.peer_agents) {
-        if (vip == s.remote.ip) peer_known = true;
-      }
-      if (!peer_known) continue;
-      RedirectData rd;
-      rd.op_id = op->cmd.op_id;
-      rd.dst_pod_vip = s.remote.ip;
-      rd.dst_local = s.remote;
-      rd.dst_remote = s.local;
-      rd.sender_acked = s.pcb_acked;
-      rd.data = std::move(s.send_queue);
-      s.send_queue.clear();
-      s.send_queue_redirected = true;
-      op->redirects.push_back(std::move(rd));
+    }
+    op->encoded_image = ckpt::encode_image(op->image);
+    op->encoded_size = bytes = op->encoded_image.size();
+    // Pipelined migration streaming: hand chunks to the wire as their
+    // serialization slices complete instead of materializing-then-sending.
+    if (op->cmd.pipelined && op->dest && op->dest.value().scheme == "agent") {
+      return ckpt_stream(op);
     }
   }
 
-  op->encoded_image = ckpt::encode_image(op->image);
-  op->encoded_size = op->encoded_image.size();
-
-  // Pipelined migration streaming: hand chunks to the wire as their
-  // serialization slices complete instead of materializing-then-sending.
-  if (op->cmd.pipelined) {
-    auto uri = parse_uri(op->cmd.dest_uri);
-    if (uri && uri.value().scheme == "agent") {
-      ckpt_stream(op, uri.value().endpoint, uri.value().path);
-      return;
-    }
-  }
-
-  sim::Time cost = costs_.standalone_ckpt_cost(op->encoded_size,
-                                               op->image.processes.size());
-  op->wm.enter("ckpt.standalone", node_.now(),
-               node_.now() + slowdown(cost), op->encoded_size);
-  after(cost, [this, op, cost] {
+  sim::Time cost =
+      costs_.standalone_ckpt_cost(bytes, op->image.processes.size());
+  op->wm.enter("ckpt.standalone", node_.now(), node_.now() + slowdown(cost),
+               bytes);
+  after(cost, [this, op, cost, early] {
     if (op->aborted) return;
     op->standalone_us = cost;
     obs::metrics().histogram("agent.ckpt.standalone_us").observe(cost);
+    if (early) {
+      end_spans({op->span_standalone});
+      trace_op("3(early): standalone checkpoint done for " + op->cmd.pod_name,
+               op->cmd.op_id, op->span_root);
+      return ckpt_network(op);
+    }
     trace_op("3: standalone checkpoint done for " + op->cmd.pod_name + " (" +
                  std::to_string(op->encoded_size) + " bytes)" +
-                 (op->is_delta
-                      ? " [delta #" +
-                            std::to_string(op->image.header.delta_seq) + "]"
-                      : ""),
+                 delta_tag(*op),
              op->cmd.op_id, op->span_root);
     ckpt_standalone_done(op);
   });
 }
 
-void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op,
-                        const net::SockAddr& endpoint,
-                        const std::string& tag) {
-  auto ch = connect_channel(node_.host_stack(), endpoint);
-  if (ch == nullptr) return ckpt_abort(op, "cannot reach stream target");
+void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op) {
+  const sim::Time t0 = node_.now();
+  const sim::Time took = stream_image(op, /*pipelined=*/true, [this, op, t0] {
+    op->standalone_us = node_.now() - t0;
+    obs::metrics().histogram("agent.ckpt.stream_us").observe(op->standalone_us);
+    obs::metrics().histogram("agent.ckpt.standalone_us")
+        .observe(op->standalone_us);
+    end_spans({op->span_stream});
+    trace_op("3: standalone checkpoint streamed for " + op->cmd.pod_name +
+                 " (" + std::to_string(op->encoded_size) +
+                 " bytes pipelined)",
+             op->cmd.op_id, op->span_root);
+    op->delivered = true;
+    ckpt_standalone_done(op);
+  });
+  if (op->aborted) return;
+  op->span_stream = begin_phase(*op, "ckpt.stream");
+  op->wm.enter("ckpt.stream", t0, t0 + slowdown(took), op->encoded_size);
+}
+
+sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
+                              bool pipelined, std::function<void()> on_sent) {
+  const Uri& dest = op->dest.value();
+  auto ch = connect_channel(node_.host_stack(), dest.endpoint);
+  if (ch == nullptr) {
+    ckpt_abort(op, "cannot reach stream target");
+    return 0;
+  }
   MsgChannel* raw = ch.get();
   out_channels_.push_back(std::move(ch));
-  (void)raw->send(encode_stream_open(StreamOpen{op->cmd.op_id, tag}));
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_stream = r->begin_at(node_.now(), "ckpt.stream", who(),
-                                  op->span_root, op->cmd.op_id);
-  }
+  (void)raw->send(encode_stream_open(StreamOpen{op->cmd.op_id, dest.path}));
 
-  const sim::Time t0 = node_.now();
-  // Per-process control overhead is charged once, up front; after that
-  // each chunk becomes sendable when its serialization slice elapses.
-  // The chunk enters the (simulated) TCP pipe at that moment, so
-  // transfer overlaps the remaining serialization — the modeled elapsed
-  // time converges on CostModel::pipelined_stream_cost's max() instead
-  // of the summed serialize + transfer of the materialize path.
-  sim::Time at = costs_.per_process * op->image.processes.size();
+  // Pipelined, the per-process control overhead is charged once, up
+  // front; after that each chunk becomes sendable when its serialization
+  // slice elapses and enters the (simulated) TCP pipe then, so transfer
+  // overlaps the remaining serialization: the stream takes about
+  // max(serialize, transfer) plus one chunk's fill (DESIGN.md §7.4)
+  // where the materialize path pays serialize + transfer.
+  sim::Time at = pipelined ? costs_.per_process * op->image.processes.size()
+                           : 0;
   const std::size_t total = op->encoded_image.size();
-  std::size_t sent = 0;
+  std::size_t off = 0;
   do {
-    std::size_t n = std::min(kStreamChunk, total - sent);
-    std::size_t off = sent;
-    sent += n;
-    at += costs_.serialize_cost(n);
-    const bool last = sent >= total;
-    after(at, [this, op, raw, tag, off, n, last, t0, endpoint] {
+    const std::size_t n = std::min(kStreamChunk, total - off);
+    const bool last = off + n >= total;
+    auto send = [this, op, raw, off, n, last,
+                 fin = last ? on_sent : nullptr] {
       if (op->aborted) return;
-      StreamChunk chunk;
-      chunk.tag = tag;
-      chunk.data.assign(
-          op->encoded_image.begin() + static_cast<long>(off),
-          op->encoded_image.begin() + static_cast<long>(off + n));
-      (void)raw->send(encode_stream_chunk(chunk));
+      const std::string& tag = op->dest.value().path;
+      const auto first = op->encoded_image.begin() + static_cast<long>(off);
+      (void)raw->send(encode_stream_chunk(
+          StreamChunk{tag, Bytes(first, first + static_cast<long>(n))}));
       if (!last) return;
       (void)raw->send(encode_stream_close(StreamClose{tag}));
-      ship_redirects(op, raw, endpoint);
-      obs::metrics()
-          .histogram("agent.ckpt.stream_us")
-          .observe(node_.now() - t0);
-      op->standalone_us = node_.now() - t0;
-      obs::metrics().histogram("agent.ckpt.standalone_us")
-          .observe(op->standalone_us);
-      if (obs::SpanRecorder* r = rec()) {
-        r->end_at(node_.now(), op->span_stream);
-      }
-      trace_op("3: standalone checkpoint streamed for " + op->cmd.pod_name +
-                   " (" + std::to_string(op->encoded_size) +
-                   " bytes pipelined)",
-               op->cmd.op_id, op->span_root);
-      op->delivered = true;
-      ckpt_standalone_done(op);
-    });
-  } while (sent < total);
-  // `at` now holds the full modeled serialize+stream duration.
-  op->wm.enter("ckpt.stream", t0, t0 + slowdown(at), total);
+      ship_redirects(op, raw);
+      if (fin) fin();
+    };
+    off += n;
+    if (!pipelined) {
+      send();
+      continue;
+    }
+    at += costs_.serialize_cost(n);
+    after(at, std::move(send));
+  } while (off < total);
+  return at;
 }
 
 void Agent::ckpt_standalone_done(const std::shared_ptr<CkptOp>& op) {
   op->standalone_done = true;
   op->t_standalone_done = node_.now();
   op->wm.enter("ckpt.barrier");
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_standalone);  // no-op if already closed
-    op->span_barrier = r->begin_at(node_.now(), "ckpt.barrier", who(),
-                                   op->span_root, op->cmd.op_id);
-  }
+  end_spans({op->span_standalone});  // no-op if already closed
+  op->span_barrier = begin_phase(*op, "ckpt.barrier");
   // COW mode stages nothing here: serialization and the SAN write both
   // happen in the background drain, after the pod has resumed.
   if (!op->delivered && !op->cow) deliver_image(op);
@@ -851,10 +762,7 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod == nullptr) return ckpt_abort(op, "pod vanished");
 
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_cowmark = r->begin_at(node_.now(), "ckpt.cowmark", who(),
-                                   op->span_root, op->cmd.op_id);
-  }
+  op->span_cowmark = begin_phase(*op, "ckpt.cowmark");
 
   // The in-memory capture IS the COW snapshot: the image's region
   // buffers hold this instant's page contents, protected copy-on-write.
@@ -868,17 +776,11 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
     if (op->aborted) return;
     op->cowmark_us = cost;
     obs::metrics().histogram("agent.ckpt.cowmark_us").observe(cost);
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op->span_cowmark);
-    }
-    trace_op(
-        "3: COW snapshot marked for " + op->cmd.pod_name + " (" +
-            std::to_string(op->logical_bytes) + " logical bytes)" +
-            (op->is_delta
-                 ? " [delta #" + std::to_string(op->image.header.delta_seq) +
-                       "]"
-                 : ""),
-        op->cmd.op_id, op->span_root);
+    end_spans({op->span_cowmark});
+    trace_op("3: COW snapshot marked for " + op->cmd.pod_name + " (" +
+                 std::to_string(op->logical_bytes) + " logical bytes)" +
+                 delta_tag(*op),
+             op->cmd.op_id, op->span_root);
     ckpt_standalone_done(op);
   });
 }
@@ -886,12 +788,8 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
 void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
   if (op->aborted) return;
   if (fault_crashed("ckpt.drain")) return;
-  op->t_drain_start = node_.now();
-  op->san_stream = node_.san().stream_begin(os::SanStreamClass::BACKGROUND);
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_drain = r->begin_at(node_.now(), "ckpt.drain", who(),
-                                 op->span_root, op->cmd.op_id);
-  }
+  san_open(op->san, os::SanStreamClass::BACKGROUND);
+  op->span_drain = begin_phase(*op, "ckpt.drain");
   op->encoded_image = ckpt::encode_image(op->image);
   op->encoded_size = op->encoded_image.size();
   trace_op("5: background drain started for " + op->cmd.pod_name + " (" +
@@ -899,54 +797,41 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
                std::to_string(node_.san().active_drains()) +
                " concurrent drains)",
            op->cmd.op_id, op->span_drain);
-  ckpt_drain_chunk(op, 0);
-}
-
-void Agent::ckpt_drain_chunk(const std::shared_ptr<CkptOp>& op,
-                             std::size_t off) {
-  if (op->aborted) return;
-  const std::size_t total = op->encoded_size;
-  if (off >= total) {
-    // COW tax, part 1: pages the running pod dirtied while the drain was
-    // in flight were each copied before their first overwrite; charge
-    // that copy to the drain (never to downtime).  The dirty rate is the
-    // workload's observed write rate, not the flat worst case.
-    sim::Time wall = node_.now() - op->t_drain_start;
-    u64 rate =
-        costs_.cow_dirty_rate(incr_[op->cmd.pod_name].observed_dirty_bps);
-    op->dirtied_bytes = costs_.cow_dirty_bytes(wall, op->logical_bytes, rate);
-    after(costs_.cow_copy_cost(op->dirtied_bytes),
-          [this, op] { ckpt_drain_commit(op); });
-    return;
-  }
-  std::size_t n = std::min(kStreamChunk, total - off);
-  // QoS scheduler (DESIGN.md §13): each chunk is costed against the
-  // share the SAN grants this drain right now.  Foreground restart or
-  // migration traffic squeezes drains to the background floor — the
-  // pause-resume behaviour — and concurrent drains split the rest.
-  double share = san_grant(op->san_stream, "drain", op->cmd.op_id,
-                           op->span_drain, op->last_share);
-  sim::Time cost = costs_.qos_drain_chunk_cost(n, share);
-  op->drain_busy_us += cost;
-  op->drained_bytes += n;
-  if (node_.san().foreground_active()) op->throttled_us += cost;
-  if (node_.san().active_drains() > 1) op->contended_us += cost;
-  sim::Time eta = slowdown(costs_.qos_drain_chunk_cost(total - off, share));
-  op->wm.enter("ckpt.drain", op->t_drain_start, node_.now() + eta, total);
-  after(cost, [this, op, off, n] { ckpt_drain_chunk(op, off + n); });
+  san_step(op,
+           std::make_shared<const SanLeg>(SanLeg{
+               .what = "drain",
+               .phase = "ckpt.drain",
+               .span = op->span_drain,
+               .total = op->encoded_size,
+               .chunk = kStreamChunk,
+               .cost = &CostModel::qos_drain_chunk_cost,
+               .live = [op] { return !op->aborted; },
+               // COW tax, part 1: pages the running pod dirtied while the
+               // drain was in flight were each copied before their first
+               // overwrite; that copy is charged to the drain (never to
+               // downtime), at the workload's observed write rate.
+               .tail =
+                   [this, op] {
+                     u64 rate = costs_.cow_dirty_rate(
+                         incr_[op->cmd.pod_name].observed_dirty_bps);
+                     op->dirtied_bytes = costs_.cow_dirty_bytes(
+                         node_.now() - op->san.t_start, op->logical_bytes,
+                         rate);
+                     return costs_.cow_copy_cost(op->dirtied_bytes);
+                   },
+               .done = [this, op] { ckpt_drain_commit(op); },
+           }),
+           0);
 }
 
 void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
-  if (op->aborted) return;
   // The blocking path's two-phase commit in one go: nothing to wait for,
   // the pod has long resumed.
   Status st = commit_image(*op, op->san_final, /*publish=*/true);
-  if (!st) return ckpt_drain_fail(op, st.message(), /*transient=*/true);
+  if (!st) return ckpt_abort(op, st.message(), /*transient=*/true);
 
   op->drain_pending = false;
   op->finished = true;
-  node_.san().stream_end(op->san_stream);
-  op->san_stream = 0;
   EpilogueDone dd = drain_epilogue(*op, /*ok=*/true);
   dd.image_bytes = op->encoded_size;
   obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.epilogue_us);
@@ -955,13 +840,10 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   trace_op("5a: image drained and committed to " + op->san_final + " (" +
                std::to_string(op->encoded_size) + " bytes, " +
                std::to_string(op->dirtied_bytes) + " dirtied, " +
-               std::to_string(op->throttled_us) + "us throttled, " +
-               std::to_string(op->contended_us) + "us contended)",
+               std::to_string(op->san.throttled_us) + "us throttled, " +
+               std::to_string(op->san.contended_us) + "us contended)",
            op->cmd.op_id, op->span_drain);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_drain);
-    r->end_at(node_.now(), op->span_root);
-  }
+  end_spans({op->span_drain, op->span_root});
   if (op->mgr != nullptr && op->mgr->open()) {
     (void)op->mgr->send(encode_epilogue_done(dd));
   }
@@ -972,53 +854,19 @@ EpilogueDone Agent::drain_epilogue(const CkptOp& op, bool ok) {
   dd.op_id = op.cmd.op_id;
   dd.pod_name = op.cmd.pod_name;
   dd.ok = ok;
-  dd.epilogue_us = op.t_drain_start > 0 ? node_.now() - op.t_drain_start : 0;
+  dd.epilogue_us = op.san.t_start > 0 ? node_.now() - op.san.t_start : 0;
   dd.dirtied_bytes = op.dirtied_bytes;
-  dd.throttled_us = op.throttled_us;
-  dd.contended_us = op.contended_us;
-  dd.granted_bps = op.drain_busy_us > 0
-                       ? op.drained_bytes * sim::kSecond / op.drain_busy_us
-                       : 0;
+  dd.throttled_us = op.san.throttled_us;
+  dd.contended_us = op.san.contended_us;
+  dd.granted_bps =
+      op.san.busy_us > 0 ? op.san.bytes * sim::kSecond / op.san.busy_us : 0;
   return dd;
-}
-
-void Agent::ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
-                            const std::string& why, bool transient) {
-  if (op->finished || op->aborted) return;
-  op->aborted = true;
-  op->finished = true;
-  op->drain_pending = false;
-  node_.san().stream_end(op->san_stream);
-  op->san_stream = 0;
-  if (!op->san_tmp.empty()) {
-    if (node_.san().remove(op->san_tmp).is_ok()) {
-      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-    }
-    op->san_tmp.clear();
-  }
-  ZLOG_WARN("agent@" << node_.name() << ": drain of " << op->cmd.pod_name
-                     << " failed: " << why);
-  obs::dump_op_failure(rec(), "ckpt_drain_fail", op->cmd.op_id, who(), why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_drain);
-    r->end_at(node_.now(), op->span_root);
-  }
-  trace_op("abort: " + why, op->cmd.op_id, op->span_root);
-  // The pod is already running: a failed drain loses only this
-  // checkpoint attempt, never application state.
-  if (op->mgr != nullptr && op->mgr->open()) {
-    EpilogueDone dd = drain_epilogue(*op, /*ok=*/false);
-    dd.error = why;
-    dd.transient = transient;
-    (void)op->mgr->send(encode_epilogue_done(dd));
-  }
 }
 
 Status Agent::commit_image(CkptOp& op, const std::string& path,
                            bool publish) {
   if (op.san_tmp.empty()) {
-    op.san_tmp = path + ".tmp";
+    op.san_tmp = staging_path(path);
     op.san_final = path;
     // The SAN takes the encoded buffer over: staging copies no bytes.
     Status wst = node_.san().write(op.san_tmp, std::move(op.encoded_image));
@@ -1074,8 +922,8 @@ void Agent::advance_chain(const CkptOp& op) {
   }
 }
 
-void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
-                           const net::SockAddr& stream_endpoint) {
+void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op,
+                           MsgChannel* raw) {
   // Redirected send queues go to the agents receiving the peers'
   // streams.
   for (auto& rd : op->redirects) {
@@ -1085,7 +933,7 @@ void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
     }
     if (peer_agent.port == 0) continue;  // peer not migrating
     MsgChannel* target = raw;
-    if (peer_agent != stream_endpoint) {
+    if (peer_agent != op->dest.value().endpoint) {
       auto ch2 = connect_channel(node_.host_stack(), peer_agent);
       if (ch2 == nullptr) continue;
       target = ch2.get();
@@ -1097,42 +945,25 @@ void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
 
 void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
   if (fault_crashed("ckpt.deliver")) return;
-  auto uri = parse_uri(op->cmd.dest_uri);
-  if (!uri) return ckpt_abort(op, uri.status().to_string());
-
-  if (uri.value().scheme == "san") {
+  if (!op->dest) return ckpt_abort(op, op->dest.status().to_string());
+  const Uri& dest = op->dest.value();
+  if (dest.scheme == "san") {
     // Two-phase commit: stage the image now; it only replaces the
     // previous image in ckpt_maybe_finish, after the continue barrier.
     // Until then an abort or crash leaves the last committed image
     // untouched, and the incremental chain state — updated at commit —
     // stays in sync with what is actually on the SAN.
-    Status st = commit_image(*op, uri.value().path, /*publish=*/false);
+    Status st = commit_image(*op, dest.path, /*publish=*/false);
     if (!st) ckpt_abort(op, st.message(), /*transient=*/true);
     return;
   }
-  if (uri.value().scheme == "agent") {
+  if (dest.scheme == "agent") {
     // Direct streaming to the destination agent — "enabling direct
     // migration of a distributed application to a new set of nodes
     // without saving and restoring state from secondary storage" (§1).
-    // (Materialize-then-send path; see ckpt_stream for the pipelined
-    // variant.)
-    auto ch = connect_channel(node_.host_stack(), uri.value().endpoint);
-    if (ch == nullptr) return ckpt_abort(op, "cannot reach stream target");
-    MsgChannel* raw = ch.get();
-    out_channels_.push_back(std::move(ch));
-    (void)raw->send(
-        encode_stream_open(StreamOpen{op->cmd.op_id, uri.value().path}));
-    const Bytes& img = op->encoded_image;
-    for (std::size_t off = 0; off < img.size(); off += kStreamChunk) {
-      std::size_t n = std::min(kStreamChunk, img.size() - off);
-      StreamChunk chunk;
-      chunk.tag = uri.value().path;
-      chunk.data.assign(img.begin() + static_cast<long>(off),
-                        img.begin() + static_cast<long>(off + n));
-      (void)raw->send(encode_stream_chunk(chunk));
-    }
-    (void)raw->send(encode_stream_close(StreamClose{uri.value().path}));
-    ship_redirects(op, raw, uri.value().endpoint);
+    // The standalone charge already paid for serialization, so every
+    // chunk goes out now (see ckpt_stream for the pipelined schedule).
+    stream_image(op, /*pipelined=*/false, nullptr);
     return;
   }
   ckpt_abort(op, "unsupported checkpoint destination " + op->cmd.dest_uri);
@@ -1165,10 +996,8 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   obs::metrics()
       .histogram("agent.ckpt.barrier_wait_us")
       .observe(node_.now() - op->t_standalone_done);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_barrier);
-    if (!op->cow) r->end_at(node_.now(), op->span_root);
-  }
+  end_spans({op->span_barrier});
+  if (!op->cow) end_spans({op->span_root});
 
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod != nullptr) {
@@ -1210,19 +1039,12 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
     }
   }
 
-  CkptDone done;
-  done.op_id = op->cmd.op_id;
-  done.pod_name = op->cmd.pod_name;
+  CkptDone done = ckpt_report(*op);
   done.ok = true;
   done.image_bytes = op->encoded_size;
   done.network_bytes = op->image.network_bytes();
-  done.total_us = node_.now() - op->t_start;
   done.logical_bytes = op->logical_bytes;
   done.delta_seq = op->is_delta ? op->image.header.delta_seq : 0;
-  done.suspend_us = op->suspend_us;
-  done.netckpt_us = op->netckpt_us;
-  done.standalone_us = op->standalone_us;
-  done.barrier_us = node_.now() - op->t_standalone_done;
   done.drain_pending = op->cow;
   done.cowmark_us = op->cowmark_us;
   (void)op->mgr->send(encode_ckpt_done(done));
@@ -1234,11 +1056,12 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
 void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
                        const std::string& why, bool transient) {
   if (op->finished || op->aborted) return;
-  // Once the pod has resumed, a failure only loses the in-flight drain:
-  // report it on the EPILOGUE_DONE leg instead of the (already sent) done.
-  if (op->drain_pending) return ckpt_drain_fail(op, why, transient);
+  // Once the pod has resumed, a failure only loses the in-flight drain.
+  const bool drain = op->drain_pending;
   op->aborted = true;
   op->finished = true;
+  op->drain_pending = false;
+  san_release(op->san);
   // GC the staged half of a never-committed two-phase write.
   if (!op->san_tmp.empty()) {
     if (node_.san().remove(op->san_tmp).is_ok()) {
@@ -1246,23 +1069,31 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
     }
     op->san_tmp.clear();
   }
-  ZLOG_WARN("agent@" << node_.name() << ": checkpoint of "
-                     << op->cmd.pod_name << " aborted: " << why);
+  ZLOG_WARN("agent@" << node_.name() << ": "
+                     << (drain ? "drain of " : "checkpoint of ")
+                     << op->cmd.pod_name
+                     << (drain ? " failed: " : " aborted: ") << why);
   // Flight-recorder dump before the spans close: the postmortem's
   // `phase` is the phase still open at the moment of death.
-  obs::dump_op_failure(rec(), "ckpt_abort", op->cmd.op_id, who(), why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    // Close whichever phases were open at abort time (no-ops otherwise).
-    r->end_at(node_.now(), op->span_suspend);
-    r->end_at(node_.now(), op->span_netckpt);
-    r->end_at(node_.now(), op->span_standalone);
-    r->end_at(node_.now(), op->span_stream);
-    r->end_at(node_.now(), op->span_cowmark);
-    r->end_at(node_.now(), op->span_barrier);
-    r->end_at(node_.now(), op->span_root);
-  }
+  obs::dump_op_failure(rec(), drain ? "ckpt_drain_fail" : "ckpt_abort",
+                       op->cmd.op_id, who(), why, node_.now());
+  // Close whichever phases were open at abort time (no-ops otherwise).
+  end_spans({op->span_suspend, op->span_netckpt, op->span_standalone,
+             op->span_stream, op->span_cowmark, op->span_barrier,
+             op->span_drain, op->span_root});
   trace_op("abort: " + why, op->cmd.op_id, op->span_root);
+  if (drain) {
+    // The pod is already running: a failed drain loses only this
+    // checkpoint attempt, never application state.  The CKPT_DONE went
+    // out at the barrier, so the failure closes the drain's epilogue.
+    if (op->mgr != nullptr && op->mgr->open()) {
+      EpilogueDone dd = drain_epilogue(*op, /*ok=*/false);
+      dd.error = why;
+      dd.transient = transient;
+      (void)op->mgr->send(encode_epilogue_done(dd));
+    }
+    return;
+  }
   // Gracefully resume the application (paper §4).
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod != nullptr) {
@@ -1271,23 +1102,24 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
     if (pod->suspended()) pod->resume();
   }
   if (op->mgr != nullptr) {
-    CkptDone done;
-    done.op_id = op->cmd.op_id;
-    done.pod_name = op->cmd.pod_name;
-    done.ok = false;
+    CkptDone done = ckpt_report(*op);
     done.error = why;
     done.transient = transient;
-    // Partial phase durations: what the pod HAD spent when it died, so
-    // aborted ledger lines still carry attribution-grade timings.
-    done.total_us = node_.now() - op->t_start;
-    done.suspend_us = op->suspend_us;
-    done.netckpt_us = op->netckpt_us;
-    done.standalone_us = op->standalone_us;
-    done.barrier_us = op->t_standalone_done > 0
-                          ? node_.now() - op->t_standalone_done
-                          : 0;
     (void)op->mgr->send(encode_ckpt_done(done));
   }
+}
+
+CkptDone Agent::ckpt_report(const CkptOp& op) {
+  CkptDone done;
+  done.op_id = op.cmd.op_id;
+  done.pod_name = op.cmd.pod_name;
+  done.total_us = node_.now() - op.t_start;
+  done.suspend_us = op.suspend_us;
+  done.netckpt_us = op.netckpt_us;
+  done.standalone_us = op.standalone_us;
+  done.barrier_us =
+      op.t_standalone_done > 0 ? node_.now() - op.t_standalone_done : 0;
+  return done;
 }
 
 // ---- Restart (Figure 3) ---------------------------------------------------------------
@@ -1306,7 +1138,7 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
 
   op->wm.enter("restart");
   if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { restart_beacon(op); });
+    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
   }
 
   // Apply the virtual→real location updates ("substituting the
@@ -1320,8 +1152,8 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
 
   if (uri.value().scheme == "san") {
     // Both paths decode straight from the committed object.  Pipelined
-    // restore charges its fetch leg per chunk in restart_stream_chunk;
-    // the bytes themselves land instantly (simulation logic).
+    // restore charges its fetch leg per chunk through san_step; the
+    // bytes themselves land instantly (simulation logic).
     auto data = node_.san().view(uri.value().path);
     if (!data) return restart_finish(op, data.status());
     const Bytes& img = *data.value();
@@ -1329,7 +1161,7 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
       trace_op("0a: pipelined fetch plan for " + op->cmd.pod_name + " (" +
                    std::to_string(img.size()) + " bytes in " +
                    std::to_string((img.size() + kStreamChunk - 1) /
-                                  std::max<std::size_t>(1, kStreamChunk)) +
+                                  kStreamChunk) +
                    " chunks)",
                op->cmd.op_id, op->span_root);
     }
@@ -1442,11 +1274,7 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
     if (referenced.count(s.old_id) == 0) unreferenced.insert(s.old_id);
   }
 
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_connectivity =
-        r->begin_at(node_.now(), "restart.connectivity", who(),
-                    op->span_root, op->cmd.op_id);
-  }
+  op->span_connectivity = begin_phase(*op, "restart.connectivity");
   op->wm.enter("restart.connectivity");
   op->connectivity = std::make_unique<ConnectivityRestore>(
       *op->pod, op->cmd.meta, op->image.sockets, std::move(unreferenced),
@@ -1467,9 +1295,7 @@ void Agent::restart_connectivity_done(const std::shared_ptr<RestartOp>& op,
   obs::metrics()
       .histogram("agent.restart.connectivity_us")
       .observe(op->t_conn_done - op->t_start);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(op->t_conn_done, op->span_connectivity);
-  }
+  end_spans({op->span_connectivity});
   trace_op("2: connectivity recovered for " + op->cmd.pod_name,
            op->cmd.op_id, op->span_root);
   restart_wait_redirects(op, /*waited=*/0);
@@ -1514,10 +1340,7 @@ void Agent::restart_wait_redirects(const std::shared_ptr<RestartOp>& op,
 void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
   if (op->finished) return;
   if (fault_crashed("restart.netstate")) return;
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_netstate = r->begin_at(node_.now(), "restart.netstate", who(),
-                                    op->span_root, op->cmd.op_id);
-  }
+  op->span_netstate = begin_phase(*op, "restart.netstate");
   // Step 3: restore the network state of every socket (and the
   // kernel-bypass device, if the pod had one).
   if (op->image.has_gm_device) {
@@ -1568,9 +1391,7 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
     if (op->finished) return;
     op->t_net_done = node_.now();
     obs::metrics().histogram("agent.restart.netstate_us").observe(cost);
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(op->t_net_done, op->span_netstate);
-    }
+    end_spans({op->span_netstate});
     trace_op("3: network state restored for " + op->cmd.pod_name,
              op->cmd.op_id, op->span_root);
     restart_standalone(op);
@@ -1580,11 +1401,7 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
 void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   if (op->finished) return;
   if (fault_crashed("restart.standalone")) return;
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_standalone =
-        r->begin_at(node_.now(), "restart.standalone", who(), op->span_root,
-                    op->cmd.op_id);
-  }
+  op->span_standalone = begin_phase(*op, "restart.standalone");
   // Step 4: standalone restart.  The *logic* (rebuilding processes, fd
   // tables, region bytes) happens instantly either way; what differs is
   // how the virtual time is charged.  The image is sized and the lazy
@@ -1678,8 +1495,7 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
         });
   }
 
-  op->t_fetch_start = node_.now();
-  op->fetch_stream = node_.san().stream_begin(os::SanStreamClass::FOREGROUND);
+  san_open(op->san, os::SanStreamClass::FOREGROUND);
   trace_op("4a: pipelined restore streaming " + std::to_string(op->hot_bytes) +
                "/" + std::to_string(image_bytes) + " region bytes for " +
                op->cmd.pod_name + " (" +
@@ -1687,41 +1503,33 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
                std::to_string(op->cold.size()) + " regions lazy-deferred)",
            op->cmd.op_id, op->span_root);
   // Per-process control overhead up front, then the hot set streams
-  // through the fetch → decode → rebuild pipeline chunk by chunk.
+  // through the fetch → decode → rebuild pipeline chunk by chunk, each
+  // costing max(fetch, decode, rebuild) instead of their sum.
   sim::Time fixed = costs_.restart_fixed +
                     costs_.per_process * op->image.processes.size();
-  after(fixed, [this, op] { restart_stream_chunk(op, 0, op->hot_bytes); });
-}
-
-void Agent::restart_stream_chunk(const std::shared_ptr<RestartOp>& op,
-                                 u64 off, u64 total) {
-  if (op->finished || op->pod == nullptr) {
-    node_.san().stream_end(op->fetch_stream);
-    op->fetch_stream = 0;
-    return;
-  }
-  if (off >= total) {
-    node_.san().stream_end(op->fetch_stream);
-    op->fetch_stream = 0;
-    op->fetch_us = node_.now() - op->t_fetch_start;
-    obs::metrics().histogram("agent.restart.standalone_us")
-        .observe(node_.now() - op->t_fetch_start);
-    trace_op("4: standalone restart done for " + op->cmd.pod_name +
-                 " (pipelined, " + std::to_string(op->fetch_us) + "us for " +
-                 std::to_string(op->hot_bytes) + " hot bytes)",
-             op->cmd.op_id, op->span_root);
-    restart_resume(op);
-    return;
-  }
-  u64 n = std::min<u64>(kStreamChunk, total - off);
-  double share = san_grant(op->fetch_stream, "restore", op->cmd.op_id,
-                           op->span_standalone, op->last_share);
-  sim::Time cost = costs_.restart_chunk_cost(n, share);
-  sim::Time eta = slowdown(costs_.restart_chunk_cost(total - off, share));
-  op->wm.enter("restart.standalone", op->t_fetch_start, node_.now() + eta,
-               total);
-  after(cost,
-        [this, op, off, n, total] { restart_stream_chunk(op, off + n, total); });
+  auto leg = std::make_shared<const SanLeg>(SanLeg{
+      .what = "restore",
+      .phase = "restart.standalone",
+      .span = op->span_standalone,
+      .total = op->hot_bytes,
+      .chunk = kStreamChunk,
+      .cost = &CostModel::restart_chunk_cost,
+      .live = [op] { return !op->finished && op->pod != nullptr; },
+      .tail = nullptr,
+      .done =
+          [this, op] {
+            op->fetch_us = node_.now() - op->san.t_start;
+            obs::metrics().histogram("agent.restart.standalone_us")
+                .observe(op->fetch_us);
+            trace_op("4: standalone restart done for " + op->cmd.pod_name +
+                         " (pipelined, " + std::to_string(op->fetch_us) +
+                         "us for " + std::to_string(op->hot_bytes) +
+                         " hot bytes)",
+                     op->cmd.op_id, op->span_root);
+            restart_resume(op);
+          },
+  });
+  after(fixed, [this, op, leg] { san_step(op, leg, 0); });
 }
 
 void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
@@ -1729,7 +1537,16 @@ void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
   op->pod->resume();
   op->t_downtime_end = node_.now();
   restart_finish(op, Status::ok());
-  if (op->lazy_remaining > 0) restart_lazy_begin(op);
+  // The lazy window: background fills of the cold regions (plus demand
+  // faults raised by the running pod), ending in an EPILOGUE_DONE.
+  if (op->lazy_remaining == 0 || !lazy_live(op)) return;
+  if (fault_crashed("restart.lazy")) return;
+  op->span_lazy = begin_phase(*op, "restart.lazy");
+  trace_op("6: lazy restore started for " + op->cmd.pod_name + " (" +
+               std::to_string(op->lazy_remaining) + " regions, " +
+               std::to_string(op->lazy_total_bytes) + " bytes)",
+           op->cmd.op_id, op->span_lazy);
+  restart_lazy_fill(op, 0);
 }
 
 // ---- Lazy restore window (DESIGN.md §13) -------------------------------------
@@ -1737,20 +1554,6 @@ void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
 bool Agent::lazy_live(const std::shared_ptr<RestartOp>& op) {
   return !crashed_ && !op->aborted && op->pod != nullptr &&
          find_pod(op->cmd.pod_name) == op->pod;
-}
-
-void Agent::restart_lazy_begin(const std::shared_ptr<RestartOp>& op) {
-  if (!lazy_live(op)) return;
-  if (fault_crashed("restart.lazy")) return;
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_lazy = r->begin_at(node_.now(), "restart.lazy", who(),
-                                op->span_root, op->cmd.op_id);
-  }
-  trace_op("6: lazy restore started for " + op->cmd.pod_name + " (" +
-               std::to_string(op->lazy_remaining) + " regions, " +
-               std::to_string(op->lazy_total_bytes) + " bytes)",
-           op->cmd.op_id, op->span_lazy);
-  restart_lazy_fill(op, 0);
 }
 
 void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
@@ -1769,25 +1572,31 @@ void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
   // Claim the region now so a racing demand fault cannot double-fill it;
   // the fill completes (and its cost elapses) before the next one starts.
   op->pod->clear_lazy_pending(c.vpid, c.name);
-  op->fetch_stream = node_.san().stream_begin(os::SanStreamClass::FOREGROUND);
-  double share = san_grant(op->fetch_stream, "lazy-fill", op->cmd.op_id,
-                           op->span_lazy, op->last_share);
-  sim::Time cost = costs_.lazy_fill_cost(c.bytes, share);
-  op->wm.enter("restart.lazy", node_.now(), node_.now() + slowdown(cost),
-               c.bytes);
-  after(cost, [this, op, idx] {
-    node_.san().stream_end(op->fetch_stream);
-    op->fetch_stream = 0;
-    const RestartOp::ColdRegion& done = op->cold[idx];
-    op->lazy_filled_bytes += done.bytes;
-    if (op->lazy_remaining > 0) --op->lazy_remaining;
-    trace_op("lazy.fill: region " + done.name + " of vpid " +
-                 std::to_string(done.vpid) + " (" +
-                 std::to_string(done.bytes) + " bytes)",
-             op->cmd.op_id, op->span_lazy);
-    if (!lazy_live(op)) return;
-    restart_lazy_fill(op, idx + 1);
-  });
+  san_open(op->san, os::SanStreamClass::FOREGROUND);
+  san_step(op,
+           std::make_shared<const SanLeg>(SanLeg{
+               .what = "lazy-fill",
+               .phase = "restart.lazy",
+               .span = op->span_lazy,
+               .total = c.bytes,
+               .chunk = 0,  // one step per region
+               .cost = &CostModel::lazy_fill_cost,
+               .live = nullptr,
+               .tail = nullptr,
+               .done =
+                   [this, op, idx] {
+                     const RestartOp::ColdRegion& done = op->cold[idx];
+                     op->lazy_filled_bytes += done.bytes;
+                     if (op->lazy_remaining > 0) --op->lazy_remaining;
+                     trace_op("lazy.fill: region " + done.name + " of vpid " +
+                                  std::to_string(done.vpid) + " (" +
+                                  std::to_string(done.bytes) + " bytes)",
+                              op->cmd.op_id, op->span_lazy);
+                     if (!lazy_live(op)) return;
+                     restart_lazy_fill(op, idx + 1);
+                   },
+           }),
+           0);
 }
 
 void Agent::restart_lazy_fault(const std::shared_ptr<RestartOp>& op,
@@ -1815,7 +1624,7 @@ void Agent::restart_lazy_fault(const std::shared_ptr<RestartOp>& op,
                std::to_string(vpid) + " (" + std::to_string(bytes) +
                " bytes, " + std::to_string(tax) + "us tax)",
            op->cmd.op_id, op->span_lazy);
-  if (op->lazy_remaining == 0 && op->fetch_stream == 0) {
+  if (op->lazy_remaining == 0 && op->san.stream == 0) {
     restart_lazy_finish(op);
   }
 }
@@ -1832,10 +1641,7 @@ void Agent::restart_lazy_finish(const std::shared_ptr<RestartOp>& op) {
                std::to_string(op->lazy_filled_bytes) + " bytes, " +
                std::to_string(op->lazy_faults) + " faults)",
            op->cmd.op_id, op->span_lazy);
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_lazy);
-    r->end_at(node_.now(), op->span_root);
-  }
+  end_spans({op->span_lazy, op->span_root});
   EpilogueDone ld;
   ld.op_id = op->cmd.op_id;
   ld.pod_name = op->cmd.pod_name;
@@ -1854,14 +1660,9 @@ void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   op->finished = true;
   op->ok = st.is_ok();
   const bool lazy_pending = st.is_ok() && op->lazy_remaining > 0;
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op->span_connectivity);
-    r->end_at(node_.now(), op->span_netstate);
-    r->end_at(node_.now(), op->span_standalone);
-    // With cold regions still to fill, the op's root span stays open
-    // until the lazy window drains (mirror of the COW drain span).
-    if (!lazy_pending) r->end_at(node_.now(), op->span_root);
-  }
+  // With cold regions still to fill, the op's root span stays open until
+  // the lazy window drains (mirror of the COW drain span).
+  restart_close_spans(*op, /*keep_root=*/lazy_pending);
   if (!st && op->pod != nullptr) {
     (void)destroy_pod(op->cmd.pod_name);  // clean up the partial pod
   }
@@ -1899,45 +1700,35 @@ void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   if (op->mgr != nullptr) (void)op->mgr->send(encode_restart_done(done));
 }
 
+void Agent::restart_close_spans(const RestartOp& op, bool keep_root) {
+  end_spans({op.span_connectivity, op.span_netstate, op.span_standalone,
+             op.span_lazy});
+  if (!keep_root) end_spans({op.span_root});
+}
+
 void Agent::restart_abort(const std::shared_ptr<RestartOp>& op,
                           const std::string& why) {
   // Runs on live AND already-finished restores: a Manager abort means
   // the coordinated restart failed as a whole, so even a pod this agent
   // restored successfully must be torn down.
   op->aborted = true;  // stops the lazy window, if one is running
-  node_.san().stream_end(op->fetch_stream);
-  op->fetch_stream = 0;
+  san_release(op->san);
   if (op->pod != nullptr) op->pod->set_lazy_fault_handler(nullptr);
-  if (op->finished && !op->lazy_done_sent && op->lazy_remaining > 0) {
-    // Aborted after RESTART_DONE, mid-lazy-window: close the spans the
-    // pending fills were keeping open.
-    if (obs::SpanRecorder* r = rec()) {
-      if (op->span_lazy != 0) r->end_at(node_.now(), op->span_lazy);
-      r->end_at(node_.now(), op->span_root);
-    }
-  }
-  if (!op->finished) {
+  const bool live = !op->finished;
+  if (live) {
     op->finished = true;
     ZLOG_WARN("agent@" << node_.name() << ": restart of " << op->cmd.pod_name
                        << " aborted: " << why);
     obs::dump_op_failure(rec(), "restart_abort", op->cmd.op_id, who(), why,
                          node_.now());
-    if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op->span_connectivity);
-      r->end_at(node_.now(), op->span_netstate);
-      r->end_at(node_.now(), op->span_standalone);
-      r->end_at(node_.now(), op->span_root);
-    }
-    trace_op("abort: " + why, op->cmd.op_id, op->span_root);
   }
+  // A live restore's open phases, or the spans a lazy window still kept
+  // open past RESTART_DONE; no-ops for a closed op.
+  restart_close_spans(*op, /*keep_root=*/false);
+  if (live) trace_op("abort: " + why, op->cmd.op_id, op->span_root);
   // Drop a parked stream wait belonging to this op.
-  for (auto it = waiting_restarts_.begin(); it != waiting_restarts_.end();) {
-    if (it->second == op) {
-      it = waiting_restarts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(waiting_restarts_,
+                [&op](const auto& w) { return w.second == op; });
   if (op->pod != nullptr) {
     op->connectivity.reset();  // holds references into the pod
     if (find_pod(op->cmd.pod_name) == op->pod) {

@@ -10,6 +10,7 @@
 // data for the migration optimization.
 #pragma once
 
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -86,10 +87,53 @@ class Agent {
     }
   };
 
-  struct CkptOp {
-    CheckpointCmd cmd;
+  /// An op's QoS-metered SAN transfers (DESIGN.md §13): the COW drain, or
+  /// the pipelined restore fetch and then the lazy fills, one stream at a
+  /// time.  `last_share` spans them: a fill stamps a receipt on a new grant.
+  struct SanXfer {
+    u64 stream = 0;            // VirtualSAN stream id (0 = not registered)
+    double last_share = -1.0;  // last granted share (QoS receipt dedup)
+    sim::Time t_start = 0;     // when the current transfer opened
+    u64 steps = 0;             // chunks the current transfer issued
+    u64 busy_us = 0;           // total costed chunk time
+    u64 bytes = 0;
+    u64 throttled_us = 0;  // chunk time spent under foreground traffic
+    u64 contended_us = 0;  // chunk time spent sharing with other drains
+  };
+
+  /// One transfer run by san_step: `total` bytes in `chunk`-byte steps
+  /// (0 = one step for the whole transfer, even an empty one), each
+  /// costed by `cost` at the share the SAN grants when the step starts.
+  struct SanLeg {
+    const char* what;   // QoS receipt label
+    const char* phase;  // watermark phase
+    obs::SpanId span;   // parent of the QoS receipts
+    u64 total;
+    u64 chunk;
+    sim::Time (CostModel::*cost)(u64, double) const;
+    std::function<bool()> live;       // per step; false stops (null: live)
+    std::function<sim::Time()> tail;  // after the last chunk, stream held
+    std::function<void()> done;       // once the stream is released
+  };
+
+  /// What every op this agent serves carries besides its command.
+  struct OpBase {
     MsgChannel* mgr = nullptr;
     sim::Time t_start = 0;
+    bool finished = false;
+    bool aborted = false;  // torn down; a restore's stops its lazy window
+    obs::SpanId span_root = 0;  // "ckpt" / "restart"; 0 when tracing is off
+    SanXfer san;  // drain: BACKGROUND; restore fetch, lazy fills: FOREGROUND
+    Watermark wm;    // introspection plane (cmd.heartbeat_us > 0)
+    u32 hb_seq = 0;  // beacons published so far
+  };
+
+  struct CkptOp : OpBase {
+    CheckpointCmd cmd;
+    // Fixed at ckpt_begin: the parsed destination (an error here fails
+    // the op only when the image is delivered) and the phase ordering.
+    Result<Uri> dest = Status(Err::INVALID, "no destination");
+    CkptOrdering ordering = CkptOrdering::NETWORK_FIRST;
     sim::Time t_standalone_done = 0;
     ckpt::PodImage image;
     // The encoded image until a SAN commit takes it over; encoded_size
@@ -100,8 +144,6 @@ class Agent {
     u64 queued_bytes = 0;
     bool continue_received = false;
     bool standalone_done = false;
-    bool finished = false;
-    bool aborted = false;
     // Incremental / streaming bookkeeping.
     bool is_delta = false;   // this image is a delta over the prior one
     u64 logical_bytes = 0;   // full pre-codec state size (all regions)
@@ -111,17 +153,7 @@ class Agent {
     // in a background drain after the pod resumes.
     bool cow = false;            // COW mode applies to this op
     bool drain_pending = false;  // pod resumed, drain still in flight
-    sim::Time t_drain_start = 0;
     u64 dirtied_bytes = 0;  // COW tax accrued during the drain
-    // SAN QoS bookkeeping (DESIGN.md §13): the drain is a BACKGROUND
-    // stream; chunks issued while foreground restart/migration traffic
-    // holds the SAN run at the QoS floor and are accounted as throttled.
-    u64 san_stream = 0;      // VirtualSAN stream id (0 = not registered)
-    u64 throttled_us = 0;    // drain time spent under foreground traffic
-    u64 contended_us = 0;    // drain time spent sharing with other drains
-    u64 drain_busy_us = 0;   // total costed chunk time
-    u64 drained_bytes = 0;
-    double last_share = -1.0;  // last granted share (QoS receipt dedup)
     // Two-phase SAN commit: the image is staged at `san_tmp` during the
     // standalone phase and renamed to `san_final` only after the
     // continue barrier, so an abort never clobbers the last good image.
@@ -131,7 +163,6 @@ class Agent {
     // message): the cross-node parent of this agent's resume records.
     obs::SpanId continue_event = 0;
     // Phase spans (Figure 2 breakdown); 0 when tracing is off.
-    obs::SpanId span_root = 0;        // "ckpt"
     obs::SpanId span_suspend = 0;     // "ckpt.suspend"
     obs::SpanId span_netckpt = 0;     // "ckpt.netckpt"
     obs::SpanId span_standalone = 0;  // "ckpt.standalone"
@@ -139,9 +170,6 @@ class Agent {
     obs::SpanId span_barrier = 0;     // "ckpt.barrier"
     obs::SpanId span_cowmark = 0;     // "ckpt.cowmark" (COW mode)
     obs::SpanId span_drain = 0;       // "ckpt.drain" (COW mode)
-    // Introspection plane (cmd.heartbeat_us > 0).
-    Watermark wm;
-    u32 hb_seq = 0;  // beacons published so far
     // Per-phase durations as measured (shipped in CKPT_DONE for the
     // Manager's op ledger); 0 for phases not reached.
     u64 suspend_us = 0;
@@ -150,23 +178,18 @@ class Agent {
     u64 cowmark_us = 0;
   };
 
-  struct RestartOp {
+  struct RestartOp : OpBase {
     RestartCmd cmd;
-    MsgChannel* mgr = nullptr;
-    sim::Time t_start = 0;
     sim::Time t_conn_done = 0;
     sim::Time t_net_done = 0;
     ckpt::PodImage image;
     pod::Pod* pod = nullptr;
     std::unique_ptr<ConnectivityRestore> connectivity;
     ckpt::SockMap socks;
-    bool finished = false;
-    bool ok = false;       // finished with the pod restored
-    bool aborted = false;  // Manager abort: stops a running lazy window
+    bool ok = false;  // finished with the pod restored
     // stream:// source: the consumed stream's tag and opening op.
     std::string stream_tag;
     obs::OpId stream_op = 0;
-    obs::SpanId span_root = 0;          // "restart"
     obs::SpanId span_connectivity = 0;  // "restart.connectivity"
     obs::SpanId span_netstate = 0;      // "restart.netstate"
     obs::SpanId span_standalone = 0;    // "restart.standalone"
@@ -178,8 +201,6 @@ class Agent {
     };
     std::vector<ColdRegion> cold;  // lazily-deferred regions, fill order
     sim::Time t_downtime_end = 0;  // pod resumed (downtime over)
-    sim::Time t_fetch_start = 0;
-    u64 fetch_stream = 0;     // FOREGROUND SAN stream id during eager fetch
     u64 fetch_us = 0;         // eager streaming duration
     u64 hot_bytes = 0;        // region bytes restored before resume
     u64 lazy_total_bytes = 0; // region bytes deferred past resume
@@ -188,11 +209,7 @@ class Agent {
     u64 lazy_fault_bytes = 0;
     std::size_t lazy_remaining = 0;  // cold regions not yet filled
     bool lazy_done_sent = false;
-    double last_share = -1.0;  // last granted share (QoS receipt dedup)
     obs::SpanId span_lazy = 0;  // "restart.lazy"
-    // Introspection plane (cmd.heartbeat_us > 0).
-    Watermark wm;
-    u32 hb_seq = 0;
   };
 
   struct Conn {
@@ -207,13 +224,18 @@ class Agent {
   void on_closed(Conn* conn);
   void reap_conns();
 
-  // Checkpoint phases (Figure 1, agent side).
+  // Checkpoint phases (Figure 1, agent side).  Under NETWORK_LAST the
+  // same two phase bodies run in the other order.
   void ckpt_begin(Conn* conn, CheckpointCmd cmd);
   void ckpt_network(const std::shared_ptr<CkptOp>& op);
   void ckpt_standalone(const std::shared_ptr<CkptOp>& op);
-  // NETWORK_LAST ablation path: standalone state first, network last.
-  void ckpt_standalone_pre(const std::shared_ptr<CkptOp>& op);
-  void ckpt_network_post(const std::shared_ptr<CkptOp>& op);
+  /// Closes the suspend phase as the first costed phase starts.
+  void ckpt_end_suspend(CkptOp& op);
+  /// " [delta #N]" for a delta image, "" otherwise (phase-3 traces).
+  static std::string delta_tag(const CkptOp& op);
+  /// CKPT_DONE with the (possibly partial) phase durations, so aborted
+  /// ledger lines still carry attribution-grade timings.
+  CkptDone ckpt_report(const CkptOp& op);
   void ckpt_standalone_done(const std::shared_ptr<CkptOp>& op);
   void ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op);
   // COW concurrent checkpoint (DESIGN.md §11): snapshot-mark inside the
@@ -221,10 +243,7 @@ class Agent {
   // background drain after the pod resumes.
   void ckpt_cowmark(const std::shared_ptr<CkptOp>& op);
   void ckpt_drain(const std::shared_ptr<CkptOp>& op);
-  void ckpt_drain_chunk(const std::shared_ptr<CkptOp>& op, std::size_t off);
   void ckpt_drain_commit(const std::shared_ptr<CkptOp>& op);
-  void ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
-                       const std::string& why, bool transient);
   /// The drain's EPILOGUE_DONE, with the fields its commit and its
   /// failure share.
   EpilogueDone drain_epilogue(const CkptOp& op, bool ok);
@@ -236,23 +255,29 @@ class Agent {
   Status commit_image(CkptOp& op, const std::string& path, bool publish);
   /// Moves the pod's incremental chain onto a just-committed image.
   void advance_chain(const CkptOp& op);
-  /// `transient` marks failures the Manager may safely retry (storage
-  /// hiccup, barrier watchdog) in the CKPT_DONE report.
+  /// The one checkpoint teardown.  `transient` marks failures the
+  /// Manager may safely retry (storage hiccup, barrier watchdog).  Past
+  /// the barrier only the COW drain is lost: the failure goes out as the
+  /// drain's EPILOGUE_DONE instead of a CKPT_DONE.
   void ckpt_abort(const std::shared_ptr<CkptOp>& op, const std::string& why,
                   bool transient = false);
   void deliver_image(const std::shared_ptr<CkptOp>& op);
   /// Captures header + processes into op->image, deciding full vs delta
   /// from the command and this agent's per-pod incremental state.
   void capture_standalone(const std::shared_ptr<CkptOp>& op, pod::Pod& pod);
-  /// Pipelined delivery for agent:// destinations: schedules each chunk's
-  /// send at the virtual time its serialization slice completes, so the
-  /// wire transfer overlaps serialization instead of following it.
-  void ckpt_stream(const std::shared_ptr<CkptOp>& op,
-                   const net::SockAddr& endpoint, const std::string& tag);
-  /// Ships redirected send queues to the peers' receiving agents
-  /// (migration optimization); `raw` is the already-open stream channel.
-  void ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
-                      const net::SockAddr& stream_endpoint);
+  /// Pipelined agent:// delivery, started with the standalone phase.
+  void ckpt_stream(const std::shared_ptr<CkptOp>& op);
+  /// The one agent:// sender: connects to op->dest, sends STREAM_OPEN,
+  /// the encoded image in chunks, STREAM_CLOSE and the redirects, then
+  /// runs `on_sent`.  Pipelined, each chunk is due once its serialize
+  /// slice elapses, so the wire overlaps serialization; otherwise every
+  /// chunk goes out inline, now.  Returns the pipelined schedule's span
+  /// (0 inline); an unreachable target aborts the op.
+  sim::Time stream_image(const std::shared_ptr<CkptOp>& op, bool pipelined,
+                         std::function<void()> on_sent);
+  /// Ships redirected send queues to the peers' receiving agents; `raw`
+  /// is the open stream channel.
+  void ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw);
 
   // Restart phases (Figure 3, agent side).
   void restart_begin(Conn* conn, RestartCmd cmd);
@@ -266,15 +291,8 @@ class Agent {
                               sim::Time waited);
   void restart_net_state(const std::shared_ptr<RestartOp>& op);
   void restart_standalone(const std::shared_ptr<RestartOp>& op);
-  // Pipelined restore (DESIGN.md §13): the image streams from the SAN in
-  // chunks, each costing max(fetch, decode, rebuild) instead of their
-  // sum; with cmd.lazy only the hot working set streams before resume.
-  void restart_stream_chunk(const std::shared_ptr<RestartOp>& op, u64 off,
-                            u64 total);
+  /// Resumes the restored pod and opens its lazy window, if any.
   void restart_resume(const std::shared_ptr<RestartOp>& op);
-  // Lazy window: background fills of the cold regions (plus demand
-  // faults raised by the running pod), ending in an EPILOGUE_DONE.
-  void restart_lazy_begin(const std::shared_ptr<RestartOp>& op);
   void restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
                          std::size_t idx);
   void restart_lazy_fault(const std::shared_ptr<RestartOp>& op, i32 vpid,
@@ -284,6 +302,8 @@ class Agent {
   /// not aborted, agent not crashed).
   bool lazy_live(const std::shared_ptr<RestartOp>& op);
   void restart_finish(const std::shared_ptr<RestartOp>& op, Status st);
+  /// Closes the restore's phase spans, and its root unless `keep_root`.
+  void restart_close_spans(const RestartOp& op, bool keep_root);
   /// Manager-initiated teardown: a failed *coordinated* restart means
   /// even a pod this agent restored successfully must be destroyed
   /// (mirror of the checkpoint abort).
@@ -292,11 +312,10 @@ class Agent {
 
   // Introspection plane: periodic HEARTBEAT/PROGRESS beacons while an
   // op runs, stamped into the causal trace under the op's root span.
-  void ckpt_beacon(const std::shared_ptr<CkptOp>& op);
-  void restart_beacon(const std::shared_ptr<RestartOp>& op);
-  void publish_beacon(MsgChannel* mgr, obs::OpId op_id,
-                      const std::string& pod, u32 seq, const Watermark& wm,
-                      obs::SpanId parent);
+  template <typename Op>
+  void beacon(const std::shared_ptr<Op>& op);
+  template <typename Op>
+  void publish_beacon(const Op& op);
 
   // Supervised mode (DESIGN.md §12): node-level liveness beacons
   // (op_id=0) on the supervisor's channel, even between ops.
@@ -311,20 +330,33 @@ class Agent {
   /// pending callback of this agent is dropped.  Returns true if the
   /// caller should stop immediately.
   bool fault_crashed(const char* phase);
+  /// The agent dies: it releases its SAN streams, runs nothing more, and
+  /// its node detaches from the fabric.
+  void die(const std::string& why);
 
-  void trace(const std::string& what);
-  /// Causally-tagged trace event for a coordinated op this agent serves.
+  /// Causally-tagged trace event for a coordinated op this agent serves
+  /// (op 0: node-level).
   void trace_op(const std::string& what, obs::OpId op, obs::SpanId parent);
-  /// Consults the SAN QoS scheduler for `stream`'s current share and, if
-  /// the grant changed since `last_share`, stamps a "qos: ..." receipt
-  /// into the trace (the validator checks these when a drain window
-  /// overlaps restart traffic).  Returns the granted share.
-  double san_grant(u64 stream, const char* what, obs::OpId op_id,
-                   obs::SpanId parent, double& last_share);
+  // The one QoS-metered SAN transfer step.  san_open registers the
+  // stream; each san_step grants, costs, accounts and watermarks one
+  // chunk and schedules the next; the last one (after any tail) releases
+  // the stream and runs `done`.  Every other exit releases through
+  // san_release.
+  void san_open(SanXfer& x, os::SanStreamClass cls);
+  template <typename Op>
+  void san_step(const std::shared_ptr<Op>& op,
+                const std::shared_ptr<const SanLeg>& leg, u64 off,
+                bool tail_paid = false);
+  void san_release(SanXfer& x);
   /// Span stream behind the trace (nullptr when tracing is off).
   obs::SpanRecorder* rec() {
     return trace_ != nullptr ? &trace_->recorder() : nullptr;
   }
+  /// Opens a phase span of `op` under its root now (0 untraced).
+  template <typename Op>
+  obs::SpanId begin_phase(const Op& op, const char* name);
+  /// Closes `spans` now; 0 or already-closed ids are no-ops.
+  void end_spans(std::initializer_list<obs::SpanId> spans);
   /// Causal-trace context for handing down into filter/TCP/netckpt.
   obs::ObsTag tag(obs::OpId op, obs::SpanId parent);
   std::string who() const { return "agent@" + node_.name(); }

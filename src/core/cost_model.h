@@ -75,25 +75,9 @@ struct CostModel {
 
   /// Serialization time of `bytes` of image data at the checkpoint copy
   /// rate — the one shared byte term behind standalone_ckpt_cost, each
-  /// streamed chunk, pipelined_stream_cost and qos_drain_chunk_cost.
+  /// streamed chunk and qos_drain_chunk_cost.
   sim::Time serialize_cost(u64 bytes) const {
     return bytes_cost(bytes, ckpt_bytes_per_sec);
-  }
-
-  /// Modeled elapsed time of a pipelined image transfer: serialization
-  /// overlaps the wire, so the pipeline drains in
-  /// max(serialize, transfer) plus one chunk's fill latency on the slower
-  /// leg, instead of serialize + transfer.  `wire_bytes_per_sec` is the
-  /// fabric bandwidth available to the stream.
-  sim::Time pipelined_stream_cost(u64 image_bytes, u64 wire_bytes_per_sec,
-                                  u64 chunk_bytes) const {
-    sim::Time serialize = serialize_cost(image_bytes);
-    sim::Time transfer = bytes_cost(image_bytes, wire_bytes_per_sec);
-    u64 first = image_bytes < chunk_bytes ? image_bytes : chunk_bytes;
-    sim::Time fill = serialize >= transfer
-                         ? bytes_cost(first, wire_bytes_per_sec)
-                         : serialize_cost(first);
-    return (serialize >= transfer ? serialize : transfer) + fill;
   }
 
   // ---- COW drain helpers (DESIGN.md §11) ----------------------------------

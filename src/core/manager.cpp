@@ -435,9 +435,9 @@ void Manager::connect_and_send(OpState& op) {
   // receives each peer pod's checkpoint stream: (vip -> endpoint) pairs
   // derived from targets with agent:// URIs.  The vip comes from the
   // target itself when supplied, otherwise from the previous checkpoint's
-  // meta-data.  Pods whose vip cannot be determined are simply not
-  // covered — their connections fall back to the normal send-queue
-  // resend.
+  // meta-data.  Pods whose vip cannot be determined, or whose URI does
+  // not parse (their agent reports that), are simply not covered — their
+  // connections fall back to the normal send-queue resend.
   std::vector<std::pair<net::IpAddr, net::SockAddr>> peer_agents;
   if (op.is_ckpt()) last_redirect_covered_.clear();
   if (op.redirect) {
@@ -448,20 +448,9 @@ void Manager::connect_and_send(OpState& op) {
         if (it != last_metas_.end()) vip = it->second.pod_vip;
       }
       if (vip.is_any()) continue;
-      if (t.uri.rfind("agent://", 0) != 0) continue;
-      std::string rest = t.uri.substr(8);
-      auto slash = rest.find('/');
-      auto colon = rest.find(':');
-      if (slash == std::string::npos || colon == std::string::npos ||
-          colon > slash) {
-        continue;
-      }
-      auto ip = net::IpAddr::parse(rest.substr(0, colon));
-      if (!ip) continue;
-      net::SockAddr ep{ip.value(),
-                       static_cast<u16>(std::stoul(
-                           rest.substr(colon + 1, slash - colon - 1)))};
-      peer_agents.emplace_back(vip, ep);
+      auto uri = parse_uri(t.uri);
+      if (!uri || uri.value().scheme != "agent") continue;
+      peer_agents.emplace_back(vip, uri.value().endpoint);
       last_redirect_covered_.insert(vip);
     }
   }
@@ -833,8 +822,9 @@ void Manager::gc_tmp(const OpState& op) {
   // renames it into place after the continue barrier, so after an abort
   // the temp — if the agent got that far — is the only debris.
   for (const Peer& p : op.peers) {
-    if (p.target.uri.rfind("san://", 0) != 0) continue;
-    std::string tmp = p.target.uri.substr(6) + ".tmp";
+    auto uri = parse_uri(p.target.uri);
+    if (!uri || uri.value().scheme != "san") continue;
+    std::string tmp = staging_path(uri.value().path);
     if (node_.san().remove(tmp).is_ok()) {
       obs::metrics().counter("ckpt.commit.gc_tmp").inc();
       trace_op("gc half-written image " + tmp, op.op_id, op.span_root);

@@ -248,6 +248,20 @@ struct RestartDone {
   u64 fetch_us = 0;
 };
 
+/// A checkpoint destination or restart source: "san://<path>",
+/// "stream://<tag>" or "agent://<ip>:<port>/<tag>".
+struct Uri {
+  std::string scheme;
+  std::string path;        // san path or stream tag
+  net::SockAddr endpoint;  // agent scheme only
+};
+
+/// Parses a Uri; a malformed one (unknown scheme, or an agent URI without
+/// tag, address or a 0..65535 port) fails Err::INVALID naming the URI.
+Result<Uri> parse_uri(const std::string& s);
+/// Where the two-phase SAN commit stages the image bound for `path`.
+std::string staging_path(const std::string& path);
+
 struct StreamOpen {
   u64 op_id = 0;
   std::string tag;

@@ -268,6 +268,41 @@ TEST_F(CoordinatedTest, DirectMigrationStreamsImages) {
   EXPECT_EQ(wait_client(3), 0);
 }
 
+TEST_F(CoordinatedTest, MalformedAgentUriFailsMigrationWithoutThrowing) {
+  start_app();
+  cl_.run_for(20 * sim::kMillisecond);
+
+  // A non-numeric port on one target: the Manager leaves that peer out
+  // of the redirect map, and its agent fails the op naming the URI.
+  const std::string bad =
+      "agent://" + nodes_[2]->addr().to_string() + ":x/server-img";
+  const std::string good =
+      "agent://" + nodes_[3]->addr().to_string() + ":7077/client-img";
+  Manager::CkptOptions opts;
+  opts.redirect_send_queues = true;
+  bool done = false;
+  Manager::CheckpointReport cr;
+  manager_->checkpoint(
+      {
+          {agents_[0]->addr(), "server-pod", bad, vip(1)},
+          {agents_[1]->addr(), "client-pod", good, vip(2)},
+      },
+      CkptMode::MIGRATE,
+      [&](Manager::CheckpointReport r) {
+        cr = std::move(r);
+        done = true;
+      },
+      opts);
+  for (int i = 0; i < 20000 && !done; ++i) cl_.run_for(sim::kMillisecond);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(cr.ok);
+  EXPECT_NE(cr.error.find(bad), std::string::npos) << cr.error;
+
+  // The failed migration resumed both source pods; the app completes.
+  ASSERT_NE(agents_[0]->find_pod("server-pod"), nullptr);
+  EXPECT_EQ(wait_client(1), 0);
+}
+
 TEST_F(CoordinatedTest, CheckpointOfMissingPodAbortsCleanly) {
   start_app();
   cl_.run_for(20 * sim::kMillisecond);

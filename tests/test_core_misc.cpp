@@ -159,6 +159,56 @@ TEST(Protocol, RedirectDataRoundTrip) {
   EXPECT_EQ(to_string(back.value().data), "queued payload");
 }
 
+TEST(Protocol, ParseUriTable) {
+  struct Case {
+    const char* uri;
+    bool ok;
+    const char* scheme;
+    const char* path;
+    u16 port;
+  };
+  const Case cases[] = {
+      {"san://ckpt/pod-a", true, "san", "ckpt/pod-a", 0},
+      {"stream://pod-a-mig", true, "stream", "pod-a-mig", 0},
+      {"agent://10.0.0.2:7077/pod-a-mig", true, "agent", "pod-a-mig", 7077},
+      {"agent://10.0.0.2:0/t", true, "agent", "t", 0},
+      {"agent://10.0.0.2:65535/t", true, "agent", "t", 65535},
+      {"agent://10.0.0.2:7077", false, "", "", 0},    // missing tag
+      {"agent://10.0.0.2/t", false, "", "", 0},       // missing port
+      {"agent://10.0.0.2:/t", false, "", "", 0},      // empty port
+      {"agent://10.0.0.2:x/t", false, "", "", 0},     // non-numeric
+      {"agent://10.0.0.2:77x/t", false, "", "", 0},   // trailing junk
+      {"agent://10.0.0.2:-1/t", false, "", "", 0},    // signed
+      {"agent://10.0.0.2:+1/t", false, "", "", 0},    // signed
+      {"agent://10.0.0.2: 1/t", false, "", "", 0},    // blank
+      {"agent://10.0.0.2:65536/t", false, "", "", 0},  // > 65535
+      {"agent://10.0.0.2:99999/t", false, "", "", 0},  // would wrap to 34463
+      {"agent://10.0.0.2:99999999999999999999/t", false, "", "", 0},
+      {"agent://10.0.0:7077/t", false, "", "", 0},    // bad address
+      {"agent://host/x:7077", false, "", "", 0},      // colon past the tag
+      {"nfs://ckpt/pod-a", false, "", "", 0},         // unknown scheme
+      {"ckpt/pod-a", false, "", "", 0},               // no scheme
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.uri);
+    auto u = parse_uri(c.uri);
+    ASSERT_EQ(u.is_ok(), c.ok) << u.status().to_string();
+    if (!c.ok) {
+      EXPECT_EQ(u.err(), Err::INVALID);
+      EXPECT_NE(u.status().message().find(c.uri), std::string::npos)
+          << u.status().message();
+      continue;
+    }
+    EXPECT_EQ(u.value().scheme, c.scheme);
+    EXPECT_EQ(u.value().path, c.path);
+    EXPECT_EQ(u.value().endpoint.port, c.port);
+  }
+  auto a = parse_uri("agent://10.0.0.2:7077/t");
+  ASSERT_TRUE(a.is_ok());
+  EXPECT_EQ(a.value().endpoint.ip, net::IpAddr::parse("10.0.0.2").value());
+  EXPECT_EQ(staging_path("ckpt/pod-a"), "ckpt/pod-a.tmp");
+}
+
 // ---- Full-stack corner cases -----------------------------------------------------
 
 class CornerTest : public ::testing::Test {

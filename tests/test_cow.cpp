@@ -165,8 +165,11 @@ TEST_F(CowTest, CowCutsDowntimeWithoutInflatingLatency) {
   EXPECT_GT(cow.max_dirtied_bytes, 0u);
   // ... but the total latency did not balloon (ISSUE bar: ≤ +20%).
   EXPECT_LE(cow.total_us, blocking.total_us * 12 / 10);
-  // The image still landed, committed, same order of size.
+  // The image still landed, committed, same order of size, and the
+  // drain released its SAN stream at the commit.
   EXPECT_TRUE(cl_.san().exists("ckpt/cow"));
+  EXPECT_EQ(cl_.san().active_foreground(), 0u);
+  EXPECT_EQ(cl_.san().active_drains(), 0u);
   EXPECT_GT(cow.max_image_bytes, u64{kBallast});
 
   // The ledger recorded the split: latency strictly beyond downtime,
@@ -242,6 +245,8 @@ TEST_F(CowTest, ConcurrentDrainsShareSanBandwidth) {
                     target(1, "pod-b", "san://ckpt/b")},
                    cow_opts());
   ASSERT_TRUE(pair.ok) << pair.error;
+  EXPECT_EQ(cl_.san().active_foreground(), 0u);
+  EXPECT_EQ(cl_.san().active_drains(), 0u);
 
   EXPECT_GT(pair.max_drain_us * 4, solo.max_drain_us * 5)
       << "pair " << pair.max_drain_us << "us vs solo " << solo.max_drain_us

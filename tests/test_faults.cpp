@@ -140,6 +140,13 @@ class FaultTest : public ::testing::Test {
     }
   }
 
+  /// Every exit of a SAN transfer (commit, failure, crash, abort)
+  /// released its QoS stream: nothing pins later drains to the floor.
+  void expect_san_streams_balanced() {
+    EXPECT_EQ(cl_.san().active_foreground(), 0u);
+    EXPECT_EQ(cl_.san().active_drains(), 0u);
+  }
+
   void arm(fault::FaultSpec spec) { fault::injector().arm(spec); }
 
   /// DESIGN.md §10: every op attempt that opened a Manager root span —
@@ -539,6 +546,7 @@ TEST_P(CowCrashPhaseTest, FailsPromptlyAndSurvivorKeepsRunning) {
   ASSERT_NE(cp, nullptr);
   EXPECT_FALSE(cp->suspended());
   expect_no_temp_images();
+  expect_san_streams_balanced();
 }
 
 INSTANTIATE_TEST_SUITE_P(CowPhases, CowCrashPhaseTest,
@@ -583,6 +591,7 @@ TEST_F(FaultTest, SanWriteFailDuringDrainRetriesToSuccess) {
   expect_ledger_line_per_op();
   EXPECT_EQ(wait_client(1), 0);
   expect_no_temp_images();
+  expect_san_streams_balanced();
 }
 
 TEST_F(FaultTest, CrashAtDrainLeavesLastGoodImageRestartable) {
@@ -622,6 +631,7 @@ TEST_F(FaultTest, CrashAtDrainLeavesLastGoodImageRestartable) {
   fault::injector().clear();
   cl_.run_for(sim::kSecond);
   expect_no_temp_images();
+  expect_san_streams_balanced();
   auto server_after = cl_.san().read("ckpt/server");
   ASSERT_TRUE(server_after.is_ok());
   EXPECT_EQ(server_before.value(), server_after.value());

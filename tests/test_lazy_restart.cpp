@@ -292,6 +292,12 @@ class LazyRestartTest : public ::testing::Test {
   }
   ~LazyRestartTest() override { fault::injector().clear(); }
 
+  /// Every restore fetch and lazy fill released its QoS stream.
+  void expect_san_streams_balanced() {
+    EXPECT_EQ(cl_.san().active_foreground(), 0u);
+    EXPECT_EQ(cl_.san().active_drains(), 0u);
+  }
+
   /// A quiet pod whose image is split across several equal ballast
   /// regions, each with a distinct fill byte — the shape lazy restore
   /// ranks and defers, and the pattern the byte-exactness checks verify.
@@ -386,6 +392,7 @@ TEST_F(LazyRestartTest, PipeliningAndLazinessCutDowntimeMonotonically) {
   auto pipe = restart({target(2, "pod-a", "san://ckpt/a")}, pipe_opts);
   ASSERT_TRUE(pipe.ok) << pipe.error;
   EXPECT_EQ(pipe.downtime_us, pipe.total_us);  // pipelined, still eager
+  expect_san_streams_balanced();
   ASSERT_TRUE(agents_[2]->destroy_pod("pod-a").is_ok());
   cl_.run_for(50 * sim::kMillisecond);
 
@@ -625,6 +632,7 @@ TEST_F(LazyRestartTest, DemandFaultsPullColdRegionsForward) {
   EXPECT_GT(rr.lazy_faults, 0u) << "an eager toucher should demand-fault "
                                    "at least one cold region";
   EXPECT_LT(rr.downtime_us, rr.total_us);
+  expect_san_streams_balanced();
 
   // The pod survived its own faults: still running, nothing pending.
   pod::Pod* rp = agents_[1]->find_pod("pod-touch");
@@ -633,6 +641,52 @@ TEST_F(LazyRestartTest, DemandFaultsPullColdRegionsForward) {
   os::Process* proc = rp->find_process(pid);
   ASSERT_NE(proc, nullptr);
   EXPECT_NE(proc->state(), os::ProcState::EXITED);
+}
+
+/// A Manager abort lands inside the lazy window, with a fill holding
+/// the SAN: the agent tears the restored pod down and the fill's stream
+/// is released, so no later drain is pinned to the QoS floor.
+TEST_F(LazyRestartTest, ManagerAbortMidLazyWindowReleasesSanStream) {
+  make_multi_region_pod(0, 1, "pod-a", 8, 16 << 20);
+  cl_.run_for(10 * sim::kMillisecond);
+  auto cr = ckpt({target(0, "pod-a", "san://ckpt/a")});
+  ASSERT_TRUE(cr.ok) << cr.error;
+  ASSERT_TRUE(agents_[0]->destroy_pod("pod-a").is_ok());
+  cl_.run_for(50 * sim::kMillisecond);
+
+  Manager::RestartReport rr;
+  bool done = false;
+  manager_->restart({target(1, "pod-a", "san://ckpt/a")}, {},
+                    [&](Manager::RestartReport r) {
+                      rr = std::move(r);
+                      done = true;
+                    },
+                    lazy_opts());
+  // Run until the first fill has claimed a cold region and more remain.
+  std::size_t cold = 0;
+  bool mid_window = false;
+  for (int i = 0; i < 20000 && !done && !mid_window; ++i) {
+    cl_.run_for(sim::kMillisecond);
+    pod::Pod* p = agents_[1]->find_pod("pod-a");
+    if (p == nullptr) continue;
+    if (cold == 0) cold = p->lazy_pending_count();
+    mid_window = p->lazy_pending_count() > 0 &&
+                 p->lazy_pending_count() < cold;
+  }
+  ASSERT_TRUE(mid_window);
+  ASSERT_FALSE(done);
+  EXPECT_EQ(cl_.san().active_foreground(), 1u);
+
+  manager_->abort_current("operator abort");
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(rr.ok);
+  // The ABORT reaches the agent well inside the 16 MiB fill in flight:
+  // the abort itself released the stream, not the fill's completion.
+  cl_.run_for(2 * sim::kMillisecond);
+  EXPECT_EQ(agents_[1]->find_pod("pod-a"), nullptr);
+  expect_san_streams_balanced();
+  cl_.run_for(200 * sim::kMillisecond);
+  expect_san_streams_balanced();
 }
 
 /// Fault sweep: the target node dies inside the lazy window.  The op

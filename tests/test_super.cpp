@@ -381,6 +381,64 @@ TEST_F(SuperTest, DeathMidCowDrainRecoversFromPreviousCommittedSet) {
   expect_no_temp_images();
 }
 
+/// A node dying in its beacon loop while its COW drain holds a SAN
+/// stream must give the grant back: a leaked BACKGROUND stream would
+/// split every later drain's share with a dead node forever.
+TEST_F(SuperTest, NodeDeathMidDrainReleasesItsSanStream) {
+  start_app(kLongEchoBytes);
+  // Ballast in the server pod: its drain (~100 ms) outlives the beacon
+  // tick (20 ms) that lands the kill.
+  pod::Pod* sp = agents_[0]->find_pod("server-pod");
+  ASSERT_NE(sp, nullptr);
+  i32 pid = sp->spawn(std::make_unique<test::CounterProgram>(1u << 30, 1000));
+  sp->find_process(pid)->region("ballast", 128 << 20).assign(128 << 20, 0x5a);
+  start_supervisor(fast_options());
+
+  core::Manager::CkptOptions cow = fast_options().ckpt;
+  cow.cow = true;
+  ASSERT_TRUE(checkpoint(cow).ok);  // the set recovery restores
+
+  core::Manager::CheckpointReport second;
+  bool done = false;
+  manager_->checkpoint(
+      {
+          {agents_[0]->addr(), "server-pod", "san://ckpt/server"},
+          {agents_[1]->addr(), "client-pod", "san://ckpt/client"},
+      },
+      core::CkptMode::SNAPSHOT,
+      [&](core::Manager::CheckpointReport r) {
+        second = std::move(r);
+        done = true;
+      },
+      cow);
+  // The server pod resumes the instant its drain starts.
+  bool suspended = false;
+  for (int i = 0; i < 20000 && !(suspended && !sp->suspended()); ++i) {
+    cl_.run_for(100);
+    suspended = suspended || sp->suspended();
+  }
+  ASSERT_FALSE(sp->suspended());
+  ASSERT_GT(cl_.san().active_drains(), 0u);
+  fault::FaultSpec kill;
+  kill.kind = fault::FaultKind::NODE_CRASH_AT_TIME;
+  kill.node = "n1";
+  kill.at_us = cl_.now();
+  fault::injector().arm(kill);
+
+  // Detection, then recovery onto the survivors from the first set.
+  for (int i = 0; i < 10000 && supervisor_->recoveries() == 0; ++i) {
+    cl_.run_for(sim::kMillisecond);
+  }
+  cl_.run_for(100 * sim::kMillisecond);
+  EXPECT_TRUE(nodes_[0]->failed());
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(second.ok) << "the kill landed after the drain committed";
+  EXPECT_EQ(supervisor_->recoveries(), 1u);
+  EXPECT_EQ(supervisor_->state(), Supervisor::State::IDLE);
+  EXPECT_EQ(cl_.san().active_foreground(), 0u);
+  EXPECT_EQ(cl_.san().active_drains(), 0u);
+}
+
 TEST_F(SuperTest, SlowNodeIsQuarantinedNotDeclaredDead) {
   const u64 started_before = counter_value("super.recovery.started");
   start_app();
