@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "bench/bench_common.h"
+#include "obs/event.h"
 
 namespace zapc::bench {
 namespace {
@@ -29,23 +30,30 @@ void run() {
   }
 
   print_header("Figure 2: coordinated checkpoint timeline (CPI, 4 nodes)",
-               "  t(ms)  who            event");
-  for (const auto& ev : tb.trace.events()) {
-    double ms = static_cast<double>(ev.t - t0) / 1000.0;
-    std::printf("%7.2f  %-14s %s\n", ms, ev.who.c_str(), ev.what.c_str());
+               "  t(ms)  who            record");
+  const obs::SpanRecorder& rec = tb.trace.recorder();
+  for (const obs::SpanRecord& r : rec.spans()) {
+    double ms = static_cast<double>(r.start - t0) / 1000.0;
+    std::printf("%7.2f  %-14s %s", ms, r.who.c_str(), r.name.c_str());
+    if (r.kind == obs::SpanKind::SPAN) {
+      std::printf("  (%.2f ms)", static_cast<double>(r.end - r.start) / 1000.0);
+    }
+    std::printf("\n");
   }
 
-  // Validate the single-synchronization property.
+  // Validate the single-synchronization property: every agent reported
+  // its meta-data (closed its network checkpoint) before the Manager's
+  // continue, and the standalone checkpoints ran past it.
   sim::Time sync_t = 0;
   std::vector<sim::Time> meta_times, standalone_times;
-  for (const auto& ev : tb.trace.events()) {
-    if (ev.what.find("send 'continue'") != std::string::npos) sync_t = ev.t;
-    if (ev.what.find("2a: meta-data reported") != std::string::npos) {
-      meta_times.push_back(ev.t);
+  for (const obs::SpanRecord& r : rec.spans()) {
+    if (r.kind == obs::SpanKind::EVENT &&
+        obs::ev::is(r.name, obs::ev::kContinue)) {
+      sync_t = r.start;
     }
-    if (ev.what.find("3: standalone checkpoint done") != std::string::npos) {
-      standalone_times.push_back(ev.t);
-    }
+    if (r.kind != obs::SpanKind::SPAN) continue;
+    if (r.name == "ckpt.netckpt") meta_times.push_back(r.end);
+    if (r.name == "ckpt.standalone") standalone_times.push_back(r.end);
   }
   bool all_meta_before_sync =
       !meta_times.empty() &&

@@ -5,6 +5,7 @@
 #include "core/netckpt.h"
 #include "fault/fault.h"
 #include "net/tcp.h"
+#include "obs/event.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/vtime.h"
@@ -12,6 +13,8 @@
 
 namespace zapc::core {
 namespace {
+
+namespace ev = obs::ev;
 
 constexpr std::size_t kStreamChunk = 256 * 1024;
 
@@ -84,8 +87,9 @@ void Agent::trace_op(const std::string& what, obs::OpId op,
   }
 }
 
-obs::ObsTag Agent::tag(obs::OpId op, obs::SpanId parent) {
-  return obs::ObsTag{rec(), who(), op, parent,
+template <typename Op>
+obs::ObsTag Agent::tag(const Op& op, obs::SpanId parent) {
+  return obs::ObsTag{rec(), who(), op.cmd.pod_name, op.cmd.op_id, parent,
                      [this] { return node_.now(); }};
 }
 
@@ -139,18 +143,17 @@ void Agent::san_step(const std::shared_ptr<Op>& op,
   // Each chunk is costed against the share the SAN grants this stream
   // right now: foreground restart or migration traffic squeezes drains
   // to the background floor (pause-resume) and concurrent drains split
-  // the rest.  A "qos: ..." receipt is stamped only on grant transitions,
+  // the rest.  An agent.qos receipt is stamped only on grant transitions,
   // so the trace stays bounded; the validator checks them where a drain
   // window overlaps restart traffic.
   const double share = node_.san().stream_share(x.stream);
   if (share != x.last_share) {
     x.last_share = share;
-    trace_op("qos: " + std::string(leg->what) + " granted " +
-                 std::to_string(static_cast<int>(share * 100.0 + 0.5)) +
-                 "% of SAN (" +
-                 std::to_string(node_.san().active_foreground()) +
-                 " foreground, " + std::to_string(node_.san().active_drains()) +
-                 " drains)",
+    trace_op(ev::Text(ev::kQos)
+                 .kv(ev::kLeg, leg->what)
+                 .kv("share_pct", static_cast<u64>(share * 100.0 + 0.5))
+                 .kv("fg", node_.san().active_foreground())
+                 .kv("drains", node_.san().active_drains()),
              op->cmd.op_id, leg->span);
   }
   const sim::Time cost = (costs_.*leg->cost)(n, share);
@@ -200,7 +203,7 @@ void Agent::publish_beacon(const Op& op) {
   // Watermarks accompany the beacon only while a byte-moving phase is
   // in flight; control phases (suspend, barrier) have nothing to meter.
   if (wm.bytes == 0 || wm.end <= wm.start) {
-    trace_op("hb seq=" + std::to_string(hb.seq) + " phase=" + wm.phase,
+    trace_op(ev::Text(ev::kHeartbeat).kv("seq", hb.seq).kv("phase", wm.phase),
              hb.op_id, op.span_root);
     return;
   }
@@ -221,10 +224,12 @@ void Agent::publish_beacon(const Op& op) {
   pm.eta_us = now >= wm.end ? 0 : wm.end - now;
   if (mgr != nullptr && mgr->open()) (void)mgr->send(encode_progress(pm));
   obs::metrics().counter("agent.progress.sent").inc();
-  trace_op("hb seq=" + std::to_string(hb.seq) + " phase=" + wm.phase +
-               " done=" + std::to_string(pm.bytes_done) + "/" +
-               std::to_string(pm.bytes_expected) + " eta=" +
-               obs::vtime_us(pm.eta_us),
+  trace_op(ev::Text(ev::kHeartbeat)
+               .kv("seq", hb.seq)
+               .kv("phase", wm.phase)
+               .kv("done", pm.bytes_done)
+               .kv("total", pm.bytes_expected)
+               .kv("eta", obs::vtime_us(pm.eta_us)),
            hb.op_id, op.span_root);
 }
 
@@ -233,9 +238,7 @@ void Agent::publish_beacon(const Op& op) {
 void Agent::supervise_begin(Conn* conn, SuperviseCmd cmd) {
   supervise_ch_ = conn->ch.get();
   supervise_hb_us_ = cmd.heartbeat_us;
-  trace_op("supervised mode: node beacons every " +
-               std::to_string(supervise_hb_us_) + "us",
-           0, 0);
+  trace_op(ev::Text(ev::kSupervised).kv("hb_us", supervise_hb_us_), 0, 0);
   if (supervise_hb_us_ > 0) supervise_tick();
 }
 
@@ -317,8 +320,6 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
         // everything this agent does from here on (unblock, resume,
         // first retransmit) — the causal edge of the Figure-2 barrier.
         if (cont) conn->ckpt->continue_event = cont.value().continue_event;
-        trace_op("3a: continue received for " + conn->ckpt->cmd.pod_name,
-                 conn->ckpt->cmd.op_id, conn->ckpt->continue_event);
         ckpt_maybe_finish(conn->ckpt);
       }
       break;
@@ -347,8 +348,9 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       if (!m) break;
       const std::string& tag = m.value().tag;
       streams_[tag].complete = true;
-      trace_op("stream " + tag + " complete (" +
-                   std::to_string(streams_[tag].data.size()) + " bytes)",
+      trace_op(ev::Text(ev::kStreamIn)
+                   .kv("tag", tag)
+                   .kv("bytes", streams_[tag].data.size()),
                streams_[tag].op_id, 0);
       auto wit = waiting_restarts_.find(tag);
       if (wit != waiting_restarts_.end()) {
@@ -457,20 +459,15 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
   }
 
   // Step 1: suspend the pod and block its network.
-  trace_op("1: suspend pod " + op->cmd.pod_name + ", block network",
+  trace_op(ev::Text(ev::kSuspend).kv(ev::kPod, op->cmd.pod_name),
            op->cmd.op_id, op->span_root);
   pod->suspend();
-  pod->filter().set_obs_tag(tag(op->cmd.op_id, op->span_suspend));
+  pod->filter().set_obs_tag(tag(*op, op->span_suspend));
   pod->filter().block_addr(pod->vip());
   after(costs_.suspend_cost(pod->process_count()), [this, op] {
     if (op->ordering == CkptOrdering::NETWORK_FIRST) return ckpt_network(op);
     ckpt_standalone(op);
   });
-}
-
-std::string Agent::delta_tag(const CkptOp& op) {
-  if (!op.is_delta) return "";
-  return " [delta #" + std::to_string(op.image.header.delta_seq) + "]";
 }
 
 void Agent::ckpt_end_suspend(CkptOp& op) {
@@ -548,7 +545,7 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
 
   // Step 2: network-state checkpoint (sockets + kernel-bypass device).
   Status st = NetCheckpoint::save(*pod, op->image.meta, op->image.sockets,
-                                  tag(op->cmd.op_id, op->span_netckpt));
+                                  tag(*op, op->span_netckpt));
   if (!st) return ckpt_abort(op, st.to_string());
   if (gm::GmDevice* dev = pod->gm_device_if_present()) {
     op->image.has_gm_device = true;
@@ -567,10 +564,6 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
     op->netckpt_us = cost;
     obs::metrics().histogram("agent.ckpt.netckpt_us").observe(cost);
     end_spans({op->span_netckpt});
-    trace_op(late ? "2(late): network checkpoint done for " + op->cmd.pod_name
-                  : "2: network checkpoint done for " + op->cmd.pod_name +
-                        " (" + std::to_string(cost) + "us)",
-             op->cmd.op_id, op->span_root);
     MetaReport report;
     report.op_id = op->cmd.op_id;
     report.pod_name = op->cmd.pod_name;
@@ -584,8 +577,6 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
     }
     // Step 2a: meta-data reported; the standalone checkpoint proceeds at
     // once (the barrier overlaps it).
-    trace_op("2a: meta-data reported for " + op->cmd.pod_name,
-             op->cmd.op_id, op->span_root);
     if (op->cow) return ckpt_cowmark(op);
     ckpt_standalone(op);
   });
@@ -651,14 +642,8 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
     obs::metrics().histogram("agent.ckpt.standalone_us").observe(cost);
     if (early) {
       end_spans({op->span_standalone});
-      trace_op("3(early): standalone checkpoint done for " + op->cmd.pod_name,
-               op->cmd.op_id, op->span_root);
       return ckpt_network(op);
     }
-    trace_op("3: standalone checkpoint done for " + op->cmd.pod_name + " (" +
-                 std::to_string(op->encoded_size) + " bytes)" +
-                 delta_tag(*op),
-             op->cmd.op_id, op->span_root);
     ckpt_standalone_done(op);
   });
 }
@@ -671,10 +656,6 @@ void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op) {
     obs::metrics().histogram("agent.ckpt.standalone_us")
         .observe(op->standalone_us);
     end_spans({op->span_stream});
-    trace_op("3: standalone checkpoint streamed for " + op->cmd.pod_name +
-                 " (" + std::to_string(op->encoded_size) +
-                 " bytes pipelined)",
-             op->cmd.op_id, op->span_root);
     op->delivered = true;
     ckpt_standalone_done(op);
   });
@@ -777,10 +758,6 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
     op->cowmark_us = cost;
     obs::metrics().histogram("agent.ckpt.cowmark_us").observe(cost);
     end_spans({op->span_cowmark});
-    trace_op("3: COW snapshot marked for " + op->cmd.pod_name + " (" +
-                 std::to_string(op->logical_bytes) + " logical bytes)" +
-                 delta_tag(*op),
-             op->cmd.op_id, op->span_root);
     ckpt_standalone_done(op);
   });
 }
@@ -792,14 +769,9 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
   op->span_drain = begin_phase(*op, "ckpt.drain");
   op->encoded_image = ckpt::encode_image(op->image);
   op->encoded_size = op->encoded_image.size();
-  trace_op("5: background drain started for " + op->cmd.pod_name + " (" +
-               std::to_string(op->encoded_size) + " bytes, " +
-               std::to_string(node_.san().active_drains()) +
-               " concurrent drains)",
-           op->cmd.op_id, op->span_drain);
   san_step(op,
            std::make_shared<const SanLeg>(SanLeg{
-               .what = "drain",
+               .what = ev::kLegDrain,
                .phase = "ckpt.drain",
                .span = op->span_drain,
                .total = op->encoded_size,
@@ -837,12 +809,6 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.epilogue_us);
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
-  trace_op("5a: image drained and committed to " + op->san_final + " (" +
-               std::to_string(op->encoded_size) + " bytes, " +
-               std::to_string(op->dirtied_bytes) + " dirtied, " +
-               std::to_string(op->san.throttled_us) + "us throttled, " +
-               std::to_string(op->san.contended_us) + "us contended)",
-           op->cmd.op_id, op->span_drain);
   end_spans({op->span_drain, op->span_root});
   if (op->mgr != nullptr && op->mgr->open()) {
     (void)op->mgr->send(encode_epilogue_done(dd));
@@ -982,8 +948,6 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   if (!op->san_tmp.empty()) {
     Status st = commit_image(*op, op->san_final, /*publish=*/true);
     if (!st) return ckpt_abort(op, st.message(), /*transient=*/true);
-    trace_op("3b: image committed to " + op->san_final, op->cmd.op_id,
-             op->span_barrier);
   }
   // COW mode: the pod resumes now, but the op stays open — the image
   // drains to the SAN in the background and EPILOGUE_DONE closes it.
@@ -1013,11 +977,8 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
       pod->resume();
       // Parented under the Manager's 'continue' EVENT: the cross-node
       // causal edge (barrier release → this pod's unblock/resume).
-      if (obs::SpanRecorder* r = rec()) {
-        r->event_at(node_.now(), who(),
-                    "agent.resume pod=" + op->cmd.pod_name,
-                    op->continue_event, op->cmd.op_id);
-      }
+      trace_op(ev::Text(ev::kResume).kv(ev::kPod, op->cmd.pod_name),
+               op->cmd.op_id, op->continue_event);
       // Suppressed retransmissions resume on their own once the filter
       // opens; tag each established socket so the first one extends the
       // causal tree down to the wire.
@@ -1025,16 +986,14 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
       for (net::SockId sid : stack.all_socket_ids()) {
         if (net::TcpSocket* t = stack.find_tcp(sid)) {
           if (t->state() == net::TcpState::ESTABLISHED) {
-            t->tag_next_retransmit(tag(op->cmd.op_id, op->continue_event));
+            t->tag_next_retransmit(tag(*op, op->continue_event));
           }
         }
       }
-      trace_op("4: pod " + op->cmd.pod_name + " resumed", op->cmd.op_id,
-               op->continue_event);
     } else {
       pod->filter().clear_obs_tag();
       (void)destroy_pod(op->cmd.pod_name);
-      trace_op("4: pod " + op->cmd.pod_name + " destroyed (migration)",
+      trace_op(ev::Text(ev::kDestroy).kv(ev::kPod, op->cmd.pod_name),
                op->cmd.op_id, op->continue_event);
     }
   }
@@ -1081,7 +1040,6 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
   end_spans({op->span_suspend, op->span_netckpt, op->span_standalone,
              op->span_stream, op->span_cowmark, op->span_barrier,
              op->span_drain, op->span_root});
-  trace_op("abort: " + why, op->cmd.op_id, op->span_root);
   if (drain) {
     // The pod is already running: a failed drain loses only this
     // checkpoint attempt, never application state.  The CKPT_DONE went
@@ -1156,16 +1114,7 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
     // bytes themselves land instantly (simulation logic).
     auto data = node_.san().view(uri.value().path);
     if (!data) return restart_finish(op, data.status());
-    const Bytes& img = *data.value();
-    if (op->cmd.pipelined) {
-      trace_op("0a: pipelined fetch plan for " + op->cmd.pod_name + " (" +
-                   std::to_string(img.size()) + " bytes in " +
-                   std::to_string((img.size() + kStreamChunk - 1) /
-                                  kStreamChunk) +
-                   " chunks)",
-               op->cmd.op_id, op->span_root);
-    }
-    restart_with_image(op, img);
+    restart_with_image(op, *data.value());
     return;
   }
   if (uri.value().scheme == "stream") {
@@ -1201,6 +1150,8 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
   auto image = ckpt::decode_image(image_bytes);
   if (!image) return restart_finish(op, image.status());
   op->image = std::move(image).value();
+  ev::Text created(ev::kCreate);
+  created.kv(ev::kPod, op->cmd.pod_name).kv("bytes", image_bytes.size());
 
   // Delta image: walk the base chain back to the full root (all bases
   // live on the cluster-wide SAN, so any node can compose), then overlay
@@ -1232,9 +1183,7 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
       op->image = std::move(composed).value();
     }
     obs::metrics().counter("agent.restart.deltas_composed").inc(depth);
-    trace_op("0: composed delta chain of depth " + std::to_string(depth) +
-                 " for " + op->cmd.pod_name,
-             op->cmd.op_id, op->span_root);
+    created.kv("delta_depth", depth);
   }
 
   if (node_.find_domain(op->image.header.vip) != nullptr) {
@@ -1246,8 +1195,7 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
     // committed image — tear it down and restore in its place.
     for (auto it = pods_.begin(); it != pods_.end(); ++it) {
       if (it->second->vip() == op->image.header.vip) {
-        trace_op("0: replacing live pod " + it->first + " for recovery",
-                 op->cmd.op_id, op->span_root);
+        created.kv("replaced", it->first);
         pods_.erase(it);
         break;
       }
@@ -1261,8 +1209,7 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
   // Step 1: create a new pod.
   op->pod = &create_pod(op->image.header.vip, op->cmd.pod_name);
   ckpt::Standalone::restore_header(*op->pod, op->image.header);
-  trace_op("1: pod " + op->cmd.pod_name + " created for restart",
-           op->cmd.op_id, op->span_root);
+  trace_op(created, op->cmd.op_id, op->span_root);
 
   // Step 2: recover network connectivity.
   std::set<net::SockId> referenced;
@@ -1282,7 +1229,7 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
       [this, op](Status st, ckpt::SockMap map) {
         restart_connectivity_done(op, std::move(st), std::move(map));
       });
-  op->connectivity->set_obs_tag(tag(op->cmd.op_id, op->span_connectivity));
+  op->connectivity->set_obs_tag(tag(*op, op->span_connectivity));
   op->connectivity->start();
 }
 
@@ -1296,8 +1243,6 @@ void Agent::restart_connectivity_done(const std::shared_ptr<RestartOp>& op,
       .histogram("agent.restart.connectivity_us")
       .observe(op->t_conn_done - op->t_start);
   end_spans({op->span_connectivity});
-  trace_op("2: connectivity recovered for " + op->cmd.pod_name,
-           op->cmd.op_id, op->span_root);
   restart_wait_redirects(op, /*waited=*/0);
 }
 
@@ -1379,7 +1324,7 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
     Status st =
         NetCheckpoint::restore_socket(*op->pod, mit->second, img, discard,
                                       extra,
-                                      tag(op->cmd.op_id, op->span_netstate));
+                                      tag(*op, op->span_netstate));
     if (!st) return restart_finish(op, st);
   }
 
@@ -1392,8 +1337,6 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
     op->t_net_done = node_.now();
     obs::metrics().histogram("agent.restart.netstate_us").observe(cost);
     end_spans({op->span_netstate});
-    trace_op("3: network state restored for " + op->cmd.pod_name,
-             op->cmd.op_id, op->span_root);
     restart_standalone(op);
   });
 }
@@ -1473,8 +1416,6 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
     after(cost, [this, op, cost] {
       if (op->finished || op->pod == nullptr) return;
       obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
-      trace_op("4: standalone restart done for " + op->cmd.pod_name,
-               op->cmd.op_id, op->span_root);
       restart_resume(op);
     });
     return;
@@ -1496,19 +1437,13 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   }
 
   san_open(op->san, os::SanStreamClass::FOREGROUND);
-  trace_op("4a: pipelined restore streaming " + std::to_string(op->hot_bytes) +
-               "/" + std::to_string(image_bytes) + " region bytes for " +
-               op->cmd.pod_name + " (" +
-               std::to_string(op->lazy_total_bytes) + " bytes in " +
-               std::to_string(op->cold.size()) + " regions lazy-deferred)",
-           op->cmd.op_id, op->span_root);
   // Per-process control overhead up front, then the hot set streams
   // through the fetch → decode → rebuild pipeline chunk by chunk, each
   // costing max(fetch, decode, rebuild) instead of their sum.
   sim::Time fixed = costs_.restart_fixed +
                     costs_.per_process * op->image.processes.size();
   auto leg = std::make_shared<const SanLeg>(SanLeg{
-      .what = "restore",
+      .what = ev::kLegRestore,
       .phase = "restart.standalone",
       .span = op->span_standalone,
       .total = op->hot_bytes,
@@ -1521,11 +1456,6 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
             op->fetch_us = node_.now() - op->san.t_start;
             obs::metrics().histogram("agent.restart.standalone_us")
                 .observe(op->fetch_us);
-            trace_op("4: standalone restart done for " + op->cmd.pod_name +
-                         " (pipelined, " + std::to_string(op->fetch_us) +
-                         "us for " + std::to_string(op->hot_bytes) +
-                         " hot bytes)",
-                     op->cmd.op_id, op->span_root);
             restart_resume(op);
           },
   });
@@ -1536,16 +1466,18 @@ void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
   if (op->finished || op->pod == nullptr) return;
   op->pod->resume();
   op->t_downtime_end = node_.now();
+  // Downtime is over; the resume announces the cold regions the lazy
+  // window still owes the pod.
+  ev::Text resumed(ev::kResume);
+  resumed.kv(ev::kPod, op->cmd.pod_name);
+  if (op->lazy_remaining > 0) resumed.kv(ev::kLazyRegions, op->lazy_remaining);
+  trace_op(resumed, op->cmd.op_id, op->span_root);
   restart_finish(op, Status::ok());
   // The lazy window: background fills of the cold regions (plus demand
   // faults raised by the running pod), ending in an EPILOGUE_DONE.
   if (op->lazy_remaining == 0 || !lazy_live(op)) return;
   if (fault_crashed("restart.lazy")) return;
   op->span_lazy = begin_phase(*op, "restart.lazy");
-  trace_op("6: lazy restore started for " + op->cmd.pod_name + " (" +
-               std::to_string(op->lazy_remaining) + " regions, " +
-               std::to_string(op->lazy_total_bytes) + " bytes)",
-           op->cmd.op_id, op->span_lazy);
   restart_lazy_fill(op, 0);
 }
 
@@ -1575,7 +1507,7 @@ void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
   san_open(op->san, os::SanStreamClass::FOREGROUND);
   san_step(op,
            std::make_shared<const SanLeg>(SanLeg{
-               .what = "lazy-fill",
+               .what = ev::kLegLazyFill,
                .phase = "restart.lazy",
                .span = op->span_lazy,
                .total = c.bytes,
@@ -1588,9 +1520,11 @@ void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
                      const RestartOp::ColdRegion& done = op->cold[idx];
                      op->lazy_filled_bytes += done.bytes;
                      if (op->lazy_remaining > 0) --op->lazy_remaining;
-                     trace_op("lazy.fill: region " + done.name + " of vpid " +
-                                  std::to_string(done.vpid) + " (" +
-                                  std::to_string(done.bytes) + " bytes)",
+                     trace_op(ev::Text(ev::kLazyFill)
+                                  .kv(ev::kPod, op->cmd.pod_name)
+                                  .kv(ev::kVpid, done.vpid)
+                                  .kv(ev::kRegion, done.name)
+                                  .kv("bytes", done.bytes),
                               op->cmd.op_id, op->span_lazy);
                      if (!lazy_live(op)) return;
                      restart_lazy_fill(op, idx + 1);
@@ -1620,9 +1554,12 @@ void Agent::restart_lazy_fault(const std::shared_ptr<RestartOp>& op,
   op->lazy_fault_bytes += bytes;
   op->lazy_filled_bytes += bytes;
   obs::metrics().histogram("agent.restart.lazy_fault_us").observe(tax);
-  trace_op("lazy.fault: region " + name + " of vpid " +
-               std::to_string(vpid) + " (" + std::to_string(bytes) +
-               " bytes, " + std::to_string(tax) + "us tax)",
+  trace_op(ev::Text(ev::kLazyFault)
+               .kv(ev::kPod, op->cmd.pod_name)
+               .kv(ev::kVpid, vpid)
+               .kv(ev::kRegion, name)
+               .kv("bytes", bytes)
+               .kv("tax_us", tax),
            op->cmd.op_id, op->span_lazy);
   if (op->lazy_remaining == 0 && op->san.stream == 0) {
     restart_lazy_finish(op);
@@ -1637,10 +1574,6 @@ void Agent::restart_lazy_finish(const std::shared_ptr<RestartOp>& op) {
   obs::metrics().histogram("agent.restart.lazy_us").observe(lazy_us);
   obs::metrics().histogram("agent.restart.lazy_faults")
       .observe(op->lazy_faults);
-  trace_op("7: lazy restore done for " + op->cmd.pod_name + " (" +
-               std::to_string(op->lazy_filled_bytes) + " bytes, " +
-               std::to_string(op->lazy_faults) + " faults)",
-           op->cmd.op_id, op->span_lazy);
   end_spans({op->span_lazy, op->span_root});
   EpilogueDone ld;
   ld.op_id = op->cmd.op_id;
@@ -1690,13 +1623,6 @@ void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   done.hot_bytes = op->hot_bytes;
   done.lazy_bytes = op->lazy_total_bytes;
   done.fetch_us = op->fetch_us;
-  trace_op("5: restart of " + op->cmd.pod_name +
-               (st.is_ok() ? " done" : " FAILED: " + st.to_string()) +
-               (lazy_pending
-                    ? " (" + std::to_string(op->lazy_remaining) +
-                          " regions lazy-pending)"
-                    : ""),
-           op->cmd.op_id, op->span_root);
   if (op->mgr != nullptr) (void)op->mgr->send(encode_restart_done(done));
 }
 
@@ -1725,7 +1651,6 @@ void Agent::restart_abort(const std::shared_ptr<RestartOp>& op,
   // A live restore's open phases, or the spans a lazy window still kept
   // open past RESTART_DONE; no-ops for a closed op.
   restart_close_spans(*op, /*keep_root=*/false);
-  if (live) trace_op("abort: " + why, op->cmd.op_id, op->span_root);
   // Drop a parked stream wait belonging to this op.
   std::erase_if(waiting_restarts_,
                 [&op](const auto& w) { return w.second == op; });
@@ -1733,7 +1658,7 @@ void Agent::restart_abort(const std::shared_ptr<RestartOp>& op,
     op->connectivity.reset();  // holds references into the pod
     if (find_pod(op->cmd.pod_name) == op->pod) {
       (void)destroy_pod(op->cmd.pod_name);
-      trace_op("abort: pod " + op->cmd.pod_name + " torn down",
+      trace_op(ev::Text(ev::kDestroy).kv(ev::kPod, op->cmd.pod_name),
                op->cmd.op_id, op->span_root);
     }
     op->pod = nullptr;

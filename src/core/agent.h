@@ -16,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "ckpt/image.h"
 #include "ckpt/standalone.h"
@@ -105,7 +106,7 @@ class Agent {
   /// (0 = one step for the whole transfer, even an empty one), each
   /// costed by `cost` at the share the SAN grants when the step starts.
   struct SanLeg {
-    const char* what;   // QoS receipt label
+    std::string_view what;  // agent.qos receipt leg
     const char* phase;  // watermark phase
     obs::SpanId span;   // parent of the QoS receipts
     u64 total;
@@ -231,8 +232,6 @@ class Agent {
   void ckpt_standalone(const std::shared_ptr<CkptOp>& op);
   /// Closes the suspend phase as the first costed phase starts.
   void ckpt_end_suspend(CkptOp& op);
-  /// " [delta #N]" for a delta image, "" otherwise (phase-3 traces).
-  static std::string delta_tag(const CkptOp& op);
   /// CKPT_DONE with the (possibly partial) phase durations, so aborted
   /// ledger lines still carry attribution-grade timings.
   CkptDone ckpt_report(const CkptOp& op);
@@ -358,7 +357,8 @@ class Agent {
   /// Closes `spans` now; 0 or already-closed ids are no-ops.
   void end_spans(std::initializer_list<obs::SpanId> spans);
   /// Causal-trace context for handing down into filter/TCP/netckpt.
-  obs::ObsTag tag(obs::OpId op, obs::SpanId parent);
+  template <typename Op>
+  obs::ObsTag tag(const Op& op, obs::SpanId parent);
   std::string who() const { return "agent@" + node_.name(); }
   /// Applies the injected SLOW_NODE cost multiplier (fault/fault.h) to a
   /// modeled delay; identity when no fault is armed.

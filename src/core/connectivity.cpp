@@ -171,10 +171,11 @@ void ConnectivityRestore::drive_connect(ConnTask& t) {
         if (sock->state() == net::TcpState::ESTABLISHED) {
           t.st = ConnTask::St::DONE;
           map_[t.entry.sock] = t.sock;
-          tag_.event("conn.reformed connect local=" +
-                     t.entry.source.to_string() +
-                     " remote=" + t.entry.target.to_string() +
-                     " retries=" + std::to_string(t.retries));
+          tag_.event(obs::ev::Text(obs::ev::kConnReformed)
+                         .kv("side", "connect")
+                         .kv(obs::ev::kLocal, t.entry.source.to_string())
+                         .kv(obs::ev::kRemote, t.entry.target.to_string())
+                         .kv("retries", t.retries));
           break;
         }
         if (sock->state() == net::TcpState::CLOSED) {
@@ -218,9 +219,10 @@ void ConnectivityRestore::run_acceptor() {
           t.matched = true;
           t.sock = child_id;
           map_[t.entry.sock] = child_id;
-          tag_.event("conn.reformed accept local=" +
-                     t.entry.source.to_string() +
-                     " remote=" + t.entry.target.to_string());
+          tag_.event(obs::ev::Text(obs::ev::kConnReformed)
+                         .kv("side", "accept")
+                         .kv(obs::ev::kLocal, t.entry.source.to_string())
+                         .kv(obs::ev::kRemote, t.entry.target.to_string()));
           break;
         }
       }

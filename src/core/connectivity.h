@@ -20,7 +20,7 @@
 
 #include "ckpt/image.h"
 #include "ckpt/standalone.h"
-#include "obs/span.h"
+#include "obs/event.h"
 #include "pod/pod.h"
 
 namespace zapc::core {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/event.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -11,40 +12,31 @@
 namespace zapc::core {
 namespace {
 
+namespace ev = obs::ev;
+
 /// The words that differ between a checkpoint and a restart running the
-/// shared op skeleton: span, metric, ledger, event and error text.
+/// shared op skeleton: span, metric, ledger and error text.
 struct KindText {
   const char* tag;   // "mgr.<tag>" spans and metrics, ledger kind
-  const char* noun;  // log and event wording
-  const char* done_event;  // Manager event on a pod's DONE arrival
+  const char* noun;  // log and error wording
   const char* done_error;  // reason prefix of a failed DONE
   const char* epilogue;    // background epilogue: "<epilogue>_wait" phase
-  const char* epilogue_event;
   const char* epilogue_error;
   const char* bad_epilogue;
-  const char* resumed;  // all pods resumed, epilogues still in flight
 };
 
-constexpr KindText kCkptText{
-    "ckpt",
-    "checkpoint",
-    "4: 'done' received from ",
-    "agent reported failure for ",
-    "drain",
-    "5: 'drain-done' received from ",
-    "agent reported drain failure for ",
-    "bad drain report",
-    "4b: all pods resumed (downtime over); drains in flight"};
-constexpr KindText kRestartText{
-    "restart",
-    "restart",
-    "2: 'done' received from ",
-    "agent reported restart failure for ",
-    "lazy",
-    "6: 'lazy-done' received from ",
-    "agent reported lazy-restore failure for ",
-    "bad lazy report",
-    "3b: all pods resumed (downtime over); lazy fills in flight"};
+constexpr KindText kCkptText{"ckpt",
+                             "checkpoint",
+                             "agent reported failure for ",
+                             "drain",
+                             "agent reported drain failure for ",
+                             "bad drain report"};
+constexpr KindText kRestartText{"restart",
+                                "restart",
+                                "agent reported restart failure for ",
+                                "lazy",
+                                "agent reported lazy-restore failure for ",
+                                "bad lazy report"};
 
 template <typename Report>
 Report failed_report(const std::string& why, obs::OpId op, u32 attempts) {
@@ -75,10 +67,6 @@ Manager::Manager(os::Node& node, Trace* trace)
 }
 
 Manager::~Manager() { *alive_ = false; }
-
-void Manager::trace(const std::string& what) {
-  if (trace_ != nullptr) trace_->add(node_.now(), "manager", what);
-}
 
 void Manager::trace_op(const std::string& what, obs::OpId op,
                        obs::SpanId parent) {
@@ -247,13 +235,14 @@ void Manager::abort_current(const std::string& why) {
 void Manager::health_drain_warnings(obs::OpId op, obs::SpanId root) {
   for (const obs::HealthWarning& w : health_.take_warnings()) {
     obs::metrics().counter("mgr.health.early_warnings").inc();
-    std::string what = "health.warn pod=" + w.pod + " phase=" + w.phase;
+    ev::Text warn(ev::kHealthWarn);
+    warn.kv(ev::kPod, w.pod).kv("phase", w.phase);
     if (w.what == "lag") {
-      what += " lag=" + obs::vtime_us(w.lag_us);
+      warn.kv("lag", obs::vtime_us(w.lag_us));
     } else {
-      what += " hb_age=" + obs::vtime_us(w.age_us);
+      warn.kv("hb_age", obs::vtime_us(w.age_us));
     }
-    trace_op(what, op, root);
+    trace_op(warn, op, root);
   }
 }
 
@@ -407,10 +396,11 @@ void Manager::begin_attempt(OpInputs in, u32 attempt) {
           continue;
         }
         r->event_at(op.t_start, "manager",
-                    "sched.conn vip=" + meta.pod_vip.to_string() + " peer=" +
-                        e.target.ip.to_string() +
-                        " discard=" + std::to_string(e.discard_send) +
-                        (e.redirect_expected ? " redirect" : ""),
+                    ev::Text(ev::kSchedConn)
+                        .kv("vip", meta.pod_vip.to_string())
+                        .kv("peer", e.target.ip.to_string())
+                        .kv("discard", e.discard_send)
+                        .kv("redirect", e.redirect_expected),
                     op.span_root, op.op_id);
       }
     }
@@ -455,10 +445,6 @@ void Manager::connect_and_send(OpState& op) {
     }
   }
 
-  const std::string n = std::to_string(op.in.targets.size());
-  trace_op(op.is_ckpt() ? "1: send 'checkpoint' to " + n + " agents"
-                        : "1: send 'restart' + meta-data to " + n + " agents",
-           op.op_id, op.span_root);
   op.peers.reserve(op.in.targets.size());
   for (const Target& t : op.in.targets) {
     Peer peer;
@@ -556,7 +542,9 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
       op.report.metas[m.value().pod_name] = m.value().meta;
       op.report.max_net_ckpt_us =
           std::max(op.report.max_net_ckpt_us, m.value().net_ckpt_us);
-      trace_op("2: meta-data received from " + peer.target.pod_name,
+      trace_op(ev::Text(ev::kMeta)
+                   .kv(ev::kPod, peer.target.pod_name)
+                   .kv("net_us", m.value().net_ckpt_us),
                op.op_id, op.span_meta_wait);
       return maybe_continue(op);
     }
@@ -585,8 +573,21 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
         return fail(op, k.epilogue_error + d.pod_name + ": " + d.error,
                     d.transient);
       }
-      trace_op(k.epilogue_event + peer.target.pod_name, op.op_id,
-               op.span_epilogue_wait);
+      // The one receipt per pod for either epilogue, carrying what the
+      // agent reported for it.
+      ev::Text receipt(ev::kEpilogue);
+      receipt.kv(ev::kPod, peer.target.pod_name).kv("us", d.epilogue_us);
+      if (op.is_ckpt()) {
+        receipt.kv("bytes", d.image_bytes)
+            .kv("dirtied", d.dirtied_bytes)
+            .kv("throttled_us", d.throttled_us)
+            .kv("contended_us", d.contended_us);
+      } else {
+        receipt.kv("bytes", d.lazy_bytes)
+            .kv("faults", d.faults)
+            .kv("fault_bytes", d.fault_bytes);
+      }
+      trace_op(receipt, op.op_id, op.span_epilogue_wait);
       return maybe_finish(op);
     }
     case MsgType::HEARTBEAT: {
@@ -625,7 +626,20 @@ void Manager::on_done(OpState& op, Peer& peer, bool ok,
   }
   if (!ok) return fail(op, k.done_error + pod + ": " + error, transient);
   // A checkpoint's DONEs land in its done-wait phase; a restart has none.
-  trace_op(k.done_event + pod, op.op_id,
+  ev::Text receipt(ev::kDone);
+  receipt.kv(ev::kPod, pod);
+  if (op.is_ckpt()) {
+    const CkptDone& d = peer.ckpt_done;
+    receipt.kv("bytes", d.image_bytes)
+        .kv("logical", d.logical_bytes)
+        .kv("delta", d.delta_seq);
+  } else {
+    const RestartDone& d = peer.restart_done;
+    receipt.kv("hot_bytes", d.hot_bytes)
+        .kv("lazy_bytes", d.lazy_bytes)
+        .kv("fetch_us", d.fetch_us);
+  }
+  trace_op(receipt, op.op_id,
            op.span_done_wait != 0 ? op.span_done_wait : op.span_root);
   maybe_finish(op);
 }
@@ -647,11 +661,10 @@ void Manager::maybe_continue(OpState& op) {
                                     "manager", op.span_root, op.op_id);
     // The barrier decision itself: agents parent their resume under it,
     // so the causal tree shows continue → unblock → first retransmit.
-    cont.continue_event = r->event_at(op.t_sync, "manager", "mgr.continue",
+    cont.continue_event = r->event_at(op.t_sync, "manager",
+                                      std::string(ev::kContinue),
                                       op.span_root, op.op_id);
   }
-  trace_op("3: all meta-data in; send 'continue' to agents (sync point)",
-           op.op_id, op.span_root);
   for (Peer& p : op.peers) (void)p.ch->send(encode_continue(cont));
   arm_deadline(op, op.deadlines().done_us, "done_wait");
 }
@@ -672,7 +685,6 @@ void Manager::maybe_finish(OpState& op) {
     if (obs::SpanRecorder* r = rec()) r->end_at(now, op.span_done_wait);
     if (std::any_of(op.peers.begin(), op.peers.end(),
                     [](const Peer& p) { return p.awaiting_epilogue(); })) {
-      trace_op(k.resumed, op.op_id, op.span_root);
       const std::string phase = std::string(k.epilogue) + "_wait";
       if (obs::SpanRecorder* r = rec()) {
         op.span_epilogue_wait =
@@ -699,9 +711,6 @@ void Manager::maybe_finish(OpState& op) {
   obs::metrics().counter(std::string("mgr.") + k.noun + "s").inc();
   obs::metrics().histogram(mgr + ".total_us").observe(total_us);
   obs::metrics().histogram(mgr + ".downtime_us").observe(downtime_us);
-  trace_op(std::string(k.noun) + " complete in " + std::to_string(total_us) +
-               "us (downtime " + std::to_string(downtime_us) + "us)",
-           op.op_id, op.span_root);
   write_ledger(op, "ok", "", /*transient=*/false, /*will_retry=*/false);
 
   // The op state is torn down before any callback runs: the caller (or
@@ -827,7 +836,7 @@ void Manager::gc_tmp(const OpState& op) {
     std::string tmp = staging_path(uri.value().path);
     if (node_.san().remove(tmp).is_ok()) {
       obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-      trace_op("gc half-written image " + tmp, op.op_id, op.span_root);
+      trace_op(ev::Text(ev::kGc).kv("path", tmp), op.op_id, op.span_root);
     }
   }
 }
@@ -848,7 +857,6 @@ void Manager::fail(OpState& op, const std::string& why, bool transient) {
     }
   }
   obs::metrics().counter(std::string("mgr.") + k.noun + "_failures").inc();
-  trace_op(std::string(k.noun) + " ABORTED: " + why, op.op_id, op.span_root);
   // Agents resume (checkpoint) or tear down (restart) their pod, so a
   // failed coordinated op never leaves half the application suspended or
   // half of it running.
@@ -877,8 +885,11 @@ void Manager::fail(OpState& op, const std::string& why, bool transient) {
     const u32 next = op.attempt + 1;
     const sim::Time delay = retry_delay(retry, op.attempt);
     obs::metrics().counter(std::string("mgr.") + k.tag + ".retries").inc();
-    trace(std::string("retrying ") + k.noun + " in " + std::to_string(delay) +
-          "us (attempt " + std::to_string(next) + ")");
+    trace_op(ev::Text(ev::kRetry)
+                 .kv(ev::kKind, k.tag)
+                 .kv("attempt", next)
+                 .kv("delay_us", delay),
+             0, 0);
     node_.engine().schedule(
         delay, [this, alive = std::weak_ptr<bool>(alive_),
                 in = std::move(op.in), next, noun = k.noun]() mutable {

@@ -431,7 +431,6 @@ class Manager {
   /// Status-endpoint connection handler (HEALTH_QUERY → HEALTH_SNAPSHOT).
   void status_on_msg(MsgChannel* ch, Bytes msg);
 
-  void trace(const std::string& what);
   /// Causally-tagged trace event for the active coordinated op.
   void trace_op(const std::string& what, obs::OpId op, obs::SpanId parent);
   /// Span stream behind the trace (nullptr when tracing is off).

@@ -144,11 +144,12 @@ Status NetCheckpoint::save(pod::Pod& pod, ckpt::NetMeta& meta_out,
           entry.pcb_recv = img.pcb_recv;
           meta_out.entries.push_back(entry);
           if (img.connected) {
-            tag.event("net.sock.saved local=" + img.local.to_string() +
-                      " remote=" + img.remote.to_string() +
-                      " sent=" + std::to_string(img.pcb_sent) +
-                      " acked=" + std::to_string(img.pcb_acked) +
-                      " recv=" + std::to_string(img.pcb_recv));
+            tag.event(obs::ev::Text(obs::ev::kSockSaved)
+                          .kv(obs::ev::kLocal, img.local.to_string())
+                          .kv(obs::ev::kRemote, img.remote.to_string())
+                          .kv("sent", img.pcb_sent)
+                          .kv(obs::ev::kAcked, img.pcb_acked)
+                          .kv(obs::ev::kRecv, img.pcb_recv));
           }
         }
         break;
@@ -182,11 +183,12 @@ Status NetCheckpoint::restore_socket(pod::Pod& pod, net::SockId sock,
   if (stack.find(sock) == nullptr) return Status(Err::BAD_FD);
 
   if (image.proto == net::Proto::TCP && image.connected) {
-    tag.event("net.sock.restored local=" + image.local.to_string() +
-              " remote=" + image.remote.to_string() +
-              " recv=" + std::to_string(image.pcb_recv) +
-              " acked=" + std::to_string(image.pcb_acked) +
-              " discard=" + std::to_string(discard_send));
+    tag.event(obs::ev::Text(obs::ev::kSockRestored)
+                  .kv(obs::ev::kLocal, image.local.to_string())
+                  .kv(obs::ev::kRemote, image.remote.to_string())
+                  .kv(obs::ev::kRecv, image.pcb_recv)
+                  .kv(obs::ev::kAcked, image.pcb_acked)
+                  .kv("discard", discard_send));
     // The recovered send queue is resent through the ordinary data path;
     // tag the first retransmission so the causal tree reaches the wire.
     if (net::TcpSocket* t = stack.find_tcp(sock)) {

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "ckpt/image.h"
-#include "obs/span.h"
+#include "obs/event.h"
 #include "pod/pod.h"
 
 namespace zapc::core {

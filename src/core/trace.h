@@ -1,48 +1,23 @@
-// Event trace used to regenerate the paper's Figure 2 timeline and to
-// debug the coordinated protocol.
-//
-// Trace is now a thin view over an obs::SpanRecorder: add() records an
-// instant EVENT in the span stream, and events() materializes the EVENT
-// records back into the legacy {t, who, what} rows, so the Figure 2
-// timeline bench and the protocol tests keep their string-matching
-// logic unchanged while the same stream also carries the phase spans
-// the Manager/Agent pipeline opens around each checkpoint stage.
+// The shared span stream the Manager, the Agents and the Supervisor
+// record into: phase spans plus instant events in the keyed
+// `name k=v` vocabulary of obs/event.h (paper Figure 2 is regenerated
+// from it, and zapc-trace --validate re-checks the protocol from it).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "obs/span.h"
 #include "sim/engine.h"
 
 namespace zapc::core {
 
-struct TraceEvent {
-  sim::Time t = 0;
-  std::string who;   // "manager", "agent@n3", ...
-  std::string what;  // "2: network checkpoint done", ...
-};
-
 class Trace {
  public:
-  /// `parent`/`op` thread the causal-tracing context through to the
-  /// EVENT record (0 = untagged, the legacy behaviour).
+  /// Records an instant EVENT; `parent`/`op` thread the causal-tracing
+  /// context through (0 = untagged).
   void add(sim::Time t, std::string who, std::string what,
            obs::SpanId parent = 0, obs::OpId op = 0) {
     rec_.event_at(t, who, what, parent, op);
-  }
-
-  /// The legacy flat timeline: EVENT records only, in insertion order
-  /// (phase SPAN records are filtered out).  Returns by value because
-  /// rows are materialized from the span stream on demand.
-  std::vector<TraceEvent> events() const {
-    std::vector<TraceEvent> out;
-    for (const obs::SpanRecord& s : rec_.spans()) {
-      if (s.kind == obs::SpanKind::EVENT) {
-        out.push_back(TraceEvent{s.start, s.who, s.name});
-      }
-    }
-    return out;
   }
 
   void clear() { rec_.clear(); }

@@ -14,7 +14,7 @@
 #include <unordered_set>
 
 #include "net/packet.h"
-#include "obs/span.h"
+#include "obs/event.h"
 #include "obs/stats.h"
 #include "util/types.h"
 
@@ -55,10 +55,10 @@ class PacketFilter {
       obs::stats::net_filter_dropped().inc();
       if (!drop_event_emitted_ && tag_.active()) {
         drop_event_emitted_ = true;
-        tag_.event(std::string("net.filter.first_drop ") +
-                   (hook == Hook::INGRESS ? "ingress" : "egress") +
-                   " src=" + p.src.ip.to_string() +
-                   " dst=" + p.dst.ip.to_string());
+        tag_.event(obs::ev::Text(obs::ev::kFirstDrop)
+                       .kv("hook", hook == Hook::INGRESS ? "ingress" : "egress")
+                       .kv("src", p.src.ip.to_string())
+                       .kv("dst", p.dst.ip.to_string()));
       }
       return false;
     }

@@ -158,8 +158,9 @@ void TcpSocket::on_rtx_timeout() {
     obs::stats::net_tcp_retransmits().inc();
     if (rtx_event_armed_) {
       rtx_event_armed_ = false;
-      obs_tag_.event("net.tcp.first_rtx local=" + local().to_string() +
-                     " remote=" + remote().to_string());
+      obs_tag_.event(obs::ev::Text(obs::ev::kFirstRtx)
+                         .kv(obs::ev::kLocal, local().to_string())
+                         .kv(obs::ev::kRemote, remote().to_string()));
     }
   }
   if (!probing && ++rtx_count_ > kMaxRetries) {

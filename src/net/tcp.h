@@ -22,7 +22,7 @@
 #include <optional>
 
 #include "net/socket.h"
-#include "obs/span.h"
+#include "obs/event.h"
 #include "sim/engine.h"
 
 namespace zapc::net {

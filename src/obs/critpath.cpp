@@ -2,44 +2,16 @@
 
 #include <algorithm>
 
+#include "obs/event.h"
+
 namespace zapc::obs {
 namespace {
-
-/// Remainder of `s` after `prefix`, or "" when it doesn't start with it.
-std::string after_prefix(const std::string& s, const std::string& prefix) {
-  if (s.rfind(prefix, 0) != 0) return "";
-  return s.substr(prefix.size());
-}
-
-/// Pod name out of an agent/manager event text, for the known shapes:
-///   "1: suspend pod <POD>, block network"   (checkpoint, agent side)
-///   "1: pod <POD> created for restart"      (restart, agent side)
-///   "2: meta-data received from <POD>"      (manager, meta arrival)
-///   "4: 'done' received from <POD>"         (manager, ckpt done arrival)
-///   "2: 'done' received from <POD>"         (manager, restart done arrival)
-///   "2a: meta-data reported for <POD>"      (agent, meta send)
-///   "3a: continue received for <POD>"       (agent, barrier release)
-std::string pod_of_suspend(const std::string& name) {
-  std::string rest = after_prefix(name, "1: suspend pod ");
-  if (rest.empty()) return "";
-  auto comma = rest.find(',');
-  return comma == std::string::npos ? rest : rest.substr(0, comma);
-}
-
-std::string pod_of_restart_create(const std::string& name) {
-  std::string rest = after_prefix(name, "1: pod ");
-  if (rest.empty()) return "";
-  auto sep = rest.find(" created for restart");
-  return sep == std::string::npos ? "" : rest.substr(0, sep);
-}
 
 /// Per-agent view assembled from one op's records.
 struct AgentInfo {
   const SpanRecord* span = nullptr;  // agent-side root ("ckpt"/"restart")
   std::string pod;
-  Time cont_arrival = 0;   // "3a: continue received" time; 0 = none seen
-  Time meta_reported = 0;  // "2a: meta-data reported" time; 0 = none seen
-  Time done_arrival = 0;   // manager-side arrival of this pod's DONE
+  Time done_arrival = 0;  // manager-side arrival of this pod's DONE
 };
 
 /// The backward walk's shared state.  Segments are emitted newest-first
@@ -72,8 +44,7 @@ struct Walk {
 /// Walks one agent's sequential phase children backward from the current
 /// cursor down to the agent span's start, attributing gaps between
 /// phases to the agent span itself.  With `follow_continue`, a barrier
-/// span the agent entered *before* the continue arrived stops the local
-/// descent: the post-continue slice (commit + resume) is emitted and the
+/// span the agent actually waited in stops the local descent, and the
 /// caller jumps across the continue edge onto the Manager/meta side.
 /// Returns true when that jump was taken.
 bool descend_agent(Walk& w, const AgentInfo& a,
@@ -94,14 +65,12 @@ bool descend_agent(Walk& w, const AgentInfo& a,
     // (commit bookkeeping, event-loop scheduling).
     w.emit(ce, a.span->who, a.pod, a.span->name, /*edge=*/false,
            a.span->id);
-    if (follow_continue && c->name == "ckpt.barrier" &&
-        a.cont_arrival != 0 && a.cont_arrival > c->start) {
+    if (follow_continue && c->name == "ckpt.barrier" && !c->open &&
+        c->end > c->start) {
       // The agent finished its standalone checkpoint and waited here for
-      // the Manager's continue: the wait itself is NOT this agent's cost.
-      // Emit only the post-continue work (image commit, resume), then
-      // hand the walk to the continue edge.
-      w.emit(a.cont_arrival, a.span->who, a.pod, c->name, /*edge=*/false,
-             c->id);
+      // the Manager's continue, which closes the barrier on arrival: the
+      // wait is NOT this agent's cost, so hand the walk to the continue
+      // edge.
       return true;
     }
     w.emit(c->start, a.span->who, a.pod, c->name, /*edge=*/false, c->id);
@@ -224,79 +193,43 @@ Result<OpAttribution> attribute_op(
     kids[r->parent].push_back(r);
   }
 
-  // Agent-side roots: span children of the Manager root that are not the
-  // Manager's own wait phases.
-  std::map<std::string, AgentInfo> agents;          // by pod
-  std::map<std::string, std::string> who_to_pod;    // agent who → pod
-  std::vector<const SpanRecord*> agent_spans;
-  for (const SpanRecord* r : kids[root->id]) {
-    if (after_prefix(r->name, "mgr.").empty()) agent_spans.push_back(r);
-  }
-  for (const SpanRecord* s : agent_spans) {
-    std::string pod;
-    for (const SpanRecord* r : records) {
-      if (r->kind != SpanKind::EVENT || r->parent != s->id) continue;
-      std::string p = pod_of_suspend(r->name);
-      if (p.empty()) p = pod_of_restart_create(r->name);
-      if (!p.empty()) {
-        pod = p;
-        break;
-      }
-    }
-    if (pod.empty()) pod = s->who;  // degraded but still attributable
+  // Agent-side roots: span children of the Manager root recorded by
+  // someone other than the Manager, each named by the pod of its
+  // agent.suspend / agent.create event.
+  const std::map<SpanId, std::string> pods = ev::agent_pods(records);
+  std::map<std::string, AgentInfo> agents;  // by pod
+  for (const SpanRecord* s : kids[root->id]) {
+    if (s->who == root->who) continue;
+    auto it = pods.find(s->id);
+    // Without its pod event the agent is still attributable, by who.
+    const std::string pod = it != pods.end() ? it->second : s->who;
     AgentInfo& a = agents[pod];
     a.span = s;
     a.pod = pod;
-    who_to_pod[s->who] = pod;
   }
   for (CritSegment& s : out.drain_segments) {
-    if (auto it = who_to_pod.find(s.who); it != who_to_pod.end()) {
+    if (auto it = pods.find(by_id[s.span]->parent); it != pods.end()) {
       s.pod = it->second;
     }
   }
 
-  // Event-derived times: done/meta arrivals (manager side), continue
-  // arrival and meta report (agent side).
-  const std::string done_prefix = out.kind == "restart"
-                                      ? "2: 'done' received from "
-                                      : "4: 'done' received from ";
+  // Manager-side receipts: DONE and META_REPORT arrivals, the continue.
   std::string meta_gate_pod;
   Time meta_gate_t = 0;
   Time continue_t = 0;
   for (const SpanRecord* r : records) {
     if (r->kind != SpanKind::EVENT) continue;
-    if (r->name == "mgr.continue") {
+    if (ev::is(r->name, ev::kContinue)) {
       continue_t = r->start;
-      continue;
-    }
-    if (std::string p = after_prefix(r->name, done_prefix); !p.empty()) {
-      if (auto it = agents.find(p); it != agents.end()) {
+    } else if (ev::is(r->name, ev::kDone)) {
+      if (auto it = agents.find(ev::field(r->name, ev::kPod));
+          it != agents.end()) {
         it->second.done_arrival =
             std::max(it->second.done_arrival, r->start);
       }
-      continue;
-    }
-    if (std::string p = after_prefix(r->name, "2: meta-data received from ");
-        !p.empty()) {
-      if (r->start >= meta_gate_t) {
-        meta_gate_t = r->start;
-        meta_gate_pod = p;
-      }
-      continue;
-    }
-    if (std::string p =
-            after_prefix(r->name, "2a: meta-data reported for ");
-        !p.empty()) {
-      if (auto it = agents.find(p); it != agents.end()) {
-        it->second.meta_reported = r->start;
-      }
-      continue;
-    }
-    if (std::string p = after_prefix(r->name, "3a: continue received for ");
-        !p.empty()) {
-      if (auto it = agents.find(p); it != agents.end()) {
-        it->second.cont_arrival = r->start;
-      }
+    } else if (ev::is(r->name, ev::kMeta) && r->start >= meta_gate_t) {
+      meta_gate_t = r->start;
+      meta_gate_pod = ev::field(r->name, ev::kPod);
     }
   }
 
@@ -349,15 +282,12 @@ Result<OpAttribution> attribute_op(
                                        : agents.find(meta_gate_pod);
       if (mit != agents.end()) {
         AgentInfo& m = mit->second;
-        Time tm = m.meta_reported;
-        if (tm == 0) {
-          // NETWORK_LAST (no "2a" marker): the report followed the
-          // network checkpoint; use that phase's end.
-          for (const SpanRecord* c : kids[m.span->id]) {
-            if (c->name == "ckpt.netckpt") tm = w.clip_end(c);
-          }
+        // The agent reports its meta-data the instant its network
+        // checkpoint closes, in either phase ordering.
+        Time tm = m.span->start;
+        for (const SpanRecord* c : kids[m.span->id]) {
+          if (c->name == "ckpt.netckpt") tm = w.clip_end(c);
         }
-        if (tm == 0) tm = m.span->start;
         w.emit(std::min(tm, w.cursor), "manager", m.pod, "edge:meta",
                /*edge=*/true, 0);
         (void)descend_agent(w, m, kids[m.span->id],

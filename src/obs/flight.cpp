@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "obs/event.h"
 #include "obs/json.h"
 #include "util/log.h"
 
@@ -104,7 +105,8 @@ void dump_op_failure(SpanRecorder* rec, const std::string& kind, OpId op,
   if (rec != nullptr) {
     // The marker lands in the span stream (and this postmortem's ring)
     // before the dump, so the dump itself carries its own evidence.
-    rec->event_at(t, who, "op.fail kind=" + kind, 0, op);
+    rec->event_at(t, who, ev::Text(ev::kOpFail).kv(ev::kKind, kind).why(reason),
+                  0, op);
   }
   flight().dump_postmortem(kind, op, who, phase_name, reason, t);
 }

@@ -91,11 +91,11 @@ FlightRecorder& flight();
 
 /// Dumps a postmortem for a failed coordinated op.  The failing phase is
 /// the innermost span still open for the op in `rec`, so call this
-/// *before* the fail path closes its spans.  Also stamps an
-/// "op.fail kind=<kind>" EVENT into `rec`, which is how the offline
-/// validator (zapc-trace --validate) pairs every aborted op with its
-/// postmortem record.  `rec` may be null (tracing off): the dump still
-/// happens, with an empty phase and no marker.
+/// *before* the fail path closes its spans.  Also stamps the op's one
+/// failure record, an "op.fail kind=<kind> why=<reason>" EVENT, into
+/// `rec`; the offline validator (zapc-trace --validate) reads it as the
+/// op's abort.  `rec` may be null (tracing off): the dump still happens,
+/// with an empty phase and no marker.
 void dump_op_failure(SpanRecorder* rec, const std::string& kind, OpId op,
                      const std::string& who, const std::string& reason,
                      Time t);

@@ -2,10 +2,8 @@
 //
 // A span is a named interval stamped from the simulation's virtual clock,
 // with parent/child nesting and a `who` label ("manager", "agent@n3").
-// Instant EVENT records share the stream, which is how the legacy
-// core::Trace timeline (paper Figure 2) is now represented: Trace became
-// a thin view that materializes the EVENT records back into its old
-// {t, who, what} rows.
+// Instant EVENT records share the stream; their text follows the keyed
+// `name k=v` vocabulary of obs/event.h.
 //
 // Two stamping modes coexist:
 //  * explicit-time (`begin_at`/`end_at`/`event_at`) — used by the
@@ -148,24 +146,6 @@ class Span {
  private:
   SpanRecorder* rec_;
   SpanId id_ = 0;
-};
-
-/// Causal-trace context handed down into layers that have no notion of
-/// the coordinated protocol (packet filter, TCP, connectivity recovery):
-/// enough to stamp an op-tagged EVENT under the right parent span.  A
-/// null recorder makes event() a no-op, so call sites need no guards.
-struct ObsTag {
-  SpanRecorder* rec = nullptr;
-  std::string who;
-  OpId op = 0;
-  SpanId parent = 0;
-  std::function<Time()> clock;  // falls back to the recorder's clock
-
-  bool active() const { return rec != nullptr; }
-  void event(const std::string& what) const {
-    if (rec == nullptr) return;
-    rec->event_at(clock ? clock() : rec->now(), who, what, parent, op);
-  }
 };
 
 }  // namespace zapc::obs

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/agent.h"
 #include "core/manager.h"
+#include "obs/event.h"
 #include "obs/span.h"
 #include "os/cluster.h"
 #include "tests/guest_programs.h"
@@ -375,25 +377,17 @@ TEST_F(CoordinatedTest, TimelineShowsSingleSyncPoint) {
   auto report = checkpoint();
   ASSERT_TRUE(report.ok);
 
-  // Each agent reported meta before the manager's continue, and the
-  // standalone checkpoint overlapped the barrier (Figure 2).
+  // Each agent reported meta (closed its network checkpoint) before the
+  // manager's continue (Figure 2).
   sim::Time sync_time = 0;
-  int meta_reports = 0;
-  for (const auto& ev : trace_.events()) {
-    if (ev.what.find("send 'continue'") != std::string::npos) {
-      sync_time = ev.t;
-    }
-    if (ev.what.find("2a: meta-data reported") != std::string::npos) {
-      ++meta_reports;
-    }
+  std::vector<sim::Time> meta_reports;
+  for (const auto& r : trace_.recorder().spans()) {
+    if (obs::ev::is(r.name, obs::ev::kContinue)) sync_time = r.start;
+    if (r.name == "ckpt.netckpt") meta_reports.push_back(r.end);
   }
-  EXPECT_EQ(meta_reports, 2);
+  EXPECT_EQ(meta_reports.size(), 2u);
   ASSERT_GT(sync_time, 0u);
-  for (const auto& ev : trace_.events()) {
-    if (ev.what.find("2a: meta-data reported") != std::string::npos) {
-      EXPECT_LT(ev.t, sync_time);
-    }
-  }
+  for (sim::Time t : meta_reports) EXPECT_LT(t, sync_time);
 }
 
 TEST_F(CoordinatedTest, CheckpointEmitsFigure2PhaseSpans) {
@@ -476,7 +470,8 @@ TEST_F(CoordinatedTest, CheckpointCarriesOneOpIdWithCrossNodeParents) {
 
   // Cross-node parents: each agent's root span hangs off the Manager's,
   // and each agent's resume hangs off the Manager's 'continue' EVENT.
-  const obs::SpanRecord* cont = rec.find_by_name("mgr.continue", "manager");
+  const obs::SpanRecord* cont =
+      rec.find_by_name(std::string(obs::ev::kContinue), "manager");
   ASSERT_NE(cont, nullptr);
   EXPECT_EQ(cont->kind, obs::SpanKind::EVENT);
   EXPECT_EQ(cont->parent, root->id);
@@ -486,7 +481,7 @@ TEST_F(CoordinatedTest, CheckpointCarriesOneOpIdWithCrossNodeParents) {
     EXPECT_EQ(aroot->parent, root->id) << who;
     bool resumed = false;
     for (const auto& s : rec.spans()) {
-      if (s.who != who || s.name.rfind("agent.resume", 0) != 0) continue;
+      if (s.who != who || !obs::ev::is(s.name, obs::ev::kResume)) continue;
       resumed = true;
       EXPECT_EQ(s.parent, cont->id) << who;
       EXPECT_GE(s.start, cont->start) << who;
@@ -518,7 +513,7 @@ TEST_F(CoordinatedTest, ConsecutiveOpsGetDistinctOpIds) {
   int restored_events = 0;
   for (const auto& s : rec.spans()) {
     EXPECT_EQ(s.op, rr.op_id) << s.who << " " << s.name;
-    if (s.name.rfind("net.sock.restored", 0) == 0) ++restored_events;
+    if (obs::ev::is(s.name, obs::ev::kSockRestored)) ++restored_events;
     if (s.name == "restart") {
       EXPECT_EQ(s.parent, root->id) << s.who;
     }

@@ -19,6 +19,7 @@
 #include "core/manager.h"
 #include "fault/fault.h"
 #include "obs/critpath.h"
+#include "obs/event.h"
 #include "obs/json.h"
 #include "obs/ledger.h"
 #include "os/cluster.h"
@@ -26,6 +27,11 @@
 
 namespace zapc::obs {
 namespace {
+
+/// A keyed protocol event naming one pod: `<name> pod=<pod>`.
+std::string keyed(std::string_view name, const char* pod) {
+  return ev::Text(name).kv(ev::kPod, pod);
+}
 
 /// Segments must tile [start, end] with no gaps or overlaps — the
 /// property that makes "sums to the downtime" hold exactly.
@@ -67,38 +73,37 @@ TEST(CritPath, CkptBarrierJumpCrossesContinueEdgeToMetaSide) {
 
   // Agent A (pod "a"): slow network checkpoint, last META_REPORT in.
   SpanId sa = rec.begin_at(1020, "ckpt", "agent@n1", root, op);
-  rec.event_at(1020, "agent@n1", "1: suspend pod a, block network", sa, op);
+  rec.event_at(1020, "agent@n1", keyed(ev::kSuspend, "a"), sa, op);
   SpanId s = rec.begin_at(1020, "ckpt.suspend", "agent@n1", sa, op);
   rec.end_at(1060, s);
   s = rec.begin_at(1060, "ckpt.netckpt", "agent@n1", sa, op);
   rec.end_at(1340, s);
-  rec.event_at(1340, "agent@n1", "2a: meta-data reported for a", sa, op);
   s = rec.begin_at(1340, "ckpt.standalone", "agent@n1", sa, op);
   rec.end_at(1370, s);
   s = rec.begin_at(1370, "ckpt.barrier", "agent@n1", sa, op);
   rec.end_at(1380, s);
   rec.end_at(1380, sa);
-  rec.event_at(1350, "manager", "2: meta-data received from a", mw, op);
+  rec.event_at(1350, "manager", keyed(ev::kMeta, "a"), mw, op);
 
   // Agent B (pod "b"): done quickly, then parked at the barrier; its
   // DONE is nevertheless the last to arrive (gating pod).
   SpanId sb = rec.begin_at(1020, "ckpt", "agent@n2", root, op);
-  rec.event_at(1020, "agent@n2", "1: suspend pod b, block network", sb, op);
+  rec.event_at(1020, "agent@n2", keyed(ev::kSuspend, "b"), sb, op);
   s = rec.begin_at(1020, "ckpt.suspend", "agent@n2", sb, op);
   rec.end_at(1050, s);
   s = rec.begin_at(1050, "ckpt.netckpt", "agent@n2", sb, op);
   rec.end_at(1100, s);
-  rec.event_at(1100, "agent@n2", "2a: meta-data reported for b", sb, op);
-  rec.event_at(1110, "manager", "2: meta-data received from b", mw, op);
+  rec.event_at(1110, "manager", keyed(ev::kMeta, "b"), mw, op);
   s = rec.begin_at(1100, "ckpt.standalone", "agent@n2", sb, op);
   rec.end_at(1250, s);
-  SpanId barrier = rec.begin_at(1250, "ckpt.barrier", "agent@n2", sb, op);
-  rec.event_at(1365, "agent@n2", "3a: continue received for b", barrier, op);
-  rec.end_at(1430, barrier);
+  // The continue reaches B at 1365 and closes its barrier; B then
+  // commits and reports until 1450.
+  s = rec.begin_at(1250, "ckpt.barrier", "agent@n2", sb, op);
+  rec.end_at(1365, s);
   rec.end_at(1450, sb);
 
-  rec.event_at(1390, "manager", "4: 'done' received from a", root, op);
-  rec.event_at(1460, "manager", "4: 'done' received from b", root, op);
+  rec.event_at(1390, "manager", keyed(ev::kDone, "a"), root, op);
+  rec.event_at(1460, "manager", keyed(ev::kDone, "b"), root, op);
   rec.end_at(1470, root);
 
   auto res = attribute_op(rec.spans(), op);
@@ -123,13 +128,14 @@ TEST(CritPath, CkptBarrierJumpCrossesContinueEdgeToMetaSide) {
   EXPECT_FALSE(net->edge);
   EXPECT_NE(net->span, 0u);
 
-  // B's post-continue commit slice is on the path; its barrier *wait*
-  // (1250..1365) is not charged to it.
-  const CritSegment* commit = find_phase(a, "ckpt.barrier");
+  // B's post-continue slice is on the path as its own time; its
+  // barrier *wait* (1250..1365) is not charged to it.
+  EXPECT_EQ(find_phase(a, "ckpt.barrier"), nullptr);
+  const CritSegment* commit = find_phase(a, "ckpt");
   ASSERT_NE(commit, nullptr);
   EXPECT_EQ(commit->pod, "b");
   EXPECT_EQ(commit->start, 1365u);
-  EXPECT_EQ(commit->end, 1430u);
+  EXPECT_EQ(commit->end, 1450u);
 
   // Done-side slack: the gate (b) has none; a could have been 70us
   // later without extending the op.
@@ -148,18 +154,19 @@ TEST(CritPath, CkptStandaloneGatedStaysOnAgent) {
   const OpId op = 8;
   SpanId root = rec.begin_at(1000, "mgr.ckpt", "manager", 0, op);
   SpanId sb = rec.begin_at(1010, "ckpt", "agent@n1", root, op);
-  rec.event_at(1010, "agent@n1", "1: suspend pod b, block network", sb, op);
+  rec.event_at(1010, "agent@n1", keyed(ev::kSuspend, "b"), sb, op);
   SpanId s = rec.begin_at(1010, "ckpt.suspend", "agent@n1", sb, op);
   rec.end_at(1040, s);
   s = rec.begin_at(1040, "ckpt.netckpt", "agent@n1", sb, op);
   rec.end_at(1090, s);
   s = rec.begin_at(1090, "ckpt.standalone", "agent@n1", sb, op);
   rec.end_at(1250, s);
-  // Continue had already arrived when the barrier span opened: no wait.
+  // Continue had already arrived when the barrier span opened: it
+  // closes at once, with no wait.
   s = rec.begin_at(1250, "ckpt.barrier", "agent@n1", sb, op);
-  rec.end_at(1260, s);
+  rec.end_at(1250, s);
   rec.end_at(1280, sb);
-  rec.event_at(1290, "manager", "4: 'done' received from b", root, op);
+  rec.event_at(1290, "manager", keyed(ev::kDone, "b"), root, op);
   rec.end_at(1300, root);
 
   auto res = attribute_op(rec.spans(), op);
@@ -182,7 +189,7 @@ TEST(CritPath, RestartDescendsDestinationPhases) {
   const OpId op = 9;
   SpanId root = rec.begin_at(2000, "mgr.restart", "manager", 0, op);
   SpanId sp = rec.begin_at(2010, "restart", "agent@n3", root, op);
-  rec.event_at(2010, "agent@n3", "1: pod p created for restart", sp, op);
+  rec.event_at(2010, "agent@n3", keyed(ev::kCreate, "p"), sp, op);
   SpanId s = rec.begin_at(2010, "restart.connectivity", "agent@n3", sp, op);
   rec.end_at(2100, s);
   s = rec.begin_at(2100, "restart.netstate", "agent@n3", sp, op);
@@ -190,7 +197,7 @@ TEST(CritPath, RestartDescendsDestinationPhases) {
   s = rec.begin_at(2200, "restart.standalone", "agent@n3", sp, op);
   rec.end_at(2340, s);
   rec.end_at(2350, sp);
-  rec.event_at(2370, "manager", "2: 'done' received from p", root, op);
+  rec.event_at(2370, "manager", keyed(ev::kDone, "p"), root, op);
   rec.end_at(2400, root);
 
   auto res = attribute_op(rec.spans(), op);
@@ -214,7 +221,7 @@ TEST(CritPath, OpenSpansAreClippedAtOpEnd) {
   const OpId op = 10;
   SpanId root = rec.begin_at(3000, "mgr.ckpt", "manager", 0, op);  // open
   SpanId sa = rec.begin_at(3010, "ckpt", "agent@n1", root, op);    // open
-  rec.event_at(3010, "agent@n1", "1: suspend pod a, block network", sa, op);
+  rec.event_at(3010, "agent@n1", keyed(ev::kSuspend, "a"), sa, op);
   SpanId s = rec.begin_at(3010, "ckpt.suspend", "agent@n1", sa, op);
   rec.end_at(3050, s);
   rec.begin_at(3050, "ckpt.netckpt", "agent@n1", sa, op);  // open: crash
@@ -266,34 +273,27 @@ TEST(CritPath, CowDrainStaysOffDowntimeCriticalPath) {
   SpanId dw = rec.begin_at(1100, "mgr.ckpt.done_wait", "manager", root, op);
 
   SpanId sa = rec.begin_at(1010, "ckpt", "agent@n1", root, op);
-  rec.event_at(1010, "agent@n1", "1: suspend pod a, block network", sa, op);
+  rec.event_at(1010, "agent@n1", keyed(ev::kSuspend, "a"), sa, op);
   SpanId s = rec.begin_at(1010, "ckpt.suspend", "agent@n1", sa, op);
   rec.end_at(1060, s);
   s = rec.begin_at(1060, "ckpt.netckpt", "agent@n1", sa, op);
   rec.end_at(1085, s);
-  rec.event_at(1085, "agent@n1", "2a: meta-data reported for a", sa, op);
-  rec.event_at(1090, "manager", "2: meta-data received from a", mw, op);
+  rec.event_at(1090, "manager", keyed(ev::kMeta, "a"), mw, op);
   s = rec.begin_at(1085, "ckpt.cowmark", "agent@n1", sa, op);
   rec.end_at(1095, s);
   SpanId bar = rec.begin_at(1095, "ckpt.barrier", "agent@n1", sa, op);
-  rec.event_at(1105, "agent@n1", "3a: continue received for a", bar, op);
   rec.end_at(1110, bar);
-  rec.event_at(1110, "agent@n1", "4: pod a resumed", sa, op);
-  rec.event_at(1110, "agent@n1", "agent.resume pod=a", cont, op);
-  rec.event_at(1135, "manager", "4: 'done' received from a", root, op);
+  rec.event_at(1110, "agent@n1", keyed(ev::kResume, "a"), cont, op);
+  rec.event_at(1135, "manager", keyed(ev::kDone, "a"), root, op);
   rec.end_at(1140, dw);
 
   // Downtime over; the drain runs while the manager waits it out.
   SpanId dr = rec.begin_at(1110, "ckpt.drain", "agent@n1", sa, op);
-  rec.event_at(1110, "agent@n1",
-               "5: background drain started for a (4096 bytes, 1 "
-               "concurrent drains)",
-               dr, op);
   SpanId drw =
       rec.begin_at(1140, "mgr.ckpt.drain_wait", "manager", root, op);
   rec.end_at(1400, dr);
   rec.end_at(1400, sa);
-  rec.event_at(1410, "manager", "5: 'drain-done' received from a", drw, op);
+  rec.event_at(1410, "manager", keyed(ev::kEpilogue, "a"), drw, op);
   rec.end_at(1410, drw);
   rec.end_at(1410, root);
 
@@ -347,14 +347,14 @@ TEST(CritPath, LazyFillStaysOffDowntimeCriticalPath) {
   const OpId op = 14;
   SpanId root = rec.begin_at(2000, "mgr.restart", "manager", 0, op);
   SpanId sp = rec.begin_at(2010, "restart", "agent@n3", root, op);
-  rec.event_at(2010, "agent@n3", "1: pod p created for restart", sp, op);
+  rec.event_at(2010, "agent@n3", keyed(ev::kCreate, "p"), sp, op);
   SpanId s = rec.begin_at(2010, "restart.connectivity", "agent@n3", sp, op);
   rec.end_at(2100, s);
   s = rec.begin_at(2100, "restart.netstate", "agent@n3", sp, op);
   rec.end_at(2150, s);
   s = rec.begin_at(2150, "restart.standalone", "agent@n3", sp, op);
   rec.end_at(2250, s);  // hot set restored, pod resumed, RESTART_DONE sent
-  rec.event_at(2260, "manager", "2: 'done' received from p", root, op);
+  rec.event_at(2260, "manager", keyed(ev::kDone, "p"), root, op);
 
   // Downtime over; the cold regions fill while the pod runs (and the
   // agent's root span stays open until they have).
@@ -363,7 +363,7 @@ TEST(CritPath, LazyFillStaysOffDowntimeCriticalPath) {
       rec.begin_at(2260, "mgr.restart.lazy_wait", "manager", root, op);
   rec.end_at(2900, lz);
   rec.end_at(2900, sp);
-  rec.event_at(2910, "manager", "6: 'lazy-done' received from p", lw, op);
+  rec.event_at(2910, "manager", keyed(ev::kEpilogue, "p"), lw, op);
   rec.end_at(2910, lw);
   rec.end_at(2910, root);
 
@@ -411,11 +411,11 @@ TEST(CritPath, AttributionJsonRoundTrips) {
   const OpId op = 12;
   SpanId root = rec.begin_at(1000, "mgr.ckpt", "manager", 0, op);
   SpanId sa = rec.begin_at(1010, "ckpt", "agent@n1", root, op);
-  rec.event_at(1010, "agent@n1", "1: suspend pod a, block network", sa, op);
+  rec.event_at(1010, "agent@n1", keyed(ev::kSuspend, "a"), sa, op);
   SpanId s = rec.begin_at(1010, "ckpt.standalone", "agent@n1", sa, op);
   rec.end_at(1200, s);
   rec.end_at(1210, sa);
-  rec.event_at(1220, "manager", "4: 'done' received from a", root, op);
+  rec.event_at(1220, "manager", keyed(ev::kDone, "a"), root, op);
   rec.end_at(1230, root);
 
   auto res = attribute_op(rec.spans(), op);

@@ -15,6 +15,7 @@
 #include "core/manager.h"
 #include "core/protocol.h"
 #include "fault/fault.h"
+#include "obs/event.h"
 #include "obs/health.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -299,10 +300,11 @@ TEST_F(HealthPlaneTest, SlowNodePodNamedStragglerWithNonzeroLag) {
   bool warn_in_trace = false;
   for (const obs::SpanRecord& r : trace_.recorder().spans()) {
     if (r.op != report.op_id || r.kind != obs::SpanKind::EVENT) continue;
-    if (r.name.rfind("hb seq=", 0) == 0 && r.parent != 0) {
+    if (obs::ev::is(r.name, obs::ev::kHeartbeat) && r.parent != 0) {
       hb_in_trace = true;
     }
-    if (r.name.rfind("health.warn pod=client-pod", 0) == 0) {
+    if (obs::ev::is(r.name, obs::ev::kHealthWarn) &&
+        obs::ev::field(r.name, obs::ev::kPod) == "client-pod") {
       warn_in_trace = true;
     }
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,11 +17,13 @@
 #include "core/manager.h"
 #include "core/protocol.h"
 #include "fault/fault.h"
+#include "obs/event.h"
 #include "obs/ledger.h"
 #include "os/cluster.h"
 #include "os/san.h"
 #include "pod/pod.h"
 #include "tests/guest_programs.h"
+#include "tools/trace_analysis.h"
 
 ZAPC_REGISTER_PROGRAM(lazy_region_toucher, zapc::test::RegionToucher)
 
@@ -605,6 +608,91 @@ TEST_F(LazyRestartTest, ConsolidatedLazyRestartCompletesOnOneNode) {
     }
   }
   EXPECT_EQ(code, 0);
+
+  // Two pods lazily restored on one agent: the offline checks keep their
+  // windows and region fills apart.
+  auto bad = tools::validate_ops(trace_.recorder().spans());
+  EXPECT_TRUE(bad.empty()) << bad.front();
+}
+
+/// Emitter/reader agreement: a COW checkpoint overlapping a lazy
+/// pipelined restart (whose program demand-faults its cold regions), a
+/// redirected live migration of a connected pair, a blocking snapshot of
+/// that pair mid-transfer and one failed op together record every event
+/// the validator and critpath read, and their stream validates clean.  Dropping an emission fails here
+/// instead of silently starving a check.
+TEST_F(LazyRestartTest, RealRunsEmitEveryCheckedEventAndValidateClean) {
+  make_multi_region_pod(0, 1, "pod-a", 8, 4 << 20);
+  agents_[1]->create_pod(vip(2), "pod-b")
+      .spawn(std::make_unique<RegionToucher>(8, 4 << 20));
+  cl_.run_for(20 * sim::kMillisecond);
+  auto base = ckpt({target(1, "pod-b", "san://ckpt/b")});
+  ASSERT_TRUE(base.ok) << base.error;
+  ASSERT_TRUE(agents_[1]->destroy_pod("pod-b").is_ok());
+  cl_.run_for(50 * sim::kMillisecond);
+
+  Manager::CkptOptions cow;
+  cow.cow = true;
+  cow.deadlines.drain_us = 60 * sim::kSecond;
+  int pending = 2;
+  bool c_ok = false;
+  bool r_ok = false;
+  manager_->checkpoint({target(0, "pod-a", "san://ckpt/a")},
+                       CkptMode::SNAPSHOT,
+                       [&](Manager::CheckpointReport rep) {
+                         c_ok = rep.ok;
+                         --pending;
+                       },
+                       cow);
+  manager_->restart({target(2, "pod-b", "san://ckpt/b")}, base.metas,
+                    [&](Manager::RestartReport rep) {
+                      r_ok = rep.ok;
+                      --pending;
+                    },
+                    lazy_opts());
+  for (int i = 0; i < 120000 && pending > 0; ++i) {
+    cl_.run_for(sim::kMillisecond);
+  }
+  ASSERT_TRUE(c_ok && r_ok);
+
+  agents_[1]->create_pod(vip(3), "server-pod")
+      .spawn(std::make_unique<EchoServer>(5000));
+  agents_[3]->create_pod(vip(4), "client-pod")
+      .spawn(std::make_unique<EchoClient>(net::SockAddr{vip(3), 5000},
+                                          64 << 20));
+  cl_.run_for(20 * sim::kMillisecond);  // mid-transfer
+  bool m_done = false;
+  Manager::MigrateReport m;
+  manager_->migrate(
+      {{agents_[1]->addr(), agents_[0]->addr(), "server-pod", vip(3)},
+       {agents_[3]->addr(), agents_[2]->addr(), "client-pod", vip(4)}},
+      [&](Manager::MigrateReport rep) {
+        m = std::move(rep);
+        m_done = true;
+      });
+  for (int i = 0; i < 60000 && !m_done; ++i) cl_.run_for(sim::kMillisecond);
+  ASSERT_TRUE(m_done);
+  ASSERT_TRUE(m.ok) << m.error;
+  cl_.run_for(20 * sim::kMillisecond);
+
+  // A blocking snapshot of the client alone mid-transfer: the server's
+  // ACKs its filter dropped while it was suspended leave its data to be
+  // retransmitted after the resume.
+  ASSERT_TRUE(ckpt({target(2, "client-pod", "san://ckpt/client")}).ok);
+  cl_.run_for(sim::kSecond);  // past the retransmission timeout
+
+  EXPECT_FALSE(ckpt({target(0, "no-such-pod", "san://ckpt/x")}).ok);
+
+  std::set<std::string_view> seen;
+  for (const obs::SpanRecord& r : trace_.recorder().spans()) {
+    if (r.kind == obs::SpanKind::EVENT) seen.insert(obs::ev::name_of(r.name));
+  }
+  for (std::string_view name : obs::ev::kCheckedEvents) {
+    EXPECT_EQ(seen.count(name), 1u) << name << " never recorded";
+  }
+  EXPECT_EQ(seen.count(obs::ev::kOpFail), 1u);
+  auto bad = tools::validate_ops(trace_.recorder().spans());
+  EXPECT_TRUE(bad.empty()) << bad.front();
 }
 
 /// Demand faults: a program that touches every region right after

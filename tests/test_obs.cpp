@@ -116,7 +116,7 @@ TEST(Spans, ExplicitTimeStamping) {
   SpanId root = rec.begin_at(100, "ckpt", "agent@n1");
   SpanId child = rec.begin_at(120, "ckpt.suspend", "agent@n1", root);
   rec.end_at(150, child);
-  rec.event_at(160, "agent@n1", "2a: meta-data reported", root);
+  rec.event_at(160, "agent@n1", "agent.suspend pod=p0", root);
   rec.end_at(400, root);
 
   ASSERT_EQ(rec.spans().size(), 3u);
@@ -128,7 +128,7 @@ TEST(Spans, ExplicitTimeStamping) {
   const SpanRecord* c = rec.find(child);
   EXPECT_EQ(c->parent, root);
   EXPECT_EQ(rec.duration(child), 30u);
-  const SpanRecord* e = rec.find_by_name("2a: meta-data reported");
+  const SpanRecord* e = rec.find_by_name("agent.suspend pod=p0");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->kind, SpanKind::EVENT);
   EXPECT_EQ(e->start, 160u);

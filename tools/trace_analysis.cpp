@@ -2,40 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "obs/event.h"
 #include "obs/json.h"
 #include "obs/vtime.h"
 
 namespace zapc::tools {
-namespace {
 
-/// Value of `key=` inside an event text ("" when absent).
-std::string field(const std::string& text, const std::string& key) {
-  const std::string needle = " " + key + "=";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return "";
-  pos += needle.size();
-  auto end = text.find(' ', pos);
-  return text.substr(pos, end == std::string::npos ? std::string::npos
-                                                   : end - pos);
-}
-
-u64 field_u64(const std::string& text, const std::string& key) {
-  std::string v = field(text, key);
-  return v.empty() ? 0 : std::strtoull(v.c_str(), nullptr, 10);
-}
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-}  // namespace
+namespace ev = obs::ev;
 
 Result<TraceDoc> load_trace_doc(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -182,40 +161,59 @@ std::vector<Violation> validate_ops_detailed(
   std::vector<Violation> out;
   for (const OpTrace& t : group_by_op(spans)) {
     std::vector<std::string> bad;
+    // Pod of every agent-side op root; agent phases hang directly off it.
+    const std::map<obs::SpanId, std::string> pods = ev::agent_pods(t.records);
+    auto pod_of = [&pods](const obs::SpanRecord* r) {
+      auto it = pods.find(r->parent);
+      return it == pods.end() ? std::string() : it->second;
+    };
+    // The op's spans or events of one name (span and event names are
+    // disjoint, and a span name is a single token).
+    auto named = [&t](std::string_view name) {
+      std::vector<const obs::SpanRecord*> found;
+      for (const auto* r : t.records) {
+        if (ev::is(r->name, name)) found.push_back(r);
+      }
+      return found;
+    };
 
-    // ---- Exactly one barrier (Manager 'continue') per checkpoint op.
+    const obs::SpanRecord* mgr_root = nullptr;
     bool is_ckpt = false;
-    std::vector<const obs::SpanRecord*> continues;
     for (const auto* r : t.records) {
-      if (r->kind == obs::SpanKind::SPAN &&
-          (r->name == "mgr.ckpt" || r->name == "ckpt")) {
-        is_ckpt = true;
-      }
-      if (r->kind == obs::SpanKind::EVENT && r->name == "mgr.continue") {
-        continues.push_back(r);
-      }
+      if (r->kind != obs::SpanKind::SPAN) continue;
+      if (r->name == "mgr.ckpt" || r->name == "mgr.restart") mgr_root = r;
+      if (r->name == "mgr.ckpt" || r->name == "ckpt") is_ckpt = true;
     }
-    bool aborted = false;
-    bool has_op_fail = false;
-    for (const auto* r : t.records) {
-      if (r->kind != obs::SpanKind::EVENT) continue;
-      if (starts_with(r->name, "abort") ||
-          r->name.find("ABORTED") != std::string::npos) {
-        aborted = true;
-      }
-      if (starts_with(r->name, "op.fail")) has_op_fail = true;
-    }
-    if (is_ckpt && !aborted && continues.size() != 1) {
+    const std::vector<const obs::SpanRecord*> continues =
+        named(ev::kContinue);
+    // The op.fail record is the op's abort: obs::dump_op_failure stamps
+    // it on every failure path, next to the flight-recorder postmortem.
+    const bool aborted = !named(ev::kOpFail).empty();
+
+    // ---- Exactly one barrier (Manager 'continue') per checkpoint op.  A
+    // snapshot (open spans allowed) may cut an op before its barrier.
+    const bool in_flight =
+        opts.allow_open_spans && mgr_root != nullptr && mgr_root->open;
+    if (is_ckpt && !aborted && continues.size() != 1 &&
+        !(continues.empty() && in_flight)) {
       bad.push_back("expected exactly one mgr.continue, saw " +
                     std::to_string(continues.size()));
     }
 
-    // ---- Every aborted operation recorded its failure: an 'op.fail'
-    // EVENT (the marker obs::dump_op_failure emits next to the
-    // flight-recorder postmortem) must accompany the abort markers.
-    if (aborted && !has_op_fail) {
-      bad.push_back(
-          "op aborted but no op.fail postmortem marker was recorded");
+    // ---- Every failure was recorded: an op whose Manager root closed
+    // without every commanded pod's DONE receipt must carry op.fail.
+    if (mgr_root != nullptr && !mgr_root->open && !aborted) {
+      std::set<std::string> done;
+      for (const auto* r : named(ev::kDone)) {
+        done.insert(ev::field(r->name, ev::kPod));
+      }
+      for (const auto& [root, pod] : pods) {
+        if (done.count(pod) == 0) {
+          bad.push_back("op ended without pod " + pod +
+                        "'s done receipt, but no op.fail postmortem "
+                        "marker was recorded");
+        }
+      }
     }
 
     // ---- No op-tagged span left open at end-of-trace.  An open span in
@@ -232,20 +230,18 @@ std::vector<Violation> validate_ops_detailed(
     const obs::SpanRecord* cont =
         continues.empty() ? nullptr : continues.front();
 
-    // ---- NETWORK_FIRST ordering: per agent, the network-state
+    // ---- NETWORK_FIRST ordering: per agent op, the network-state
     // checkpoint completes before the standalone checkpoint starts.
     if (!opts.allow_network_last) {
-      std::map<std::string, const obs::SpanRecord*> netckpt, standalone;
-      for (const auto* r : t.records) {
-        if (r->kind != obs::SpanKind::SPAN) continue;
-        if (r->name == "ckpt.netckpt") netckpt[r->who] = r;
-        if (r->name == "ckpt.standalone") standalone[r->who] = r;
+      std::map<obs::SpanId, const obs::SpanRecord*> standalone;  // by root
+      for (const auto* r : named("ckpt.standalone")) {
+        standalone[r->parent] = r;
       }
-      for (const auto& [who, net] : netckpt) {
-        auto it = standalone.find(who);
+      for (const auto* net : named("ckpt.netckpt")) {
+        auto it = standalone.find(net->parent);
         if (it == standalone.end() || net->open) continue;
         if (net->end > it->second->start) {
-          bad.push_back(who +
+          bad.push_back(net->who +
                         ": standalone checkpoint started before the "
                         "network checkpoint finished (NETWORK_FIRST "
                         "violated)");
@@ -253,61 +249,42 @@ std::vector<Violation> validate_ops_detailed(
       }
     }
 
-    // ---- No agent resumes before (or outside) the Manager's continue.
-    for (const auto* r : t.records) {
-      if (r->kind != obs::SpanKind::EVENT ||
-          !starts_with(r->name, "agent.resume")) {
-        continue;
-      }
-      if (cont == nullptr) {
-        bad.push_back(r->who + " resumed with no mgr.continue");
-        continue;
-      }
-      if (r->start < cont->start) {
-        bad.push_back(r->who + " resumed at " + obs::vtime_us(r->start) +
-                      ", before mgr.continue at " +
-                      obs::vtime_us(cont->start));
-      }
-      if (r->parent != cont->id) {
-        bad.push_back(r->who +
-                      ": agent.resume not parented under mgr.continue");
+    // ---- No agent resumes a checkpointed pod before (or outside) the
+    // Manager's continue.
+    const std::vector<const obs::SpanRecord*> resumes = named(ev::kResume);
+    if (is_ckpt) {
+      for (const auto* r : resumes) {
+        if (cont == nullptr) {
+          bad.push_back(r->who + " resumed with no mgr.continue");
+          continue;
+        }
+        if (r->start < cont->start) {
+          bad.push_back(r->who + " resumed at " + obs::vtime_us(r->start) +
+                        ", before mgr.continue at " +
+                        obs::vtime_us(cont->start));
+        }
+        if (r->parent != cont->id) {
+          bad.push_back(r->who +
+                        ": agent.resume not parented under mgr.continue");
+        }
       }
     }
 
     // ---- COW concurrent checkpointing invariants (DESIGN.md §11).
-    {
-      // Per-agent stop-the-world window: suspend event → resume event.
+    if (is_ckpt) {
+      // Per-pod stop-the-world window: agent.suspend → agent.resume.
       struct Window {
         obs::Time suspend = 0, resume = 0;
       };
-      std::map<std::string, Window> stw;  // by agent who
-      for (const auto* r : t.records) {
-        if (r->kind != obs::SpanKind::EVENT) continue;
-        if (starts_with(r->name, "1: suspend pod ")) {
-          stw[r->who].suspend = r->start;
-        } else if (starts_with(r->name, "4: pod ") &&
-                   r->name.find(" resumed") != std::string::npos) {
-          stw[r->who].resume = r->start;
-        }
+      std::map<std::string, Window> stw;
+      for (const auto* r : named(ev::kSuspend)) {
+        stw[ev::field(r->name, ev::kPod)].suspend = r->start;
       }
-      for (const auto* r : t.records) {
-        if (r->kind != obs::SpanKind::SPAN || r->name != "ckpt.drain") {
-          continue;
-        }
-        // Pod owning this drain, from its start-marker child event.
-        std::string pod;
-        const std::string start_marker = "5: background drain started for ";
-        for (const auto* e : t.records) {
-          if (e->kind != obs::SpanKind::EVENT || e->parent != r->id) {
-            continue;
-          }
-          if (starts_with(e->name, start_marker)) {
-            pod = e->name.substr(start_marker.size());
-            if (auto paren = pod.find(" ("); paren != std::string::npos) {
-              pod = pod.substr(0, paren);
-            }
-          }
-        }
+      for (const auto* r : resumes) {
+        stw[ev::field(r->name, ev::kPod)].resume = r->start;
+      }
+      for (const auto* r : named("ckpt.drain")) {
+        const std::string pod = pod_of(r);
         // The drain is the post-barrier half of the checkpoint: it must
         // not begin before the Manager released the agents, nor before
         // its own pod was resumed.
@@ -321,40 +298,19 @@ std::vector<Violation> validate_ops_detailed(
                         obs::vtime_us(r->start) + ", before mgr.continue "
                         "at " + obs::vtime_us(cont->start));
         }
-        if (auto it = stw.find(r->who);
-            it != stw.end() && it->second.resume != 0 &&
-            r->start < it->second.resume) {
+        if (auto it = stw.find(pod); it != stw.end() &&
+                                     it->second.resume != 0 &&
+                                     r->start < it->second.resume) {
           bad.push_back(r->who +
                         ": ckpt.drain started before its pod resumed "
                         "(drain work leaked into the downtime window)");
         }
-        // Every completed drain is acknowledged: the Manager records a
-        // drain-done receipt for the pod after the span closed.
-        if (!r->open && !aborted && !pod.empty()) {
-          bool paired = false;
-          for (const auto* e : t.records) {
-            if (e->kind == obs::SpanKind::EVENT &&
-                e->name == "5: 'drain-done' received from " + pod &&
-                e->start >= r->end) {
-              paired = true;
-            }
-          }
-          if (!paired) {
-            bad.push_back("ckpt.drain for pod " + pod +
-                          " closed but the manager never recorded its "
-                          "drain-done receipt");
-          }
-        }
       }
       // A suspended pod cannot originate traffic: a first-retransmit
-      // marker inside the stop-the-world window means the simulation
+      // marker inside its stop-the-world window means the simulation
       // attributed an app send to a frozen pod.
-      for (const auto* r : t.records) {
-        if (r->kind != obs::SpanKind::EVENT ||
-            !starts_with(r->name, "net.tcp.first_rtx")) {
-          continue;
-        }
-        auto it = stw.find(r->who);
+      for (const auto* r : named(ev::kFirstRtx)) {
+        auto it = stw.find(ev::field(r->name, ev::kPod));
         if (it == stw.end()) continue;
         const Window& w = it->second;
         if (w.suspend != 0 && r->start > w.suspend &&
@@ -366,57 +322,75 @@ std::vector<Violation> validate_ops_detailed(
       }
     }
 
-    // ---- Pipelined / lazy restart invariants (DESIGN.md §13).
-    {
-      // Per-agent lazy restore bookkeeping, keyed by span who.
-      struct LazyState {
-        obs::Time stream_start = 0;   // "4a:" pipelined streaming began
-        obs::Time hot_done = 0;       // "4:" hot set installed
-        obs::Time resumed = 0;        // "5:" pod resumed (downtime over)
-        obs::Time lazy_start = 0;     // "6:" fill window opened
-        obs::Time lazy_done = 0;      // "7:" fill window closed
-        u64 announced = 0;            // region count from the "6:" marker
-        std::map<std::string, int> filled;  // "vpid/region" → fill+fault count
-        std::string pod;
-      };
-      std::map<std::string, LazyState> lazy;  // by agent who
-      for (const auto* r : t.records) {
-        if (r->kind != obs::SpanKind::EVENT) continue;
-        LazyState& ls = lazy[r->who];
-        if (starts_with(r->name, "4a: pipelined restore streaming ")) {
-          ls.stream_start = r->start;
-        } else if (starts_with(r->name, "4: standalone restart done for ")) {
-          ls.hot_done = r->start;
-        } else if (starts_with(r->name, "5: restart of ") &&
-                   r->name.find(" done") != std::string::npos) {
-          ls.resumed = r->start;
-          std::string rest = r->name.substr(std::string("5: restart of ").size());
-          if (auto sp = rest.find(' '); sp != std::string::npos) {
-            ls.pod = rest.substr(0, sp);
-          }
-        } else if (starts_with(r->name, "6: lazy restore started for ")) {
-          ls.lazy_start = r->start;
-          if (auto paren = r->name.find('('); paren != std::string::npos) {
-            ls.announced = std::strtoull(r->name.c_str() + paren + 1,
-                                         nullptr, 10);
-          }
-        } else if (starts_with(r->name, "7: lazy restore done for ")) {
-          ls.lazy_done = r->start;
-        } else if (starts_with(r->name, "lazy.fill: region ") ||
-                   starts_with(r->name, "lazy.fault: region ")) {
-          const std::string prefix = starts_with(r->name, "lazy.fill")
-                                         ? "lazy.fill: region "
-                                         : "lazy.fault: region ";
-          std::string key = r->name.substr(prefix.size());
-          if (auto paren = key.find(" ("); paren != std::string::npos) {
-            key = key.substr(0, paren);
-          }
-          ls.filled[key]++;
+    // ---- Every closed background epilogue — a COW drain or a lazy
+    // fill window — is acknowledged by the Manager's epilogue receipt
+    // for its pod, after it closed.
+    if (!aborted) {
+      std::vector<const obs::SpanRecord*> epilogues = named("ckpt.drain");
+      for (const auto* r : named("restart.lazy")) epilogues.push_back(r);
+      const std::vector<const obs::SpanRecord*> receipts =
+          named(ev::kEpilogue);
+      for (const auto* r : epilogues) {
+        const std::string pod = pod_of(r);
+        if (r->open || pod.empty()) continue;
+        if (std::none_of(receipts.begin(), receipts.end(), [&](auto* e) {
+              return ev::field(e->name, ev::kPod) == pod &&
+                     e->start >= r->end;
+            })) {
+          bad.push_back(r->name + " for pod " + pod +
+                        " closed but the manager never recorded its "
+                        "epilogue receipt");
         }
       }
-      for (const auto& [who, ls] : lazy) {
-        // Hot set installs strictly before the pod resumes: streaming
-        // start → hot-set done → resume must be causally ordered.
+    }
+
+    // ---- Pipelined / lazy restart invariants (DESIGN.md §13), per pod.
+    if (!is_ckpt) {
+      struct LazyState {
+        obs::Time stream_start = 0;  // first restore-leg QoS grant
+        obs::Time hot_done = 0;      // restart.standalone closed
+        obs::Time resumed = 0;       // agent.resume (downtime over)
+        obs::Time lazy_start = 0;    // restart.lazy opened
+        obs::Time lazy_done = 0;     // restart.lazy closed
+        u64 announced = 0;           // agent.resume lazy_regions
+        std::map<std::string, int> filled;  // "vpid/region" → fills+faults
+      };
+      std::map<std::string, LazyState> lazy;  // by pod
+      std::map<obs::SpanId, std::string> standalone_pod;
+      for (const auto* r : named("restart.standalone")) {
+        const std::string pod = pod_of(r);
+        standalone_pod[r->id] = pod;
+        if (!r->open) lazy[pod].hot_done = r->end;
+      }
+      for (const auto* r : named(ev::kQos)) {
+        auto it = standalone_pod.find(r->parent);
+        if (it == standalone_pod.end() ||
+            ev::field(r->name, ev::kLeg) != ev::kLegRestore) {
+          continue;
+        }
+        obs::Time& s = lazy[it->second].stream_start;
+        if (s == 0 || r->start < s) s = r->start;
+      }
+      for (const auto* r : resumes) {
+        LazyState& ls = lazy[ev::field(r->name, ev::kPod)];
+        ls.resumed = r->start;
+        ls.announced = ev::field_u64(r->name, ev::kLazyRegions);
+      }
+      for (const auto* r : named("restart.lazy")) {
+        LazyState& ls = lazy[pod_of(r)];
+        ls.lazy_start = r->start;
+        if (!r->open) ls.lazy_done = r->end;
+      }
+      std::vector<const obs::SpanRecord*> fills = named(ev::kLazyFill);
+      for (const auto* r : named(ev::kLazyFault)) fills.push_back(r);
+      for (const auto* r : fills) {
+        lazy[ev::field(r->name, ev::kPod)]
+            .filled[ev::field(r->name, ev::kVpid) + "/" +
+                    ev::field(r->name, ev::kRegion)]++;
+      }
+      for (const auto& [pod, ls] : lazy) {
+        const std::string who = "pod " + pod;
+        // Stream start → hot set installed → resume, in causal order.
         if (ls.stream_start != 0 && ls.hot_done != 0 &&
             ls.hot_done < ls.stream_start) {
           bad.push_back(who +
@@ -452,54 +426,30 @@ std::vector<Violation> validate_ops_detailed(
                         std::to_string(ls.filled.size()) +
                         " were restored");
         }
-        // A closed fill window is acknowledged by the Manager, after it
-        // closed (mirror of the drain-done receipt pairing).
-        if (ls.lazy_done != 0 && !aborted && !ls.pod.empty()) {
-          bool paired = false;
-          for (const auto* e : t.records) {
-            if (e->kind == obs::SpanKind::EVENT &&
-                e->name == "6: 'lazy-done' received from " + ls.pod &&
-                e->start >= ls.lazy_done) {
-              paired = true;
-            }
-          }
-          if (!paired) {
-            bad.push_back("lazy restore for pod " + ls.pod +
-                          " finished but the manager never recorded its "
-                          "lazy-done receipt");
-          }
-        }
-        if (ls.lazy_start != 0 && ls.lazy_done == 0 && !aborted &&
+        if (ls.announced != 0 && ls.lazy_done == 0 && !aborted &&
             !opts.allow_open_spans) {
-          bad.push_back(who +
-                        ": lazy fill window opened but never closed");
+          bad.push_back(who + ": lazy window announced " +
+                        std::to_string(ls.announced) +
+                        " regions but never closed");
         }
       }
     }
 
     // ---- recv₁ ≥ acked₂ on both ends of every restored connection.
-    struct Restored {
-      std::string local, remote, who;
-      u64 recv = 0, acked = 0;
-    };
-    std::vector<Restored> restored;
-    for (const auto* r : t.records) {
-      if (r->kind != obs::SpanKind::EVENT ||
-          !starts_with(r->name, "net.sock.restored")) {
-        continue;
-      }
-      restored.push_back(Restored{field(r->name, "local"),
-                                  field(r->name, "remote"), r->who,
-                                  field_u64(r->name, "recv"),
-                                  field_u64(r->name, "acked")});
-    }
-    for (const auto& a : restored) {
-      for (const auto& b : restored) {
-        if (a.local != b.remote || a.remote != b.local) continue;
-        if (a.recv < b.acked) {
-          bad.push_back(a.local + " restored recv=" +
-                        std::to_string(a.recv) + " < peer acked=" +
-                        std::to_string(b.acked) +
+    const std::vector<const obs::SpanRecord*> restored =
+        named(ev::kSockRestored);
+    for (const auto* a : restored) {
+      for (const auto* b : restored) {
+        const std::string local = ev::field(a->name, ev::kLocal);
+        if (local != ev::field(b->name, ev::kRemote) ||
+            ev::field(a->name, ev::kRemote) != ev::field(b->name, ev::kLocal)) {
+          continue;
+        }
+        const u64 recv = ev::field_u64(a->name, ev::kRecv);
+        const u64 acked = ev::field_u64(b->name, ev::kAcked);
+        if (recv < acked) {
+          bad.push_back(local + " restored recv=" + std::to_string(recv) +
+                        " < peer acked=" + std::to_string(acked) +
                         " (acknowledged data would be lost)");
         }
       }
@@ -508,52 +458,43 @@ std::vector<Violation> validate_ops_detailed(
   }
 
   // ---- SAN QoS receipts (cross-op): a background COW drain whose span
-  // overlaps a foreground restore-streaming window must have had its
-  // share (re)granted — the scheduler emits a "qos: drain granted"
-  // receipt at every share transition, so at least one must fall inside
-  // the drain's span.  Drains and restarts are separate ops, hence the
-  // whole-trace scan.
+  // overlaps a foreground restore stream — a restart.standalone span
+  // whose SAN leg recorded a grant — must itself carry a drain grant
+  // receipt: the scheduler re-grants at every share transition.  Drains
+  // and restarts are separate ops, hence the whole-trace scan.
   {
-    struct Fetch {
-      obs::Time a = 0, b = 0;
-    };
-    std::vector<Fetch> fetches;
-    std::map<std::string, obs::Time> fetch_start;  // by agent who
+    std::set<obs::SpanId> restore_streams, drain_grants;
+    std::map<obs::SpanId, const obs::SpanRecord*> by_id;
     for (const auto& r : spans) {
-      if (r.kind != obs::SpanKind::EVENT) continue;
-      if (starts_with(r.name, "4a: pipelined restore streaming ")) {
-        fetch_start[r.who] = r.start;
-      } else if (starts_with(r.name, "4: standalone restart done for ") &&
-                 r.name.find("(pipelined") != std::string::npos) {
-        if (auto it = fetch_start.find(r.who); it != fetch_start.end()) {
-          fetches.push_back(Fetch{it->second, r.start});
-          fetch_start.erase(it);
-        }
+      by_id[r.id] = &r;
+      if (r.kind != obs::SpanKind::EVENT || !ev::is(r.name, ev::kQos)) {
+        continue;
+      }
+      const std::string leg = ev::field(r.name, ev::kLeg);
+      if (leg == ev::kLegRestore) restore_streams.insert(r.parent);
+      if (leg == ev::kLegDrain) drain_grants.insert(r.parent);
+    }
+    std::vector<const obs::SpanRecord*> fetches;
+    for (obs::SpanId id : restore_streams) {
+      auto it = by_id.find(id);
+      if (it != by_id.end() && it->second->kind == obs::SpanKind::SPAN &&
+          !it->second->open) {
+        fetches.push_back(it->second);
       }
     }
     for (const auto& r : spans) {
       if (r.kind != obs::SpanKind::SPAN || r.name != "ckpt.drain" ||
-          r.open) {
+          r.open || drain_grants.count(r.id) != 0) {
         continue;
       }
-      bool overlaps = false;
-      for (const Fetch& f : fetches) {
-        if (r.start < f.b && f.a < r.end) overlaps = true;
-      }
-      if (!overlaps) continue;
-      bool receipted = false;
-      for (const auto& e : spans) {
-        if (e.kind == obs::SpanKind::EVENT && e.who == r.who &&
-            starts_with(e.name, "qos: drain granted ") &&
-            e.start >= r.start && e.start <= r.end) {
-          receipted = true;
+      for (const auto* f : fetches) {
+        if (r.start < f->end && f->start < r.end) {
+          out.push_back(Violation{
+              r.op, r.who +
+                        ": drain overlapped a foreground restore stream "
+                        "but recorded no QoS share-grant receipt"});
+          break;
         }
-      }
-      if (!receipted) {
-        out.push_back(Violation{
-            r.op, r.who +
-                      ": drain overlapped a foreground restore stream but "
-                      "recorded no QoS share-grant receipt"});
       }
     }
   }

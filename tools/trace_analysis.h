@@ -5,21 +5,12 @@
 // per-operation causal trees (every coordinated checkpoint/restart
 // carries an op id), renders an ASCII timeline, and re-checks the
 // protocol invariants the paper's design depends on — after the fact,
-// from the recorded evidence alone:
-//
-//   * exactly one Manager 'continue' (the single barrier) per
-//     coordinated checkpoint;
-//   * network-state checkpoint before standalone checkpoint (the
-//     NETWORK_FIRST ordering of Figure 2; relaxable for the ablation);
-//   * no agent resumes its pod before the Manager's continue decision,
-//     and the resume is causally parented under it;
-//   * recv₁ ≥ acked₂ across both ends of every restored connection
-//     (paper §5: data acknowledged by one side must have been received
-//     by the other, or restart would lose it);
-//   * every aborted operation carries an 'op.fail' postmortem marker
-//     (the failure was recorded, not silently dropped);
-//   * no op-tagged span is left open at end-of-trace (relaxable for
-//     flight-recorder postmortems, which snapshot mid-failure).
+// from the recorded evidence alone: the single barrier, NETWORK_FIRST
+// ordering, the COW and lazy-restart orderings, epilogue receipts,
+// recv₁ ≥ acked₂ on restored connections, recorded failures and closed
+// spans (DESIGN.md §6.4 lists them all).  The checks read only span
+// names and the keyed events of obs/event.h, and keep per-pod
+// bookkeeping by each agent root's `pod`, never by agent.
 #pragma once
 
 #include <set>

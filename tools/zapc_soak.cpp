@@ -17,7 +17,7 @@
 //     restart the application on fresh nodes (checked whenever no
 //     partial commit raced the abort past the barrier);
 //   * the recorded span stream passes every zapc-trace --validate
-//     invariant (single barrier, op.fail pairing, ordering, ...).
+//     invariant (single barrier, failures recorded, ordering, ...).
 //
 //   zapc-soak [--seeds N] [--start S] [--verbose]
 //   zapc-soak --kill-nodes [--seeds N] [--start S] [--verbose]
@@ -33,7 +33,9 @@
 //     (plus one op latency) at the moment of death;
 //   * the ledger holds exactly one successful trigger=supervisor
 //     restart row per kill, carrying a positive MTTR;
-//   * the supervisor returns to IDLE, no orphan temp image remains.
+//   * the supervisor returns to IDLE, no orphan temp image remains;
+//   * the span stream passes every zapc-trace --validate invariant
+//     (open spans allowed: the dead node's never close).
 //
 // Exit 0 = every seed clean; 1 = at least one violated invariant.  The
 // offending seeds are listed, and each replays deterministically: the
@@ -509,6 +511,15 @@ std::vector<std::string> run_kill_seed(u64 seed, bool verbose) {
     if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".tmp") == 0) {
       bad.push_back("orphan temp image on SAN: " + path);
     }
+  }
+
+  // ---- Offline evidence invariants, same checks as zapc-trace
+  // --validate.  The killed node's spans never close.
+  tools::ValidateOptions vopts;
+  vopts.allow_open_spans = true;
+  for (const std::string& v :
+       tools::validate_ops(trace.recorder().spans(), vopts)) {
+    bad.push_back("trace: " + v);
   }
   return bad;
 }
