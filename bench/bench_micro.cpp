@@ -1,8 +1,14 @@
 // Microbenchmarks (google-benchmark): hot paths of the checkpoint
-// pipeline — record serialization, CRC validation, image encode/decode,
-// simulated TCP throughput, and engine event dispatch.
+// pipeline — record serialization, CRC validation, image encode/decode —
+// and of the simulator — BT's line solves, TCP receive absorb, simulated
+// TCP throughput, and engine event dispatch.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "apps/bt.h"
 #include "ckpt/image.h"
 #include "net/stack.h"
 #include "net/tcp.h"
@@ -113,6 +119,130 @@ void BM_EngineEvents(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_EngineEvents);
+
+// Steady-state engine churn shaped like the simulator's: each of 64
+// flows re-arms its next step and a retransmit-style timer that is
+// cancelled before it fires.
+void BM_EngineScheduleDispatch(benchmark::State& state) {
+  constexpr int kFlows = 64;
+  constexpr u64 kEvents = 100000;
+  for (auto _ : state) {
+    sim::Engine e;
+    u64 dispatched = 0;
+    std::vector<sim::EventId> timer(kFlows, 0);
+    std::function<void(int)> tick = [&](int f) {
+      if (++dispatched >= kEvents) return;
+      if (timer[f] != 0) e.cancel(timer[f]);
+      timer[f] = e.schedule(200000, [] {});
+      e.schedule(static_cast<sim::Time>(1 + f % 7), [&tick, f] { tick(f); });
+    };
+    for (int f = 0; f < kFlows; ++f) {
+      e.schedule(static_cast<sim::Time>(f), [&tick, f] { tick(f); });
+    }
+    e.run();
+    benchmark::DoNotOptimize(dispatched);
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kEvents);
+}
+BENCHMARK(BM_EngineScheduleDispatch);
+
+// One BT step's line solves on one rank at the bulk-snapshot size: 256
+// local rows of 1,024 (x-sweep), then 1,024 columns of 256 (y-sweep).
+// PerLine is the reference Thomas solve, one line at a time, recomputing
+// the elimination coefficients per line; Blocked is BtProgram's.
+constexpr u32 kBtRows = 256;
+constexpr u32 kBtCols = 1024;
+constexpr double kBtAlpha = 0.1;
+
+std::vector<double> bt_grid() {
+  std::vector<double> g(static_cast<std::size_t>(kBtRows) * kBtCols);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g[i] = std::sin(1e-3 * static_cast<double>(i)) + 0.5;
+  }
+  return g;
+}
+
+// Each iteration restores the grid first so repeated diffusion never
+// decays it into subnormals.
+void BM_BtSweepPerLine(benchmark::State& state) {
+  const std::vector<double> g0 = bt_grid();
+  std::vector<double> g(g0.size());
+  std::vector<double> scratch(kBtCols);
+  for (auto _ : state) {
+    std::memcpy(g.data(), g0.data(), g.size() * sizeof(double));
+    for (u32 r = 0; r < kBtRows; ++r) {
+      test::thomas_per_line(g.data() + static_cast<std::size_t>(r) * kBtCols,
+                            kBtCols, kBtAlpha, scratch.data(), 1);
+    }
+    for (u32 c = 0; c < kBtCols; ++c) {
+      test::thomas_per_line(g.data() + c, kBtRows, kBtAlpha, scratch.data(),
+                            kBtCols);
+    }
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(g.size()));
+}
+BENCHMARK(BM_BtSweepPerLine);
+
+void BM_BtSweepBlocked(benchmark::State& state) {
+  const std::vector<double> g0 = bt_grid();
+  std::vector<double> g(g0.size());
+  const apps::ThomasTable x_table(kBtCols, kBtAlpha);
+  const apps::ThomasTable y_table(kBtRows, kBtAlpha);
+  for (auto _ : state) {
+    std::memcpy(g.data(), g0.data(), g.size() * sizeof(double));
+    apps::thomas_rows(g.data(), kBtRows, x_table);
+    apps::thomas_columns(g.data(), kBtCols, y_table);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(g.size()));
+}
+BENCHMARK(BM_BtSweepBlocked);
+
+// TCP's receive path alone: 1 KiB in-order segments handed straight to
+// an established socket, 64 per batch, read back out between batches.
+void BM_TcpAbsorb(benchmark::State& state) {
+  constexpr std::size_t kSegment = 1024;
+  constexpr int kBatch = 64;
+  test::TestNet net;
+  net::Stack a(net.engine, net::IpAddr(10, 0, 0, 1), "A");
+  net::Stack b(net.engine, net::IpAddr(10, 0, 0, 2), "B");
+  net.add(a);
+  net.add(b);
+  net::SockId lst = b.sys_socket(net::Proto::TCP).value();
+  (void)b.sys_bind(lst, net::SockAddr{net::kAnyAddr, 7000});
+  (void)b.sys_listen(lst, 4);
+  net::SockId cli = a.sys_socket(net::Proto::TCP).value();
+  (void)a.sys_connect(cli, net::SockAddr{b.vip(), 7000});
+  net.step_for(10 * sim::kMillisecond);
+  net::SockId srv = b.sys_accept(lst, nullptr).value();
+  net::TcpSocket* rcv = b.find_tcp(srv);
+
+  net::Packet p;
+  p.proto = net::Proto::TCP;
+  p.src = a.sys_getsockname(cli).value();
+  p.dst = b.sys_getsockname(srv).value();
+  p.flags = net::kAck;
+  p.ack = rcv->pcb_sent();
+  p.wnd = 65535;
+  p.payload = test::pattern_bytes(kSegment);
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      p.seq = rcv->pcb_recv();
+      b.deliver(p);
+    }
+    while (b.sys_recv(srv, 65536, 0).is_ok()) {
+    }
+    net.step_for(sim::kMillisecond);  // deliver the ACKs
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * kBatch *
+                          static_cast<i64>(kSegment));
+}
+BENCHMARK(BM_TcpAbsorb);
 
 void BM_SimulatedTcpTransfer(benchmark::State& state) {
   const std::size_t total = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "apps/bt.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -13,26 +14,73 @@ constexpr u32 kTagHaloUp = 201;
 constexpr u32 kTagHaloDown = 202;
 constexpr u32 kHaloWidth = 2;  // rows exchanged per direction ("wide")
 
-/// Solves the tridiagonal system (-a, 1+2a, -a) x = rhs in place
-/// (Thomas algorithm); x has stride `stride`.
-void thomas(double* x, u32 len, double a, double* scratch, u32 stride) {
-  if (len == 0) return;
-  const double b = 1.0 + 2.0 * a;
-  // Forward elimination.
-  scratch[0] = -a / b;
-  x[0] = x[0] / b;
-  for (u32 i = 1; i < len; ++i) {
-    double m = 1.0 / (b + a * scratch[i - 1]);
-    scratch[i] = -a * m;
-    x[i * stride] = (x[i * stride] + a * x[(i - 1) * stride]) * m;
-  }
-  // Back substitution.
-  for (u32 i = len - 1; i-- > 0;) {
-    x[i * stride] -= scratch[i] * x[(i + 1) * stride];
-  }
+// Rows solved together by thomas_rows: enough independent recurrences
+// to hide each one's latency.
+constexpr u32 kRowBlock = 8;
+
+/// `t`, rebuilt first if it was built for another (len, a).
+const ThomasTable& cached(ThomasTable& t, u32 len, double a) {
+  if (t.len != len || t.a != a) t = ThomasTable(len, a);
+  return t;
 }
 
 }  // namespace
+
+ThomasTable::ThomasTable(u32 len, double a)
+    : len(len), a(a), b(1.0 + 2.0 * a), m(len), s(len) {
+  if (len == 0) return;
+  s[0] = -a / b;
+  for (u32 i = 1; i < len; ++i) {
+    m[i] = 1.0 / (b + a * s[i - 1]);
+    s[i] = -a * m[i];
+  }
+}
+
+void thomas_rows(double* x, u32 rows, const ThomasTable& t) {
+  const u32 n = t.len;
+  if (n == 0) return;
+  const double a = t.a;
+  for (u32 r0 = 0; r0 < rows; r0 += kRowBlock) {
+    const u32 bw = std::min(kRowBlock, rows - r0);
+    double* row[kRowBlock] = {};
+    for (u32 r = 0; r < bw; ++r) {
+      row[r] = x + static_cast<std::size_t>(r0 + r) * n;
+      row[r][0] = row[r][0] / t.b;
+    }
+    // Forward elimination.
+    for (u32 i = 1; i < n; ++i) {
+      const double m = t.m[i];
+      for (u32 r = 0; r < bw; ++r) {
+        row[r][i] = (row[r][i] + a * row[r][i - 1]) * m;
+      }
+    }
+    // Back substitution.
+    for (u32 i = n - 1; i-- > 0;) {
+      const double s = t.s[i];
+      for (u32 r = 0; r < bw; ++r) row[r][i] -= s * row[r][i + 1];
+    }
+  }
+}
+
+void thomas_columns(double* x, u32 width, const ThomasTable& t) {
+  if (t.len == 0) return;
+  const double a = t.a;
+  for (u32 c = 0; c < width; ++c) x[c] = x[c] / t.b;
+  // Forward elimination.
+  for (u32 i = 1; i < t.len; ++i) {
+    const double m = t.m[i];
+    double* cur = x + static_cast<std::size_t>(i) * width;
+    const double* prev = cur - width;
+    for (u32 c = 0; c < width; ++c) cur[c] = (cur[c] + a * prev[c]) * m;
+  }
+  // Back substitution.
+  for (u32 i = t.len - 1; i-- > 0;) {
+    const double s = t.s[i];
+    double* cur = x + static_cast<std::size_t>(i) * width;
+    const double* next = cur + width;
+    for (u32 c = 0; c < width; ++c) cur[c] -= s * next[c];
+  }
+}
 
 double* BtProgram::grid(os::Syscalls& sys) {
   // Local rows plus kHaloWidth halo rows on each side.
@@ -57,12 +105,18 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
       if (!comm_.try_init(sys)) return wait_comm(comm_);
       if (!initialized_grid_) {
         // u₀ = sin(πx)·sin(πy): smooth mode that decays under diffusion.
+        // Each factor depends on one coordinate, so it is evaluated once
+        // per column and once per row.
+        std::vector<double> sin_x(n);
+        for (u32 c = 0; c < n; ++c) {
+          double x = static_cast<double>(c + 1) / (n + 1);
+          sin_x[c] = std::sin(M_PI * x);
+        }
         for (u32 r = 0; r < local_rows(); ++r) {
           double y = static_cast<double>(rows_begin() + r + 1) / (n + 1);
+          const double sin_y = std::sin(M_PI * y);
           for (u32 c = 0; c < n; ++c) {
-            double x = static_cast<double>(c + 1) / (n + 1);
-            interior[static_cast<std::size_t>(r) * n + c] =
-                std::sin(M_PI * x) * std::sin(M_PI * y);
+            interior[static_cast<std::size_t>(r) * n + c] = sin_x[c] * sin_y;
           }
         }
         initialized_grid_ = true;
@@ -72,11 +126,7 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
     }
     case X_SWEEP: {
       // Implicit solve along x for every local row.
-      std::vector<double> scratch(n);
-      for (u32 r = 0; r < local_rows(); ++r) {
-        thomas(interior + static_cast<std::size_t>(r) * n, n, p_.alpha_dt,
-               scratch.data(), 1);
-      }
+      thomas_rows(interior, local_rows(), cached(x_table_, n, p_.alpha_dt));
       pc_ = SEND_HALO;
       return StepResult::yield(
           std::max<sim::Time>(local_rows() * p_.cost_per_row, 1));
@@ -134,38 +184,42 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
       // Block-local implicit solve along y using halo rows as boundary
       // coupling (block-Jacobi ADI).
       u32 len = local_rows();
-      std::vector<double> scratch(len);
-      for (u32 c = 0; c < n; ++c) {
-        double* col = interior + c;
-        // Fold halo boundary values into the first/last RHS entries.
-        if (has_up) {
-          col[0] += p_.alpha_dt * g[(kHaloWidth - 1) * n + c];
-        }
-        if (has_down) {
-          col[static_cast<std::size_t>(len - 1) * n] +=
-              p_.alpha_dt *
-              interior[static_cast<std::size_t>(len) * n + c];
-        }
-        thomas(col, len, p_.alpha_dt, scratch.data(), n);
+      // Fold halo boundary values into the first/last RHS entries (up
+      // before down, as when len == 1 both land on one entry).
+      if (has_up) {
+        const double* halo = g + static_cast<std::size_t>(kHaloWidth - 1) * n;
+        for (u32 c = 0; c < n; ++c) interior[c] += p_.alpha_dt * halo[c];
       }
+      if (has_down && len > 0) {
+        double* last = interior + static_cast<std::size_t>(len - 1) * n;
+        const double* halo = last + n;
+        for (u32 c = 0; c < n; ++c) last[c] += p_.alpha_dt * halo[c];
+      }
+      thomas_columns(interior, n, cached(y_table_, len, p_.alpha_dt));
       pc_ = NORM;
       return StepResult::yield(
           std::max<sim::Time>(local_rows() * p_.cost_per_row, 1));
     }
     case NORM: {
-      double sum2 = 0, sum_abs = 0, maxv = 0;
-      for (u32 r = 0; r < local_rows(); ++r) {
-        for (u32 c = 0; c < n; ++c) {
-          double v = interior[static_cast<std::size_t>(r) * n + c];
-          sum2 += v * v;
-          sum_abs += std::abs(v);
-          maxv = std::max(maxv, std::abs(v));
+      // The grid does not change while the allreduce is pending, so the
+      // local sums are taken once per step, not once per poll.
+      if (local_sums_.empty()) {
+        double sum2 = 0, sum_abs = 0, maxv = 0;
+        for (u32 r = 0; r < local_rows(); ++r) {
+          for (u32 c = 0; c < n; ++c) {
+            double v = interior[static_cast<std::size_t>(r) * n + c];
+            sum2 += v * v;
+            sum_abs += std::abs(v);
+            maxv = std::max(maxv, std::abs(v));
+          }
         }
+        local_sums_ = {sum2, sum_abs, maxv};
       }
-      if (!comm_.try_allreduce_sum(sys, {sum2, sum_abs, maxv}, &reduced_)) {
+      if (!comm_.try_allreduce_sum(sys, local_sums_, &reduced_)) {
         if (comm_.failed()) return StepResult::exit(2);
         return wait_comm(comm_);
       }
+      local_sums_.clear();
       norm_ = std::sqrt(reduced_[0]) / (static_cast<double>(n));
       if (step_ == 0) initial_norm_ = norm_;
       ++step_;

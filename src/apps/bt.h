@@ -10,9 +10,37 @@
 // checkpoint images in the paper) and partitioned by row blocks.
 #pragma once
 
+#include <vector>
+
 #include "apps/mpi_app.h"
 
 namespace zapc::apps {
+
+/// The forward-elimination coefficients of the Thomas solve for the
+/// tridiagonal system (-a, 1+2a, -a) x = rhs of length `len`:
+/// s[0] = -a/b, m[i] = 1/(b + a·s[i-1]), s[i] = -a·m[i] (b = 1+2a).
+/// They depend only on (len, a), not on the right-hand side, so one
+/// table serves every line of a sweep.
+struct ThomasTable {
+  ThomasTable() = default;
+  ThomasTable(u32 len, double a);
+
+  u32 len = 0;
+  double a = 0;
+  double b = 1;
+  std::vector<double> m;  // m[0] unused: row 0 divides by b
+  std::vector<double> s;
+};
+
+/// Solves `rows` independent systems, one per contiguous row of
+/// `t.len` values (the x-sweep).  A block of rows is solved together
+/// with the inner loop running across the block; each row's arithmetic
+/// is the per-line Thomas solve's, in the same order.
+void thomas_rows(double* x, u32 rows, const ThomasTable& t);
+
+/// Solves `width` independent systems, one per column of a row-major
+/// `t.len`×`width` block (the y-sweep): one contiguous row per pass.
+void thomas_columns(double* x, u32 width, const ThomasTable& t);
 
 class BtProgram final : public os::Program {
  public:
@@ -71,6 +99,12 @@ class BtProgram final : public os::Program {
   double norm_ = 0;
   double initial_norm_ = 0;
   std::vector<double> reduced_;
+  // Derived state, never saved: the line-solve tables for (n, local
+  // rows, α), and this step's NORM sums while the allreduce is pending
+  // (empty otherwise; a restored program recomputes them from the grid).
+  ThomasTable x_table_;
+  ThomasTable y_table_;
+  std::vector<double> local_sums_;
 };
 
 }  // namespace zapc::apps

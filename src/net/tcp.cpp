@@ -53,8 +53,7 @@ u32 TcpSocket::recv_window() const {
 
 // ---- Output path ----------------------------------------------------------
 
-void TcpSocket::send_segment(u32 seq, const Bytes& payload, u8 flags,
-                             u32 urg_ptr) {
+void TcpSocket::send_segment(u32 seq, Bytes payload, u8 flags, u32 urg_ptr) {
   Packet p;
   p.proto = Proto::TCP;
   p.src = local();
@@ -64,7 +63,7 @@ void TcpSocket::send_segment(u32 seq, const Bytes& payload, u8 flags,
   if (flags & kAck) p.ack = rcv_nxt_;
   p.wnd = recv_window();
   p.urg_ptr = urg_ptr;
-  p.payload = payload;
+  p.payload = std::move(payload);
   stack().output(std::move(p));
 }
 
@@ -111,7 +110,7 @@ void TcpSocket::try_output() {
       flags |= kUrg;
       urg_ptr = *urg_seq_snd_;
     }
-    send_segment(snd_nxt_, payload, flags, urg_ptr);
+    send_segment(snd_nxt_, std::move(payload), flags, urg_ptr);
     snd_nxt_ += static_cast<u32>(can);
   }
 
@@ -194,7 +193,7 @@ void TcpSocket::on_rtx_timeout() {
             flags |= kUrg;
             urg_ptr = *urg_seq_snd_;
           }
-          send_segment(snd_una_, payload, flags, urg_ptr);
+          send_segment(snd_una_, std::move(payload), flags, urg_ptr);
           // Go-back-N (classic RFC 6298 timeout behavior): a timeout
           // means the left edge — and in practice everything after it,
           // e.g. a whole window dropped by a checkpoint freeze — was
@@ -211,8 +210,7 @@ void TcpSocket::on_rtx_timeout() {
         // Zero-window probe: one byte beyond the window.  snd_nxt_ does
         // not advance — the byte is not considered sent until the window
         // opens (persist-timer semantics).
-        Bytes probe{send_buf_[snd_nxt_ - snd_una_]};
-        send_segment(snd_nxt_, probe, kAck, 0);
+        send_segment(snd_nxt_, Bytes{send_buf_[snd_nxt_ - snd_una_]}, kAck, 0);
       }
       break;
     }
@@ -392,25 +390,33 @@ void TcpSocket::on_data(const Packet& p) {
   u32 seg_end = seg_seq + static_cast<u32>(p.payload.size());
   const auto rcvbuf =
       static_cast<std::size_t>(opts().get(SockOpt::SO_RCVBUF));
+  const bool oob_inline = opts().get(SockOpt::SO_OOBINLINE) != 0;
 
   // Absorbs in-order bytes starting at rcv_nxt_, honouring the receive
   // buffer limit; returns how many bytes were accepted.  The urgent byte
   // is pulled to the side channel (unless SO_OOBINLINE) and costs no
-  // buffer space.
+  // buffer space, even when the buffer is full.  Bytes move one
+  // contiguous span at a time, split only at the urgent byte and at the
+  // buffer limit.
   auto absorb = [&](const Bytes& payload, u32 base_seq, u32 start) -> u32 {
-    u32 accepted = 0;
-    for (u32 i = start; i < payload.size(); ++i) {
-      u32 byte_seq = base_seq + i;
-      bool is_urgent = urg_seq_rcv_ && byte_seq == *urg_seq_rcv_ &&
-                       opts().get(SockOpt::SO_OOBINLINE) == 0;
-      if (is_urgent) {
-        urg_data_ = payload[i];
-      } else {
-        if (recv_buf_.size() >= rcvbuf) break;  // window closed
-        recv_buf_.push_back(payload[i]);
+    const auto size = static_cast<u32>(payload.size());
+    u32 i = start;
+    while (i < size) {
+      u32 stop = size;  // end of this span: the urgent byte, or the end
+      if (urg_seq_rcv_ && !oob_inline) {
+        u32 off = *urg_seq_rcv_ - base_seq;
+        if (off >= i && off < size) stop = off;
       }
-      ++accepted;
+      std::size_t room =
+          recv_buf_.size() >= rcvbuf ? 0 : rcvbuf - recv_buf_.size();
+      auto take = static_cast<u32>(std::min<std::size_t>(stop - i, room));
+      recv_buf_.insert(recv_buf_.end(), payload.begin() + i,
+                       payload.begin() + i + take);
+      i += take;
+      if (i < stop || stop == size) break;  // window closed, or done
+      urg_data_ = payload[i++];
     }
+    u32 accepted = i - start;
     rcv_nxt_ += accepted;
     return accepted;
   };

@@ -150,7 +150,7 @@ class TcpSocket final : public Socket {
 
   void enter_state(TcpState s);
   void try_output();
-  void send_segment(u32 seq, const Bytes& payload, u8 flags, u32 urg_ptr);
+  void send_segment(u32 seq, Bytes payload, u8 flags, u32 urg_ptr);
   void send_ack();
   void send_rst(const Packet& cause);
   void arm_rtx_timer();

@@ -6,18 +6,43 @@ namespace zapc::sim {
 
 EventId Engine::schedule_at(Time t, std::function<void()> fn) {
   if (t < now_) t = now_;
-  EventId id = next_id_++;
+  u32 slot = static_cast<u32>(slots_.size());
+  if (free_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.live = true;
+  ++live_;
+  EventId id = (static_cast<EventId>(s.gen) << 32) | slot;
   queue_.push(Item{t, next_seq_++, id});
-  handlers_.emplace(id, std::move(fn));
   obs::stats::sim_queue_depth().set(static_cast<i64>(queue_.size()));
   return id;
 }
 
+Engine::Slot* Engine::live_slot(EventId id) {
+  auto slot = static_cast<u32>(id);
+  if (slot >= slots_.size()) return nullptr;
+  Slot& s = slots_[slot];
+  if (!s.live || s.gen != static_cast<u32>(id >> 32)) return nullptr;
+  return &s;
+}
+
+void Engine::release(u32 slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.live = false;
+  if (++s.gen == 0) s.gen = 1;  // keep ids nonzero across wraparound
+  --live_;
+  free_.push_back(slot);
+}
+
 bool Engine::cancel(EventId id) {
-  auto it = handlers_.find(id);
-  if (it == handlers_.end()) return false;
-  handlers_.erase(it);
-  cancelled_.insert(id);
+  if (live_slot(id) == nullptr) return false;
+  release(static_cast<u32>(id));
   obs::stats::sim_events_cancelled().inc();
   return true;
 }
@@ -26,15 +51,10 @@ bool Engine::step() {
   while (!queue_.empty()) {
     Item item = queue_.top();
     queue_.pop();
-    auto cit = cancelled_.find(item.id);
-    if (cit != cancelled_.end()) {
-      cancelled_.erase(cit);
-      continue;
-    }
-    auto hit = handlers_.find(item.id);
-    if (hit == handlers_.end()) continue;  // defensive; shouldn't happen
-    std::function<void()> fn = std::move(hit->second);
-    handlers_.erase(hit);
+    Slot* s = live_slot(item.id);
+    if (s == nullptr) continue;  // cancelled
+    std::function<void()> fn = std::move(s->fn);
+    release(static_cast<u32>(item.id));
     now_ = item.time;
     obs::stats::sim_events_dispatched().inc();
     fn();
@@ -47,9 +67,8 @@ void Engine::run_until(Time t) {
   while (!queue_.empty()) {
     // Peek past cancelled entries.
     Item item = queue_.top();
-    if (cancelled_.count(item.id)) {
+    if (live_slot(item.id) == nullptr) {
       queue_.pop();
-      cancelled_.erase(item.id);
       continue;
     }
     if (item.time > t) break;

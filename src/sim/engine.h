@@ -7,8 +7,6 @@
 
 #include <functional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/types.h"
@@ -29,11 +27,18 @@ constexpr Time rate_cost(u64 units, u64 units_per_sec) {
   return units_per_sec == 0 ? 0 : units * kSecond / units_per_sec;
 }
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: (generation << 32 | slot).
+/// Generations start at 1, so a valid id is never 0.
 using EventId = u64;
 
 /// A single-clock event queue.  Events scheduled for the same time run in
 /// FIFO order of scheduling, which keeps runs reproducible.
+///
+/// Handlers live in a slab of slots recycled through a free list; a
+/// slot's generation advances each time it is freed, so an id that
+/// outlived its event (ran, cancelled, slot reused) no longer matches.
+/// Cancelling frees the slot at once and leaves the heap entry behind;
+/// dispatch skips heap entries whose id no longer names a live slot.
 class Engine {
  public:
   Engine() = default;
@@ -65,7 +70,7 @@ class Engine {
   u64 run(u64 max_events = ~0ull);
 
   /// Number of pending (uncancelled) events.
-  std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+  std::size_t pending() const { return live_; }
 
   bool idle() const { return pending() == 0; }
 
@@ -81,12 +86,24 @@ class Engine {
     }
   };
 
+  struct Slot {
+    std::function<void()> fn;
+    u32 gen = 1;
+    bool live = false;
+  };
+
+  /// The live slot `id` names, or nullptr if its event already ran or
+  /// was cancelled.
+  Slot* live_slot(EventId id);
+  /// Drops the slot's handler and recycles it under a new generation.
+  void release(u32 slot);
+
   Time now_ = 0;
   u64 next_seq_ = 0;
-  EventId next_id_ = 1;
   std::priority_queue<Item> queue_;
-  std::unordered_map<EventId, std::function<void()>> handlers_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<u32> free_;
+  std::size_t live_ = 0;
 };
 
 }  // namespace zapc::sim

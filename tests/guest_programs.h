@@ -1,6 +1,8 @@
 // Small guest programs used by OS/pod/checkpoint tests.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "net/addr.h"
@@ -148,7 +150,8 @@ class EchoServer final : public os::Program {
 };
 
 /// TCP echo client: connects, sends `total` patterned bytes, reads them
-/// back, verifies, exits 0 on success.
+/// back, verifies, exits 0 on success (3 on a corrupted echo, 4 if the
+/// stream ends early).
 class EchoClient final : public os::Program {
  public:
   EchoClient() = default;
@@ -184,18 +187,25 @@ class EchoClient final : public os::Program {
         return StepResult::yield();
       }
       case 2: {  // send + receive until done
+        const Bytes& pat = pattern();
         if (sent_ < total_) {
-          u32 n = std::min<u32>(total_ - sent_, 2048);
-          Bytes chunk(n);
-          for (u32 i = 0; i < n; ++i) chunk[i] = byte_at(sent_ + i);
-          auto w = sys.send(fd_, chunk, 0);
+          u32 n = std::min<u32>(total_ - sent_, kChunk);
+          const u8* from = pat.data() + sent_ % kPeriod;
+          chunk_.assign(from, from + n);
+          auto w = sys.send(fd_, chunk_, 0);
           if (w.is_ok()) sent_ += static_cast<u32>(w.value());
         }
-        auto r = sys.recv(fd_, 4096, 0);
-        if (r.is_ok() && !r.value().eof) {
-          for (u8 b : r.value().data) {
-            if (b != byte_at(rcvd_)) return StepResult::exit(3);
-            ++rcvd_;
+        auto r = sys.recv(fd_, kRecvMax, 0);
+        if (r.is_ok()) {
+          const Bytes& got = r.value().data;
+          if (r.value().eof) {
+            if (rcvd_ < total_) return StepResult::exit(4);
+          } else if (!got.empty()) {
+            if (std::memcmp(got.data(), pat.data() + rcvd_ % kPeriod,
+                            got.size()) != 0) {
+              return StepResult::exit(3);
+            }
+            rcvd_ += static_cast<u32>(got.size());
           }
         }
         if (rcvd_ == total_) {
@@ -234,12 +244,28 @@ class EchoClient final : public os::Program {
   u32 received() const { return rcvd_; }
 
  private:
+  static constexpr u32 kChunk = 2048;    // bytes offered per send
+  static constexpr u32 kRecvMax = 4096;  // bytes asked of each recv
+  static constexpr u32 kPeriod = 256;    // byte_at(i) repeats every 256
+
+  /// byte_at(0 .. kPeriod + kRecvMax): a window starting at any stream
+  /// offset's phase (offset % kPeriod) holds a whole chunk or recv.
+  static const Bytes& pattern() {
+    static const Bytes pat = [] {
+      Bytes b(kPeriod + kRecvMax);
+      for (u32 i = 0; i < b.size(); ++i) b[i] = byte_at(i);
+      return b;
+    }();
+    return pat;
+  }
+
   net::SockAddr server_;
   u32 total_ = 0;
   u32 pc_ = 0;
   i32 fd_ = -1;
   u32 sent_ = 0;
   u32 rcvd_ = 0;
+  Bytes chunk_;  // send scratch, refilled from pattern() each step
 };
 
 /// Touches one of its regions per step, round-robin, rewriting a byte

@@ -64,4 +64,24 @@ inline Bytes pattern_bytes(std::size_t n, u8 salt = 0) {
   return b;
 }
 
+/// BT's per-line Thomas solve, the reference its blocked sweeps must
+/// match bit for bit: the system (-a, 1+2a, -a) x = rhs solved in place
+/// along `x` at `stride`, recomputing the elimination coefficients into
+/// `scratch` (len entries).
+inline void thomas_per_line(double* x, u32 len, double a, double* scratch,
+                            u32 stride) {
+  if (len == 0) return;
+  const double b = 1.0 + 2.0 * a;
+  scratch[0] = -a / b;
+  x[0] = x[0] / b;
+  for (u32 i = 1; i < len; ++i) {
+    double m = 1.0 / (b + a * scratch[i - 1]);
+    scratch[i] = -a * m;
+    x[i * stride] = (x[i * stride] + a * x[(i - 1) * stride]) * m;
+  }
+  for (u32 i = len - 1; i-- > 0;) {
+    x[i * stride] -= scratch[i] * x[(i + 1) * stride];
+  }
+}
+
 }  // namespace zapc::test

@@ -4,7 +4,9 @@
 // final results.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "apps/bratu.h"
 #include "apps/bt.h"
@@ -15,6 +17,7 @@
 #include "core/agent.h"
 #include "core/manager.h"
 #include "os/cluster.h"
+#include "tests/helpers.h"
 
 namespace zapc::apps {
 namespace {
@@ -173,6 +176,68 @@ TEST(Apps, BtDiffusionDecays) {
   double initial_norm = d.f64_().value();
   EXPECT_LT(final_norm, initial_norm);
   EXPECT_GT(final_norm, 0.0);
+}
+
+/// BT's final norm, bit for bit, after an uninterrupted `ranks`-rank run
+/// on an n×n grid.
+u64 bt_final_norm_bits(i32 ranks, u32 n) {
+  TestRig rig(ranks);
+  BtProgram::Params base;
+  base.n = n;
+  base.steps = 20;
+  base.size = ranks;
+  JobHandle job = launch_mpi_job(rig.agents, "bt", ranks, [&](i32 r) {
+    BtProgram::Params p = base;
+    p.rank = r;
+    return std::make_unique<BtProgram>(p);
+  });
+  EXPECT_EQ(rig.run_job(job), 0);
+  Bytes out = rig.cl.san().read("results/bt").value();
+  Decoder d(out);
+  return std::bit_cast<u64>(d.f64_().value());
+}
+
+// Pins BT's numerics: any reordering of the solver's floating-point
+// arithmetic moves these bits.  The 3-rank n=37 run gives ranks 12, 12
+// and 13 local rows, none a multiple of the row block.
+TEST(Apps, BtFinalNormIsBitIdentical) {
+  EXPECT_EQ(bt_final_norm_bits(4, 128), 0x3fe0163f8407b4d0ull);
+  EXPECT_EQ(bt_final_norm_bits(3, 37), 0x3fdffc6c0adbbafbull);
+}
+
+TEST(Apps, BtBlockedSweepsMatchPerLineSolveBitForBit) {
+  const double a = 0.1;
+  const u32 count = 13;  // lines per sweep: one full block of 8 plus 5
+  for (u32 len : {1u, 2u, 7u, 256u}) {
+    SCOPED_TRACE(len);
+    std::vector<double> rhs(static_cast<std::size_t>(len) * count);
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      rhs[i] = std::sin(0.37 * static_cast<double>(i)) + 0.5;
+    }
+    const ThomasTable t(len, a);
+    std::vector<double> scratch(len);
+
+    // x-sweep: `count` contiguous rows of `len`.
+    std::vector<double> want = rhs;
+    for (u32 r = 0; r < count; ++r) {
+      test::thomas_per_line(want.data() + static_cast<std::size_t>(r) * len,
+                            len, a, scratch.data(), 1);
+    }
+    std::vector<double> got = rhs;
+    thomas_rows(got.data(), count, t);
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+
+    // y-sweep: `count` columns of a row-major len×count block.
+    want = rhs;
+    for (u32 c = 0; c < count; ++c) {
+      test::thomas_per_line(want.data() + c, len, a, scratch.data(), count);
+    }
+    got = rhs;
+    thomas_columns(got.data(), count, t);
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(Apps, RayTracerRendersScene) {

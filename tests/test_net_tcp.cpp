@@ -3,7 +3,9 @@
 // interposition (alternate receive queue).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <optional>
 
 #include "net/stack.h"
 #include "net/tcp.h"
@@ -73,6 +75,28 @@ class TcpTest : public ::testing::Test {
       if (sent == data.size() && received.size() == data.size()) break;
     }
     return received;
+  }
+
+  /// Delivers one data segment straight into B's `child`, as if A's
+  /// `client` sent it: `payload` at rcv_nxt + `offset`, with the urgent
+  /// byte at payload index `urg` when given.
+  void inject(SockId client, SockId child, const Bytes& payload,
+              u32 offset = 0, std::optional<u32> urg = std::nullopt) {
+    TcpSocket* rcv = b_.find_tcp(child);
+    Packet p;
+    p.proto = Proto::TCP;
+    p.src = a_.sys_getsockname(client).value();
+    p.dst = b_.sys_getsockname(child).value();
+    p.seq = rcv->pcb_recv() + offset;
+    p.flags = kAck;
+    p.ack = rcv->pcb_sent();
+    p.wnd = 65535;
+    if (urg) {
+      p.flags |= kUrg;
+      p.urg_ptr = p.seq + *urg;
+    }
+    p.payload = payload;
+    b_.deliver(p);
   }
 
   TestNet net_;
@@ -374,6 +398,101 @@ TEST_F(TcpTest, SendQueueHoldsUnackedData) {
   TcpSocket* sock = a_.find_tcp(client);
   EXPECT_EQ(sock->send_queue_contents(), msg);
   EXPECT_EQ(sock->pcb_sent() - sock->pcb_acked(), msg.size());
+}
+
+// One segment carrying the urgent byte at its start, middle or end: with
+// SO_OOBINLINE off the byte leaves the stream for the OOB channel, with
+// it on the byte stays inline; either way the whole segment is accepted.
+TEST_F(TcpTest, UrgentByteAnywhereInASegment) {
+  const Bytes data = to_bytes("0123456789");
+  for (bool inline_oob : {false, true}) {
+    for (u32 urg : {0u, 4u, 9u}) {
+      SCOPED_TRACE(testing::Message() << "inline=" << inline_oob
+                                      << " urg=" << urg);
+      auto [client, child] = connect_pair(static_cast<u16>(7100 + urg +
+                                                           10 * inline_oob));
+      ASSERT_TRUE(
+          b_.sys_setsockopt(child, SockOpt::SO_OOBINLINE, inline_oob).is_ok());
+      TcpSocket* rcv = b_.find_tcp(child);
+      const u32 start = rcv->pcb_recv();
+      inject(client, child, data, 0, urg);
+      EXPECT_EQ(rcv->pcb_recv(), start + 10);
+
+      Bytes want = data;
+      if (!inline_oob) {
+        want.erase(want.begin() + urg);
+        auto oob = b_.sys_recv(child, 1, MSG_OOB);
+        ASSERT_TRUE(oob.is_ok());
+        EXPECT_EQ(oob.value().data, Bytes{data[urg]});
+      } else {
+        EXPECT_FALSE(rcv->has_urgent());
+      }
+      auto r = b_.sys_recv(child, 1024, 0);
+      ASSERT_TRUE(r.is_ok());
+      EXPECT_EQ(r.value().data, want);
+    }
+  }
+}
+
+// The receive buffer fills one byte before, exactly at, and one byte
+// after the urgent byte (index 5 of 10).  The urgent byte costs no
+// buffer space, so it is taken even into a full buffer; the first
+// ordinary byte that does not fit ends the absorb.
+TEST_F(TcpTest, ReceiveWindowClosesAroundTheUrgentByte) {
+  const Bytes data = to_bytes("abcde!fghi");
+  struct Case {
+    i64 rcvbuf;
+    u32 accepted;
+    bool urgent;
+    const char* queued;
+  };
+  const Case cases[] = {
+      {4, 4, false, "abcd"},   // closes one byte before the urgent byte
+      {5, 6, true, "abcde"},   // closes at it
+      {6, 7, true, "abcdef"},  // closes one byte after it
+  };
+  u16 port = 7200;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rcvbuf);
+    auto [client, child] = connect_pair(port++);
+    ASSERT_TRUE(b_.sys_setsockopt(child, SockOpt::SO_RCVBUF, c.rcvbuf).is_ok());
+    TcpSocket* rcv = b_.find_tcp(child);
+    const u32 start = rcv->pcb_recv();
+    inject(client, child, data, 0, 5u);
+    EXPECT_EQ(rcv->pcb_recv(), start + c.accepted);
+    EXPECT_EQ(rcv->has_urgent(), c.urgent);
+    EXPECT_EQ(rcv->recv_queue_len(), std::strlen(c.queued));
+    auto r = b_.sys_recv(child, 1024, 0);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(to_string(r.value().data), c.queued);
+  }
+}
+
+// An out-of-order segment drained once the gap fills, into a buffer with
+// room for only part of it: the rest stays queued out of order and is
+// delivered intact once the stream reaches it.
+TEST_F(TcpTest, OutOfOrderSegmentKeepsRemainderWhenBufferFills) {
+  auto [client, child] = connect_pair();
+  ASSERT_TRUE(b_.sys_setsockopt(child, SockOpt::SO_RCVBUF, 8).is_ok());
+  TcpSocket* rcv = b_.find_tcp(child);
+  const u32 start = rcv->pcb_recv();
+  const Bytes stream = to_bytes("ABCDEFGHIJKLMN");  // 14 bytes
+
+  inject(client, child, Bytes(stream.begin() + 4, stream.end()), 4);
+  EXPECT_EQ(rcv->ooo_segments(), 1u);
+  EXPECT_EQ(rcv->pcb_recv(), start);
+
+  inject(client, child, Bytes(stream.begin(), stream.begin() + 4));
+  EXPECT_EQ(rcv->pcb_recv(), start + 8);  // buffer full mid-segment
+  EXPECT_EQ(rcv->recv_queue_len(), 8u);
+  EXPECT_EQ(rcv->ooo_segments(), 1u);      // "IJKLMN" kept
+  EXPECT_EQ(to_string(b_.sys_recv(child, 1024, 0).value().data), "ABCDEFGH");
+
+  // The next in-order byte reconnects the remainder.
+  inject(client, child, Bytes{stream[8]});
+  EXPECT_EQ(rcv->pcb_recv(), start + 14);
+  EXPECT_EQ(rcv->ooo_segments(), 0u);
+  EXPECT_EQ(to_string(b_.sys_recv(child, 1024, 0).value().data), "IJKLMN");
 }
 
 }  // namespace

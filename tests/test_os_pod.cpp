@@ -100,6 +100,71 @@ TEST(OsPod, EchoBetweenPodsOnSameNode) {
   EXPECT_EQ(client_pod.find_process(cpid)->exit_code(), 0);
 }
 
+/// Echoes the first `limit` bytes of one connection, then closes it.
+class ShortEchoServer final : public os::Program {
+ public:
+  ShortEchoServer(u16 port, u32 limit) : port_(port), limit_(limit) {}
+
+  const char* kind() const override { return "test.short_echo_server"; }
+
+  os::StepResult step(os::Syscalls& sys) override {
+    using os::StepResult;
+    if (lfd_ < 0) {
+      lfd_ = sys.socket(net::Proto::TCP).value();
+      if (!sys.bind(lfd_, net::SockAddr{net::kAnyAddr, port_}) ||
+          !sys.listen(lfd_, 1)) {
+        return StepResult::exit(1);
+      }
+    }
+    if (cfd_ < 0) {
+      auto c = sys.accept(lfd_, nullptr);
+      if (!c) return StepResult::block(os::WaitSpec::on_fd(lfd_));
+      cfd_ = c.value();
+    }
+    if (echoed_ == limit_) {
+      (void)sys.close(cfd_);
+      (void)sys.close(lfd_);
+      return StepResult::exit(0);
+    }
+    auto r = sys.recv(cfd_, limit_ - echoed_, 0);
+    if (!r) return StepResult::block(os::WaitSpec::on_fd(cfd_));
+    if (r.value().eof) return StepResult::exit(1);
+    // The client's send buffer is far larger than `limit`, so the echo
+    // never blocks.
+    auto w = sys.send(cfd_, r.value().data, 0);
+    if (!w || w.value() != r.value().data.size()) return StepResult::exit(1);
+    echoed_ += static_cast<u32>(w.value());
+    return StepResult::yield();
+  }
+
+  void save(Encoder&) const override {}
+  void load(Decoder&) override {}
+
+ private:
+  u16 port_;
+  u32 limit_;
+  i32 lfd_ = -1;
+  i32 cfd_ = -1;
+  u32 echoed_ = 0;
+};
+
+TEST(OsPod, EchoClientExitsOnEarlyEof) {
+  Cluster cl;
+  os::Node& n1 = cl.add_node("n1");
+  os::Node& n2 = cl.add_node("n2");
+  Pod server_pod(n1, vip(1), "server");
+  Pod client_pod(n2, vip(2), "client");
+  server_pod.spawn(std::make_unique<ShortEchoServer>(5000, 5000));
+  i32 cpid = client_pod.spawn(
+      std::make_unique<EchoClient>(net::SockAddr{vip(1), 5000}, 10000));
+
+  cl.run_for(5 * sim::kSecond);
+  os::Process* cp = client_pod.find_process(cpid);
+  ASSERT_EQ(cp->state(), ProcState::EXITED);  // no spin after the EOF
+  EXPECT_EQ(cp->exit_code(), 4);
+  EXPECT_EQ(static_cast<EchoClient&>(cp->program()).received(), 5000u);
+}
+
 TEST(OsPod, SuspendFreezesExecutionResumeContinues) {
   Cluster cl;
   os::Node& n = cl.add_node("n1");

@@ -98,5 +98,49 @@ TEST(Engine, MaxEventsBoundsRun) {
   EXPECT_EQ(count, 100);
 }
 
+TEST(Engine, StaleIdCannotCancelSlotReuser) {
+  Engine e;
+  EventId first = e.schedule(10, [] {});
+  ASSERT_TRUE(e.cancel(first));
+  // The freed slot goes to the next event, under a new id.
+  bool ran = false;
+  EventId second = e.schedule(10, [&] { ran = true; });
+  EXPECT_NE(second, first);
+  EXPECT_NE(second, 0u);
+  EXPECT_FALSE(e.cancel(first));
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_TRUE(ran);
+  // Likewise once an event has run and its slot is reused.
+  EventId third = e.schedule(5, [] {});
+  EXPECT_FALSE(e.cancel(second));
+  EXPECT_TRUE(e.cancel(third));
+}
+
+TEST(Engine, RunningEventCannotCancelItself) {
+  Engine e;
+  EventId self = 0;
+  bool cancelled = true;
+  self = e.schedule(10, [&] { cancelled = e.cancel(self); });
+  e.run();
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(Engine, SameTimeStaysFifoAcrossSlotReuse) {
+  Engine e;
+  std::vector<int> order;
+  // Free slots in an order unlike the scheduling order, then refill them.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(e.schedule(10, [] {}));
+  e.cancel(ids[2]);
+  e.cancel(ids[0]);
+  e.cancel(ids[3]);
+  for (int i = 0; i < 5; ++i) {
+    e.schedule(10, [&, i] { order.push_back(i); });
+  }
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 }  // namespace
 }  // namespace zapc::sim
