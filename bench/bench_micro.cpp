@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): hot paths of the checkpoint
-// pipeline — record serialization, CRC validation, image encode/decode —
-// and of the simulator — BT's line solves, TCP receive absorb, simulated
-// TCP throughput, and engine event dispatch.
+// pipeline — record serialization, CRC validation, capture and image
+// encode/decode — and of the simulator — BT's line solves, TCP receive
+// absorb, simulated TCP throughput, and engine event dispatch.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -10,9 +10,13 @@
 
 #include "apps/bt.h"
 #include "ckpt/image.h"
+#include "ckpt/standalone.h"
 #include "net/stack.h"
 #include "net/tcp.h"
+#include "os/cluster.h"
+#include "pod/pod.h"
 #include "sim/engine.h"
+#include "tests/guest_programs.h"
 #include "tests/helpers.h"
 #include "util/crc32.h"
 #include "util/serialize.h"
@@ -68,6 +72,50 @@ void BM_RecordWriteRead(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RecordWriteRead)->Arg(4 << 10)->Arg(1 << 20);
+
+Bytes pattern(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<u8>(i * 131 + 7);
+  return b;
+}
+
+// Framing one region record: the body is copied and checksummed block by
+// block, each block while it is still in cache.
+void BM_RecordWriteSplit(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Bytes body = pattern(n);
+  const Bytes head(16, 1);
+  for (auto _ : state) {
+    RecordWriter w;
+    w.reserve(n + 64);
+    w.write_split(RecordTag::MEM_REGION, 2, head, body.data(), n);
+    benchmark::DoNotOptimize(w.bytes().data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_RecordWriteSplit)->Arg(1 << 20)->Arg(64 << 20);
+
+// The blocking checkpoint's byte path for one suspended pod: capture
+// (which shares the pod's region, copying nothing) plus encode.
+void BM_CaptureEncode(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  os::Cluster cl;
+  pod::Pod pod(cl.add_node("n1"), net::IpAddr(10, 77, 0, 9), "bench");
+  i32 pid = pod.spawn(std::make_unique<test::CounterProgram>(1, 1));
+  pod.find_process(pid)->region("heap", n) = pattern(n);
+  pod.suspend();
+  for (auto _ : state) {
+    ckpt::PodImage img;
+    img.header = ckpt::Standalone::save_header(pod);
+    img.processes = ckpt::Standalone::save_processes(pod);
+    Bytes data = ckpt::encode_image(img);
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_CaptureEncode)->Arg(64 << 20);
 
 ckpt::PodImage one_region_image(std::size_t region_bytes) {
   ckpt::PodImage img;

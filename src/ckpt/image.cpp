@@ -14,13 +14,6 @@ constexpr u32 kImageMagic = 0x5A415043;  // "ZAPC"
 // readers ignore the extra header bytes.
 constexpr u16 kFormatVersion = 2;
 
-bool is_all_zero(const Bytes& b) {
-  for (u8 v : b) {
-    if (v != 0) return false;
-  }
-  return true;
-}
-
 void put_addr(Encoder& e, const net::SockAddr& a) {
   e.put_u32(a.ip.v);
   e.put_u16(a.port);
@@ -370,7 +363,7 @@ Bytes encode_image(const PodImage& image) {
   struct RegionRef {
     i32 vpid;
     const std::string* name;
-    const Bytes* bytes;
+    const RegionBuf* bytes;
   };
   std::map<std::pair<u32, u64>, std::vector<RegionRef>> content_index;
   u64 zero_saved = 0;
@@ -382,7 +375,8 @@ Bytes encode_image(const PodImage& image) {
       put(RecordTag::REGION_MANIFEST, encode_manifest(p));
     }
     for (const auto& [name, bytes] : p.regions) {
-      if (zero_elide && !bytes.empty() && is_all_zero(bytes)) {
+      if (zero_elide && !bytes.empty() &&
+          is_all_zero(bytes.data(), bytes.size())) {
         Encoder e;
         e.put_i32(p.vpid);
         e.put_string(name);
@@ -392,7 +386,8 @@ Bytes encode_image(const PodImage& image) {
         continue;
       }
       if (dedup) {
-        auto key = std::make_pair(crc32(bytes), u64{bytes.size()});
+        auto key = std::make_pair(crc32(bytes.data(), bytes.size()),
+                                  u64{bytes.size()});
         auto& bucket = content_index[key];
         const RegionRef* hit = nullptr;
         for (const auto& cand : bucket) {
@@ -537,8 +532,12 @@ Result<PodImage> decode_image(const Bytes& data) {
           return Status(Err::PROTO, "region for unknown vpid");
         }
         // The one copy of the region's bytes: image buffer -> region.
+        // An all-zero region (a quick scan: real data exits at its first
+        // non-zero word) shares the zero buffer instead.
+        const ByteView& v = bytes.value();
         image.processes[it->second].regions[std::move(name).value()] =
-            bytes.value().to_bytes();
+            is_all_zero(v.data, v.size) ? RegionBuf::zeros(v.size)
+                                        : RegionBuf(v.to_bytes());
         break;
       }
       case RecordTag::MEM_REGION_ZERO: {
@@ -554,7 +553,7 @@ Result<PodImage> decode_image(const Bytes& data) {
           return Status(Err::PROTO, "zero region for unknown vpid");
         }
         image.processes[it->second].regions[std::move(name).value()] =
-            Bytes(static_cast<std::size_t>(size.value()), 0);
+            RegionBuf::zeros(static_cast<std::size_t>(size.value()));
         break;
       }
       case RecordTag::MEM_REGION_REF: {
@@ -581,6 +580,7 @@ Result<PodImage> decode_image(const Bytes& data) {
           // dangling ref means corruption.
           return Status(Err::PROTO, "dangling region ref");
         }
+        // Shared, not copied: a later write to either region clones it.
         image.processes[it->second].regions[name] = src->second;
         break;
       }

@@ -18,6 +18,7 @@
 #include "net/addr.h"
 #include "net/socket.h"
 #include "net/sockopt.h"
+#include "util/region_buf.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -143,7 +144,10 @@ struct ProcessImage {
   int next_fd = 3;
   Bytes program_state;       // Program::save blob
   std::map<int, net::SockId> fds;          // fd -> old socket id
-  std::map<std::string, Bytes> regions;    // bulk memory (dirty-only in deltas)
+  /// Bulk memory (dirty-only in deltas).  A capture shares the pod's
+  /// buffers and a decode shares zero and deduplicated regions; nothing
+  /// here is written in place (DESIGN.md §14).
+  std::map<std::string, RegionBuf> regions;
   std::map<u32, i64> timer_remaining;      // virtualized timers (paper §5)
   u64 region_gen_counter = 0;              // dirty-tracking clock at checkpoint
   std::map<std::string, RegionMeta> manifest;  // all live regions
@@ -204,8 +208,10 @@ struct PodImage {
 Bytes encode_image(const PodImage& image);
 
 /// Parses a record stream back into a PodImage (Err::PROTO on corruption
-/// or unknown mandatory records).  Zero/ref region records are expanded
-/// back to full buffers, so decode(encode(x)) is codec-independent.
+/// or unknown mandatory records).  decode(encode(x)) is codec-independent
+/// in content; in sharing, a ref region shares its source's buffer and a
+/// zero region (elided, or a raw record that is all zero) shares the one
+/// zero buffer of its size (RegionBuf::zeros).
 Result<PodImage> decode_image(const Bytes& data);
 
 /// Decodes just the first record of `data` as the image header, without

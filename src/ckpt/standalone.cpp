@@ -76,7 +76,7 @@ ProcessImage Standalone::save_process(const pod::Pod& pod,
       }
     }
     if (include) {
-      img.regions[name] = bytes;
+      img.regions[name] = bytes;  // shared: the pod clones on its next write
       ++dirty;
       included_bytes += bytes.size();
     }

@@ -38,9 +38,12 @@ class Standalone {
   static PodImageHeader save_header(const pod::Pod& pod);
 
   /// Captures one process: program state, fd table, memory, timers.
-  /// With a non-null `baseline`, region bytes are included only for
-  /// regions that are new or whose generation changed since the baseline
-  /// (delta mode); the manifest always lists every live region.
+  /// Region bytes are shared with the process, not copied: the capture
+  /// holds this instant's contents, and a process write made while it is
+  /// held clones the region first, so drop the image's regions once they
+  /// are encoded.  With a non-null `baseline`, region bytes are included
+  /// only for regions that are new or whose generation changed since the
+  /// baseline (delta mode); the manifest always lists every live region.
   static ProcessImage save_process(const pod::Pod& pod,
                                    const os::Process& proc,
                                    const DeltaBaseline* baseline = nullptr);

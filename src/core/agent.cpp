@@ -23,6 +23,12 @@ constexpr std::size_t kStreamChunk = 256 * 1024;
 /// quarter of the working set, by touch count.
 constexpr u32 kDefaultHotPermille = 250;
 
+/// Drops a captured image's region buffers, which it shares with the pod
+/// (DESIGN.md §14): from here on the pod writes them without cloning.
+void drop_regions(ckpt::PodImage& image) {
+  for (auto& p : image.processes) p.regions.clear();
+}
+
 }  // namespace
 
 Agent::Agent(os::Node& node, u16 port, CostModel costs, Trace* trace)
@@ -294,6 +300,18 @@ bool Agent::busy() const {
 }
 
 // ---- Connection handling ---------------------------------------------------------
+
+std::size_t Agent::held_ckpt_bytes() const {
+  std::size_t n = 0;
+  for (const auto& c : conns_) {
+    if (c.ckpt == nullptr) continue;
+    n += c.ckpt->encoded_image.size();
+    for (const auto& p : c.ckpt->image.processes) {
+      for (const auto& [name, r] : p.regions) n += r.size();
+    }
+  }
+  return n;
+}
 
 void Agent::on_accept(std::unique_ptr<MsgChannel> ch) {
   conns_.push_back(Conn{std::move(ch), nullptr, nullptr, false});
@@ -571,8 +589,7 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
     report.net_ckpt_us = cost;
     (void)op->mgr->send(encode_meta_report(report));
     if (late) {
-      op->encoded_image = ckpt::encode_image(op->image);
-      op->encoded_size = op->encoded_image.size();
+      encode_op_image(*op);
       return ckpt_standalone_done(op);
     }
     // Step 2a: meta-data reported; the standalone checkpoint proceeds at
@@ -623,8 +640,8 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
         s.send_queue_redirected = true;
       }
     }
-    op->encoded_image = ckpt::encode_image(op->image);
-    op->encoded_size = bytes = op->encoded_image.size();
+    encode_op_image(*op);
+    bytes = op->encoded_size;
     // Pipelined migration streaming: hand chunks to the wire as their
     // serialization slices complete instead of materializing-then-sending.
     if (op->cmd.pipelined && op->dest && op->dest.value().scheme == "agent") {
@@ -646,6 +663,12 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
     }
     ckpt_standalone_done(op);
   });
+}
+
+void Agent::encode_op_image(CkptOp& op) {
+  op.encoded_image = ckpt::encode_image(op.image);
+  op.encoded_size = op.encoded_image.size();
+  drop_regions(op.image);
 }
 
 void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op) {
@@ -697,6 +720,8 @@ sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
       (void)raw->send(encode_stream_chunk(
           StreamChunk{tag, Bytes(first, first + static_cast<long>(n))}));
       if (!last) return;
+      // Every byte is in the channel now; the op keeps only the size.
+      op->encoded_image = Bytes{};
       (void)raw->send(encode_stream_close(StreamClose{tag}));
       ship_redirects(op, raw);
       if (fin) fin();
@@ -745,10 +770,12 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
 
   op->span_cowmark = begin_phase(*op, "ckpt.cowmark");
 
-  // The in-memory capture IS the COW snapshot: the image's region
-  // buffers hold this instant's page contents, protected copy-on-write.
-  // Only the page-table walk is charged to the stop-the-world window;
-  // serialization waits for the background drain.
+  // The in-memory capture IS the COW snapshot: the image shares the
+  // pod's region buffers, and a region the resumed pod writes while the
+  // image still holds it is cloned first, so the snapshot keeps this
+  // instant's contents (DESIGN.md §11, §14).  Only the page-table walk
+  // is charged to the stop-the-world window; serialization waits for
+  // the background drain.
   capture_standalone(op, *pod);
 
   sim::Time cost = costs_.cow_mark_cost(op->image.processes.size());
@@ -767,8 +794,7 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
   if (fault_crashed("ckpt.drain")) return;
   san_open(op->san, os::SanStreamClass::BACKGROUND);
   op->span_drain = begin_phase(*op, "ckpt.drain");
-  op->encoded_image = ckpt::encode_image(op->image);
-  op->encoded_size = op->encoded_image.size();
+  encode_op_image(*op);
   san_step(op,
            std::make_shared<const SanLeg>(SanLeg{
                .what = ev::kLegDrain,
@@ -1021,6 +1047,8 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
   op->finished = true;
   op->drain_pending = false;
   san_release(op->san);
+  drop_regions(op->image);
+  op->encoded_image = Bytes{};
   // GC the staged half of a never-committed two-phase write.
   if (!op->san_tmp.empty()) {
     if (node_.san().remove(op->san_tmp).is_ok()) {

@@ -66,6 +66,11 @@ class Agent {
   /// whole-op retry can restart from it.
   std::size_t retained_streams() const { return streams_.size(); }
 
+  /// Image bytes this agent's checkpoint ops still hold: encoded images
+  /// not yet handed to the SAN or a stream channel, plus captured region
+  /// buffers not yet encoded.  0 once every op has delivered its image.
+  std::size_t held_ckpt_bytes() const;
+
   /// Checkpoint phase ordering (ablation hook; default NETWORK_FIRST).
   void set_ordering(CkptOrdering o) { ordering_ = o; }
   CkptOrdering ordering() const { return ordering_; }
@@ -235,6 +240,9 @@ class Agent {
   /// CKPT_DONE with the (possibly partial) phase durations, so aborted
   /// ledger lines still carry attribution-grade timings.
   CkptDone ckpt_report(const CkptOp& op);
+  /// Encodes the op's image and drops the region buffers it shares
+  /// with the pod, so a resumed pod never clones one (DESIGN.md §14).
+  void encode_op_image(CkptOp& op);
   void ckpt_standalone_done(const std::shared_ptr<CkptOp>& op);
   void ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op);
   // COW concurrent checkpoint (DESIGN.md §11): snapshot-mark inside the

@@ -9,6 +9,7 @@
 
 #include "net/socket.h"
 #include "os/program.h"
+#include "util/region_buf.h"
 
 namespace zapc::os {
 
@@ -90,16 +91,19 @@ class Process {
   // of a write fault, so any touched region is conservatively dirty.
   // Incremental checkpoints diff these generations against the ones
   // recorded in the base image to decide which regions to re-emit.
+  // The write fault is also where copy-on-write happens: a region whose
+  // bytes a checkpoint capture (or another region) still shares is
+  // cloned here, before the caller can write (DESIGN.md §14).
   Bytes& region(const std::string& name, std::size_t size) {
-    Bytes& r = regions_[name];
+    Bytes& r = regions_[name].mut();
     if (r.size() < size) r.resize(size);
     region_gens_[name] = ++region_gen_counter_;
     ++region_touches_[name];
     if (touch_hook_) touch_hook_(name);
     return r;
   }
-  const std::map<std::string, Bytes>& regions() const { return regions_; }
-  std::map<std::string, Bytes>& regions_mut() { return regions_; }
+  const std::map<std::string, RegionBuf>& regions() const { return regions_; }
+  std::map<std::string, RegionBuf>& regions_mut() { return regions_; }
   const std::map<std::string, u64>& region_gens() const {
     return region_gens_;
   }
@@ -146,7 +150,7 @@ class Process {
 
   std::map<int, net::SockId> fds_;
   int next_fd_ = 3;
-  std::map<std::string, Bytes> regions_;
+  std::map<std::string, RegionBuf> regions_;
   std::map<std::string, u64> region_gens_;
   std::map<std::string, u64> region_touches_;
   u64 region_gen_counter_ = 0;

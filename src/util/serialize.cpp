@@ -1,5 +1,7 @@
 #include "util/serialize.h"
 
+#include <algorithm>
+
 namespace zapc {
 
 const char* record_tag_name(RecordTag tag) {
@@ -34,6 +36,23 @@ void RecordWriter::write(RecordTag tag, u16 version, const Bytes& payload) {
   buf_.put_u32(record_crc(tag, version, payload.data(), payload.size()));
 }
 
+namespace {
+
+// CRC state after a record's tag, version and `head`.  The CRC covers
+// the header fields too, so a bit flip anywhere in a record is caught
+// (the length is covered implicitly: a wrong length misframes the
+// payload).
+u32 record_crc_head(RecordTag tag, u16 version, const Bytes& head) {
+  Encoder hdr;
+  hdr.put_u32(static_cast<u32>(tag));
+  hdr.put_u16(version);
+  u32 c = crc32_init();
+  c = crc32_update(c, hdr.bytes().data(), hdr.bytes().size());
+  return crc32_update(c, head.data(), head.size());
+}
+
+}  // namespace
+
 void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
                                const u8* body, std::size_t body_len) {
   buf_.reserve(4 + 2 + 8 + head.size() + body_len + 4);
@@ -41,8 +60,17 @@ void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
   buf_.put_u16(version);
   buf_.put_u64(head.size() + body_len);
   buf_.put_raw(head.data(), head.size());
-  buf_.put_raw(body, body_len);
-  buf_.put_u32(record_crc_split(tag, version, head, body, body_len));
+  // Copy and checksum fused: each block is checksummed right after it is
+  // copied, while it is still in cache, instead of in a second pass over
+  // a body that has long left it.
+  u32 c = record_crc_head(tag, version, head);
+  for (std::size_t off = 0; off < body_len; off += kCrcBlock) {
+    const std::size_t n = std::min(kCrcBlock, body_len - off);
+    const std::size_t at = buf_.size();
+    buf_.put_raw(body + off, n);
+    c = crc32_update(c, buf_.bytes().data() + at, n);
+  }
+  buf_.put_u32(crc32_final(c));
 }
 
 u32 record_crc(RecordTag tag, u16 version, const u8* payload,
@@ -52,15 +80,7 @@ u32 record_crc(RecordTag tag, u16 version, const u8* payload,
 
 u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
                      const u8* body, std::size_t body_len) {
-  // The CRC covers the header fields too, so a bit flip anywhere in a
-  // record is caught (the length is covered implicitly: a wrong length
-  // misframes the payload).
-  Encoder hdr;
-  hdr.put_u32(static_cast<u32>(tag));
-  hdr.put_u16(version);
-  u32 c = crc32_init();
-  c = crc32_update(c, hdr.bytes().data(), hdr.bytes().size());
-  c = crc32_update(c, head.data(), head.size());
+  u32 c = record_crc_head(tag, version, head);
   if (body_len > 0) c = crc32_update(c, body, body_len);
   return crc32_final(c);
 }

@@ -236,9 +236,14 @@ class RecordWriter {
   /// Appends one record whose payload is `head` followed by `body`,
   /// without first concatenating them.  Lets callers frame a small
   /// encoded prefix plus a large raw buffer (a memory region) with no
-  /// intermediate payload copy.
+  /// intermediate payload copy.  The body is copied and checksummed in
+  /// one pass, kCrcBlock bytes at a time; the record bytes are those of
+  /// write() on the concatenated payload.
   void write_split(RecordTag tag, u16 version, const Bytes& head,
                    const u8* body, std::size_t body_len);
+
+  /// Body bytes write_split copies before checksumming them.
+  static constexpr std::size_t kCrcBlock = 64 << 10;
 
   /// Pre-sizes the underlying buffer (see Encoder::reserve).
   void reserve(std::size_t n) { buf_.reserve(n); }

@@ -411,5 +411,72 @@ TEST_F(CowTest, NonSanDestinationFallsBackToBlocking) {
   EXPECT_EQ(cr.downtime_us, cr.total_us);
 }
 
+/// Region buffers are shared copy-on-write with the pod (DESIGN.md §14).
+/// A blocking checkpoint drops its references as soon as the image is
+/// encoded, so the resumed pod writes its regions in place: no clone,
+/// even while the finished op is still on the agent.
+TEST_F(CowTest, BlockingCheckpointOfLivePodClonesNothingOnResume) {
+  make_ballast_pod(0, 1, "pod-a", 4 << 20);
+  cl_.run_for(10 * sim::kMillisecond);
+  os::Process* proc = agents_[0]->find_pod("pod-a")->processes().at(0);
+  const u8* before = proc->regions().at("ballast").data();
+
+  bool done = false;
+  const u8* after = nullptr;
+  manager_->checkpoint({target(0, "pod-a", "san://ckpt/a")},
+                       CkptMode::SNAPSHOT, [&](Manager::CheckpointReport r) {
+                         EXPECT_TRUE(r.ok) << r.error;
+                         // The pod resumed at the barrier; write now.
+                         proc->region("ballast", 4 << 20)[0] = 0x11;
+                         after = proc->regions().at("ballast").data();
+                         done = true;
+                       });
+  for (int i = 0; i < 60000 && !done; ++i) cl_.run_for(sim::kMillisecond);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(proc->regions().at("ballast")[0], 0x11);
+}
+
+/// A finished op holds no image bytes, checked as its report arrives:
+/// the SAN takes a committed image over, a stream frees its image once
+/// the last chunk is in the channel, and captured regions go at encode.
+TEST_F(CowTest, FinishedCheckpointsHoldNoImageBytes) {
+  make_ballast_pod(0, 1, "pod-a", 4 << 20);
+  cl_.run_for(10 * sim::kMillisecond);
+
+  const std::string stream =
+      "agent://" + nodes_[2]->addr().to_string() + ":7077/pod-a-";
+  Manager::CkptOptions pipelined;
+  pipelined.pipelined_stream = true;
+  struct Case {
+    const char* name;
+    std::string uri;
+    Manager::CkptOptions opts;
+  };
+  const std::vector<Case> cases = {
+      {"blocking", "san://ckpt/a", Manager::CkptOptions{}},
+      {"stream", stream + "s", Manager::CkptOptions{}},
+      {"pipelined stream", stream + "p", pipelined},
+      {"cow", "san://ckpt/a", cow_opts()},
+  };
+  for (const Case& c : cases) {
+    bool done = false;
+    bool ok = false;
+    std::size_t held = 0;
+    manager_->checkpoint({target(0, "pod-a", c.uri)}, CkptMode::SNAPSHOT,
+                         [&](Manager::CheckpointReport r) {
+                           ok = r.ok;
+                           held = agents_[0]->held_ckpt_bytes();
+                           done = true;
+                         },
+                         c.opts);
+    for (int i = 0; i < 60000 && !done; ++i) {
+      cl_.run_for(sim::kMillisecond);
+    }
+    ASSERT_TRUE(done && ok) << c.name;
+    EXPECT_EQ(held, 0u) << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace zapc::core

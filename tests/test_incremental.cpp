@@ -423,7 +423,7 @@ TEST(ZeroCopyRestore, RestartTwiceFromOneImageLeavesItIntact) {
 
   // Monolithic and pipelined restores, each twice from the same delta
   // (whose base is read through a view too).
-  std::vector<std::map<std::string, Bytes>> restored;
+  std::vector<std::map<std::string, RegionBuf>> restored;
   for (bool pipelined : {false, true}) {
     for (int agent : {1, 2}) {
       core::Manager::RestartOptions ro;

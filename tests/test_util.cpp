@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/crc32.h"
@@ -112,6 +113,42 @@ TEST(Records, CorruptionDetected) {
 
   RecordReader r(image);
   EXPECT_EQ(r.next().err(), Err::PROTO);
+}
+
+// write_split checksums each body block right after copying it.  The
+// record must be byte for byte the two-pass form: frame the whole
+// payload, then CRC tag, version and payload in one go.
+TEST(Records, WriteSplitMatchesTwoPassForm) {
+  const Bytes head = {0x10, 0x20, 0x30, 0x40, 0x50};
+  const std::size_t block = RecordWriter::kCrcBlock;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, block - 1, block,
+                        block + 1, (std::size_t{3} << 20) + 7}) {
+    Bytes body(n);
+    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<u8>(i * 131 + 7);
+    RecordWriter w;
+    w.write_split(RecordTag::MEM_REGION, 2, head, body.data(), n);
+
+    Encoder covered;  // what the CRC covers: tag, version, payload
+    covered.put_u32(static_cast<u32>(RecordTag::MEM_REGION));
+    covered.put_u16(2);
+    covered.put_raw(head.data(), head.size());
+    covered.put_raw(body.data(), n);
+    Encoder two_pass;
+    two_pass.put_u32(static_cast<u32>(RecordTag::MEM_REGION));
+    two_pass.put_u16(2);
+    two_pass.put_u64(head.size() + n);
+    two_pass.put_raw(head.data(), head.size());
+    two_pass.put_raw(body.data(), n);
+    two_pass.put_u32(crc32(covered.bytes()));
+
+    ASSERT_EQ(w.size(), two_pass.size()) << n;
+    EXPECT_EQ(std::memcmp(w.bytes().data(), two_pass.bytes().data(),
+                          w.size()),
+              0)
+        << n;
+    RecordReader r(w.bytes());
+    EXPECT_TRUE(r.next().is_ok()) << n;
+  }
 }
 
 TEST(Records, TruncatedImageDetected) {
