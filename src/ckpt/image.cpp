@@ -270,10 +270,6 @@ std::size_t SocketImage::byte_size() const {
   return n;
 }
 
-std::size_t PodImage::total_bytes() const {
-  return encode_image(*this).size();
-}
-
 std::size_t PodImage::network_bytes() const {
   std::size_t n = encode_meta_payload(meta).size();
   for (const auto& s : sockets) n += s.byte_size();
@@ -283,75 +279,56 @@ std::size_t PodImage::network_bytes() const {
 
 namespace {
 
-std::size_t region_records_hint(const PodImage& image) {
-  // Per-record framing is tag(4)+version(2)+len(8)+crc(4) = 18 bytes.
-  std::size_t n = 0;
-  for (const auto& p : image.processes) {
-    for (const auto& [name, bytes] : p.regions) {
-      n += 18 + 4 + 4 + name.size() + 4 + bytes.size();
-    }
-    n += 18 + encode_manifest(p).size();
+// One record of an encode plan: an encoded payload prefix (the whole
+// payload of a small record) plus an optional borrowed body — a region's
+// or a queue's bytes, framed without first copying it into the plan.
+struct PlannedRecord {
+  RecordTag tag;
+  Bytes head;
+  const u8* body = nullptr;
+  std::size_t body_len = 0;
+
+  std::size_t framed_size() const {
+    return RecordWriter::framed_size(head.size() + body_len);
   }
-  return n;
-}
+};
 
-}  // namespace
+// Every record of an image, decided before any byte is written: each
+// region is scanned for zeros and checked for a duplicate once, here, and
+// `size` is the exact encoded size.
+struct EncodePlan {
+  std::vector<PlannedRecord> records;
+  std::size_t size = 0;
+  u64 zero_saved = 0;
+  u64 dedup_saved = 0;
 
-std::size_t encoded_size_hint(const PodImage& image) {
-  std::size_t n = region_records_hint(image);
-  for (const auto& s : image.sockets) n += 18 + s.byte_size();
-  for (const auto& [sid, data] : image.redirected_recv) {
-    n += 18 + 8 + data.size();
+  void add(RecordTag tag, Bytes head, const u8* body = nullptr,
+           std::size_t body_len = 0) {
+    records.push_back(PlannedRecord{tag, std::move(head), body, body_len});
+    size += records.back().framed_size();
   }
-  for (const auto& p : image.processes) {
-    n += 18 + 64 + p.program_state.size() + 8 * p.fds.size() +
-         12 * p.timer_remaining.size();
-  }
-  n += 18 + 48 + image.header.pod_name.size() +
-       image.header.base_uri.size();                      // header
-  n += 18 + 8 + 35 * image.meta.entries.size();           // net meta
-  n += 18 + image.gm_state.size();                        // gm device
-  n += 18;                                                // terminator
-  return n;
-}
+};
 
-Bytes encode_image(const PodImage& image) {
-  RecordWriter w;
-  // A size-hint reserve keeps the multi-megabyte encode from paying
-  // repeated geometric-growth reallocations (and, before the reserve,
-  // effectively quadratic copying on region-heavy images).  The hint may
-  // overshoot when the codec elides regions; that only wastes capacity.
-  w.reserve(encoded_size_hint(image));
-  // Account each framed record against its per-type byte counter, so
-  // the evidence export shows where checkpoint image bytes go (the paper
-  // Fig. 6c breakdown: memory vs network vs meta-data).
-  auto account = [&w](RecordTag tag, std::size_t before) {
-    obs::metrics()
-        .counter(std::string("ckpt.record.") + record_tag_name(tag) +
-                 ".bytes")
-        .inc(w.size() - before);
-  };
-  auto put = [&](RecordTag tag, const Bytes& payload) {
-    std::size_t before = w.size();
-    w.write(tag, kFormatVersion, payload);
-    account(tag, before);
-  };
-
-  put(RecordTag::IMAGE_HEADER, encode_header(image.header));
+EncodePlan plan_image(const PodImage& image) {
+  EncodePlan plan;
+  plan.add(RecordTag::IMAGE_HEADER, encode_header(image.header));
   // Network state precedes process state (paper §4: the network
   // checkpoint runs first so it can overlap the Manager barrier).
-  put(RecordTag::NET_META, encode_meta_payload(image.meta));
+  plan.add(RecordTag::NET_META, encode_meta_payload(image.meta));
   for (const auto& s : image.sockets) {
-    put(RecordTag::SOCKET_PARAMS, encode_socket(s));
+    plan.add(RecordTag::SOCKET_PARAMS, encode_socket(s));
   }
   if (image.has_gm_device) {
-    put(RecordTag::GM_DEVICE, image.gm_state);
+    plan.add(RecordTag::GM_DEVICE, Bytes{}, image.gm_state.data(),
+             image.gm_state.size());
   }
   for (const auto& [sid, data] : image.redirected_recv) {
+    // `head` ends in the length prefix, so the record is byte-identical
+    // to one whose payload was built with Encoder::put_bytes.
     Encoder e;
     e.put_u32(sid);
-    e.put_bytes(data);
-    put(RecordTag::REDIRECTED_SEND_Q, e.take());
+    e.put_u32(static_cast<u32>(data.size()));
+    plan.add(RecordTag::REDIRECTED_SEND_Q, e.take(), data.data(), data.size());
   }
 
   const bool zero_elide = (image.header.codec_flags & kCodecZeroElide) != 0;
@@ -366,13 +343,11 @@ Bytes encode_image(const PodImage& image) {
     const RegionBuf* bytes;
   };
   std::map<std::pair<u32, u64>, std::vector<RegionRef>> content_index;
-  u64 zero_saved = 0;
-  u64 dedup_saved = 0;
 
   for (const auto& p : image.processes) {
-    put(RecordTag::PROCESS, encode_process(p));
+    plan.add(RecordTag::PROCESS, encode_process(p));
     if (!p.manifest.empty() || p.region_gen_counter != 0) {
-      put(RecordTag::REGION_MANIFEST, encode_manifest(p));
+      plan.add(RecordTag::REGION_MANIFEST, encode_manifest(p));
     }
     for (const auto& [name, bytes] : p.regions) {
       if (zero_elide && !bytes.empty() &&
@@ -381,8 +356,8 @@ Bytes encode_image(const PodImage& image) {
         e.put_i32(p.vpid);
         e.put_string(name);
         e.put_u64(bytes.size());
-        put(RecordTag::MEM_REGION_ZERO, e.take());
-        zero_saved += bytes.size();
+        plan.add(RecordTag::MEM_REGION_ZERO, e.take());
+        plan.zero_saved += bytes.size();
         continue;
       }
       if (dedup) {
@@ -403,32 +378,58 @@ Bytes encode_image(const PodImage& image) {
           e.put_string(name);
           e.put_i32(hit->vpid);
           e.put_string(*hit->name);
-          put(RecordTag::MEM_REGION_REF, e.take());
-          dedup_saved += bytes.size();
+          plan.add(RecordTag::MEM_REGION_REF, e.take());
+          plan.dedup_saved += bytes.size();
           continue;
         }
         bucket.push_back(RegionRef{p.vpid, &name, &bytes});
       }
-      // Framed without materializing an intermediate (vpid, name, bytes)
-      // payload copy; `head` carries the length prefix so the wire
-      // layout matches what Encoder::put_bytes would have produced.
+      // `head` carries the length prefix, so the wire layout matches
+      // what Encoder::put_bytes would have produced.
       Encoder head;
       head.put_i32(p.vpid);
       head.put_string(name);
       head.put_u32(static_cast<u32>(bytes.size()));
-      std::size_t before = w.size();
-      w.write_split(RecordTag::MEM_REGION, kFormatVersion, head.bytes(),
-                    bytes.data(), bytes.size());
-      account(RecordTag::MEM_REGION, before);
+      plan.add(RecordTag::MEM_REGION, head.take(), bytes.data(), bytes.size());
     }
   }
-  put(RecordTag::IMAGE_END, Bytes{});
+  plan.add(RecordTag::IMAGE_END, Bytes{});
+  return plan;
+}
 
-  if (zero_saved > 0) {
-    obs::metrics().counter("ckpt.codec.zero_saved_bytes").inc(zero_saved);
+}  // namespace
+
+std::size_t PodImage::total_bytes() const { return plan_image(*this).size; }
+
+Bytes encode_image(const PodImage& image, Bytes storage) {
+  const EncodePlan plan = plan_image(image);
+  // Reused storage must hold the image without growing (growth copies
+  // everything written so far) and without pinning more than twice what
+  // the image needs; anything else is freed for one exact allocation.
+  storage.clear();
+  if (storage.capacity() < plan.size || storage.capacity() > 2 * plan.size) {
+    storage = Bytes{};
+    storage.reserve(plan.size);
   }
-  if (dedup_saved > 0) {
-    obs::metrics().counter("ckpt.codec.dedup_saved_bytes").inc(dedup_saved);
+  RecordWriter w(std::move(storage));
+  for (const PlannedRecord& r : plan.records) {
+    w.write_split(r.tag, kFormatVersion, r.head, r.body, r.body_len);
+    // Each framed record counts against its per-type byte counter, so
+    // the evidence export shows where checkpoint image bytes go (the
+    // paper Fig. 6c breakdown: memory vs network vs meta-data).
+    obs::metrics()
+        .counter(std::string("ckpt.record.") + record_tag_name(r.tag) +
+                 ".bytes")
+        .inc(r.framed_size());
+  }
+
+  if (plan.zero_saved > 0) {
+    obs::metrics().counter("ckpt.codec.zero_saved_bytes").inc(plan.zero_saved);
+  }
+  if (plan.dedup_saved > 0) {
+    obs::metrics()
+        .counter("ckpt.codec.dedup_saved_bytes")
+        .inc(plan.dedup_saved);
   }
 
   Bytes out = w.take();

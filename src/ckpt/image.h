@@ -193,6 +193,7 @@ struct PodImage {
   /// appended to the given socket's restored receive queue.
   std::map<net::SockId, Bytes> redirected_recv;
 
+  /// Exact size of encode_image(*this), planned without encoding it.
   std::size_t total_bytes() const;
   std::size_t network_bytes() const;  // socket + meta records only
 };
@@ -205,7 +206,15 @@ struct PodImage {
 /// byte-identical to an earlier one in the same image is written as a
 /// MEM_REGION_REF back-reference.  With all flags clear the output is
 /// plain v1-style MEM_REGION records.
-Bytes encode_image(const PodImage& image);
+///
+/// The encode plans every record first, then writes them all into one
+/// buffer of the exact encoded size: `storage`'s memory when its capacity
+/// fits — at least that size and at most twice it — so a checkpoint that
+/// overwrites a SAN path writes into the resident buffer the path's
+/// previous commit displaced (VirtualSAN::take_spare).  Otherwise
+/// `storage` is freed and one exact buffer allocated, whose capacity()
+/// equals the result's size().  The bytes never depend on `storage`.
+Bytes encode_image(const PodImage& image, Bytes storage = {});
 
 /// Parses a record stream back into a PodImage (Err::PROTO on corruption
 /// or unknown mandatory records).  decode(encode(x)) is codec-independent
@@ -218,10 +227,6 @@ Result<PodImage> decode_image(const Bytes& data);
 /// touching the rest of the stream.  Used to discover a delta image's
 /// base_uri/chain position before deciding how to restore it.
 Result<PodImageHeader> peek_header(const Bytes& data);
-
-/// Lower bound of encode_image output size, used to reserve() the
-/// output buffer in one shot.
-std::size_t encoded_size_hint(const PodImage& image);
 
 /// Overlays `delta` (a kCodecDelta image) onto `base` (the already fully
 /// composed predecessor).  All non-region state comes from the delta;

@@ -666,7 +666,13 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
 }
 
 void Agent::encode_op_image(CkptOp& op) {
-  op.encoded_image = ckpt::encode_image(op.image);
+  // An image bound for a SAN path overwritten before is written into the
+  // storage that path's last commit displaced (DESIGN.md §8.2).
+  Bytes spare;
+  if (op.dest && op.dest.value().scheme == "san") {
+    spare = node_.san().take_spare(op.dest.value().path);
+  }
+  op.encoded_image = ckpt::encode_image(op.image, std::move(spare));
   op.encoded_size = op.encoded_image.size();
   drop_regions(op.image);
 }

@@ -22,9 +22,19 @@ Status VirtualSAN::rename(const std::string& from, const std::string& to) {
   auto it = objects_.find(from);
   if (it == objects_.end()) return Status(Err::NO_ENT, from);
   if (from == to) return Status::ok();
+  auto old = objects_.find(to);
+  if (old != objects_.end()) spares_[to] = std::move(old->second);
   objects_[to] = std::move(it->second);
-  objects_.erase(from);
+  objects_.erase(it);
   return Status::ok();
+}
+
+Bytes VirtualSAN::take_spare(const std::string& path) {
+  auto it = spares_.find(path);
+  if (it == spares_.end()) return Bytes{};
+  Bytes spare = std::move(it->second);
+  spares_.erase(it);
+  return spare;
 }
 
 void VirtualSAN::append(const std::string& path, const Bytes& data) {
@@ -103,6 +113,7 @@ bool VirtualSAN::exists(const std::string& path) const {
 }
 
 Status VirtualSAN::remove(const std::string& path) {
+  spares_.erase(path);
   return objects_.erase(path) > 0 ? Status::ok() : Status(Err::NO_ENT, path);
 }
 

@@ -69,9 +69,20 @@ class VirtualSAN {
 
   /// Atomically moves `from` to `to` (overwriting `to`); the commit half
   /// of the two-phase image write.  Err::NO_ENT if `from` is missing.
+  /// The object it overwrites is not freed: its buffer becomes `to`'s
+  /// spare, replacing any earlier one.
   Status rename(const std::string& from, const std::string& to);
 
+  /// Hands over `path`'s spare — the storage of the generation the last
+  /// commit to `path` displaced — for the next image encoded for `path`
+  /// to write into while its pages are still resident (the double-buffered
+  /// checkpoint file); empty if there is none.  A path holds one spare at
+  /// most; spares are not objects and count in neither object_count()
+  /// nor total_bytes().
+  Bytes take_spare(const std::string& path);
+
   bool exists(const std::string& path) const;
+  /// Removes the object at `path` and drops its spare.
   Status remove(const std::string& path);
 
   /// Lists object paths with the given prefix.
@@ -114,6 +125,7 @@ class VirtualSAN {
 
  private:
   std::map<std::string, Bytes> objects_;
+  std::map<std::string, Bytes> spares_;
   std::map<u64, SanStreamClass> streams_;
   u64 next_stream_ = 1;
   std::size_t foreground_ = 0;

@@ -55,7 +55,6 @@ u32 record_crc_head(RecordTag tag, u16 version, const Bytes& head) {
 
 void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
                                const u8* body, std::size_t body_len) {
-  buf_.reserve(4 + 2 + 8 + head.size() + body_len + 4);
   buf_.put_u32(static_cast<u32>(tag));
   buf_.put_u16(version);
   buf_.put_u64(head.size() + body_len);

@@ -70,11 +70,6 @@ class Encoder {
   /// Raw bytes without a length prefix (caller manages framing).
   void put_raw(const u8* p, std::size_t n) { append_bytes(buf_, p, n); }
 
-  /// Pre-sizes the buffer for `n` more bytes.  Encode paths that know
-  /// their payload size up front use this to avoid repeated growth
-  /// reallocations on multi-megabyte images.
-  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
-
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
@@ -225,6 +220,18 @@ const char* record_tag_name(RecordTag tag);
 /// Writes (tag, version, length, payload, crc) framed records.
 class RecordWriter {
  public:
+  RecordWriter() = default;
+  /// Appends records after `out`'s contents.  A caller that sized `out`'s
+  /// capacity for every record up front writes them with no growth
+  /// reallocation (encode_image does; see DESIGN.md §7.2).
+  explicit RecordWriter(Bytes out) : buf_(std::move(out)) {}
+
+  /// Bytes a record with a `payload_len`-byte payload takes once framed:
+  /// tag(4) + version(2) + length(8) + payload + crc(4).
+  static constexpr std::size_t framed_size(std::size_t payload_len) {
+    return 4 + 2 + 8 + payload_len + 4;
+  }
+
   /// Appends one record built from `payload`.
   void write(RecordTag tag, u16 version, const Bytes& payload);
 
@@ -244,9 +251,6 @@ class RecordWriter {
 
   /// Body bytes write_split copies before checksumming them.
   static constexpr std::size_t kCrcBlock = 64 << 10;
-
-  /// Pre-sizes the underlying buffer (see Encoder::reserve).
-  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const Bytes& bytes() const { return buf_.bytes(); }
   Bytes take() { return buf_.take(); }

@@ -1,11 +1,18 @@
 // Checkpoint image format and standalone process capture tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ckpt/image.h"
 #include "ckpt/standalone.h"
 #include "os/cluster.h"
 #include "pod/pod.h"
 #include "tests/guest_programs.h"
+#include "tests/helpers.h"
+#include "util/crc32.h"
 
 namespace zapc::ckpt {
 namespace {
@@ -251,6 +258,161 @@ TEST(Image, NetworkBytesAreSmallComparedToTotal) {
   PodImage img = sample_image();
   img.processes[0].regions["heap"] = Bytes(16 << 20, 1);
   EXPECT_LT(img.network_bytes() * 100, img.total_bytes());
+}
+
+// ---- Exact-size encode -----------------------------------------------------
+// encode_image plans every record before it writes one, so an encode
+// allocates once, at exactly the encoded size, and total_bytes() is that
+// planned size.
+
+/// An image with `sockets` sockets (each with a meta entry, one to three
+/// queued receive items and a send queue), fds, timers, names of
+/// `name_len` characters, and zero, duplicate and odd-sized regions in
+/// two processes: every field whose size the encode plan must count.
+PodImage shaped_image(std::size_t sockets, std::size_t name_len,
+                      u32 codec_flags) {
+  PodImage img;
+  img.header.pod_name = std::string(name_len, 'p');
+  img.header.vip = net::IpAddr(10, 77, 0, 3);
+  img.header.codec_flags = codec_flags;
+  img.header.base_uri = "san://shaped/" + std::string(name_len, 'b');
+  img.meta.pod_vip = img.header.vip;
+  for (std::size_t i = 0; i < sockets; ++i) {
+    const auto id = static_cast<net::SockId>(i + 1);
+    NetMetaEntry e;
+    e.sock = id;
+    e.source = net::SockAddr{img.header.vip, static_cast<u16>(5000 + i)};
+    e.target = net::SockAddr{net::IpAddr(10, 77, 0, 4), 41000};
+    e.pcb_sent = static_cast<u32>(i);
+    img.meta.entries.push_back(e);
+    SocketImage s;
+    s.old_id = id;
+    s.local = e.source;
+    s.remote = e.target;
+    s.connected = true;
+    for (std::size_t k = 0; k <= i % 3; ++k) {
+      s.recv_queue.push_back(SavedRecvItem{
+          test::pattern_bytes(17 * k + i, static_cast<u8>(k)), e.target,
+          k == 2});
+    }
+    s.send_queue = test::pattern_bytes(100 + 7 * i, 1);
+    img.sockets.push_back(s);
+  }
+  ProcessImage p;
+  p.vpid = 1;
+  p.kind = "test." + std::string(name_len, 'k');
+  p.program_state = test::pattern_bytes(40 + name_len, 2);
+  for (std::size_t i = 0; i < sockets; ++i) {
+    p.fds[static_cast<int>(i + 3)] = static_cast<net::SockId>(i + 1);
+  }
+  p.timer_remaining = {{1, 500}, {7, 9000}};
+  p.regions["heap"] = test::pattern_bytes(64 << 10, 5);
+  p.regions["heap-copy"] = test::pattern_bytes(64 << 10, 5);
+  p.regions["zeros"] = Bytes(8 << 10, 0);
+  p.regions[std::string(name_len, 'r')] = Bytes(3, 9);
+  p.region_gen_counter = 12;
+  for (const auto& [name, r] : p.regions) {
+    p.manifest[name] = RegionMeta{3, r.size(), 4};
+  }
+  img.processes.push_back(p);
+  p.vpid = 2;  // a second process: refs across processes
+  img.processes.push_back(p);
+  return img;
+}
+
+TEST(ImageCodec, EncodeAllocatesExactlyOnce) {
+  for (std::size_t sockets : {0, 1, 4, 120}) {
+    for (std::size_t name_len : {3, 300}) {
+      for (u32 flags : {0u, kCodecZeroElide | kCodecDedup}) {
+        const Bytes data = encode_image(shaped_image(sockets, name_len, flags));
+        EXPECT_EQ(data.capacity(), data.size())
+            << sockets << " sockets, names of " << name_len << ", flags "
+            << flags;
+      }
+    }
+  }
+}
+
+/// One image of each shape the codec frames differently, with the size
+/// and CRC-32 of its encoding.  The digests were taken from the encoder
+/// before it planned its records, so they pin the wire format.
+struct CodecCase {
+  std::string what;
+  PodImage img;
+  std::size_t size;
+  u32 crc;
+};
+
+std::vector<CodecCase> codec_cases() {
+  std::vector<CodecCase> cases;
+  cases.push_back({"empty", PodImage{}, 107, 0x28FE6CAB});
+  cases.push_back({"sample", sample_image(), 1531, 0x4FC47BD6});
+  cases.push_back({"plain", shaped_image(4, 3, 0), 281130, 0xFE965BA0});
+  cases.push_back({"zero-elide", shaped_image(4, 3, kCodecZeroElide), 264754,
+                   0x71DB0B03});
+  cases.push_back(
+      {"dedup", shaped_image(4, 3, kCodecDedup), 76367, 0x892EAC48});
+  cases.push_back({"long names, 4 sockets, both codecs",
+                   shaped_image(4, 300, kCodecZeroElide | kCodecDedup), 71441,
+                   0xCB7F4632});
+  cases.push_back(
+      {"120 sockets", shaped_image(120, 3, 0), 391580, 0x2F48FB43});
+  PodImage delta = shaped_image(1, 3, kCodecDelta | kCodecZeroElide);
+  delta.header.delta_seq = 2;
+  delta.processes[0].regions.erase("heap");  // clean: manifest only
+  cases.push_back({"delta", delta, 197938, 0xF823C3BD});
+  PodImage gm = shaped_image(1, 3, 0);
+  gm.has_gm_device = true;
+  gm.gm_state = test::pattern_bytes(3000, 6);
+  cases.push_back({"gm-device", gm, 282902, 0x7C62E7FE});
+  PodImage redirected = shaped_image(4, 3, 0);
+  redirected.redirected_recv[1] = test::pattern_bytes(5000, 7);
+  redirected.redirected_recv[3] = Bytes{};
+  cases.push_back({"redirected-queue", redirected, 286182, 0xCC38BCCD});
+  return cases;
+}
+
+TEST(ImageCodec, TotalBytesEqualsEncodedSize) {
+  for (const CodecCase& c : codec_cases()) {
+    EXPECT_EQ(c.img.total_bytes(), encode_image(c.img).size()) << c.what;
+  }
+}
+
+TEST(ImageCodec, EncodingMatchesPinnedDigests) {
+  for (const CodecCase& c : codec_cases()) {
+    const Bytes data = encode_image(c.img);
+    EXPECT_EQ(data.size(), c.size) << c.what;
+    EXPECT_EQ(crc32(data), c.crc) << c.what;
+  }
+}
+
+TEST(ImageCodec, EncodeIntoFittingStorageWritesInPlace) {
+  const PodImage img = shaped_image(4, 3, kCodecZeroElide | kCodecDedup);
+  const Bytes fresh = encode_image(img);
+  // The smallest and the largest storage that fits, each holding stale
+  // bytes of an earlier image.
+  for (std::size_t cap : {fresh.size(), 2 * fresh.size()}) {
+    Bytes storage(cap, 0xEE);
+    const u8* at = storage.data();
+    const Bytes out = encode_image(img, std::move(storage));
+    EXPECT_EQ(out.data(), at) << cap;
+    EXPECT_EQ(out.capacity(), cap);
+    ASSERT_EQ(out.size(), fresh.size()) << cap;
+    EXPECT_EQ(std::memcmp(out.data(), fresh.data(), fresh.size()), 0) << cap;
+  }
+}
+
+TEST(ImageCodec, EncodeIntoMisfitStorageAllocatesExactly) {
+  const PodImage img = shaped_image(4, 3, 0);
+  const Bytes fresh = encode_image(img);
+  // One byte short (writing into it would grow it), and more than twice
+  // the image (keeping it would pin memory the image does not need).
+  for (std::size_t cap : {fresh.size() - 1, 2 * fresh.size() + 1}) {
+    Bytes storage(cap, 0xEE);
+    const Bytes out = encode_image(img, std::move(storage));
+    EXPECT_EQ(out.capacity(), out.size()) << cap;
+    EXPECT_EQ(out, fresh) << cap;
+  }
 }
 
 TEST(Standalone, SaveRestoreProcessRoundTrip) {

@@ -296,6 +296,45 @@ TEST(OsPod, SanSnapshotCopiesSubtree) {
   EXPECT_FALSE(cl.san().exists("snap/p1/c"));
 }
 
+// A commit's rename keeps the object it overwrites as the path's spare
+// (DESIGN.md §8.2): one per path, never counted as an object.
+TEST(OsPod, SanRenameKeepsDisplacedObjectAsSpare) {
+  Cluster cl;
+  os::VirtualSAN& san = cl.san();
+  auto commit = [&san](Bytes data) {
+    const u8* at = data.data();
+    EXPECT_TRUE(san.write("img.tmp", std::move(data)).is_ok());
+    EXPECT_TRUE(san.rename("img.tmp", "img").is_ok());
+    return at;
+  };
+  commit(Bytes(4000, 1));
+  EXPECT_TRUE(san.take_spare("img").empty());  // nothing displaced yet
+
+  commit(Bytes(5000, 1));
+  const u8* gen2 = commit(Bytes(3000, 2));
+  commit(Bytes(2000, 3));
+  EXPECT_EQ(san.object_count(), 1u);
+  EXPECT_EQ(san.total_bytes(), 2000u);
+  // One spare per path: the last displaced generation's storage, intact.
+  Bytes spare = san.take_spare("img");
+  EXPECT_EQ(spare.data(), gen2);
+  EXPECT_EQ(spare, Bytes(3000, 2));
+  EXPECT_TRUE(san.take_spare("img").empty());  // handed over once
+  EXPECT_EQ(san.read("img").value(), Bytes(2000, 3));
+}
+
+TEST(OsPod, SanRemoveDropsSpare) {
+  Cluster cl;
+  os::VirtualSAN& san = cl.san();
+  for (u8 gen = 0; gen < 2; ++gen) {
+    ASSERT_TRUE(san.write("img.tmp", Bytes(100, gen)).is_ok());
+    ASSERT_TRUE(san.rename("img.tmp", "img").is_ok());
+  }
+  ASSERT_TRUE(san.remove("img").is_ok());
+  EXPECT_TRUE(san.take_spare("img").empty());
+  EXPECT_EQ(san.object_count(), 0u);
+}
+
 TEST(OsPod, RegistryCreatesKnownPrograms) {
   auto& reg = os::ProgramRegistry::instance();
   EXPECT_TRUE(reg.known("test.counter"));
