@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): hot paths of the checkpoint
 // pipeline — record serialization, CRC validation, capture and image
-// encode/decode — and of the simulator — BT's line solves, TCP receive
+// encode/decode, zero regions — and of the simulator — BT's line solves, TCP receive
 // absorb, simulated TCP throughput, and engine event dispatch.
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,7 @@
 #include "tests/guest_programs.h"
 #include "tests/helpers.h"
 #include "util/crc32.h"
+#include "util/region_buf.h"
 #include "util/serialize.h"
 
 namespace zapc {
@@ -195,18 +196,47 @@ void BM_ImageEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ImageEncodeDecode)->Arg(1 << 20)->Arg(16 << 20);
 
-// Decode alone, the restart leg: records are CRC-checked in place and
-// each region's bytes are copied once, out of the image buffer.
+// Decode alone, the restart leg: each record is CRC-checked in place in
+// one pass that also finds its trailing zero run; a data region's bytes
+// are copied once, out of the image buffer, and an all-zero region
+// becomes a zero view.  The second argument adds a raw all-zero region
+// of that size: {12M, 80M} is a bulk-snapshot BT rank (grid plus
+// workspace).  The decoded image is dropped every iteration, as a
+// restart's is once its pod is rebuilt and later torn down.
 void BM_ImageDecode(benchmark::State& state) {
-  Bytes data = ckpt::encode_image(
-      one_region_image(static_cast<std::size_t>(state.range(0))));
+  ckpt::PodImage img =
+      one_region_image(static_cast<std::size_t>(state.range(0)));
+  if (state.range(1) > 0) {
+    img.processes[0].regions["workspace"] =
+        Bytes(static_cast<std::size_t>(state.range(1)), 0);
+  }
+  const Bytes data = ckpt::encode_image(img);
+  img = ckpt::PodImage{};
   for (auto _ : state) {
     benchmark::DoNotOptimize(ckpt::decode_image(data));
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(data.size()));
+}
+BENCHMARK(BM_ImageDecode)
+    ->Args({16 << 20, 0})
+    ->Args({12 << 20, 80 << 20})
+    ->Unit(benchmark::kMillisecond);
+
+// A fresh all-zero region, created and then read in full: a zero view
+// into the read-only zero mapping allocates nothing and every read hits
+// the kernel's one zero page, where value-initialised bytes would fault
+// in and clear every page.
+void BM_ZeroRegion(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    RegionBuf z = RegionBuf::zeros(n);
+    benchmark::DoNotOptimize(is_all_zero(z.data(), z.size()));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_ImageDecode)->Arg(16 << 20);
+BENCHMARK(BM_ZeroRegion)->Arg(80 << 20)->Unit(benchmark::kMillisecond);
 
 void BM_EngineEvents(benchmark::State& state) {
   for (auto _ : state) {

@@ -49,7 +49,9 @@ os::StepResult BratuProgram::step(os::Syscalls& sys) {
 
   switch (pc_) {
     case INIT: {
-      if (p_.workspace_bytes > 0) sys.region("workspace", p_.workspace_bytes);
+      if (p_.workspace_bytes > 0) {
+        sys.reserve_region("workspace", p_.workspace_bytes);
+      }
       if (!comm_.try_init(sys)) return wait_comm(comm_);
       // Initial guess: zero (boundary is zero; halos start zero too).
       pc_ = EXCHANGE_SEND;

@@ -101,7 +101,9 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
 
   switch (pc_) {
     case INIT: {
-      if (p_.workspace_bytes > 0) sys.region("workspace", p_.workspace_bytes);
+      if (p_.workspace_bytes > 0) {
+        sys.reserve_region("workspace", p_.workspace_bytes);
+      }
       if (!comm_.try_init(sys)) return wait_comm(comm_);
       if (!initialized_grid_) {
         // u₀ = sin(πx)·sin(πy): smooth mode that decays under diffusion.

@@ -10,7 +10,7 @@ os::StepResult CpiProgram::step(os::Syscalls& sys) {
   using os::StepResult;
   switch (pc_) {
     case INIT: {
-      sys.region("workspace", p_.workspace_bytes);
+      sys.reserve_region("workspace", p_.workspace_bytes);
       if (!comm_.try_init(sys)) return wait_comm(comm_);
       pc_ = COMPUTE;
       return StepResult::yield();

@@ -126,7 +126,7 @@ void RayMaster::load(Decoder& d) {
 
 os::StepResult RayWorker::step(os::Syscalls& sys) {
   using os::StepResult;
-  sys.region("scene", p_.scene_bytes);
+  sys.reserve_region("scene", p_.scene_bytes);
 
   switch (pc_) {
     case INIT: {

@@ -351,7 +351,7 @@ EncodePlan plan_image(const PodImage& image) {
     }
     for (const auto& [name, bytes] : p.regions) {
       if (zero_elide && !bytes.empty() &&
-          is_all_zero(bytes.data(), bytes.size())) {
+          (bytes.is_zeros() || is_all_zero(bytes.data(), bytes.size()))) {
         Encoder e;
         e.put_i32(p.vpid);
         e.put_string(name);
@@ -476,10 +476,16 @@ Result<PodImage> decode_image(const Bytes& data) {
         break;
       }
       case RecordTag::REDIRECTED_SEND_Q: {
+        // Strict like the region records: a short or padded payload must
+        // not decode to socket 0 with no data.
         Decoder d(record.payload);
-        net::SockId sid = d.u32_().value_or(0);
-        Bytes b = d.bytes_().value_or({});
-        append_bytes(image.redirected_recv[sid], b);
+        auto sid = d.u32_();
+        auto data = d.bytes_view_();
+        if (!sid || !data || !d.at_end()) {
+          return Status(Err::PROTO, "malformed redirected queue record");
+        }
+        const ByteView& v = data.value();
+        append_bytes(image.redirected_recv[sid.value()], v.data, v.size);
         break;
       }
       case RecordTag::PROCESS: {
@@ -533,12 +539,12 @@ Result<PodImage> decode_image(const Bytes& data) {
           return Status(Err::PROTO, "region for unknown vpid");
         }
         // The one copy of the region's bytes: image buffer -> region.
-        // An all-zero region (a quick scan: real data exits at its first
-        // non-zero word) shares the zero buffer instead.
+        // A body inside the payload's trailing zero run (found by the
+        // reader's CRC pass) is all zero: a zero view, no copy, no scan.
         const ByteView& v = bytes.value();
         image.processes[it->second].regions[std::move(name).value()] =
-            is_all_zero(v.data, v.size) ? RegionBuf::zeros(v.size)
-                                        : RegionBuf(v.to_bytes());
+            record.zero_tail >= v.size ? RegionBuf::zeros(v.size)
+                                       : RegionBuf(v.to_bytes());
         break;
       }
       case RecordTag::MEM_REGION_ZERO: {

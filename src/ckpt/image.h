@@ -219,8 +219,9 @@ Bytes encode_image(const PodImage& image, Bytes storage = {});
 /// Parses a record stream back into a PodImage (Err::PROTO on corruption
 /// or unknown mandatory records).  decode(encode(x)) is codec-independent
 /// in content; in sharing, a ref region shares its source's buffer and a
-/// zero region (elided, or a raw record that is all zero) shares the one
-/// zero buffer of its size (RegionBuf::zeros).
+/// zero region (elided, or a raw record that is all zero) is a zero view
+/// (RegionBuf::zeros) that holds no memory.  Each record is read once:
+/// the CRC pass also finds its trailing zero run (RecordView::zero_tail).
 Result<PodImage> decode_image(const Bytes& data);
 
 /// Decodes just the first record of `data` as the image header, without

@@ -97,10 +97,25 @@ class Process {
   Bytes& region(const std::string& name, std::size_t size) {
     Bytes& r = regions_[name].mut();
     if (r.size() < size) r.resize(size);
-    region_gens_[name] = ++region_gen_counter_;
-    ++region_touches_[name];
-    if (touch_hook_) touch_hook_(name);
+    note_touch(name);
     return r;
+  }
+  /// region() without the write fault, the anonymous-mmap analogue: an
+  /// absent region (or a zero view smaller than `size`) becomes a zero
+  /// view that holds no memory, and a region's existing bytes are neither
+  /// cloned nor materialised.  It counts as a touch exactly as region()
+  /// does, so dirty tracking, working-set ranking and the lazy restore
+  /// hook see the same access.
+  void reserve_region(const std::string& name, std::size_t size) {
+    RegionBuf& r = regions_[name];
+    if (r.size() < size) {
+      if (r.empty() || r.is_zeros()) {
+        r = RegionBuf::zeros(size);
+      } else {
+        r.mut().resize(size);
+      }
+    }
+    note_touch(name);
   }
   const std::map<std::string, RegionBuf>& regions() const { return regions_; }
   std::map<std::string, RegionBuf>& regions_mut() { return regions_; }
@@ -156,6 +171,12 @@ class Process {
   u64 region_gen_counter_ = 0;
   std::function<void(const std::string&)> touch_hook_;
   std::map<u32, sim::Time> timers_;
+
+  void note_touch(const std::string& name) {
+    region_gens_[name] = ++region_gen_counter_;
+    ++region_touches_[name];
+    if (touch_hook_) touch_hook_(name);
+  }
 };
 
 }  // namespace zapc::os

@@ -118,6 +118,11 @@ class Syscalls {
   /// Named bulk-memory region owned by the process; created zero-filled on
   /// first use, serialized wholesale by the checkpointer.
   virtual Bytes& region(const std::string& name, std::size_t size) = 0;
+  /// region() for a caller that does not write the bytes now (a
+  /// workspace it only sizes, a scene it only reads): like an anonymous
+  /// mmap, a new region costs no memory until it is written.  Counts as
+  /// the same system call and region access as region().
+  virtual void reserve_region(const std::string& name, std::size_t size) = 0;
 
   // ---- Storage ------------------------------------------------------------
   virtual VirtualSAN& san() = 0;

@@ -59,6 +59,10 @@ class PodSyscalls final : public os::Syscalls {
     pod_.note_syscall();
     return proc_.region(name, size);
   }
+  void reserve_region(const std::string& name, std::size_t size) override {
+    pod_.note_syscall();
+    proc_.reserve_region(name, size);
+  }
 
   os::VirtualSAN& san() override { return pod_.host().san(); }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/region_buf.h"
+
 namespace zapc {
 
 const char* record_tag_name(RecordTag tag) {
@@ -103,10 +105,29 @@ Result<RecordView> RecordReader::next() {
   r.tag = static_cast<RecordTag>(tag.value());
   r.version = version.value();
   r.payload = payload.value();
-  if (crc.value() !=
-      record_crc(r.tag, r.version, r.payload.data, r.payload.size)) {
+  const u8* p = r.payload.data;
+  const std::size_t n = r.payload.size;
+  u32 c = record_crc_head(r.tag, r.version, Bytes{});
+  // End of the last block holding a non-zero byte (0: none).
+  std::size_t nz_end = 0;
+  constexpr std::size_t kBlock = RecordWriter::kCrcBlock;
+  for (std::size_t off = 0; off < n; off += kBlock) {
+    const std::size_t len = std::min(kBlock, n - off);
+    c = crc32_update(c, p + off, len);
+    if (!is_all_zero(p + off, len)) nz_end = off + len;
+  }
+  if (crc.value() != crc32_final(c)) {
     return Status(Err::PROTO, "record crc mismatch");
   }
+  // Back from the end of that block to its last non-zero byte, 256
+  // bytes a step, then byte by byte.  The block holds a non-zero byte,
+  // so the scan stops inside it; for a zero region that byte is in the
+  // record head, at the start of the first block.
+  constexpr std::size_t kStep = 256;
+  std::size_t last = nz_end;
+  while (last >= kStep && is_all_zero(p + last - kStep, kStep)) last -= kStep;
+  while (last > 0 && p[last - 1] == 0) --last;
+  r.zero_tail = n - last;
   return r;
 }
 

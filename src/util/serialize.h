@@ -274,6 +274,10 @@ struct RecordView {
   RecordTag tag{};
   u16 version{};
   ByteView payload;
+  /// Length of the payload's trailing run of zero bytes (the whole
+  /// payload when it is all zero), found during the CRC pass: a region
+  /// record whose body lies inside it needs no zero scan of its own.
+  std::size_t zero_tail = 0;
 };
 
 /// Iterates the records of a checkpoint image, validating CRCs.  Borrows
@@ -285,7 +289,9 @@ class RecordReader {
 
   /// Reads the next record; Err::NO_ENT at end of stream, Err::PROTO on
   /// corruption (bad CRC or truncated frame).  The CRC is checked over
-  /// the whole record before the view is returned.
+  /// the whole record before the view is returned.  The payload is read
+  /// once, kCrcBlock bytes at a time: each block is checksummed and then
+  /// tested for zeros while it is still in cache (RecordView::zero_tail).
   Result<RecordView> next();
 
   bool at_end() const { return dec_.at_end(); }

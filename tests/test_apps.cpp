@@ -17,6 +17,7 @@
 #include "core/agent.h"
 #include "core/manager.h"
 #include "os/cluster.h"
+#include "pod/pod.h"
 #include "tests/helpers.h"
 
 namespace zapc::apps {
@@ -238,6 +239,47 @@ TEST(Apps, BtBlockedSweepsMatchPerLineSolveBitForBit) {
     EXPECT_EQ(
         std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
   }
+}
+
+/// One BT step (its INIT) in a bare pod; the pod is returned for
+/// inspection of the step's region accesses and system calls.
+std::unique_ptr<pod::Pod> bt_after_init(os::Node& node, u8 host,
+                                        u64 workspace_bytes) {
+  auto pod = std::make_unique<pod::Pod>(
+      node, net::IpAddr(10, 81, 0, host), "bt" + std::to_string(host));
+  BtProgram::Params p;
+  p.n = 16;
+  p.steps = 4;
+  p.workspace_bytes = workspace_bytes;
+  const i32 pid = pod->spawn(std::make_unique<BtProgram>(p));
+  (void)pod->step_process(*pod->find_process(pid));
+  return pod;
+}
+
+// BT only sizes its workspace, so after INIT the workspace is a zero
+// view holding no memory.  Reserving it is the same access region()
+// was: one system call, one touch, one generation bump.
+TEST(Apps, BtWorkspaceIsAZeroViewAfterInit) {
+  os::Cluster cl;
+  os::Node& node = cl.add_node("n1");
+  constexpr u64 kWorkspace = 3 << 20;
+  auto with = bt_after_init(node, 1, kWorkspace);
+  auto without = bt_after_init(node, 2, 0);
+  const os::Process& a = *with->processes().front();
+  const os::Process& b = *without->processes().front();
+
+  const RegionBuf& ws = a.regions().at("workspace");
+  EXPECT_TRUE(ws.is_zeros());
+  EXPECT_EQ(ws.size(), kWorkspace);
+  EXPECT_EQ(b.regions().count("workspace"), 0u);
+
+  EXPECT_EQ(a.region_touches().at("workspace"), 1u);
+  EXPECT_EQ(a.region_touches().at("grid"), b.region_touches().at("grid"));
+  // The workspace access follows the grid's and bumps the clock once.
+  EXPECT_EQ(a.region_gens().at("grid"), b.region_gens().at("grid"));
+  EXPECT_EQ(a.region_gens().at("workspace"), a.region_gens().at("grid") + 1);
+  EXPECT_EQ(a.region_gen_counter(), b.region_gen_counter() + 1);
+  EXPECT_EQ(with->total_syscalls(), without->total_syscalls() + 1);
 }
 
 TEST(Apps, RayTracerRendersScene) {

@@ -243,6 +243,42 @@ TEST(RegionFraming, RegionRefTrailingBytesRejected) {
       Err::PROTO);
 }
 
+/// REDIRECTED_SEND_Q payload: socket id, then length-prefixed data.
+Bytes redirected_payload() {
+  Encoder e;
+  e.put_u32(7);
+  e.put_bytes(to_bytes("queued"));
+  return e.take();
+}
+
+TEST(RedirectedQueueFraming, WellFramedRecordDecodes) {
+  auto r = decode_image(
+      image_with_record(RecordTag::REDIRECTED_SEND_Q, redirected_payload()));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r.value().redirected_recv.size(), 1u);
+  EXPECT_EQ(r.value().redirected_recv.at(7), to_bytes("queued"));
+}
+
+// A garbled payload with a valid CRC must not decode to socket 0 with no
+// data: that would silently drop a peer's in-flight bytes.
+TEST(RedirectedQueueFraming, MalformedRecordsRejected) {
+  Bytes short_sid = {0x07, 0x00};  // half a socket id, no data
+  Bytes short_data = redirected_payload();
+  short_data.resize(short_data.size() - 2);  // data cut short
+  Bytes no_length = redirected_payload();
+  no_length.resize(4);  // socket id only
+  Bytes trailing = redirected_payload();
+  trailing.push_back(0);
+  for (const Bytes& payload : {short_sid, short_data, no_length, trailing,
+                               Bytes{}}) {
+    EXPECT_EQ(
+        decode_image(image_with_record(RecordTag::REDIRECTED_SEND_Q, payload))
+            .err(),
+        Err::PROTO)
+        << payload.size();
+  }
+}
+
 TEST(Image, MetaRoundTrip) {
   NetMeta m = sample_image().meta;
   auto back = decode_meta(encode_meta(m));

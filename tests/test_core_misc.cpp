@@ -431,7 +431,8 @@ TEST_F(CornerTest, TimeVirtualizationAcrossRestart) {
   pod::Pod* restored = agents_[1]->find_pod("timer-pod");
   os::Process* p = restored->find_process(pid);
   ASSERT_EQ(p->state(), os::ProcState::EXITED);
-  Decoder d(p->regions().at("stamps"));
+  const Bytes stamps = p->regions().at("stamps").to_bytes();
+  Decoder d(stamps);
   u64 before = d.u64_().value();
   u64 after = d.u64_().value();
   // The pod-visible clock never exposes the 60-second downtime: the

@@ -364,7 +364,8 @@ TEST(IncrementalE2E, DeltaChainRestartsOnDifferentNode) {
 
   u32 count_before =
       static_cast<CounterProgram&>(pod.find_process(pid)->program()).count();
-  Bytes scratch_before = pod.find_process(pid)->regions().at("scratch");
+  Bytes scratch_before =
+      pod.find_process(pid)->regions().at("scratch").to_bytes();
   ASSERT_TRUE(rig.agents[0]->destroy_pod("job"));
   rig.cl.run_for(10 * sim::kMillisecond);
 
@@ -377,7 +378,7 @@ TEST(IncrementalE2E, DeltaChainRestartsOnDifferentNode) {
   os::Process* p = moved->find_process(pid);
   ASSERT_NE(p, nullptr);
   EXPECT_GE(static_cast<CounterProgram&>(p->program()).count(), count_before);
-  Bytes scratch_after = p->regions().at("scratch");
+  Bytes scratch_after = p->regions().at("scratch").to_bytes();
   EXPECT_EQ(scratch_after, scratch_before);
   EXPECT_EQ(scratch_after[0], 1);
   EXPECT_EQ(scratch_after[2], 3);

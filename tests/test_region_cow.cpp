@@ -4,7 +4,10 @@
 // function of region content alone, never of sharing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -44,12 +47,43 @@ TEST(RegionBuf, ZeroBufferIsSharedAndNeverWrittenInPlace) {
   EXPECT_EQ(z1.data(), z2.data());
   EXPECT_EQ(z1, Bytes(4096, 0));
   z2 = RegionBuf();
-  // Even its only holder clones it: the cache may hand it out again.
+  // Even its only holder clones it: a zero view has no bytes of its own.
   EXPECT_TRUE(z1.shared());
   z1.mut()[5] = 7;
   EXPECT_EQ(z1[5], 7);
   EXPECT_EQ(RegionBuf::zeros(4096), Bytes(4096, 0));
   EXPECT_TRUE(RegionBuf::zeros(0).empty());
+}
+
+/// Resident memory of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A zero view is backed by the kernel's zero page: creating and reading
+// one, however large, makes nothing resident.
+TEST(RegionBuf, ZeroViewReadInFullCostsNoResidentMemory) {
+  const std::size_t n = std::size_t{256} << 20;
+  const std::size_t before = resident_bytes();
+  RegionBuf z = RegionBuf::zeros(n);
+  ASSERT_TRUE(z.is_zeros());
+  ASSERT_EQ(z.size(), n);
+  EXPECT_TRUE(is_all_zero(z.data(), z.size()));  // touches every page
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (std::size_t{1} << 20))
+      << "resident " << before << " -> " << after;
+
+  // A write makes owned zeros; the view's mapping is left untouched.
+  RegionBuf w = RegionBuf::zeros(4096);
+  w.mut()[1] = 5;
+  EXPECT_FALSE(w.is_zeros());
+  EXPECT_FALSE(w.shared());
+  EXPECT_EQ(w[1], 5);
+  EXPECT_EQ(RegionBuf::zeros(4096), Bytes(4096, 0));
 }
 
 TEST(RegionBuf, IsAllZeroSeesOneNonZeroByteAnywhere) {
@@ -135,6 +169,69 @@ TEST(RegionCodec, ZeroRegionsDecodeToTheSharedZeroBuffer) {
   }
 }
 
+/// A plain-codec image holding one all-zero region "z" of `n` bytes, with
+/// where that region's record and body sit in the encoded bytes.
+struct RawZeroRegion {
+  Bytes data;
+  std::size_t payload_at = 0;  // offset of the record's payload
+  std::size_t payload_len = 0;
+  std::size_t body_at = 0;     // offset of the region bytes
+  u16 version = 0;
+
+  explicit RawZeroRegion(std::size_t n) {
+    PodImage img = one_process_image(0);
+    img.processes[0].regions["z"] = RegionBuf::zeros(n);
+    data = encode_image(img);
+    RecordReader r(data);
+    while (!r.at_end()) {
+      auto rec = r.next();
+      if (!rec || rec.value().tag != RecordTag::MEM_REGION) continue;
+      payload_at = static_cast<std::size_t>(rec.value().payload.data -
+                                            data.data());
+      payload_len = rec.value().payload.size;
+      version = rec.value().version;
+      body_at = payload_at + payload_len - n;
+    }
+  }
+
+  /// Rewrites the record's CRC to match its (edited) payload.
+  void reframe() {
+    const u32 crc = record_crc(RecordTag::MEM_REGION, version,
+                               data.data() + payload_at, payload_len);
+    for (std::size_t i = 0; i < 4; ++i) {
+      data[payload_at + payload_len + i] = static_cast<u8>(crc >> (8 * i));
+    }
+  }
+};
+
+// The zero check rides on the CRC pass, and the CRC is checked first: a
+// flipped byte in an all-zero region fails decode; re-framed so the CRC
+// holds, the region decodes to owned bytes carrying the flip, never to a
+// zero view.
+TEST(RegionCodec, FlippedByteInRawZeroRegionIsNeverAZeroView) {
+  const std::size_t block = RecordWriter::kCrcBlock;
+  const std::size_t n = 3 * block + 5;
+  for (std::size_t pos : {std::size_t{0}, block - 1, block, n / 2, n - 1}) {
+    RawZeroRegion img(n);
+    ASSERT_GT(img.body_at, 0u);
+    auto clean = decode_image(img.data);
+    ASSERT_TRUE(clean.is_ok());
+    EXPECT_TRUE(clean.value().processes[0].regions.at("z").is_zeros());
+
+    img.data[img.body_at + pos] ^= 0x04;
+    EXPECT_EQ(decode_image(img.data).err(), Err::PROTO) << pos;
+
+    img.reframe();
+    auto back = decode_image(img.data);
+    ASSERT_TRUE(back.is_ok()) << pos;
+    const RegionBuf& z = back.value().processes[0].regions.at("z");
+    EXPECT_FALSE(z.is_zeros()) << pos;
+    Bytes want(n, 0);
+    want[pos] = 0x04;
+    EXPECT_EQ(z, want) << pos;
+  }
+}
+
 TEST(RegionCodec, SharedAndOwnedRegionsEncodeIdentically) {
   const std::size_t n = 64 << 10;
   const RegionBuf data(Bytes(n, 0x5C));
@@ -217,6 +314,49 @@ TEST_F(RegionCowPod, PodsRestoredFromOneZeroElidedImageStayIsolated) {
   auto c = decode_image(data);
   ASSERT_TRUE(c.is_ok());
   EXPECT_EQ(c.value().processes[0].regions.at("zeros"), Bytes(1 << 20, 0));
+}
+
+// reserve_region is region() without the write fault: the same touch,
+// generation bump and lazy-restore hook call, but a new region is a zero
+// view and existing bytes are neither cloned nor materialised.
+TEST_F(RegionCowPod, ReserveRegionTouchesLikeRegionWithoutWriting) {
+  auto spawn = [&] {
+    return pod_.find_process(
+        pod_.spawn(std::make_unique<test::CounterProgram>(1, 1)));
+  };
+  os::Process* a = spawn();
+  os::Process* b = spawn();
+  int hooks_a = 0;
+  int hooks_b = 0;
+  a->set_touch_hook([&](const std::string&) { ++hooks_a; });
+  b->set_touch_hook([&](const std::string&) { ++hooks_b; });
+
+  a->region("data", 64).assign(64, 0x33);
+  b->region("data", 64).assign(64, 0x33);
+  const RegionBuf capture = a->regions().at("data");  // a snapshot holds it
+  a->reserve_region("ws", 1 << 20);
+  b->region("ws", 1 << 20);
+  a->reserve_region("ws", 2 << 20);  // grows, still a zero view
+  b->region("ws", 2 << 20);
+  a->reserve_region("data", 64);
+  b->region("data", 64);
+
+  EXPECT_TRUE(a->regions().at("ws").is_zeros());
+  EXPECT_EQ(a->regions().at("ws").size(), std::size_t{2} << 20);
+  EXPECT_EQ(a->regions().at("ws"), b->regions().at("ws"));
+  // The captured bytes were not cloned.
+  EXPECT_EQ(a->regions().at("data").data(), capture.data());
+  EXPECT_EQ(a->region_touches(), b->region_touches());
+  EXPECT_EQ(a->region_gens(), b->region_gens());
+  EXPECT_EQ(a->region_gen_counter(), b->region_gen_counter());
+  EXPECT_EQ(hooks_a, hooks_b);
+  EXPECT_EQ(hooks_a, 4);
+
+  // An owned region reserved larger grows with zeros and keeps its bytes.
+  a->reserve_region("data", 128);
+  EXPECT_EQ(a->regions().at("data").size(), 128u);
+  EXPECT_EQ(a->regions().at("data")[0], 0x33);
+  EXPECT_EQ(a->regions().at("data")[127], 0);
 }
 
 TEST_F(RegionCowPod, DedupRefRegionsOfOneImageStayIsolated) {

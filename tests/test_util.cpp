@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "util/crc32.h"
@@ -148,6 +149,49 @@ TEST(Records, WriteSplitMatchesTwoPassForm) {
         << n;
     RecordReader r(w.bytes());
     EXPECT_TRUE(r.next().is_ok()) << n;
+  }
+}
+
+// The reader's CRC pass also measures the payload's trailing zero run.
+// It must equal a byte-by-byte scan from the end wherever the last
+// non-zero byte sits: in the first block, on either side of a block
+// boundary, at the very end, or nowhere.
+TEST(Records, ZeroTailMatchesBytewiseScan) {
+  const std::size_t block = RecordWriter::kCrcBlock;
+  const std::size_t n = 3 * block + 5;
+  auto scan = [](const Bytes& b) {
+    std::size_t t = 0;
+    while (t < b.size() && b[b.size() - 1 - t] == 0) ++t;
+    return t;
+  };
+  auto zero_tail = [](const Bytes& payload) -> std::size_t {
+    RecordWriter w;
+    w.write(RecordTag::MEM_REGION, 1, payload);
+    RecordReader r(w.bytes());
+    auto rec = r.next();
+    EXPECT_TRUE(rec.is_ok());
+    return rec.is_ok() ? rec.value().zero_tail : ~std::size_t{0};
+  };
+  const std::vector<std::optional<std::size_t>> lasts = {
+      0, 1, block - 1, block, block + 1, n - 1, std::nullopt};
+  for (bool data_before : {false, true}) {
+    for (const auto& last : lasts) {
+      Bytes payload(n, 0);
+      if (last) {
+        // Optionally more non-zero bytes ahead of the last one, in
+        // earlier blocks and in its own.
+        if (data_before) {
+          for (std::size_t i = 0; i < *last; i += 997) payload[i] = 0x5A;
+        }
+        payload[*last] = 0x80;
+      }
+      EXPECT_EQ(zero_tail(payload), scan(payload))
+          << "last=" << (last ? static_cast<long long>(*last) : -1)
+          << " data_before=" << data_before;
+    }
+  }
+  for (std::size_t size : {std::size_t{0}, std::size_t{1}, block, n}) {
+    EXPECT_EQ(zero_tail(Bytes(size, 0)), size) << size;
   }
 }
 
