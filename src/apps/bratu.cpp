@@ -160,7 +160,10 @@ os::StepResult BratuProgram::step(os::Syscalls& sys) {
         Encoder e;
         e.put_f64(residual_);
         e.put_u32(iter_);
-        sys.san().write("results/bratu", e.take());
+        // A result that was not stored is a failed run.
+        if (!sys.san().write("results/bratu", e.take()).is_ok()) {
+          return StepResult::exit(4);
+        }
       }
       // Success = the solver actually reduced the residual.
       return StepResult::exit(residual_ < 1.0 ? 0 : 3);

@@ -235,7 +235,10 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
         e.put_f64(norm_);
         e.put_f64(initial_norm_);
         e.put_u32(step_);
-        sys.san().write("results/bt", e.take());
+        // A result that was not stored is a failed run.
+        if (!sys.san().write("results/bt", e.take()).is_ok()) {
+          return StepResult::exit(4);
+        }
       }
       // Diffusion must have decayed the mode monotonically toward 0.
       bool ok = std::isfinite(norm_) && norm_ < initial_norm_ && norm_ > 0;

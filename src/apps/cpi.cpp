@@ -58,7 +58,10 @@ os::StepResult CpiProgram::step(os::Syscalls& sys) {
         // Verifiable output: |pi - PI| should be tiny.
         Encoder e;
         e.put_f64(last_pi_);
-        sys.san().write("results/cpi", e.take());
+        // A result that was not stored is a failed run.
+        if (!sys.san().write("results/cpi", e.take()).is_ok()) {
+          return StepResult::exit(4);
+        }
       }
       return StepResult::exit(std::abs(last_pi_ - M_PI) < 1e-6 ? 0 : 3);
     }

@@ -85,7 +85,10 @@ os::StepResult RayMaster::step(os::Syscalls& sys) {
     }
     case FINISH: {
       pvm_.progress(sys);
-      sys.san().write("results/ray.ppm", fb);
+      // A result that was not stored is a failed run.
+      if (!sys.san().write("results/ray.ppm", fb).is_ok()) {
+        return StepResult::exit(4);
+      }
       // Verify: the image must not be empty (sky alone is non-black) and
       // every band must have been written.
       u64 lit = 0;

@@ -6,249 +6,108 @@
 #include "obs/metrics.h"
 
 namespace zapc::ckpt {
-namespace {
 
 constexpr u32 kImageMagic = 0x5A415043;  // "ZAPC"
-// v2 appends codec/delta fields to the header record; decoders treat
-// missing trailing fields as defaults, so v1 images still decode and v1
-// readers ignore the extra header bytes.
+// Every record carries it; a decoder accepts no other.
 constexpr u16 kFormatVersion = 2;
 
-void put_addr(Encoder& e, const net::SockAddr& a) {
-  e.put_u32(a.ip.v);
-  e.put_u16(a.port);
+// ---- Record field lists ------------------------------------------------------
+// One list per record payload, walked by encode_image and decode_image
+// alike (util/serialize.h).
+
+template <class F>
+void io(F& f, PodImageHeader& h) {
+  f(Fixed<u32>{kImageMagic}, h.pod_name, h.vip, h.next_vpid, h.time_virt,
+    h.ckpt_virtual_time, h.time_delta, h.codec_flags, h.delta_seq,
+    h.base_uri);
 }
 
-net::SockAddr get_addr(Decoder& d) {
-  net::SockAddr a;
-  a.ip.v = d.u32_().value_or(0);
-  a.port = d.u16_().value_or(0);
-  return a;
+template <class F>
+void io(F& f, SavedRecvItem& r) {
+  f(r.data, r.from, r.oob);
 }
 
-Bytes encode_header(const PodImageHeader& h) {
-  Encoder e;
-  e.put_u32(kImageMagic);
-  e.put_string(h.pod_name);
-  e.put_u32(h.vip.v);
-  e.put_i32(h.next_vpid);
-  e.put_bool(h.time_virt);
-  e.put_u64(h.ckpt_virtual_time);
-  e.put_i64(h.time_delta);
-  // v2 trailer.
-  e.put_u32(h.codec_flags);
-  e.put_u32(h.delta_seq);
-  e.put_string(h.base_uri);
-  return e.take();
+template <class F>
+void io(F& f, SocketImage& s) {
+  f(s.old_id, s.proto, s.params, s.local, s.remote, s.bound, s.owns_port,
+    s.listener, s.backlog, s.connecting, s.connected, s.shut_rd, s.shut_wr,
+    s.peer_closed, s.recv_queue, s.send_queue, s.send_queue_redirected,
+    s.pcb_sent, s.pcb_acked, s.pcb_recv, s.raw_proto);
 }
 
-Result<PodImageHeader> decode_header(ByteView b) {
-  Decoder d(b);
-  auto magic = d.u32_();
-  if (!magic || magic.value() != kImageMagic) {
-    return Status(Err::PROTO, "bad image magic");
-  }
-  PodImageHeader h;
-  h.pod_name = d.string_().value_or("");
-  h.vip.v = d.u32_().value_or(0);
-  h.next_vpid = d.i32_().value_or(1);
-  h.time_virt = d.bool_().value_or(true);
-  h.ckpt_virtual_time = d.u64_().value_or(0);
-  h.time_delta = d.i64_().value_or(0);
-  // v2 trailer (absent in v1 images).
-  h.codec_flags = d.u32_().value_or(0);
-  h.delta_seq = d.u32_().value_or(0);
-  h.base_uri = d.string_().value_or("");
-  return h;
+/// The PROCESS record: control state; regions and manifest have records
+/// of their own.
+template <class F>
+void io(F& f, ProcessImage& p) {
+  f(p.vpid, p.kind, p.exited, p.exit_code, p.next_fd, p.program_state, p.fds,
+    p.timer_remaining);
 }
 
-Bytes encode_socket(const SocketImage& s) {
-  Encoder e;
-  e.put_u32(s.old_id);
-  e.put_u8(static_cast<u8>(s.proto));
-  e.put_u32(static_cast<u32>(s.params.size()));
-  for (i64 v : s.params) e.put_i64(v);
-  put_addr(e, s.local);
-  put_addr(e, s.remote);
-  e.put_bool(s.bound);
-  e.put_bool(s.owns_port);
-  e.put_bool(s.listener);
-  e.put_i32(s.backlog);
-  e.put_bool(s.connecting);
-  e.put_bool(s.connected);
-  e.put_bool(s.shut_rd);
-  e.put_bool(s.shut_wr);
-  e.put_bool(s.peer_closed);
-  e.put_u32(static_cast<u32>(s.recv_queue.size()));
-  for (const auto& item : s.recv_queue) {
-    e.put_bytes(item.data);
-    put_addr(e, item.from);
-    e.put_bool(item.oob);
-  }
-  e.put_bytes(s.send_queue);
-  e.put_bool(s.send_queue_redirected);
-  e.put_u32(s.pcb_sent);
-  e.put_u32(s.pcb_acked);
-  e.put_u32(s.pcb_recv);
-  e.put_u8(s.raw_proto);
-  return e.take();
+/// A manifest triple's generation and size; the touch counts follow all
+/// triples (ManifestRecord).
+template <class F>
+void io(F& f, RegionMeta& m) {
+  f(m.gen, m.size);
 }
 
-Result<SocketImage> decode_socket(ByteView b) {
-  Decoder d(b);
-  SocketImage s;
-  s.old_id = d.u32_().value_or(0);
-  s.proto = static_cast<net::Proto>(d.u8_().value_or(6));
-  u32 nparams = d.count_(8).value_or(0xFFFFFFFF);
-  if (nparams == 0xFFFFFFFF) return Status(Err::PROTO, "bad param count");
-  for (u32 i = 0; i < nparams; ++i) {
-    i64 v = d.i64_().value_or(0);
-    if (i < s.params.size()) s.params[i] = v;
-  }
-  s.local = get_addr(d);
-  s.remote = get_addr(d);
-  s.bound = d.bool_().value_or(false);
-  s.owns_port = d.bool_().value_or(false);
-  s.listener = d.bool_().value_or(false);
-  s.backlog = d.i32_().value_or(0);
-  s.connecting = d.bool_().value_or(false);
-  s.connected = d.bool_().value_or(false);
-  s.shut_rd = d.bool_().value_or(false);
-  s.shut_wr = d.bool_().value_or(false);
-  s.peer_closed = d.bool_().value_or(false);
-  auto nitems_r = d.count_(11);
-  if (!nitems_r) return nitems_r.status();
-  u32 nitems = nitems_r.value();
-  for (u32 i = 0; i < nitems; ++i) {
-    SavedRecvItem item;
-    item.data = d.bytes_().value_or({});
-    item.from = get_addr(d);
-    item.oob = d.bool_().value_or(false);
-    s.recv_queue.push_back(std::move(item));
-  }
-  s.send_queue = d.bytes_().value_or({});
-  s.send_queue_redirected = d.bool_().value_or(false);
-  s.pcb_sent = d.u32_().value_or(0);
-  s.pcb_acked = d.u32_().value_or(0);
-  s.pcb_recv = d.u32_().value_or(0);
-  s.raw_proto = d.u8_().value_or(0);
-  if (!d.at_end()) return Status(Err::PROTO, "trailing socket bytes");
-  return s;
+namespace {
+
+/// REGION_MANIFEST: a process's (name, gen, size) triples, then their
+/// touch counts in the same order.
+struct ManifestRecord {
+  i32 vpid = 0;
+  u64 gen_counter = 0;
+  std::map<std::string, RegionMeta> regions;
+};
+template <class F>
+void io(F& f, ManifestRecord& m) {
+  f(m.vpid, m.gen_counter, m.regions);
+  for (auto& [name, meta] : m.regions) f(meta.touches);
 }
 
-Bytes encode_process(const ProcessImage& p) {
-  Encoder e;
-  e.put_i32(p.vpid);
-  e.put_string(p.kind);
-  e.put_bool(p.exited);
-  e.put_i32(p.exit_code);
-  e.put_i32(p.next_fd);
-  e.put_bytes(p.program_state);
-  e.put_u32(static_cast<u32>(p.fds.size()));
-  for (const auto& [fd, sid] : p.fds) {
-    e.put_i32(fd);
-    e.put_u32(sid);
-  }
-  e.put_u32(static_cast<u32>(p.timer_remaining.size()));
-  for (const auto& [id, rem] : p.timer_remaining) {
-    e.put_u32(id);
-    e.put_i64(rem);
-  }
-  return e.take();
+/// MEM_REGION: the region's bytes, framed by write_split (encode_head).
+struct RegionRecord {
+  i32 vpid = 0;
+  std::string name;
+  ByteView bytes;
+};
+template <class F>
+void io(F& f, RegionRecord& r) {
+  f(r.vpid, r.name, r.bytes);
 }
 
-Result<ProcessImage> decode_process(ByteView b) {
-  Decoder d(b);
-  ProcessImage p;
-  p.vpid = d.i32_().value_or(0);
-  p.kind = d.string_().value_or("");
-  p.exited = d.bool_().value_or(false);
-  p.exit_code = d.i32_().value_or(0);
-  p.next_fd = d.i32_().value_or(3);
-  p.program_state = d.bytes_().value_or({});
-  auto nfds_r = d.count_(8);
-  if (!nfds_r) return nfds_r.status();
-  u32 nfds = nfds_r.value();
-  for (u32 i = 0; i < nfds; ++i) {
-    int fd = d.i32_().value_or(-1);
-    net::SockId sid = d.u32_().value_or(0);
-    p.fds[fd] = sid;
-  }
-  auto ntimers_r = d.count_(12);
-  if (!ntimers_r) return ntimers_r.status();
-  u32 ntimers = ntimers_r.value();
-  for (u32 i = 0; i < ntimers; ++i) {
-    u32 id = d.u32_().value_or(0);
-    i64 rem = d.i64_().value_or(0);
-    p.timer_remaining[id] = rem;
-  }
-  if (!d.at_end()) return Status(Err::PROTO, "trailing process bytes");
-  return p;
+/// MEM_REGION_ZERO: an all-zero region as its size.
+struct ZeroRegionRecord {
+  i32 vpid = 0;
+  std::string name;
+  u64 size = 0;
+};
+template <class F>
+void io(F& f, ZeroRegionRecord& r) {
+  f(r.vpid, r.name, r.size);
 }
 
-Bytes encode_manifest(const ProcessImage& p) {
-  Encoder e;
-  e.put_i32(p.vpid);
-  e.put_u64(p.region_gen_counter);
-  e.put_u32(static_cast<u32>(p.manifest.size()));
-  for (const auto& [name, meta] : p.manifest) {
-    e.put_string(name);
-    e.put_u64(meta.gen);
-    e.put_u64(meta.size);
-  }
-  // Touch stats as a trailing parallel array (same iteration order as the
-  // triples above): appending keeps old readers working — they stop
-  // before the trailer — and old images decode with touches = 0.
-  for (const auto& [name, meta] : p.manifest) {
-    e.put_u64(meta.touches);
-  }
-  return e.take();
+/// MEM_REGION_REF: a region identical to one earlier in the image.
+struct RegionRefRecord {
+  i32 vpid = 0;
+  std::string name;
+  i32 src_vpid = 0;
+  std::string src_name;
+};
+template <class F>
+void io(F& f, RegionRefRecord& r) {
+  f(r.vpid, r.name, r.src_vpid, r.src_name);
 }
 
-Bytes encode_meta_payload(const NetMeta& m) {
-  Encoder e;
-  e.put_u32(m.pod_vip.v);
-  e.put_u32(static_cast<u32>(m.entries.size()));
-  for (const auto& entry : m.entries) {
-    e.put_u32(entry.sock);
-    e.put_u8(static_cast<u8>(entry.proto));
-    put_addr(e, entry.source);
-    put_addr(e, entry.target);
-    e.put_u8(static_cast<u8>(entry.state));
-    e.put_u8(static_cast<u8>(entry.role));
-    e.put_u32(entry.pcb_sent);
-    e.put_u32(entry.pcb_acked);
-    e.put_u32(entry.pcb_recv);
-    e.put_u32(entry.discard_send);
-    e.put_bool(entry.redirect_expected);
-  }
-  return e.take();
-}
-
-Result<NetMeta> decode_meta_payload(ByteView b) {
-  Decoder d(b);
-  NetMeta m;
-  m.pod_vip.v = d.u32_().value_or(0);
-  auto n_r = d.count_(30);
-  if (!n_r) return n_r.status();
-  u32 n = n_r.value();
-  for (u32 i = 0; i < n; ++i) {
-    NetMetaEntry entry;
-    entry.sock = d.u32_().value_or(0);
-    entry.proto = static_cast<net::Proto>(d.u8_().value_or(6));
-    entry.source = get_addr(d);
-    entry.target = get_addr(d);
-    entry.state = static_cast<ConnState>(d.u8_().value_or(0));
-    entry.role = static_cast<PeerRole>(d.u8_().value_or(0));
-    entry.pcb_sent = d.u32_().value_or(0);
-    entry.pcb_acked = d.u32_().value_or(0);
-    entry.pcb_recv = d.u32_().value_or(0);
-    entry.discard_send = d.u32_().value_or(0);
-    entry.redirect_expected = d.bool_().value_or(false);
-    m.entries.push_back(entry);
-  }
-  if (!d.at_end()) return Status(Err::PROTO, "trailing meta bytes");
-  return m;
+/// REDIRECTED_SEND_Q: a peer's send queue for one socket, framed by
+/// write_split (encode_head).
+struct QueueRecord {
+  net::SockId sock = 0;
+  ByteView bytes;
+};
+template <class F>
+void io(F& f, QueueRecord& r) {
+  f(r.sock, r.bytes);
 }
 
 }  // namespace
@@ -271,7 +130,7 @@ std::size_t SocketImage::byte_size() const {
 }
 
 std::size_t PodImage::network_bytes() const {
-  std::size_t n = encode_meta_payload(meta).size();
+  std::size_t n = encode_fields(meta).size();
   for (const auto& s : sockets) n += s.byte_size();
   for (const auto& [sid, data] : redirected_recv) n += data.size();
   return n;
@@ -281,7 +140,8 @@ namespace {
 
 // One record of an encode plan: an encoded payload prefix (the whole
 // payload of a small record) plus an optional borrowed body — a region's
-// or a queue's bytes, framed without first copying it into the plan.
+// or a queue's bytes, framed without first copying it into the plan.  A
+// null body with a length stands for that many zero bytes.
 struct PlannedRecord {
   RecordTag tag;
   Bytes head;
@@ -311,24 +171,21 @@ struct EncodePlan {
 
 EncodePlan plan_image(const PodImage& image) {
   EncodePlan plan;
-  plan.add(RecordTag::IMAGE_HEADER, encode_header(image.header));
+  plan.add(RecordTag::IMAGE_HEADER, encode_fields(image.header));
   // Network state precedes process state (paper §4: the network
   // checkpoint runs first so it can overlap the Manager barrier).
-  plan.add(RecordTag::NET_META, encode_meta_payload(image.meta));
+  plan.add(RecordTag::NET_META, encode_fields(image.meta));
   for (const auto& s : image.sockets) {
-    plan.add(RecordTag::SOCKET_PARAMS, encode_socket(s));
+    plan.add(RecordTag::SOCKET_PARAMS, encode_fields(s));
   }
   if (image.has_gm_device) {
     plan.add(RecordTag::GM_DEVICE, Bytes{}, image.gm_state.data(),
              image.gm_state.size());
   }
   for (const auto& [sid, data] : image.redirected_recv) {
-    // `head` ends in the length prefix, so the record is byte-identical
-    // to one whose payload was built with Encoder::put_bytes.
-    Encoder e;
-    e.put_u32(sid);
-    e.put_u32(static_cast<u32>(data.size()));
-    plan.add(RecordTag::REDIRECTED_SEND_Q, e.take(), data.data(), data.size());
+    plan.add(RecordTag::REDIRECTED_SEND_Q,
+             encode_head(QueueRecord{sid, ByteView{data.data(), data.size()}}),
+             data.data(), data.size());
   }
 
   const bool zero_elide = (image.header.codec_flags & kCodecZeroElide) != 0;
@@ -345,18 +202,17 @@ EncodePlan plan_image(const PodImage& image) {
   std::map<std::pair<u32, u64>, std::vector<RegionRef>> content_index;
 
   for (const auto& p : image.processes) {
-    plan.add(RecordTag::PROCESS, encode_process(p));
+    plan.add(RecordTag::PROCESS, encode_fields(p));
     if (!p.manifest.empty() || p.region_gen_counter != 0) {
-      plan.add(RecordTag::REGION_MANIFEST, encode_manifest(p));
+      plan.add(RecordTag::REGION_MANIFEST,
+               encode_fields(
+                   ManifestRecord{p.vpid, p.region_gen_counter, p.manifest}));
     }
     for (const auto& [name, bytes] : p.regions) {
       if (zero_elide && !bytes.empty() &&
           (bytes.is_zeros() || is_all_zero(bytes.data(), bytes.size()))) {
-        Encoder e;
-        e.put_i32(p.vpid);
-        e.put_string(name);
-        e.put_u64(bytes.size());
-        plan.add(RecordTag::MEM_REGION_ZERO, e.take());
+        plan.add(RecordTag::MEM_REGION_ZERO,
+                 encode_fields(ZeroRegionRecord{p.vpid, name, bytes.size()}));
         plan.zero_saved += bytes.size();
         continue;
       }
@@ -373,24 +229,20 @@ EncodePlan plan_image(const PodImage& image) {
           }
         }
         if (hit != nullptr) {
-          Encoder e;
-          e.put_i32(p.vpid);
-          e.put_string(name);
-          e.put_i32(hit->vpid);
-          e.put_string(*hit->name);
-          plan.add(RecordTag::MEM_REGION_REF, e.take());
+          plan.add(RecordTag::MEM_REGION_REF,
+                   encode_fields(
+                       RegionRefRecord{p.vpid, name, hit->vpid, *hit->name}));
           plan.dedup_saved += bytes.size();
           continue;
         }
         bucket.push_back(RegionRef{p.vpid, &name, &bytes});
       }
-      // `head` carries the length prefix, so the wire layout matches
-      // what Encoder::put_bytes would have produced.
-      Encoder head;
-      head.put_i32(p.vpid);
-      head.put_string(name);
-      head.put_u32(static_cast<u32>(bytes.size()));
-      plan.add(RecordTag::MEM_REGION, head.take(), bytes.data(), bytes.size());
+      // A zero view's body is written as zeros rather than copied: reading
+      // the zero mapping would fault in every page of it.
+      const ByteView body{bytes.data(), bytes.size()};
+      plan.add(RecordTag::MEM_REGION,
+               encode_head(RegionRecord{p.vpid, name, body}),
+               bytes.is_zeros() ? nullptr : body.data, body.size);
     }
   }
   plan.add(RecordTag::IMAGE_END, Bytes{});
@@ -445,173 +297,123 @@ Result<PodImage> decode_image(const Bytes& data) {
   bool have_header = false;
   bool ended = false;
   std::map<i32, std::size_t> proc_index;
+  // The process a region or manifest record names; it must come earlier.
+  auto process = [&](i32 vpid) -> ProcessImage* {
+    auto it = proc_index.find(vpid);
+    return it == proc_index.end() ? nullptr : &image.processes[it->second];
+  };
 
   while (!r.at_end() && !ended) {
     auto rec = r.next();
     if (!rec) return rec.status();
     const RecordView& record = rec.value();
+    if (record.version != kFormatVersion) {
+      return Status(Err::PROTO, "unsupported record version");
+    }
+    Status s;
     switch (record.tag) {
-      case RecordTag::IMAGE_HEADER: {
-        auto h = decode_header(record.payload);
-        if (!h) return h.status();
-        image.header = h.value();
+      case RecordTag::IMAGE_HEADER:
+        s = decode_fields(record.payload, image.header);
         have_header = true;
         break;
-      }
-      case RecordTag::NET_META: {
-        auto m = decode_meta_payload(record.payload);
-        if (!m) return m.status();
-        image.meta = m.value();
+      case RecordTag::NET_META:
+        s = decode_fields(record.payload, image.meta);
         break;
-      }
-      case RecordTag::SOCKET_PARAMS: {
-        auto s = decode_socket(record.payload);
-        if (!s) return s.status();
-        image.sockets.push_back(std::move(s).value());
+      case RecordTag::SOCKET_PARAMS:
+        s = decode_fields(record.payload, image.sockets.emplace_back());
         break;
-      }
-      case RecordTag::GM_DEVICE: {
+      case RecordTag::GM_DEVICE:
         image.has_gm_device = true;
         image.gm_state = record.payload.to_bytes();
         break;
-      }
       case RecordTag::REDIRECTED_SEND_Q: {
-        // Strict like the region records: a short or padded payload must
-        // not decode to socket 0 with no data.
-        Decoder d(record.payload);
-        auto sid = d.u32_();
-        auto data = d.bytes_view_();
-        if (!sid || !data || !d.at_end()) {
-          return Status(Err::PROTO, "malformed redirected queue record");
-        }
-        const ByteView& v = data.value();
-        append_bytes(image.redirected_recv[sid.value()], v.data, v.size);
+        QueueRecord q;
+        s = decode_fields(record.payload, q);
+        if (s) append_bytes(image.redirected_recv[q.sock], q.bytes.data,
+                            q.bytes.size);
         break;
       }
       case RecordTag::PROCESS: {
-        auto p = decode_process(record.payload);
-        if (!p) return p.status();
-        proc_index[p.value().vpid] = image.processes.size();
-        image.processes.push_back(std::move(p).value());
+        ProcessImage p;
+        s = decode_fields(record.payload, p);
+        proc_index[p.vpid] = image.processes.size();
+        image.processes.push_back(std::move(p));
         break;
       }
       case RecordTag::REGION_MANIFEST: {
-        Decoder d(record.payload);
-        i32 vpid = d.i32_().value_or(0);
-        auto it = proc_index.find(vpid);
-        if (it == proc_index.end()) {
-          return Status(Err::PROTO, "manifest for unknown vpid");
-        }
-        ProcessImage& proc = image.processes[it->second];
-        proc.region_gen_counter = d.u64_().value_or(0);
-        auto n_r = d.count_(20);
-        if (!n_r) return n_r.status();
-        std::vector<std::string> order;
-        order.reserve(n_r.value());
-        for (u32 i = 0; i < n_r.value(); ++i) {
-          std::string name = d.string_().value_or("");
-          RegionMeta meta;
-          meta.gen = d.u64_().value_or(0);
-          meta.size = d.u64_().value_or(0);
-          proc.manifest[name] = meta;
-          order.push_back(std::move(name));
-        }
-        // Trailing parallel array of touch counts (absent in old images;
-        // value_or keeps them at 0 there).
-        for (const std::string& name : order) {
-          proc.manifest[name].touches = d.u64_().value_or(0);
-        }
+        ManifestRecord m;
+        s = decode_fields(record.payload, m);
+        if (!s) break;
+        ProcessImage* proc = process(m.vpid);
+        if (proc == nullptr) return Status(Err::PROTO, "manifest for unknown vpid");
+        proc->region_gen_counter = m.gen_counter;
+        proc->manifest = std::move(m.regions);
         break;
       }
-      // Region records are strict: a short field or trailing bytes mean
-      // the length prefix disagrees with the payload, which must not
-      // decode to a silently empty or truncated region.
       case RecordTag::MEM_REGION: {
-        Decoder d(record.payload);
-        auto vpid = d.i32_();
-        auto name = d.string_();
-        auto bytes = d.bytes_view_();
-        if (!vpid || !name || !bytes || !d.at_end()) {
-          return Status(Err::PROTO, "malformed region record");
-        }
-        auto it = proc_index.find(vpid.value());
-        if (it == proc_index.end()) {
-          return Status(Err::PROTO, "region for unknown vpid");
-        }
+        RegionRecord m;
+        s = decode_fields(record.payload, m);
+        if (!s) break;
+        ProcessImage* proc = process(m.vpid);
+        if (proc == nullptr) return Status(Err::PROTO, "region for unknown vpid");
         // The one copy of the region's bytes: image buffer -> region.
         // A body inside the payload's trailing zero run (found by the
         // reader's CRC pass) is all zero: a zero view, no copy, no scan.
-        const ByteView& v = bytes.value();
-        image.processes[it->second].regions[std::move(name).value()] =
-            record.zero_tail >= v.size ? RegionBuf::zeros(v.size)
-                                       : RegionBuf(v.to_bytes());
+        proc->regions[std::move(m.name)] =
+            record.zero_tail >= m.bytes.size ? RegionBuf::zeros(m.bytes.size)
+                                             : RegionBuf(m.bytes.to_bytes());
         break;
       }
       case RecordTag::MEM_REGION_ZERO: {
-        Decoder d(record.payload);
-        auto vpid = d.i32_();
-        auto name = d.string_();
-        auto size = d.u64_();
-        if (!vpid || !name || !size || !d.at_end()) {
-          return Status(Err::PROTO, "malformed zero region record");
-        }
-        auto it = proc_index.find(vpid.value());
-        if (it == proc_index.end()) {
+        ZeroRegionRecord m;
+        s = decode_fields(record.payload, m);
+        if (!s) break;
+        ProcessImage* proc = process(m.vpid);
+        if (proc == nullptr) {
           return Status(Err::PROTO, "zero region for unknown vpid");
         }
-        image.processes[it->second].regions[std::move(name).value()] =
-            RegionBuf::zeros(static_cast<std::size_t>(size.value()));
+        proc->regions[std::move(m.name)] =
+            RegionBuf::zeros(static_cast<std::size_t>(m.size));
         break;
       }
       case RecordTag::MEM_REGION_REF: {
-        Decoder d(record.payload);
-        auto vpid_r = d.i32_();
-        auto name_r = d.string_();
-        auto src_vpid_r = d.i32_();
-        auto src_name_r = d.string_();
-        if (!vpid_r || !name_r || !src_vpid_r || !src_name_r ||
-            !d.at_end()) {
-          return Status(Err::PROTO, "malformed region ref record");
-        }
-        const std::string& name = name_r.value();
-        const std::string& src_name = src_name_r.value();
-        auto it = proc_index.find(vpid_r.value());
-        auto src_it = proc_index.find(src_vpid_r.value());
-        if (it == proc_index.end() || src_it == proc_index.end()) {
+        RegionRefRecord m;
+        s = decode_fields(record.payload, m);
+        if (!s) break;
+        ProcessImage* proc = process(m.vpid);
+        ProcessImage* src_proc = process(m.src_vpid);
+        if (proc == nullptr || src_proc == nullptr) {
           return Status(Err::PROTO, "region ref for unknown vpid");
         }
-        const auto& src_regions = image.processes[src_it->second].regions;
-        auto src = src_regions.find(src_name);
-        if (src == src_regions.end()) {
+        auto src = src_proc->regions.find(m.src_name);
+        if (src == src_proc->regions.end()) {
           // Refs only ever point backwards in the stream; a forward or
           // dangling ref means corruption.
           return Status(Err::PROTO, "dangling region ref");
         }
         // Shared, not copied: a later write to either region clones it.
-        image.processes[it->second].regions[name] = src->second;
+        proc->regions[std::move(m.name)] = src->second;
         break;
       }
       case RecordTag::IMAGE_END:
+        if (record.payload.size != 0) {
+          return Status(Err::PROTO, "image terminator with a payload");
+        }
         ended = true;
         break;
       default:
-        // Unknown record types are skipped (forward compatibility).
-        break;
+        return Status(Err::PROTO, "unknown record tag");
+    }
+    if (!s) {
+      return Status(Err::PROTO, std::string("malformed ") +
+                                    record_tag_name(record.tag) +
+                                    " record: " + s.message());
     }
   }
   if (!have_header) return Status(Err::PROTO, "missing image header");
   if (!ended) return Status(Err::PROTO, "missing image terminator");
+  if (!r.at_end()) return Status(Err::PROTO, "bytes after image terminator");
   return image;
-}
-
-Result<PodImageHeader> peek_header(const Bytes& data) {
-  RecordReader r(data);
-  auto rec = r.next();
-  if (!rec) return rec.status();
-  if (rec.value().tag != RecordTag::IMAGE_HEADER) {
-    return Status(Err::PROTO, "first record is not the image header");
-  }
-  return decode_header(rec.value().payload);
 }
 
 Result<PodImage> compose_delta(PodImage base, const PodImage& delta) {
@@ -660,12 +462,6 @@ Result<PodImage> compose_delta(PodImage base, const PodImage& delta) {
     out.processes.push_back(std::move(p));
   }
   return out;
-}
-
-Bytes encode_meta(const NetMeta& meta) { return encode_meta_payload(meta); }
-
-Result<NetMeta> decode_meta(const Bytes& data) {
-  return decode_meta_payload(ByteView{data.data(), data.size()});
 }
 
 }  // namespace zapc::ckpt

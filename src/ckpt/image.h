@@ -4,7 +4,9 @@
 // records (util/serialize.h) carrying "higher-level semantic information
 // specified in an intermediate format rather than kernel specific data in
 // native format" (paper §3).  This header defines the in-memory form of
-// every record and the encode/decode functions; the capture/apply logic
+// every record and the encode/decode functions; each record payload is
+// one field list (image.cpp, and here for the meta-data table the
+// protocol also carries), decoded strictly.  The capture/apply logic
 // lives in ckpt/standalone.* (process state) and core/netckpt.* (network
 // state).
 #pragma once
@@ -68,11 +70,22 @@ struct NetMetaEntry {
   bool redirect_expected = false;
 };
 
-/// Complete meta-data table for one pod.
+template <class F>
+void io(F& f, NetMetaEntry& e) {
+  f(e.sock, e.proto, e.source, e.target, e.state, e.role, e.pcb_sent,
+    e.pcb_acked, e.pcb_recv, e.discard_send, e.redirect_expected);
+}
+
+/// Complete meta-data table for one pod (the NET_META record, and the
+/// table a META_REPORT or RESTART_CMD carries).
 struct NetMeta {
   net::IpAddr pod_vip;
   std::vector<NetMetaEntry> entries;
 };
+template <class F>
+void io(F& f, NetMeta& m) {
+  f(m.pod_vip, m.entries);
+}
 
 /// One queued receive item (restored via the alternate receive queue).
 struct SavedRecvItem {
@@ -130,8 +143,7 @@ struct RegionMeta {
   u64 size = 0;  // region byte size at checkpoint
   /// Cumulative region() accesses at checkpoint — the working-set signal
   /// the lazy restore ranks regions by (DESIGN.md §13).  Encoded as a
-  /// trailing parallel array after the (name, gen, size) triples, so old
-  /// images decode with 0 and old readers skip the trailing bytes.
+  /// parallel array after the (name, gen, size) triples.
   u64 touches = 0;
 };
 
@@ -155,8 +167,7 @@ struct ProcessImage {
 
 // ---- Codec flags (PodImageHeader.codec_flags) -------------------------------
 // Recorded in the header so a reader knows how region records were
-// produced; images written with all flags clear are byte-compatible with
-// format v1 plus ignorable trailing header fields.
+// produced.
 constexpr u32 kCodecZeroElide = 1u << 0;  // all-zero regions stored as size
 constexpr u32 kCodecDedup = 1u << 1;      // identical regions stored as refs
 constexpr u32 kCodecDelta = 1u << 2;      // image is a delta over base_uri
@@ -170,8 +181,6 @@ struct PodImageHeader {
   bool time_virt = true;
   u64 ckpt_virtual_time = 0;  // pod-visible time at checkpoint
   i64 time_delta = 0;         // pod's accumulated bias at checkpoint
-
-  // v2 fields (absent in old images; decoded as defaults there).
   u32 codec_flags = 0;   // kCodec* bits in effect for this image
   u32 delta_seq = 0;     // 0 = full image, N = Nth delta in its chain
   std::string base_uri;  // where the base image lives (delta images only)
@@ -204,8 +213,8 @@ struct PodImage {
 /// `image.header.codec_flags`: with kCodecZeroElide all-zero regions are
 /// written as MEM_REGION_ZERO (size only), with kCodecDedup a region
 /// byte-identical to an earlier one in the same image is written as a
-/// MEM_REGION_REF back-reference.  With all flags clear the output is
-/// plain v1-style MEM_REGION records.
+/// MEM_REGION_REF back-reference.  With all flags clear every region is a
+/// MEM_REGION record; a zero view's body is written as zeros, not read.
 ///
 /// The encode plans every record first, then writes them all into one
 /// buffer of the exact encoded size: `storage`'s memory when its capacity
@@ -216,18 +225,15 @@ struct PodImage {
 /// equals the result's size().  The bytes never depend on `storage`.
 Bytes encode_image(const PodImage& image, Bytes storage = {});
 
-/// Parses a record stream back into a PodImage (Err::PROTO on corruption
-/// or unknown mandatory records).  decode(encode(x)) is codec-independent
+/// Parses a record stream back into a PodImage.  Strict: Err::PROTO on
+/// corruption, a record of another format version or an unknown tag, a
+/// payload its field list does not consume exactly, or bytes after the
+/// terminator.  decode(encode(x)) is codec-independent
 /// in content; in sharing, a ref region shares its source's buffer and a
 /// zero region (elided, or a raw record that is all zero) is a zero view
 /// (RegionBuf::zeros) that holds no memory.  Each record is read once:
 /// the CRC pass also finds its trailing zero run (RecordView::zero_tail).
 Result<PodImage> decode_image(const Bytes& data);
-
-/// Decodes just the first record of `data` as the image header, without
-/// touching the rest of the stream.  Used to discover a delta image's
-/// base_uri/chain position before deciding how to restore it.
-Result<PodImageHeader> peek_header(const Bytes& data);
 
 /// Overlays `delta` (a kCodecDelta image) onto `base` (the already fully
 /// composed predecessor).  All non-region state comes from the delta;
@@ -236,10 +242,5 @@ Result<PodImageHeader> peek_header(const Bytes& data);
 /// image (delta flag cleared).  Err::PROTO if the delta references a
 /// region or process the base does not have.
 Result<PodImage> compose_delta(PodImage base, const PodImage& delta);
-
-/// Encodes just the meta-data table (sent to the Manager during
-/// checkpoint, step 2a).
-Bytes encode_meta(const NetMeta& meta);
-Result<NetMeta> decode_meta(const Bytes& data);
 
 }  // namespace zapc::ckpt

@@ -203,7 +203,7 @@ void Agent::publish_beacon(const Op& op) {
   hb.phase = wm.phase;
   hb.t_us = now;
   hb.seq = op.hb_seq;
-  if (mgr != nullptr && mgr->open()) (void)mgr->send(encode_heartbeat(hb));
+  if (mgr != nullptr && mgr->open()) (void)mgr->send(encode(hb));
   obs::metrics().counter("agent.hb.sent").inc();
 
   // Watermarks accompany the beacon only while a byte-moving phase is
@@ -228,7 +228,7 @@ void Agent::publish_beacon(const Op& op) {
                                        static_cast<double>(sim::kSecond) /
                                        static_cast<double>(extent));
   pm.eta_us = now >= wm.end ? 0 : wm.end - now;
-  if (mgr != nullptr && mgr->open()) (void)mgr->send(encode_progress(pm));
+  if (mgr != nullptr && mgr->open()) (void)mgr->send(encode(pm));
   obs::metrics().counter("agent.progress.sent").inc();
   trace_op(ev::Text(ev::kHeartbeat)
                .kv("seq", hb.seq)
@@ -263,7 +263,7 @@ void Agent::supervise_tick() {
     hb.phase = busy() ? "busy" : "idle";
     hb.t_us = now;
     hb.seq = ++supervise_seq_;
-    (void)supervise_ch_->send(encode_heartbeat(hb));
+    (void)supervise_ch_->send(encode(hb));
     obs::metrics().counter("agent.node_hb.sent").inc();
   }
   // after() dilates the cadence on an injected slow node — exactly the
@@ -326,13 +326,13 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
   if (!type) return;
   switch (type.value()) {
     case MsgType::CHECKPOINT_CMD: {
-      auto cmd = decode_checkpoint_cmd(msg);
+      auto cmd = decode<CheckpointCmd>(msg);
       if (cmd) ckpt_begin(conn, std::move(cmd).value());
       break;
     }
     case MsgType::CONTINUE: {
       if (conn->ckpt) {
-        auto cont = decode_continue(msg);
+        auto cont = decode<ContinueMsg>(msg);
         conn->ckpt->continue_received = true;
         // The Manager's 'continue' EVENT id is the cross-node parent of
         // everything this agent does from here on (unblock, resume,
@@ -343,12 +343,12 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::RESTART_CMD: {
-      auto cmd = decode_restart_cmd(msg);
+      auto cmd = decode<RestartCmd>(msg);
       if (cmd) restart_begin(conn, std::move(cmd).value());
       break;
     }
     case MsgType::STREAM_OPEN: {
-      auto m = decode_stream_open(msg);
+      auto m = decode<StreamOpen>(msg);
       if (m) {
         Stream s;
         s.op_id = m.value().op_id;
@@ -357,12 +357,12 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::STREAM_CHUNK: {
-      auto m = decode_stream_chunk(msg);
+      auto m = decode<StreamChunk>(msg);
       if (m) append_bytes(streams_[m.value().tag].data, m.value().data);
       break;
     }
     case MsgType::STREAM_CLOSE: {
-      auto m = decode_stream_close(msg);
+      auto m = decode<StreamClose>(msg);
       if (!m) break;
       const std::string& tag = m.value().tag;
       streams_[tag].complete = true;
@@ -380,7 +380,7 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::REDIRECT_DATA: {
-      auto m = decode_redirect_data(msg);
+      auto m = decode<RedirectData>(msg);
       if (m) redirects_.push_back(std::move(m).value());
       break;
     }
@@ -390,7 +390,7 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::SUPERVISE_CMD: {
-      auto cmd = decode_supervise_cmd(msg);
+      auto cmd = decode<SuperviseCmd>(msg);
       if (cmd) supervise_begin(conn, cmd.value());
       break;
     }
@@ -449,7 +449,7 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
     CkptDone done = ckpt_report(*op);
     done.error = "no such pod";
     op->finished = true;
-    (void)op->mgr->send(encode_ckpt_done(done));
+    (void)op->mgr->send(encode(done));
     return;
   }
 
@@ -587,7 +587,7 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
     report.pod_name = op->cmd.pod_name;
     report.meta = op->image.meta;
     report.net_ckpt_us = cost;
-    (void)op->mgr->send(encode_meta_report(report));
+    (void)op->mgr->send(encode(report));
     if (late) {
       encode_op_image(*op);
       return ckpt_standalone_done(op);
@@ -703,7 +703,7 @@ sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
   }
   MsgChannel* raw = ch.get();
   out_channels_.push_back(std::move(ch));
-  (void)raw->send(encode_stream_open(StreamOpen{op->cmd.op_id, dest.path}));
+  (void)raw->send(encode(StreamOpen{op->cmd.op_id, dest.path}));
 
   // Pipelined, the per-process control overhead is charged once, up
   // front; after that each chunk becomes sendable when its serialization
@@ -723,12 +723,12 @@ sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
       if (op->aborted) return;
       const std::string& tag = op->dest.value().path;
       const auto first = op->encoded_image.begin() + static_cast<long>(off);
-      (void)raw->send(encode_stream_chunk(
+      (void)raw->send(encode(
           StreamChunk{tag, Bytes(first, first + static_cast<long>(n))}));
       if (!last) return;
       // Every byte is in the channel now; the op keeps only the size.
       op->encoded_image = Bytes{};
-      (void)raw->send(encode_stream_close(StreamClose{tag}));
+      (void)raw->send(encode(StreamClose{tag}));
       ship_redirects(op, raw);
       if (fin) fin();
     };
@@ -843,7 +843,7 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
       .observe(op->dirtied_bytes);
   end_spans({op->span_drain, op->span_root});
   if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode_epilogue_done(dd));
+    (void)op->mgr->send(encode(dd));
   }
 }
 
@@ -937,7 +937,7 @@ void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op,
       target = ch2.get();
       out_channels_.push_back(std::move(ch2));
     }
-    (void)target->send(encode_redirect_data(rd));
+    (void)target->send(encode(rd));
   }
 }
 
@@ -1038,7 +1038,7 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   done.delta_seq = op->is_delta ? op->image.header.delta_seq : 0;
   done.drain_pending = op->cow;
   done.cowmark_us = op->cowmark_us;
-  (void)op->mgr->send(encode_ckpt_done(done));
+  (void)op->mgr->send(encode(done));
 
   // Downtime is over; start draining the snapshot to the SAN.
   if (op->cow) ckpt_drain(op);
@@ -1082,7 +1082,7 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
       EpilogueDone dd = drain_epilogue(*op, /*ok=*/false);
       dd.error = why;
       dd.transient = transient;
-      (void)op->mgr->send(encode_epilogue_done(dd));
+      (void)op->mgr->send(encode(dd));
     }
     return;
   }
@@ -1097,7 +1097,7 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
     CkptDone done = ckpt_report(*op);
     done.error = why;
     done.transient = transient;
-    (void)op->mgr->send(encode_ckpt_done(done));
+    (void)op->mgr->send(encode(done));
   }
 }
 
@@ -1618,7 +1618,7 @@ void Agent::restart_lazy_finish(const std::shared_ptr<RestartOp>& op) {
   ld.faults = op->lazy_faults;
   ld.fault_bytes = op->lazy_fault_bytes;
   if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode_epilogue_done(ld));
+    (void)op->mgr->send(encode(ld));
   }
 }
 
@@ -1657,7 +1657,7 @@ void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   done.hot_bytes = op->hot_bytes;
   done.lazy_bytes = op->lazy_total_bytes;
   done.fetch_us = op->fetch_us;
-  if (op->mgr != nullptr) (void)op->mgr->send(encode_restart_done(done));
+  if (op->mgr != nullptr) (void)op->mgr->send(encode(done));
 }
 
 void Agent::restart_close_spans(const RestartOp& op, bool keep_root) {

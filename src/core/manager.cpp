@@ -212,7 +212,7 @@ void Manager::serve_status(u16 port) {
 void Manager::status_on_msg(MsgChannel* ch, Bytes msg) {
   auto type = peek_type(msg);
   if (!type || type.value() != MsgType::HEALTH_QUERY) return;
-  auto q = decode_health_query(msg);
+  auto q = decode<HealthQuery>(msg);
   if (!q) return;
   obs::OpId op =
       q.value().op_id != 0 ? q.value().op_id : health_.latest_op();
@@ -221,7 +221,7 @@ void Manager::status_on_msg(MsgChannel* ch, Bytes msg) {
   obs::Json doc = health_.snapshot(node_.now(), op);
   if (status_extra_ != nullptr) doc["supervisor"] = status_extra_();
   reply.json = doc.dump();
-  (void)ch->send(encode_health_snapshot(reply));
+  (void)ch->send(encode(reply));
 }
 
 void Manager::abort_current(const std::string& why) {
@@ -496,7 +496,7 @@ void Manager::connect_and_send(OpState& op) {
       cmd.heartbeat_us = o.heartbeat_us;
       cmd.cow = o.cow;
       cmd.drain_wait_us = dl.drain_us;
-      (void)peer.ch->send(encode_checkpoint_cmd(cmd));
+      (void)peer.ch->send(encode(cmd));
     } else {
       const RestartOptions& o = op.in.restart;
       RestartCmd cmd;
@@ -513,7 +513,7 @@ void Manager::connect_and_send(OpState& op) {
       cmd.lazy = o.lazy;
       cmd.lazy_hot_permille = o.lazy_hot_permille;
       cmd.lazy_wait_us = dl.lazy_us;
-      (void)peer.ch->send(encode_restart_cmd(cmd));
+      (void)peer.ch->send(encode(cmd));
     }
   }
 
@@ -536,7 +536,7 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
 
   switch (type.value()) {
     case MsgType::META_REPORT: {
-      auto m = decode_meta_report(msg);
+      auto m = decode<MetaReport>(msg);
       if (!m) return fail(op, "bad meta report", /*transient=*/false);
       peer.meta_received = true;
       op.report.metas[m.value().pod_name] = m.value().meta;
@@ -549,21 +549,21 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
       return maybe_continue(op);
     }
     case MsgType::CKPT_DONE: {
-      auto m = decode_ckpt_done(msg);
+      auto m = decode<CkptDone>(msg);
       if (!m) return fail(op, "bad done report", /*transient=*/false);
       peer.ckpt_done = m.value();
       return on_done(op, peer, m.value().ok, m.value().error,
                      m.value().transient);
     }
     case MsgType::RESTART_DONE: {
-      auto m = decode_restart_done(msg);
+      auto m = decode<RestartDone>(msg);
       if (!m) return fail(op, "bad restart report", /*transient=*/false);
       peer.restart_done = m.value();
       return on_done(op, peer, m.value().ok, m.value().error,
                      m.value().transient);
     }
     case MsgType::EPILOGUE_DONE: {
-      auto m = decode_epilogue_done(msg);
+      auto m = decode<EpilogueDone>(msg);
       if (!m) return fail(op, k.bad_epilogue, /*transient=*/false);
       const EpilogueDone& d = m.value();
       peer.epilogue_received = true;
@@ -591,7 +591,7 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
       return maybe_finish(op);
     }
     case MsgType::HEARTBEAT: {
-      auto m = decode_heartbeat(msg);
+      auto m = decode<HeartbeatMsg>(msg);
       if (!m) return;
       obs::metrics().counter("mgr.hb.received").inc();
       health_.heartbeat(op.op_id, m.value().pod_name, m.value().phase,
@@ -599,7 +599,7 @@ void Manager::on_msg(OpState& op, std::size_t idx, Bytes msg) {
       return health_drain_warnings(op.op_id, op.span_root);
     }
     case MsgType::PROGRESS: {
-      auto m = decode_progress(msg);
+      auto m = decode<ProgressMsg>(msg);
       if (!m) return;
       obs::metrics().counter("mgr.progress.received").inc();
       const ProgressMsg& p = m.value();
@@ -665,7 +665,7 @@ void Manager::maybe_continue(OpState& op) {
                                       std::string(ev::kContinue),
                                       op.span_root, op.op_id);
   }
-  for (Peer& p : op.peers) (void)p.ch->send(encode_continue(cont));
+  for (Peer& p : op.peers) (void)p.ch->send(encode(cont));
   arm_deadline(op, op.deadlines().done_us, "done_wait");
 }
 
@@ -862,7 +862,7 @@ void Manager::fail(OpState& op, const std::string& why, bool transient) {
   // half of it running.
   for (Peer& p : op.peers) {
     if (p.ch != nullptr && p.ch->open()) {
-      (void)p.ch->send(encode_abort(AbortMsg{op.op_id, why}));
+      (void)p.ch->send(encode(AbortMsg{op.op_id, why}));
     }
   }
   if (op.is_ckpt()) gc_tmp(op);

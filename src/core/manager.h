@@ -142,9 +142,9 @@ class Manager {
     /// Migration: stream image chunks as serialization produces them.
     bool pipelined_stream = false;
     /// Phase watchdogs (all disabled by default).
-    Deadlines deadlines;
+    Deadlines deadlines{};
     /// Whole-op retry on transient failure (disabled by default).
-    RetryPolicy retry;
+    RetryPolicy retry{};
     /// Introspection plane (DESIGN.md §9): agents publish
     /// HEARTBEAT/PROGRESS beacons every this many virtual microseconds
     /// while the op runs.  0 = plane off (no beacon traffic at all).
@@ -175,8 +175,8 @@ class Manager {
 
   /// Per-restart knobs beyond the target list and meta-data.
   struct RestartOptions {
-    Deadlines deadlines;
-    RetryPolicy retry;
+    Deadlines deadlines{};
+    RetryPolicy retry{};
     /// Introspection plane cadence + early-warning lag (see CkptOptions).
     sim::Time heartbeat_us = 0;
     sim::Time warn_lag_us = 0;
@@ -242,8 +242,8 @@ class Manager {
     /// ckpt::kCodec* bits for the streamed image.
     u32 codec_flags = 0;
     /// Applied to both the checkpoint and restart halves.
-    Deadlines deadlines;
-    RetryPolicy retry;
+    Deadlines deadlines{};
+    RetryPolicy retry{};
   };
 
   /// Live migration in one call (paper §1: "directly stream checkpoint

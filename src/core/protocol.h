@@ -11,6 +11,12 @@
 //                REDIRECT_DATA (send-queue redirect optimization)
 //   failure:     M→A / A→M ABORT
 //
+// Each message struct names its MsgType (kType) and lists its fields once,
+// in wire order, in an io() field list (util/serialize.h); encode() and
+// decode<M>() walk that list.  Every agent and manager is built from one
+// tree, so decoding is strict: a frame of another type, a short field or
+// a trailing byte fails Err::PROTO.
+//
 // Causal tracing: every message belonging to a coordinated operation
 // carries the Manager-minted op_id (obs::next_op_id()), and the two
 // Manager→Agent commands additionally carry the span id of the
@@ -20,8 +26,6 @@
 // timelines into one cross-node causal tree (see obs/span.h).
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,8 +46,7 @@ enum class MsgType : u8 {
   STREAM_CLOSE = 9,
   REDIRECT_DATA = 10,
   ABORT = 11,
-  // Introspection plane (DESIGN.md §9).  Old peers fall through their
-  // `default:` arms on these, so mixed versions interoperate.
+  // Introspection plane (DESIGN.md §9).
   HEARTBEAT = 12,
   PROGRESS = 13,
   HEALTH_QUERY = 14,
@@ -71,6 +74,7 @@ enum class CkptMode : u8 {
 };
 
 struct CheckpointCmd {
+  static constexpr MsgType kType = MsgType::CHECKPOINT_CMD;
   u64 op_id = 0;       // coordinated-operation id (0 = untraced)
   u32 parent_span = 0; // Manager's root span, for cross-node parenting
   std::string pod_name;
@@ -81,7 +85,6 @@ struct CheckpointCmd {
   /// For the redirect optimization: where each peer pod's checkpoint
   /// stream is being received (vip → receiving agent address/tag).
   std::vector<std::pair<net::IpAddr, net::SockAddr>> peer_agents;
-  // Appended fields (old peers decode them as defaults).
   /// Incremental mode: emit a delta over the pod's previous SAN image
   /// when one exists; the agent falls back to a full checkpoint when the
   /// chain cap is reached or no usable base exists.
@@ -108,24 +111,42 @@ struct CheckpointCmd {
   /// barrier_wait_us; 0 = wait forever for EPILOGUE_DONE.
   u64 drain_wait_us = 0;
 };
+template <class F>
+void io(F& f, CheckpointCmd& m) {
+  f(m.op_id, m.parent_span, m.pod_name, m.dest_uri, m.mode,
+    m.redirect_send_queues, m.fs_snapshot, m.peer_agents, m.incremental,
+    m.chain_cap, m.codec_flags, m.pipelined, m.barrier_wait_us,
+    m.heartbeat_us, m.cow, m.drain_wait_us);
+}
 
 struct MetaReport {
+  static constexpr MsgType kType = MsgType::META_REPORT;
   u64 op_id = 0;
   std::string pod_name;
   ckpt::NetMeta meta;
   u64 net_ckpt_us = 0;  // time spent in the network-state checkpoint
 };
+template <class F>
+void io(F& f, MetaReport& m) {
+  f(m.op_id, m.pod_name, nested(m.meta), m.net_ckpt_us);
+}
 
 /// The single synchronization barrier (paper Figure 3): sent to every
 /// agent once all meta-data reports are in.  `continue_event` is the id
 /// of the Manager's 'mgr.continue' EVENT so each agent's resume records
 /// parent under the barrier decision itself.
 struct ContinueMsg {
+  static constexpr MsgType kType = MsgType::CONTINUE;
   u64 op_id = 0;
   u32 continue_event = 0;
 };
+template <class F>
+void io(F& f, ContinueMsg& m) {
+  f(m.op_id, m.continue_event);
+}
 
 struct CkptDone {
+  static constexpr MsgType kType = MsgType::CKPT_DONE;
   u64 op_id = 0;
   std::string pod_name;
   bool ok = false;
@@ -133,7 +154,6 @@ struct CkptDone {
   u64 image_bytes = 0;
   u64 network_bytes = 0;
   u64 total_us = 0;  // suspend → done, as seen by the agent
-  // Appended fields (old peers decode them as defaults).
   u64 logical_bytes = 0;  // pre-codec, pre-delta state size (0 = unknown)
   u32 delta_seq = 0;      // 0 = full image, N = Nth delta in its chain
   /// Failed for a transient reason (storage hiccup, barrier watchdog):
@@ -151,6 +171,13 @@ struct CkptDone {
   /// COW snapshot-marking duration (0 in blocking mode).
   u64 cowmark_us = 0;
 };
+template <class F>
+void io(F& f, CkptDone& m) {
+  f(m.op_id, m.pod_name, m.ok, m.error, m.image_bytes, m.network_bytes,
+    m.total_us, m.logical_bytes, m.delta_seq, m.transient, m.suspend_us,
+    m.netckpt_us, m.standalone_us, m.barrier_us, m.drain_pending,
+    m.cowmark_us);
+}
 
 /// Background epilogue (DESIGN.md §11, §13): sent by the agent once the
 /// work its DONE report left pending has finished — or failed.  For a
@@ -158,6 +185,7 @@ struct CkptDone {
 /// carried drain_pending=true); for a lazy restart the cold-region fill
 /// (pairs with a RestartDone that carried lazy_pending=true).
 struct EpilogueDone {
+  static constexpr MsgType kType = MsgType::EPILOGUE_DONE;
   u64 op_id = 0;
   std::string pod_name;
   bool ok = false;
@@ -167,7 +195,6 @@ struct EpilogueDone {
   u64 image_bytes = 0;    // drain: committed encoded image size
   u64 epilogue_us = 0;    // resume → epilogue done, as seen by the agent
   u64 dirtied_bytes = 0;  // drain: COW tax, bytes the pod dirtied meanwhile
-  // Appended fields (old peers decode them as defaults).
   /// SAN QoS attribution of a drain (DESIGN.md §13): time it spent
   /// throttled to the background floor because foreground
   /// restart/migration traffic held the pipe, vs. time it merely shared
@@ -183,8 +210,19 @@ struct EpilogueDone {
   u64 faults = 0;
   u64 fault_bytes = 0;
 };
+template <class F>
+void io(F& f, EpilogueDone& m) {
+  f(m.op_id, m.pod_name, m.ok, m.error, m.transient, m.image_bytes,
+    m.epilogue_us, m.dirtied_bytes, m.throttled_us, m.contended_us,
+    m.granted_bps);
+  // A drain's epilogue stops here; only a lazy fill's carries its counts.
+  if (f.tail(m.lazy_bytes != 0 || m.faults != 0 || m.fault_bytes != 0)) {
+    f(m.lazy_bytes, m.faults, m.fault_bytes);
+  }
+}
 
 struct RestartCmd {
+  static constexpr MsgType kType = MsgType::RESTART_CMD;
   u64 op_id = 0;
   u32 parent_span = 0;
   std::string pod_name;
@@ -192,7 +230,6 @@ struct RestartCmd {
   ckpt::NetMeta meta;      // modified meta-data with roles + discards
   /// Virtual→real location updates for every participating pod.
   std::vector<std::pair<net::IpAddr, net::IpAddr>> locations;
-  // Appended fields (old peers decode them as defaults).
   /// stream:// sources: fail the restart if the checkpoint stream has
   /// not fully arrived this long after the command.  0 = wait forever.
   u64 stream_wait_us = 0;
@@ -220,8 +257,15 @@ struct RestartCmd {
   /// drain_wait_us; 0 = wait forever for EPILOGUE_DONE.
   u64 lazy_wait_us = 0;
 };
+template <class F>
+void io(F& f, RestartCmd& m) {
+  f(m.op_id, m.parent_span, m.pod_name, m.source_uri, nested(m.meta),
+    m.locations, m.stream_wait_us, m.heartbeat_us, m.replace_existing,
+    m.pipelined, m.lazy, m.lazy_hot_permille, m.lazy_wait_us);
+}
 
 struct RestartDone {
+  static constexpr MsgType kType = MsgType::RESTART_DONE;
   u64 op_id = 0;
   std::string pod_name;
   bool ok = false;
@@ -229,7 +273,6 @@ struct RestartDone {
   u64 connectivity_us = 0;
   u64 net_restore_us = 0;
   u64 total_us = 0;
-  // Appended fields (old peers decode them as defaults).
   /// Failed for a transient reason (stream deadline): retryable.
   bool transient = false;
   /// Standalone-image restore duration, for the op ledger.
@@ -238,8 +281,7 @@ struct RestartDone {
   /// are still filling in; an EPILOGUE_DONE message will complete the op.
   bool lazy_pending = false;
   /// Command receipt → pod resumed, as the agent measured it.  With lazy
-  /// restore this is strictly less than total_us; 0 on old peers (the
-  /// Manager folds it back to total_us).
+  /// restore this is strictly less than total_us.
   u64 downtime_us = 0;
   /// Lazy split: bytes restored eagerly vs. deferred to the epilogue.
   u64 hot_bytes = 0;
@@ -247,6 +289,12 @@ struct RestartDone {
   /// Streaming-fetch duration of the pipelined restore (0 = monolithic).
   u64 fetch_us = 0;
 };
+template <class F>
+void io(F& f, RestartDone& m) {
+  f(m.op_id, m.pod_name, m.ok, m.error, m.connectivity_us,
+    m.net_restore_us, m.total_us, m.transient, m.standalone_us,
+    m.lazy_pending, m.downtime_us, m.hot_bytes, m.lazy_bytes, m.fetch_us);
+}
 
 /// A checkpoint destination or restart source: "san://<path>",
 /// "stream://<tag>" or "agent://<ip>:<port>/<tag>".
@@ -263,20 +311,36 @@ Result<Uri> parse_uri(const std::string& s);
 std::string staging_path(const std::string& path);
 
 struct StreamOpen {
+  static constexpr MsgType kType = MsgType::STREAM_OPEN;
   u64 op_id = 0;
   std::string tag;
 };
+template <class F>
+void io(F& f, StreamOpen& m) {
+  f(m.op_id, m.tag);
+}
 struct StreamChunk {
+  static constexpr MsgType kType = MsgType::STREAM_CHUNK;
   std::string tag;
   Bytes data;
 };
+template <class F>
+void io(F& f, StreamChunk& m) {
+  f(m.tag, m.data);
+}
 struct StreamClose {
+  static constexpr MsgType kType = MsgType::STREAM_CLOSE;
   std::string tag;
 };
+template <class F>
+void io(F& f, StreamClose& m) {
+  f(m.tag);
+}
 
 /// Send-queue redirect: contents of the sender's send queue shipped
 /// directly to the agent receiving the *peer* pod's checkpoint stream.
 struct RedirectData {
+  static constexpr MsgType kType = MsgType::REDIRECT_DATA;
   u64 op_id = 0;
   net::IpAddr dst_pod_vip;    // the pod whose socket will consume this
   net::SockAddr dst_local;    // that socket's local address
@@ -284,11 +348,21 @@ struct RedirectData {
   u32 sender_acked = 0;       // for overlap discard at the receiver
   Bytes data;
 };
+template <class F>
+void io(F& f, RedirectData& m) {
+  f(m.op_id, m.dst_pod_vip, m.dst_local, m.dst_remote, m.sender_acked,
+    m.data);
+}
 
 struct AbortMsg {
+  static constexpr MsgType kType = MsgType::ABORT;
   u64 op_id = 0;
   std::string reason;
 };
+template <class F>
+void io(F& f, AbortMsg& m) {
+  f(m.op_id, m.reason);
+}
 
 // ---- Introspection plane (DESIGN.md §9) -------------------------------------
 
@@ -296,17 +370,23 @@ struct AbortMsg {
 /// which phase the pod is in and that the agent is still making
 /// progress.  Cadence comes from the command's `heartbeat_us`.
 struct HeartbeatMsg {
+  static constexpr MsgType kType = MsgType::HEARTBEAT;
   u64 op_id = 0;
   std::string pod_name;
   std::string phase;  // innermost open phase ("ckpt.standalone", ...)
   u64 t_us = 0;       // agent's virtual clock at publication
   u32 seq = 0;        // per-op beacon sequence number
 };
+template <class F>
+void io(F& f, HeartbeatMsg& m) {
+  f(m.op_id, m.pod_name, m.phase, m.t_us, m.seq);
+}
 
 /// Streaming watermark accompanying a heartbeat while a costed phase is
 /// in flight: how far the byte-moving work has progressed and the
 /// agent's cost-model ETA (core/cost_model.h).
 struct ProgressMsg {
+  static constexpr MsgType kType = MsgType::PROGRESS;
   u64 op_id = 0;
   std::string pod_name;
   std::string phase;
@@ -316,18 +396,33 @@ struct ProgressMsg {
   u64 throughput_bps = 0;  // modeled instantaneous throughput
   u64 eta_us = 0;          // remaining virtual time per the cost model
 };
+template <class F>
+void io(F& f, ProgressMsg& m) {
+  f(m.op_id, m.pod_name, m.phase, m.t_us, m.bytes_done, m.bytes_expected,
+    m.throughput_bps, m.eta_us);
+}
 
 /// Status endpoint: any client may ask the Manager for the live
 /// ClusterHealth snapshot of one op (0 = latest).
 struct HealthQuery {
+  static constexpr MsgType kType = MsgType::HEALTH_QUERY;
   u64 op_id = 0;
 };
+template <class F>
+void io(F& f, HealthQuery& m) {
+  f(m.op_id);
+}
 
 /// Reply: the zapc.obs.health.v1 document, serialized.
 struct HealthSnapshotMsg {
+  static constexpr MsgType kType = MsgType::HEALTH_SNAPSHOT;
   u64 op_id = 0;
   std::string json;
 };
+template <class F>
+void io(F& f, HealthSnapshotMsg& m) {
+  f(m.op_id, m.json);
+}
 
 // ---- Self-healing supervisor (DESIGN.md §12) --------------------------------
 
@@ -336,48 +431,37 @@ struct HealthSnapshotMsg {
 /// innermost op phase) on this channel every `heartbeat_us`.  Cadence 0
 /// stops the beacons.
 struct SuperviseCmd {
+  static constexpr MsgType kType = MsgType::SUPERVISE_CMD;
   u64 heartbeat_us = 0;
 };
+template <class F>
+void io(F& f, SuperviseCmd& m) {
+  f(m.heartbeat_us);
+}
 
 // ---- Encoding ----------------------------------------------------------------
 
-Bytes encode_checkpoint_cmd(const CheckpointCmd& m);
-Bytes encode_meta_report(const MetaReport& m);
-Bytes encode_continue(const ContinueMsg& m = {});
-Bytes encode_ckpt_done(const CkptDone& m);
-Bytes encode_epilogue_done(const EpilogueDone& m);
-Bytes encode_restart_cmd(const RestartCmd& m);
-Bytes encode_restart_done(const RestartDone& m);
-Bytes encode_stream_open(const StreamOpen& m);
-Bytes encode_stream_chunk(const StreamChunk& m);
-Bytes encode_stream_close(const StreamClose& m);
-Bytes encode_redirect_data(const RedirectData& m);
-Bytes encode_abort(const AbortMsg& m);
-Bytes encode_heartbeat(const HeartbeatMsg& m);
-Bytes encode_progress(const ProgressMsg& m);
-Bytes encode_health_query(const HealthQuery& m = {});
-Bytes encode_health_snapshot(const HealthSnapshotMsg& m);
-Bytes encode_supervise_cmd(const SuperviseCmd& m);
+/// Encodes a message: its MsgType byte, then its field list.
+template <class M>
+Bytes encode(const M& m) {
+  Encoder e;
+  FieldWriter w(e);
+  w(Fixed<MsgType>{M::kType}, m);
+  return e.take();
+}
+
+/// Decodes a message of type M; Err::PROTO unless `msg` is M's type byte
+/// followed by exactly M's fields.
+template <class M>
+Result<M> decode(const Bytes& msg) {
+  M m;
+  FieldReader r(ByteView{msg.data(), msg.size()});
+  r(Fixed<MsgType>{M::kType}, m);
+  if (Status s = r.finish(); !s) return s;
+  return m;
+}
 
 /// Peeks the type of an encoded message.
 Result<MsgType> peek_type(const Bytes& msg);
-
-Result<CheckpointCmd> decode_checkpoint_cmd(const Bytes& msg);
-Result<MetaReport> decode_meta_report(const Bytes& msg);
-Result<ContinueMsg> decode_continue(const Bytes& msg);
-Result<CkptDone> decode_ckpt_done(const Bytes& msg);
-Result<EpilogueDone> decode_epilogue_done(const Bytes& msg);
-Result<RestartCmd> decode_restart_cmd(const Bytes& msg);
-Result<RestartDone> decode_restart_done(const Bytes& msg);
-Result<StreamOpen> decode_stream_open(const Bytes& msg);
-Result<StreamChunk> decode_stream_chunk(const Bytes& msg);
-Result<StreamClose> decode_stream_close(const Bytes& msg);
-Result<RedirectData> decode_redirect_data(const Bytes& msg);
-Result<AbortMsg> decode_abort(const Bytes& msg);
-Result<HeartbeatMsg> decode_heartbeat(const Bytes& msg);
-Result<ProgressMsg> decode_progress(const Bytes& msg);
-Result<HealthQuery> decode_health_query(const Bytes& msg);
-Result<HealthSnapshotMsg> decode_health_snapshot(const Bytes& msg);
-Result<SuperviseCmd> decode_supervise_cmd(const Bytes& msg);
 
 }  // namespace zapc::core

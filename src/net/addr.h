@@ -51,6 +51,16 @@ struct SockAddr {
   std::string to_string() const;
 };
 
+/// Field lists for the wire formats (util/serialize.h).
+template <class F>
+void io(F& f, IpAddr& a) {
+  f(a.v);
+}
+template <class F>
+void io(F& f, SockAddr& a) {
+  f(a.ip, a.port);
+}
+
 /// Transport protocols supported by the stack (paper §5: TCP, UDP, raw IP).
 enum class Proto : u8 { TCP = 6, UDP = 17, RAW = 255 };
 

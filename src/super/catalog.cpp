@@ -49,7 +49,7 @@ obs::Json catalog_entry_to_json(const CatalogEntry& e) {
     ji["pod"] = im.pod;
     ji["uri"] = im.uri;
     ji["vip"] = im.vip.to_string();
-    ji["meta"] = to_hex(ckpt::encode_meta(im.meta));
+    ji["meta"] = to_hex(encode_fields(im.meta));
     images.push(std::move(ji));
   }
   j["images"] = std::move(images);
@@ -93,9 +93,11 @@ Result<CatalogEntry> catalog_entry_from_json(const obs::Json& j) {
     im.vip = vip.value();
     auto raw = from_hex(str("meta"));
     if (!raw) return raw.status();
-    auto meta = ckpt::decode_meta(raw.value());
-    if (!meta) return meta.status();
-    im.meta = std::move(meta).value();
+    const Bytes& meta = raw.value();
+    if (Status s = decode_fields(ByteView{meta.data(), meta.size()}, im.meta);
+        !s) {
+      return s;
+    }
     e.images.push_back(std::move(im));
   }
   return e;

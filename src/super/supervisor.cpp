@@ -112,7 +112,7 @@ void Supervisor::connect_agent(NodeInfo& ni) {
   ni.ch->set_on_msg([this, nip](Bytes msg) {
     auto type = core::peek_type(msg);
     if (!type || type.value() != core::MsgType::HEARTBEAT) return;
-    auto hb = core::decode_heartbeat(msg);
+    auto hb = core::decode<core::HeartbeatMsg>(msg);
     // Node-level beacons carry op_id 0; op-scoped beacons go to the
     // Manager's channels, not ours.
     if (!hb || hb.value().op_id != 0) return;
@@ -121,7 +121,7 @@ void Supervisor::connect_agent(NodeInfo& ni) {
   ni.ch->set_on_closed([this, nip] { on_channel_closed(*nip); });
   core::SuperviseCmd cmd;
   cmd.heartbeat_us = opts_.heartbeat_us;
-  (void)ni.ch->send(core::encode_supervise_cmd(cmd));
+  (void)ni.ch->send(core::encode(cmd));
 }
 
 void Supervisor::on_beacon(NodeInfo& ni) {

@@ -11,15 +11,8 @@ const char* record_tag_name(RecordTag tag) {
     case RecordTag::IMAGE_HEADER: return "image_header";
     case RecordTag::PROCESS: return "process";
     case RecordTag::MEM_REGION: return "mem_region";
-    case RecordTag::FD_TABLE: return "fd_table";
     case RecordTag::SOCKET_PARAMS: return "socket_params";
-    case RecordTag::SOCKET_RECV_QUEUE: return "socket_recv_queue";
-    case RecordTag::SOCKET_SEND_QUEUE: return "socket_send_queue";
-    case RecordTag::SOCKET_PCB: return "socket_pcb";
     case RecordTag::NET_META: return "net_meta";
-    case RecordTag::POD_HEADER: return "pod_header";
-    case RecordTag::TIMERS: return "timers";
-    case RecordTag::TIME_VIRT: return "time_virt";
     case RecordTag::REDIRECTED_SEND_Q: return "redirected_send_q";
     case RecordTag::IMAGE_END: return "image_end";
     case RecordTag::GM_DEVICE: return "gm_device";
@@ -68,7 +61,11 @@ void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
   for (std::size_t off = 0; off < body_len; off += kCrcBlock) {
     const std::size_t n = std::min(kCrcBlock, body_len - off);
     const std::size_t at = buf_.size();
-    buf_.put_raw(body + off, n);
+    if (body != nullptr) {
+      buf_.put_raw(body + off, n);
+    } else {
+      buf_.put_zeros(n);
+    }
     c = crc32_update(c, buf_.bytes().data() + at, n);
   }
   buf_.put_u32(crc32_final(c));

@@ -6,12 +6,15 @@
 // different kernels".  This module provides that format:
 //
 //  * Encoder/Decoder — little-endian primitive encoding with bounds checks.
+//  * FieldWriter/FieldReader — walk a struct's one io() field list to
+//    encode it or to decode it strictly (see "Field lists" below).
 //  * RecordWriter/RecordReader — typed, versioned, CRC-protected records
 //    (tag, version, length, payload, crc32) so images can be validated and
 //    skipped record-by-record.  The reader hands out views into the image
 //    buffer, so validating a record copies none of its bytes.
 #pragma once
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -69,12 +72,10 @@ class Encoder {
 
   /// Raw bytes without a length prefix (caller manages framing).
   void put_raw(const u8* p, std::size_t n) { append_bytes(buf_, p, n); }
+  /// `n` zero bytes without a length prefix.
+  void put_zeros(std::size_t n) { buf_.resize(buf_.size() + n); }
 
-  const Bytes& bytes() const { return buf_; }
-  Bytes take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
-
- private:
+  /// An unsigned integer, little-endian.
   template <typename T>
   void put_le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -82,6 +83,11 @@ class Encoder {
     }
   }
 
+  const Bytes& bytes() const { return buf_; }
+  Bytes take() { return std::move(buf_); }
+  std::size_t size() const { return buf_.size(); }
+
+ private:
   Bytes buf_;
 };
 
@@ -172,7 +178,7 @@ class Decoder {
   bool at_end() const { return off_ == n_; }
   std::size_t offset() const { return off_; }
 
- private:
+  /// An unsigned integer, little-endian.
   template <typename T>
   Result<T> get_le() {
     if (sizeof(T) > remaining()) return Status(Err::PROTO, "short buffer");
@@ -184,26 +190,295 @@ class Decoder {
     return v;
   }
 
+ private:
   const u8* p_;
   std::size_t n_;
   std::size_t off_ = 0;
 };
 
+// ---- Field lists --------------------------------------------------------------
+//
+// Each wire struct describes its encoding once, as a field list found by
+// argument-dependent lookup in the struct's namespace:
+//
+//   template <class F> void io(F& f, Foo& m) { f(m.a, m.b, m.items); }
+//
+// FieldWriter walks the list to encode and FieldReader walks the same list
+// to decode, so the two directions cannot disagree.  A field is encoded by
+// its type:
+//
+//   bool, integers        little-endian; bool as one byte 0/1
+//   enums                 their underlying integer
+//   std::string, Bytes    u32 length, then the bytes
+//   ByteView              as Bytes; decoded as a view into the input
+//   std::vector, std::map u32 count, then each element (a map: key, value)
+//   std::array<T, N>      u32 count (N), then each element
+//   std::pair             first, then second
+//   Fixed<T>              a constant: a magic number or a message type
+//   Nested<T>             T's field list as a length-prefixed payload
+//   any other type        its own io() field list
+//
+// Decoding is strict: a short field, a bool other than 0 or 1, a count the
+// remaining bytes cannot hold, a wrong array count, a wrong constant, a
+// duplicate map key or a trailing byte fails Err::PROTO.  A list may end in an optional tail,
+// `if (f.tail(present)) f(...)`: the writer writes it when `present`, the
+// reader reads it when bytes remain.
+
+/// A field with one valid value.
+template <typename T>
+struct Fixed {
+  T value;
+};
+
+/// A field encoded as a length-prefixed payload of its own field list.
+template <typename T>
+struct Nested {
+  T& value;
+};
+template <typename T>
+Nested<T> nested(T& v) {
+  return Nested<T>{v};
+}
+
+class FieldWriter {
+ public:
+  /// With `head_only`, a ByteView field writes its length prefix but not
+  /// its bytes (see encode_head).
+  explicit FieldWriter(Encoder& e, bool head_only = false)
+      : e_(e), head_only_(head_only) {}
+
+  template <typename... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+  bool tail(bool present) const { return present; }
+
+ private:
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      e_.put_u8(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      e_.put_le(static_cast<std::make_unsigned_t<T>>(v));
+    } else {
+      // The list takes its struct non-const so it can serve the reader
+      // too; the writer only reads through it.
+      io(*this, const_cast<T&>(v));
+    }
+  }
+  void put(const std::string& s) { e_.put_string(s); }
+  void put(const Bytes& b) { e_.put_bytes(b); }
+  void put(const ByteView& v) {
+    e_.put_u32(static_cast<u32>(v.size));
+    if (!head_only_) e_.put_raw(v.data, v.size);
+  }
+  template <typename T>
+  void put(const std::vector<T>& v) {
+    e_.put_u32(static_cast<u32>(v.size()));
+    for (const T& x : v) put(x);
+  }
+  template <typename K, typename V>
+  void put(const std::map<K, V>& m) {
+    e_.put_u32(static_cast<u32>(m.size()));
+    for (const auto& [k, v] : m) {
+      put(k);
+      put(v);
+    }
+  }
+  template <typename T, std::size_t N>
+  void put(const std::array<T, N>& a) {
+    e_.put_u32(static_cast<u32>(N));
+    for (const T& x : a) put(x);
+  }
+  template <typename A, typename B>
+  void put(const std::pair<A, B>& p) {
+    put(p.first);
+    put(p.second);
+  }
+  template <typename T>
+  void put(const Fixed<T>& c) {
+    put(c.value);
+  }
+  template <typename T>
+  void put(const Nested<T>& n);
+
+  Encoder& e_;
+  bool head_only_;
+};
+
+/// Encodes `v` by its field list.
+template <typename T>
+Bytes encode_fields(const T& v) {
+  Encoder e;
+  FieldWriter w(e);
+  w(v);
+  return e.take();
+}
+
+/// Encodes `v` up to the bytes of its last field, a ByteView: the head of
+/// a record whose body RecordWriter::write_split frames without a copy.
+template <typename T>
+Bytes encode_head(const T& v) {
+  Encoder e;
+  FieldWriter w(e, /*head_only=*/true);
+  w(v);
+  return e.take();
+}
+
+template <typename T>
+void FieldWriter::put(const Nested<T>& n) {
+  e_.put_bytes(encode_fields(n.value));
+}
+
+/// Fewest bytes a T's encoding takes: that of an empty T.  Bounds element
+/// counts before any allocation.
+template <typename T>
+std::size_t min_encoded_size() {
+  static const std::size_t n = encode_fields(T{}).size();
+  return n;
+}
+
+template <typename T>
+Status decode_fields(ByteView b, T&& v);
+
+class FieldReader {
+ public:
+  explicit FieldReader(ByteView b) : d_(b) {}
+
+  template <typename... T>
+  void operator()(T&&... v) {
+    (get(v), ...);
+  }
+  bool tail(bool) const { return err_ == nullptr && !d_.at_end(); }
+
+  /// OK when every field decoded and no byte is left over.
+  Status finish() const {
+    if (err_ != nullptr) return Status(Err::PROTO, err_);
+    if (!d_.at_end()) return Status(Err::PROTO, "trailing bytes");
+    return Status::ok();
+  }
+
+ private:
+  void fail(const char* why) {
+    if (err_ == nullptr) err_ = why;
+  }
+  template <typename R, typename T>
+  void take(R r, T& v) {
+    if (r) {
+      v = std::move(r).value();
+    } else {
+      fail("short field");
+    }
+  }
+  // Reads a count of elements of at least `min_size` bytes each.
+  std::size_t count(std::size_t min_size) {
+    auto n = d_.count_(min_size);
+    if (!n) fail("implausible element count");
+    return n ? n.value() : 0;
+  }
+
+  template <typename T>
+  void get(T& v) {
+    if (err_ != nullptr) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      u8 b = 0;
+      take(d_.get_le<u8>(), b);
+      if (b > 1) fail("bad bool");
+      v = b != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> u{};
+      get(u);
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_integral_v<T>) {
+      std::make_unsigned_t<T> u{};
+      take(d_.get_le<std::make_unsigned_t<T>>(), u);
+      v = static_cast<T>(u);
+    } else {
+      io(*this, v);
+    }
+  }
+  void get(std::string& s) {
+    if (err_ == nullptr) take(d_.string_(), s);
+  }
+  void get(Bytes& b) {
+    if (err_ == nullptr) take(d_.bytes_(), b);
+  }
+  void get(ByteView& v) {
+    if (err_ == nullptr) take(d_.bytes_view_(), v);
+  }
+  template <typename T>
+  void get(std::vector<T>& v) {
+    if (err_ != nullptr) return;
+    v.resize(count(min_encoded_size<T>()));
+    for (T& x : v) get(x);
+  }
+  template <typename K, typename V>
+  void get(std::map<K, V>& m) {
+    if (err_ != nullptr) return;
+    const std::size_t n =
+        count(min_encoded_size<K>() + min_encoded_size<V>());
+    for (std::size_t i = 0; i < n && err_ == nullptr; ++i) {
+      K k{};
+      V v{};
+      get(k);
+      get(v);
+      if (err_ == nullptr && !m.emplace(std::move(k), std::move(v)).second) {
+        fail("duplicate map key");
+      }
+    }
+  }
+  template <typename T, std::size_t N>
+  void get(std::array<T, N>& a) {
+    if (err_ != nullptr) return;
+    if (count(min_encoded_size<T>()) != N) fail("wrong array count");
+    for (T& x : a) get(x);
+  }
+  template <typename A, typename B>
+  void get(std::pair<A, B>& p) {
+    get(p.first);
+    get(p.second);
+  }
+  template <typename T>
+  void get(Fixed<T>& c) {
+    T v{};
+    get(v);
+    if (err_ == nullptr && v != c.value) fail("unexpected constant");
+  }
+  template <typename T>
+  void get(Nested<T>& n) {
+    ByteView v;
+    get(v);
+    if (err_ == nullptr && !decode_fields(v, n.value)) {
+      fail("malformed nested payload");
+    }
+  }
+
+  Decoder d_;
+  const char* err_ = nullptr;
+};
+
+/// Decodes `b` into `v` by its field list; Err::PROTO unless the list
+/// consumes `b` exactly.
+template <typename T>
+Status decode_fields(ByteView b, T&& v) {
+  FieldReader r(b);
+  r(v);
+  return r.finish();
+}
+
 /// Record tags used in checkpoint images.  The numeric values are part of
-/// the on-disk format and must not be reordered.
+/// the on-disk format and must not be reordered.  Numbers 4, 6-8 and
+/// 10-12 are reserved: fd table, socket queue and PCB parts, pod header,
+/// timers and time virtualization were never written as records of
+/// their own (a process or socket record carries them).
 enum class RecordTag : u32 {
   IMAGE_HEADER = 1,     // magic, format version, pod name
   PROCESS = 2,          // one process: vpid, program, control state
   MEM_REGION = 3,       // one memory region belonging to a process
-  FD_TABLE = 4,         // file-descriptor table of a process
-  SOCKET_PARAMS = 5,    // socket parameters (get/setsockopt round-trip)
-  SOCKET_RECV_QUEUE = 6,// saved receive queue (incl. alternate queue)
-  SOCKET_SEND_QUEUE = 7,// saved send queue
-  SOCKET_PCB = 8,       // minimal protocol state: sent/recv/acked
+  SOCKET_PARAMS = 5,    // one socket: parameters, queues, PCB triple
   NET_META = 9,         // per-pod connection meta-data table
-  POD_HEADER = 10,      // pod namespace state (vpid map, virtual addresses)
-  TIMERS = 11,          // virtualized timers owned by the application
-  TIME_VIRT = 12,       // time-virtualization state (checkpoint timestamp)
   REDIRECTED_SEND_Q = 13,// migrated peer send-queue data (redirect optimization)
   IMAGE_END = 14,       // terminator
   GM_DEVICE = 15,       // kernel-bypass device state (paper §5 extension)
@@ -245,7 +520,8 @@ class RecordWriter {
   /// encoded prefix plus a large raw buffer (a memory region) with no
   /// intermediate payload copy.  The body is copied and checksummed in
   /// one pass, kCrcBlock bytes at a time; the record bytes are those of
-  /// write() on the concatenated payload.
+  /// write() on the concatenated payload.  A null `body` stands for
+  /// `body_len` zero bytes, written without reading any source.
   void write_split(RecordTag tag, u16 version, const Bytes& head,
                    const u8* body, std::size_t body_len);
 

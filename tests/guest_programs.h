@@ -327,8 +327,8 @@ class TimeLogger final : public os::Program {
         e.put_u64(start_);
         e.put_u64(elapsed);
         std::copy(e.bytes().begin(), e.bytes().end(), reg.begin());
-        sys.san().write("timelog", e.bytes());
-        return StepResult::exit(0);
+        return StepResult::exit(
+            sys.san().write("timelog", e.bytes()).is_ok() ? 0 : 4);
       }
       default:
         return StepResult::exit(2);

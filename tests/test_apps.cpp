@@ -16,6 +16,7 @@
 #include "apps/ray_scene.h"
 #include "core/agent.h"
 #include "core/manager.h"
+#include "fault/fault.h"
 #include "os/cluster.h"
 #include "pod/pod.h"
 #include "tests/helpers.h"
@@ -112,6 +113,19 @@ TEST(Apps, CpiSingleRank) {
   TestRig rig(1);
   JobHandle job = launch_cpi(rig, 1);
   EXPECT_EQ(rig.run_job(job), 0);
+}
+
+TEST(Apps, CpiResultLostToStorageExitsNonzero) {
+  TestRig rig(1);
+  fault::FaultSpec s;
+  s.kind = fault::FaultKind::SAN_WRITE_FAIL;
+  s.san_prefix = "results/";
+  fault::injector().arm(s);
+  JobHandle job = launch_cpi(rig, 1);
+  const i32 code = rig.run_job(job);
+  fault::injector().clear();
+  EXPECT_EQ(code, 4);
+  EXPECT_FALSE(rig.cl.san().exists("results/cpi"));
 }
 
 TEST(Apps, BratuConverges) {

@@ -281,11 +281,12 @@ TEST(RedirectedQueueFraming, MalformedRecordsRejected) {
 
 TEST(Image, MetaRoundTrip) {
   NetMeta m = sample_image().meta;
-  auto back = decode_meta(encode_meta(m));
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().pod_vip, m.pod_vip);
-  ASSERT_EQ(back.value().entries.size(), 1u);
-  EXPECT_EQ(back.value().entries[0].target, m.entries[0].target);
+  const Bytes wire = encode_fields(m);
+  NetMeta back;
+  ASSERT_TRUE(decode_fields(ByteView{wire.data(), wire.size()}, back).is_ok());
+  EXPECT_EQ(back.pod_vip, m.pod_vip);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].target, m.entries[0].target);
 }
 
 TEST(Image, NetworkBytesAreSmallComparedToTotal) {

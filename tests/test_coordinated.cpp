@@ -524,7 +524,8 @@ TEST_F(CoordinatedTest, ConsecutiveOpsGetDistinctOpIds) {
 
 TEST_F(CoordinatedTest, FsSnapshotTakenBeforeResume) {
   start_app();
-  cl_.san().write("pods/server-pod/output.dat", Bytes{1, 2, 3});
+  ASSERT_TRUE(
+      cl_.san().write("pods/server-pod/output.dat", Bytes{1, 2, 3}).is_ok());
   cl_.run_for(20 * sim::kMillisecond);
 
   bool done = false;
@@ -539,8 +540,8 @@ TEST_F(CoordinatedTest, FsSnapshotTakenBeforeResume) {
         cr = std::move(r);
         done = true;
       },
-      Manager::CkptOptions{/*redirect_send_queues=*/false,
-                           /*fs_snapshot=*/true});
+      Manager::CkptOptions{.redirect_send_queues = false,
+                           .fs_snapshot = true});
   for (int i = 0; i < 20000 && !done; ++i) cl_.run_for(sim::kMillisecond);
   ASSERT_TRUE(done);
   ASSERT_TRUE(cr.ok);

@@ -112,7 +112,7 @@ TEST(Protocol, CheckpointCmdRoundTrip) {
   m.fs_snapshot = true;
   m.peer_agents.emplace_back(vip(3),
                              net::SockAddr{net::IpAddr(192, 168, 1, 9), 7077});
-  auto back = decode_checkpoint_cmd(encode_checkpoint_cmd(m));
+  auto back = decode<CheckpointCmd>(encode(m));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().pod_name, "pod-a");
   EXPECT_EQ(back.value().mode, CkptMode::MIGRATE);
@@ -133,15 +133,15 @@ TEST(Protocol, RestartCmdRoundTrip) {
   e.discard_send = 99;
   m.meta.entries.push_back(e);
   m.locations.emplace_back(vip(2), net::IpAddr(192, 168, 1, 7));
-  auto back = decode_restart_cmd(encode_restart_cmd(m));
+  auto back = decode<RestartCmd>(encode(m));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().meta.entries[0].discard_send, 99u);
   EXPECT_EQ(back.value().locations[0].second, net::IpAddr(192, 168, 1, 7));
 }
 
 TEST(Protocol, TypeMismatchRejected) {
-  Bytes msg = encode_continue();
-  EXPECT_EQ(decode_ckpt_done(msg).err(), Err::PROTO);
+  Bytes msg = encode(ContinueMsg{});
+  EXPECT_EQ(decode<CkptDone>(msg).err(), Err::PROTO);
   EXPECT_EQ(peek_type(msg).value(), MsgType::CONTINUE);
   EXPECT_EQ(peek_type(Bytes{}).err(), Err::PROTO);
 }
@@ -153,7 +153,7 @@ TEST(Protocol, RedirectDataRoundTrip) {
   m.dst_remote = net::SockAddr{vip(2), 8080};
   m.sender_acked = 777;
   m.data = to_bytes("queued payload");
-  auto back = decode_redirect_data(encode_redirect_data(m));
+  auto back = decode<RedirectData>(encode(m));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().sender_acked, 777u);
   EXPECT_EQ(to_string(back.value().data), "queued payload");
@@ -262,7 +262,7 @@ TEST_F(CornerTest, CorruptImageFailsGracefully) {
   // Corrupt the stored image.
   Bytes img = cl_.san().read("ckpt/p1").value();
   img[img.size() / 2] ^= 0xFF;
-  cl_.san().write("ckpt/p1", img);
+  ASSERT_TRUE(cl_.san().write("ckpt/p1", img).is_ok());
 
   ASSERT_TRUE(agents_[0]->destroy_pod("p1").is_ok());
   auto rr = restart({{agents_[1]->addr(), "p1", "san://ckpt/p1"}});

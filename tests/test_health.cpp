@@ -37,7 +37,7 @@ TEST(HealthProtocol, HeartbeatRoundTrips) {
   m.phase = "ckpt.standalone";
   m.t_us = 123456;
   m.seq = 7;
-  auto d = decode_heartbeat(encode_heartbeat(m));
+  auto d = decode<HeartbeatMsg>(encode(m));
   ASSERT_TRUE(d.is_ok());
   EXPECT_EQ(d.value().op_id, 42u);
   EXPECT_EQ(d.value().pod_name, "bt-1");
@@ -56,7 +56,7 @@ TEST(HealthProtocol, ProgressRoundTrips) {
   m.bytes_expected = 4 << 20;
   m.throughput_bps = 1200 << 20;
   m.eta_us = 2500;
-  auto d = decode_progress(encode_progress(m));
+  auto d = decode<ProgressMsg>(encode(m));
   ASSERT_TRUE(d.is_ok());
   EXPECT_EQ(d.value().bytes_done, u64{1} << 20);
   EXPECT_EQ(d.value().bytes_expected, u64{4} << 20);
@@ -65,7 +65,7 @@ TEST(HealthProtocol, ProgressRoundTrips) {
 }
 
 TEST(HealthProtocol, HealthQueryAndSnapshotRoundTrip) {
-  auto q = decode_health_query(encode_health_query(HealthQuery{9}));
+  auto q = decode<HealthQuery>(encode(HealthQuery{9}));
   ASSERT_TRUE(q.is_ok());
   EXPECT_EQ(q.value().op_id, 9u);
 
@@ -73,7 +73,7 @@ TEST(HealthProtocol, HealthQueryAndSnapshotRoundTrip) {
   s.op_id = 9;
   s.json =
       std::string("{\"schema\": \"") + obs::kHealthSchemaVersion + "\"}";
-  auto d = decode_health_snapshot(encode_health_snapshot(s));
+  auto d = decode<HealthSnapshotMsg>(encode(s));
   ASSERT_TRUE(d.is_ok());
   EXPECT_EQ(d.value().op_id, 9u);
   EXPECT_EQ(d.value().json, s.json);
@@ -84,7 +84,7 @@ TEST(HealthProtocol, CommandsCarryHeartbeatCadence) {
   c.pod_name = "p";
   c.dest_uri = "san://x";
   c.heartbeat_us = 10000;
-  auto dc = decode_checkpoint_cmd(encode_checkpoint_cmd(c));
+  auto dc = decode<CheckpointCmd>(encode(c));
   ASSERT_TRUE(dc.is_ok());
   EXPECT_EQ(dc.value().heartbeat_us, 10000u);
 
@@ -92,7 +92,7 @@ TEST(HealthProtocol, CommandsCarryHeartbeatCadence) {
   r.pod_name = "p";
   r.source_uri = "san://x";
   r.heartbeat_us = 7000;
-  auto dr = decode_restart_cmd(encode_restart_cmd(r));
+  auto dr = decode<RestartCmd>(encode(r));
   ASSERT_TRUE(dr.is_ok());
   EXPECT_EQ(dr.value().heartbeat_us, 7000u);
 }
@@ -337,7 +337,7 @@ TEST_F(HealthPlaneTest, StatusEndpointServesHealthSnapshot) {
   ASSERT_NE(ch, nullptr);
   std::string got;
   ch->set_on_msg([&](Bytes msg) {
-    auto m = decode_health_snapshot(msg);
+    auto m = decode<HealthSnapshotMsg>(msg);
     if (m.is_ok()) got = m.value().json;
   });
 
@@ -346,7 +346,7 @@ TEST_F(HealthPlaneTest, StatusEndpointServesHealthSnapshot) {
   auto report = checkpoint(opts);
   ASSERT_TRUE(report.ok) << report.error;
 
-  ASSERT_TRUE(ch->send(encode_health_query(HealthQuery{0})).is_ok());
+  ASSERT_TRUE(ch->send(encode(HealthQuery{0})).is_ok());
   cl_.run_for(50 * sim::kMillisecond);
 
   ASSERT_FALSE(got.empty());
@@ -374,11 +374,11 @@ TEST_F(HealthPlaneTest, StatusEndpointHandlesInterleavedQueries) {
   ASSERT_NE(ch2, nullptr);
   std::vector<std::string> got1, got2;
   ch1->set_on_msg([&](Bytes msg) {
-    auto m = decode_health_snapshot(msg);
+    auto m = decode<HealthSnapshotMsg>(msg);
     if (m.is_ok()) got1.push_back(m.value().json);
   });
   ch2->set_on_msg([&](Bytes msg) {
-    auto m = decode_health_snapshot(msg);
+    auto m = decode<HealthSnapshotMsg>(msg);
     if (m.is_ok()) got2.push_back(m.value().json);
   });
 
@@ -390,9 +390,9 @@ TEST_F(HealthPlaneTest, StatusEndpointHandlesInterleavedQueries) {
   // A burst of queries lands with several in flight at once, from both
   // channels, mixing "latest" (op 0) with the explicit op id.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ch1->send(encode_health_query(HealthQuery{0})).is_ok());
+    ASSERT_TRUE(ch1->send(encode(HealthQuery{0})).is_ok());
     ASSERT_TRUE(
-        ch2->send(encode_health_query(HealthQuery{report.op_id})).is_ok());
+        ch2->send(encode(HealthQuery{report.op_id})).is_ok());
   }
   cl_.run_for(100 * sim::kMillisecond);
 
@@ -411,7 +411,7 @@ TEST_F(HealthPlaneTest, StatusEndpointHandlesInterleavedQueries) {
   }
 
   // A long-lived console keeps getting answers on later polls.
-  ASSERT_TRUE(ch1->send(encode_health_query(HealthQuery{0})).is_ok());
+  ASSERT_TRUE(ch1->send(encode(HealthQuery{0})).is_ok());
   cl_.run_for(50 * sim::kMillisecond);
   EXPECT_EQ(got1.size(), 6u);
 }

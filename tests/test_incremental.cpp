@@ -236,45 +236,6 @@ TEST(Codec, DedupRoundTripsAcrossProcesses) {
   EXPECT_EQ(back.value().processes[2].regions.at("own"), Bytes(1024, 3));
 }
 
-TEST(Codec, V1ImageWithoutTrailerStillDecodes) {
-  // Hand-build a header record the way format v1 wrote it (no codec
-  // flags / delta seq / base uri trailer): old images must keep decoding.
-  Encoder h;
-  h.put_u32(0x5A415043);  // kImageMagic
-  h.put_string("old-pod");
-  h.put_u32(vip(9).v);
-  h.put_i32(7);
-  h.put_bool(true);
-  h.put_u64(4242);
-  h.put_i64(-17);
-  RecordWriter w;
-  w.write(RecordTag::IMAGE_HEADER, 1, h.take());
-  w.write(RecordTag::IMAGE_END, 1, Bytes{});
-
-  auto img = decode_image(w.take());
-  ASSERT_TRUE(img.is_ok()) << img.status().to_string();
-  EXPECT_EQ(img.value().header.pod_name, "old-pod");
-  EXPECT_EQ(img.value().header.next_vpid, 7);
-  EXPECT_EQ(img.value().header.codec_flags, 0u);
-  EXPECT_EQ(img.value().header.delta_seq, 0u);
-  EXPECT_FALSE(img.value().header.is_delta());
-}
-
-TEST(Codec, PeekHeaderReadsOnlyTheFirstRecord) {
-  PodImage img;
-  img.header.pod_name = "peek";
-  img.header.codec_flags = kCodecDelta;
-  img.header.delta_seq = 3;
-  img.header.base_uri = "san://x/base";
-  Bytes data = encode_image(img);
-  auto h = peek_header(data);
-  ASSERT_TRUE(h.is_ok());
-  EXPECT_EQ(h.value().pod_name, "peek");
-  EXPECT_EQ(h.value().delta_seq, 3u);
-  EXPECT_EQ(h.value().base_uri, "san://x/base");
-  EXPECT_TRUE(h.value().is_delta());
-}
-
 // ---- End-to-end through Agent/Manager --------------------------------------
 
 struct Rig {

@@ -191,12 +191,12 @@ TEST(LazyProtocol, EpilogueDoneRoundTrips) {
   in.lazy_bytes = 98765;
   in.faults = 7;
   in.fault_bytes = 4096;
-  Bytes wire = encode_epilogue_done(in);
+  Bytes wire = encode(in);
   auto t = peek_type(wire);
   ASSERT_TRUE(t.is_ok());
   EXPECT_EQ(t.value(), MsgType::EPILOGUE_DONE);
   EXPECT_EQ(static_cast<int>(t.value()), 16);  // the old DRAIN_DONE id
-  auto out = decode_epilogue_done(wire);
+  auto out = decode<EpilogueDone>(wire);
   ASSERT_TRUE(out.is_ok());
   const EpilogueDone& o = out.value();
   EXPECT_EQ(o.op_id, 42u);
@@ -215,23 +215,35 @@ TEST(LazyProtocol, EpilogueDoneRoundTrips) {
   EXPECT_EQ(o.fault_bytes, 4096u);
 }
 
-TEST(LazyProtocol, OldDrainDoneFrameStillDecodes) {
-  // An id-16 frame in the pre-epilogue DRAIN_DONE layout: the drain
-  // fields only, no lazy fields appended.
+TEST(LazyProtocol, DrainEpilogueSendsTheShortFrame) {
+  // A drain's epilogue carries no lazy counts: the frame stops after the
+  // drain fields, and that short frame decodes with the counts at 0.
+  EpilogueDone in;
+  in.op_id = 9;
+  in.pod_name = "pod-b";
+  in.ok = true;
+  in.image_bytes = 1 << 20;
+  in.epilogue_us = 5000;
+  in.dirtied_bytes = 64;
+  in.throttled_us = 100;
+  in.contended_us = 200;
+  in.granted_bps = 300;
   Encoder e;
-  e.put_u8(16);  // DRAIN_DONE
+  e.put_u8(16);  // EPILOGUE_DONE
   e.put_u64(9);
   e.put_string("pod-b");
   e.put_bool(true);
   e.put_string("");
   e.put_bool(false);
   e.put_u64(1 << 20);  // image_bytes
-  e.put_u64(5000);     // drain_us
+  e.put_u64(5000);     // epilogue_us
   e.put_u64(64);       // dirtied_bytes
   e.put_u64(100);      // throttled_us
   e.put_u64(200);      // contended_us
   e.put_u64(300);      // granted_bps
-  auto out = decode_epilogue_done(e.take());
+  const Bytes wire = encode(in);
+  EXPECT_EQ(wire, e.bytes());
+  auto out = decode<EpilogueDone>(wire);
   ASSERT_TRUE(out.is_ok()) << out.status().to_string();
   const EpilogueDone& o = out.value();
   EXPECT_EQ(o.op_id, 9u);
@@ -255,20 +267,19 @@ TEST(LazyProtocol, RestartCmdLazyFieldsRoundTripAndDefaultOff) {
   in.lazy = true;
   in.lazy_hot_permille = 125;
   in.lazy_wait_us = 5 * sim::kSecond;
-  auto out = decode_restart_cmd(encode_restart_cmd(in));
+  auto out = decode<RestartCmd>(encode(in));
   ASSERT_TRUE(out.is_ok());
   EXPECT_TRUE(out.value().pipelined);
   EXPECT_TRUE(out.value().lazy);
   EXPECT_EQ(out.value().lazy_hot_permille, 125u);
   EXPECT_EQ(out.value().lazy_wait_us, u64{5} * sim::kSecond);
 
-  // The fields are appended: a command that never set them decodes to
-  // the monolithic defaults (how pre-§13 images keep restarting).
+  // A command that never set them decodes to the monolithic defaults.
   RestartCmd plain;
   plain.op_id = 10;
   plain.pod_name = "pod-c";
   plain.source_uri = "san://ckpt/c";
-  auto pout = decode_restart_cmd(encode_restart_cmd(plain));
+  auto pout = decode<RestartCmd>(encode(plain));
   ASSERT_TRUE(pout.is_ok());
   EXPECT_FALSE(pout.value().pipelined);
   EXPECT_FALSE(pout.value().lazy);

@@ -286,9 +286,9 @@ TEST(OsPod, NodeFailureStopsDelivery) {
 
 TEST(OsPod, SanSnapshotCopiesSubtree) {
   Cluster cl;
-  cl.san().write("pods/p1/a", Bytes{1, 2, 3});
-  cl.san().write("pods/p1/b", Bytes{4});
-  cl.san().write("pods/p2/c", Bytes{5});
+  ASSERT_TRUE(cl.san().write("pods/p1/a", Bytes{1, 2, 3}).is_ok());
+  ASSERT_TRUE(cl.san().write("pods/p1/b", Bytes{4}).is_ok());
+  ASSERT_TRUE(cl.san().write("pods/p2/c", Bytes{5}).is_ok());
   std::size_t n = cl.san().snapshot("pods/p1/", "snap/p1/");
   EXPECT_EQ(n, 2u);
   EXPECT_EQ(cl.san().read("snap/p1/a").value(), (Bytes{1, 2, 3}));

@@ -154,8 +154,9 @@ TEST(Robustness, RandomGarbageNeverCrashes) {
     for (auto& b : garbage) b = static_cast<u8>(rng.next_u32());
     auto r = ckpt::decode_image(garbage);
     EXPECT_FALSE(r.is_ok());
-    auto m = ckpt::decode_meta(garbage);
-    (void)m;  // any outcome is fine as long as it's defined behaviour
+    ckpt::NetMeta m;
+    // Any outcome is fine as long as it's defined behaviour.
+    (void)decode_fields(ByteView{garbage.data(), garbage.size()}, m);
   }
 }
 
@@ -322,7 +323,8 @@ TEST_F(PostmortemTest, AgentNodeDeathDumpsOnManagerAndSurvivor) {
 }
 
 TEST_F(PostmortemTest, CorruptImageRestartDumpsRestartFail) {
-  cl_.san().write("ckpt/garbage", test::pattern_bytes(4096, 13));
+  ASSERT_TRUE(
+      cl_.san().write("ckpt/garbage", test::pattern_bytes(4096, 13)).is_ok());
   // A minimal meta table so the restart schedule builds and the garbage
   // actually reaches the agent before anything can go wrong.
   ckpt::NetMeta meta;
@@ -355,7 +357,7 @@ TEST(Robustness, SanRandomOpsBehaveLikeAMap) {
     switch (rng.below(4)) {
       case 0: {
         Bytes data = pattern_bytes(rng.below(100));
-        san.write(path, data);
+        ASSERT_TRUE(san.write(path, data).is_ok());
         model[path] = data;
         break;
       }

@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
   obs::Json best;  // latest mid-op document with beacon data
   u32 frames = 0;
   ch->set_on_msg([&](Bytes msg) {
-    auto m = core::decode_health_snapshot(msg);
+    auto m = core::decode<core::HealthSnapshotMsg>(msg);
     if (!m) return;
     auto doc = obs::json_parse(m.value().json);
     if (!doc) return;
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   // ticks so the final snapshot shows every pod done).
   int grace = 3;
   while (!done || grace-- > 0) {
-    (void)ch->send(core::encode_health_query(core::HealthQuery{0}));
+    (void)ch->send(core::encode(core::HealthQuery{0}));
     tb.cl.run_for(opt.refresh_us);
     if (tb.cl.now() > 3600 * sim::kSecond) break;
   }
