@@ -27,7 +27,7 @@ constexpr u16 kRingPort = 6100;
 
 /// Guest that joins a ring: listens, connects to the next pod, accepts
 /// from the previous one, then idles.
-class RingNode final : public os::Program {
+class RingNode final : public os::FieldProgram<RingNode> {
  public:
   RingNode() = default;
   RingNode(net::IpAddr next, bool lone) : next_(next), lone_(lone) {}
@@ -65,10 +65,13 @@ class RingNode final : public os::Program {
         return StepResult::exit(0);
     }
   }
-  void save(Encoder& e) const override { e.put_u32(pc_); }
-  void load(Decoder& d) override { pc_ = d.u32_().value_or(0); }
 
  private:
+  template <class F>
+  friend void io(F& f, RingNode& p) {
+    f(p.pc_);
+  }
+
   net::IpAddr next_;
   bool lone_ = false;
   u32 pc_ = 0;

@@ -16,7 +16,7 @@ namespace zapc::bench {
 
 /// Writes a fixed amount into one connection as fast as the socket
 /// accepts it, then idles.
-class Flooder final : public os::Program {
+class Flooder final : public os::FieldProgram<Flooder> {
  public:
   Flooder() = default;
   Flooder(net::SockAddr peer, u32 total) : peer_(peer), total_(total) {}
@@ -54,24 +54,13 @@ class Flooder final : public os::Program {
         return StepResult::block(os::WaitSpec::sleep(sim::kSecond));
     }
   }
-  void save(Encoder& e) const override {
-    e.put_u32(peer_.ip.v);
-    e.put_u16(peer_.port);
-    e.put_u32(total_);
-    e.put_u32(pc_);
-    e.put_i32(fd_);
-    e.put_u32(sent_);
-  }
-  void load(Decoder& d) override {
-    peer_.ip.v = d.u32_().value_or(0);
-    peer_.port = d.u16_().value_or(0);
-    total_ = d.u32_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    fd_ = d.i32_().value_or(-1);
-    sent_ = d.u32_().value_or(0);
-  }
 
  private:
+  template <class F>
+  friend void io(F& f, Flooder& p) {
+    f(p.peer_, p.total_, p.pc_, p.fd_, p.sent_);
+  }
+
   net::SockAddr peer_;
   u32 total_ = 0;
   u32 pc_ = 0;
@@ -81,7 +70,7 @@ class Flooder final : public os::Program {
 
 /// Accepts one connection and reads it very slowly (so the sender's
 /// queue stays full), verifying the byte pattern.
-class Sipper final : public os::Program {
+class Sipper final : public os::FieldProgram<Sipper> {
  public:
   Sipper() = default;
   Sipper(u16 port, u32 total) : port_(port), total_(total) {}
@@ -125,24 +114,13 @@ class Sipper final : public os::Program {
         return StepResult::exit(9);
     }
   }
-  void save(Encoder& e) const override {
-    e.put_u16(port_);
-    e.put_u32(total_);
-    e.put_u32(pc_);
-    e.put_i32(lfd_);
-    e.put_i32(cfd_);
-    e.put_u32(rcvd_);
-  }
-  void load(Decoder& d) override {
-    port_ = d.u16_().value_or(0);
-    total_ = d.u32_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    lfd_ = d.i32_().value_or(-1);
-    cfd_ = d.i32_().value_or(-1);
-    rcvd_ = d.u32_().value_or(0);
-  }
 
  private:
+  template <class F>
+  friend void io(F& f, Sipper& p) {
+    f(p.port_, p.total_, p.pc_, p.lfd_, p.cfd_, p.rcvd_);
+  }
+
   u16 port_ = 0;
   u32 total_ = 0;
   u32 pc_ = 0;

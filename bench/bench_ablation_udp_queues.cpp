@@ -28,7 +28,7 @@ constexpr sim::Time kAppTimeout = 250 * sim::kMillisecond;
 /// Sends a request, waits for the reply with an application-level
 /// retransmission timer (the paper's "timeout mechanism on top of the
 /// native protocol").
-class UdpRequester final : public os::Program {
+class UdpRequester final : public os::FieldProgram<UdpRequester> {
  public:
   UdpRequester() = default;
   explicit UdpRequester(net::SockAddr replier) : replier_(replier) {}
@@ -68,25 +68,14 @@ class UdpRequester final : public os::Program {
         return StepResult::exit(9);
     }
   }
-  void save(Encoder& e) const override {
-    e.put_u32(replier_.ip.v);
-    e.put_u16(replier_.port);
-    e.put_u32(pc_);
-    e.put_i32(fd_);
-    e.put_u32(sends_);
-    e.put_u64(done_at_);
-  }
-  void load(Decoder& d) override {
-    replier_.ip.v = d.u32_().value_or(0);
-    replier_.port = d.u16_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    fd_ = d.i32_().value_or(-1);
-    sends_ = d.u32_().value_or(0);
-    done_at_ = d.u64_().value_or(0);
-  }
   u32 sends() const { return sends_; }
 
  private:
+  template <class F>
+  friend void io(F& f, UdpRequester& p) {
+    f(p.replier_, p.pc_, p.fd_, p.sends_, p.done_at_);
+  }
+
   net::SockAddr replier_;
   u32 pc_ = 0;
   i32 fd_ = -1;
@@ -95,7 +84,7 @@ class UdpRequester final : public os::Program {
 };
 
 /// Replies to every request datagram.
-class UdpReplier final : public os::Program {
+class UdpReplier final : public os::FieldProgram<UdpReplier> {
  public:
   UdpReplier() = default;
   const char* kind() const override { return "bench.udp_replier"; }
@@ -114,10 +103,13 @@ class UdpReplier final : public os::Program {
     }
     return StepResult::block(os::WaitSpec::on_fd(fd_));
   }
-  void save(Encoder& e) const override { e.put_i32(fd_); }
-  void load(Decoder& d) override { fd_ = d.i32_().value_or(-1); }
 
  private:
+  template <class F>
+  friend void io(F& f, UdpReplier& p) {
+    f(p.fd_);
+  }
+
   i32 fd_ = -1;
 };
 

@@ -24,7 +24,7 @@ namespace zapc::bench {
 /// `rotate` the working set advances each step (so a longer checkpoint
 /// interval accumulates more distinct dirty regions); without it the same
 /// hot set is re-touched forever (steady-state dirty ratio).
-class DirtyWorkload final : public os::Program {
+class DirtyWorkload final : public os::FieldProgram<DirtyWorkload> {
  public:
   struct Params {
     u32 regions = 64;
@@ -32,6 +32,11 @@ class DirtyWorkload final : public os::Program {
     u32 dirty_per_step = 6;
     bool rotate = false;
     sim::Time step_cost = sim::kMillisecond;
+
+    template <class F>
+    friend void io(F& f, Params& p) {
+      f(p.regions, p.region_bytes, p.dirty_per_step, p.rotate, p.step_cost);
+    }
   };
 
   DirtyWorkload() = default;
@@ -57,28 +62,13 @@ class DirtyWorkload final : public os::Program {
     return StepResult::yield(p_.step_cost);
   }
 
-  void save(Encoder& e) const override {
-    e.put_u32(p_.regions);
-    e.put_u32(p_.region_bytes);
-    e.put_u32(p_.dirty_per_step);
-    e.put_u8(p_.rotate ? 1 : 0);
-    e.put_u64(p_.step_cost);
-    e.put_u32(pc_);
-    e.put_u32(cursor_);
-    e.put_u32(step_);
-  }
-  void load(Decoder& d) override {
-    p_.regions = d.u32_().value_or(1);
-    p_.region_bytes = d.u32_().value_or(1);
-    p_.dirty_per_step = d.u32_().value_or(1);
-    p_.rotate = d.u8_().value_or(0) != 0;
-    p_.step_cost = d.u64_().value_or(sim::kMillisecond);
-    pc_ = d.u32_().value_or(0);
-    cursor_ = d.u32_().value_or(0);
-    step_ = d.u32_().value_or(0);
-  }
 
  private:
+  template <class F>
+  friend void io(F& f, DirtyWorkload& p) {
+    f(p.p_, p.pc_, p.cursor_, p.step_);
+  }
+
   static std::string region_name(u32 i) { return "seg" + std::to_string(i); }
   static void fill(Bytes& b, u32 seed) {
     for (std::size_t i = 0; i < b.size(); i += 4096) {

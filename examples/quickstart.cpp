@@ -65,10 +65,9 @@ int main() {
   std::printf("job finished with exit code %d\n", job.exit_code());
 
   auto result = cluster.san().read("results/cpi");
-  if (result.is_ok()) {
-    Bytes bytes = std::move(result).value();
-    Decoder d(bytes);
-    std::printf("computed pi = %.12f\n", d.f64_().value_or(0));
+  apps::CpiResult cpi;
+  if (result.is_ok() && decode_fields(result.value(), cpi).is_ok()) {
+    std::printf("computed pi = %.12f\n", cpi.pi);
   }
   return job.exit_code();
 }

@@ -106,14 +106,11 @@ int main() {
               "three rolling migrations", job.exit_code());
 
   auto out = cluster.san().read("results/bt");
-  if (out.is_ok()) {
-    Bytes bytes = std::move(out).value();
-    Decoder d(bytes);
-    double final_norm = d.f64_().value_or(-1);
-    double initial_norm = d.f64_().value_or(-1);
+  apps::BtResult bt;
+  if (out.is_ok() && decode_fields(out.value(), bt).is_ok()) {
     std::printf("diffusion norm %.6f -> %.6f (decayed: %s)\n",
-                initial_norm, final_norm,
-                final_norm < initial_norm ? "yes" : "NO");
+                bt.initial_norm, bt.norm,
+                bt.norm < bt.initial_norm ? "yes" : "NO");
   }
   return job.exit_code();
 }

@@ -13,7 +13,17 @@
 
 namespace zapc::apps {
 
-class BratuProgram final : public os::Program {
+/// What rank 0 writes to `results/bratu`.
+struct BratuResult {
+  double residual = 0;
+  u32 iterations = 0;
+};
+template <class F>
+void io(F& f, BratuResult& r) {
+  f(r.residual, r.iterations);
+}
+
+class BratuProgram final : public os::FieldProgram<BratuProgram> {
  public:
   struct Params {
     i32 rank = 0;
@@ -25,6 +35,12 @@ class BratuProgram final : public os::Program {
     double tol = 1e-8;       // early-stop tolerance on residual norm
     sim::Time cost_per_row = 2;  // modeled CPU time per grid row sweep
     u64 workspace_bytes = 0;     // extra modeled footprint (solver state)
+
+    template <class F>
+    friend void io(F& f, Params& p) {
+      f(p.rank, p.size, p.n, p.lambda, p.iterations, p.reduce_every, p.tol,
+        p.cost_per_row, p.workspace_bytes);
+    }
   };
 
   BratuProgram() = default;
@@ -34,9 +50,6 @@ class BratuProgram final : public os::Program {
   const char* kind() const override { return "apps.bratu"; }
 
   os::StepResult step(os::Syscalls& sys) override;
-
-  void save(Encoder& e) const override;
-  void load(Decoder& d) override;
 
   u32 iterations_done() const { return iter_; }
   double residual() const { return residual_; }
@@ -63,6 +76,12 @@ class BratuProgram final : public os::Program {
   double* grid(os::Syscalls& sys);
   double* halo_up(os::Syscalls& sys);
   double* halo_down(os::Syscalls& sys);
+
+  template <class F>
+  friend void io(F& f, BratuProgram& b) {
+    f(b.p_, b.comm_, b.pc_, b.iter_, b.local_res2_, b.residual_, b.got_up_,
+      b.got_down_);
+  }
 
   Params p_;
   mpi::MpiComm comm_;

@@ -42,7 +42,18 @@ void thomas_rows(double* x, u32 rows, const ThomasTable& t);
 /// `t.len`×`width` block (the y-sweep): one contiguous row per pass.
 void thomas_columns(double* x, u32 width, const ThomasTable& t);
 
-class BtProgram final : public os::Program {
+/// What rank 0 writes to `results/bt`.
+struct BtResult {
+  double norm = 0;
+  double initial_norm = 0;
+  u32 steps = 0;
+};
+template <class F>
+void io(F& f, BtResult& r) {
+  f(r.norm, r.initial_norm, r.steps);
+}
+
+class BtProgram final : public os::FieldProgram<BtProgram> {
  public:
   struct Params {
     i32 rank = 0;
@@ -52,6 +63,12 @@ class BtProgram final : public os::Program {
     double alpha_dt = 0.1;  // diffusion number α·Δt / h²
     sim::Time cost_per_row = 4;  // modeled CPU time per row solve
     u64 workspace_bytes = 0;     // extra modeled footprint (solver state)
+
+    template <class F>
+    friend void io(F& f, Params& p) {
+      f(p.rank, p.size, p.n, p.steps, p.alpha_dt, p.cost_per_row,
+        p.workspace_bytes);
+    }
   };
 
   BtProgram() = default;
@@ -61,9 +78,6 @@ class BtProgram final : public os::Program {
   const char* kind() const override { return "apps.bt"; }
 
   os::StepResult step(os::Syscalls& sys) override;
-
-  void save(Encoder& e) const override;
-  void load(Decoder& d) override;
 
   u32 steps_done() const { return step_; }
   double norm() const { return norm_; }
@@ -88,6 +102,12 @@ class BtProgram final : public os::Program {
   u32 local_rows() const { return rows_end() - rows_begin(); }
 
   double* grid(os::Syscalls& sys);
+
+  template <class F>
+  friend void io(F& f, BtProgram& b) {
+    f(b.p_, b.comm_, b.pc_, b.step_, b.initialized_grid_, b.got_up_,
+      b.got_down_, b.norm_, b.initial_norm_);
+  }
 
   Params p_;
   mpi::MpiComm comm_;

@@ -11,7 +11,16 @@
 
 namespace zapc::apps {
 
-class CpiProgram final : public os::Program {
+/// What rank 0 writes to `results/cpi`.
+struct CpiResult {
+  double pi = 0;
+};
+template <class F>
+void io(F& f, CpiResult& r) {
+  f(r.pi);
+}
+
+class CpiProgram final : public os::FieldProgram<CpiProgram> {
  public:
   struct Params {
     i32 rank = 0;
@@ -21,6 +30,12 @@ class CpiProgram final : public os::Program {
     u64 intervals_per_step = 500'000;  // work chunk per scheduler step
     sim::Time cost_per_step = 500;     // modeled CPU time per chunk (us)
     u64 workspace_bytes = 12 << 20;    // modeled process footprint
+
+    template <class F>
+    friend void io(F& f, Params& p) {
+      f(p.rank, p.size, p.intervals, p.rounds, p.intervals_per_step,
+        p.cost_per_step, p.workspace_bytes);
+    }
   };
 
   CpiProgram() = default;
@@ -32,14 +47,16 @@ class CpiProgram final : public os::Program {
 
   os::StepResult step(os::Syscalls& sys) override;
 
-  void save(Encoder& e) const override;
-  void load(Decoder& d) override;
-
   u32 rounds_done() const { return round_; }
   double last_pi() const { return last_pi_; }
 
  private:
   enum Pc : u32 { INIT = 0, COMPUTE, REDUCE, DONE_ROUND, FINISH };
+
+  template <class F>
+  friend void io(F& f, CpiProgram& c) {
+    f(c.p_, c.comm_, c.pc_, c.round_, c.next_i_, c.local_sum_, c.last_pi_);
+  }
 
   Params p_;
   mpi::MpiComm comm_;

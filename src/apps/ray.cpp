@@ -6,19 +6,6 @@
 #include "os/san.h"
 
 namespace zapc::apps {
-namespace {
-
-/// Task payload: (y0, y1, width, height).
-Bytes pack_task(u32 y0, u32 y1, u32 w, u32 h) {
-  Encoder e;
-  e.put_u32(y0);
-  e.put_u32(y1);
-  e.put_u32(w);
-  e.put_u32(h);
-  return e.take();
-}
-
-}  // namespace
 
 // ---- Master ---------------------------------------------------------------------
 
@@ -42,7 +29,8 @@ os::StepResult RayMaster::step(os::Syscalls& sys) {
       u32 id = 0;
       for (u32 y = 0; y < p_.height; y += p_.band_rows) {
         u32 y1 = std::min(y + p_.band_rows, p_.height);
-        pvm_.submit(pvm::Task{id++, pack_task(y, y1, p_.width, p_.height)});
+        pvm_.submit(pvm::Task{
+            id++, encode_fields(RayTask{y, y1, p_.width, p_.height})});
       }
       pc_ = COLLECT;
       return StepResult::yield();
@@ -50,15 +38,14 @@ os::StepResult RayMaster::step(os::Syscalls& sys) {
     case COLLECT: {
       pvm_.progress(sys);
       while (auto r = pvm_.pop_result()) {
-        Decoder d(r->payload);
-        u32 y0 = d.u32_().value_or(0);
-        u32 y1 = d.u32_().value_or(0);
-        Bytes rgb = d.bytes_().value_or({});
-        std::size_t off = static_cast<std::size_t>(y0) * p_.width * 3;
+        RayBand band;
+        if (!decode_fields(r->payload, band)) return StepResult::exit(2);
+        std::size_t off = static_cast<std::size_t>(band.y0) * p_.width * 3;
         std::size_t len = std::min<std::size_t>(
-            rgb.size(), static_cast<std::size_t>(y1 - y0) * p_.width * 3);
+            band.rgb.size(),
+            static_cast<std::size_t>(band.y1 - band.y0) * p_.width * 3);
         if (off + len <= fb.size()) {
-          std::memcpy(fb.data() + off, rgb.data(), len);
+          std::memcpy(fb.data() + off, band.rgb.data(), len);
         }
         ++collected_;
       }
@@ -103,28 +90,6 @@ os::StepResult RayMaster::step(os::Syscalls& sys) {
   }
 }
 
-void RayMaster::save(Encoder& e) const {
-  e.put_u16(p_.port);
-  e.put_i32(p_.workers);
-  e.put_u32(p_.width);
-  e.put_u32(p_.height);
-  e.put_u32(p_.band_rows);
-  pvm_.save(e);
-  e.put_u32(pc_);
-  e.put_u32(collected_);
-}
-
-void RayMaster::load(Decoder& d) {
-  p_.port = d.u16_().value_or(0);
-  p_.workers = d.i32_().value_or(0);
-  p_.width = d.u32_().value_or(1);
-  p_.height = d.u32_().value_or(1);
-  p_.band_rows = d.u32_().value_or(1);
-  pvm_.load(d);
-  pc_ = d.u32_().value_or(0);
-  collected_ = d.u32_().value_or(0);
-}
-
 // ---- Worker ---------------------------------------------------------------------
 
 os::StepResult RayWorker::step(os::Syscalls& sys) {
@@ -152,12 +117,13 @@ os::StepResult RayWorker::step(os::Syscalls& sys) {
         return StepResult::block(std::move(w));
       }
       if (t->id == RayMaster::kPoisonTask) return StepResult::exit(0);
-      Decoder d(t->payload);
+      RayTask task;
+      if (!decode_fields(t->payload, task)) return StepResult::exit(2);
       task_id_ = t->id;
-      y0_ = d.u32_().value_or(0);
-      y1_ = d.u32_().value_or(0);
-      p_.width = d.u32_().value_or(p_.width);
-      height_ = d.u32_().value_or(1);
+      y0_ = task.y0;
+      y1_ = task.y1;
+      p_.width = task.width;
+      height_ = task.height;
       next_row_ = y0_;
       band_.assign(static_cast<std::size_t>(y1_ - y0_) * p_.width * 3, 0);
       pc_ = RENDER;
@@ -179,11 +145,8 @@ os::StepResult RayWorker::step(os::Syscalls& sys) {
       return StepResult::yield(rows * p_.cost_per_row);
     }
     case POST: {
-      Encoder e;
-      e.put_u32(y0_);
-      e.put_u32(y1_);
-      e.put_bytes(band_);
-      pvm_.post_result(sys, pvm::TaskResult{task_id_, e.take()});
+      RayBand band{y0_, y1_, std::move(band_)};
+      pvm_.post_result(sys, pvm::TaskResult{task_id_, encode_fields(band)});
       ++tasks_done_;
       band_.clear();
       pc_ = GET_TASK;
@@ -192,42 +155,6 @@ os::StepResult RayWorker::step(os::Syscalls& sys) {
     default:
       return StepResult::exit(9);
   }
-}
-
-void RayWorker::save(Encoder& e) const {
-  e.put_u32(p_.master.ip.v);
-  e.put_u16(p_.master.port);
-  e.put_u32(p_.width);
-  e.put_u32(p_.rows_per_step);
-  e.put_u64(p_.cost_per_row);
-  e.put_u64(p_.scene_bytes);
-  pvm_.save(e);
-  e.put_u32(pc_);
-  e.put_u32(tasks_done_);
-  e.put_u32(task_id_);
-  e.put_u32(y0_);
-  e.put_u32(y1_);
-  e.put_u32(height_);
-  e.put_u32(next_row_);
-  e.put_bytes(band_);
-}
-
-void RayWorker::load(Decoder& d) {
-  p_.master.ip.v = d.u32_().value_or(0);
-  p_.master.port = d.u16_().value_or(0);
-  p_.width = d.u32_().value_or(1);
-  p_.rows_per_step = d.u32_().value_or(1);
-  p_.cost_per_row = d.u64_().value_or(1);
-  p_.scene_bytes = d.u64_().value_or(0);
-  pvm_.load(d);
-  pc_ = d.u32_().value_or(0);
-  tasks_done_ = d.u32_().value_or(0);
-  task_id_ = d.u32_().value_or(0);
-  y0_ = d.u32_().value_or(0);
-  y1_ = d.u32_().value_or(0);
-  height_ = d.u32_().value_or(0);
-  next_row_ = d.u32_().value_or(0);
-  band_ = d.bytes_().value_or({});
 }
 
 }  // namespace zapc::apps

@@ -37,10 +37,7 @@ ProcessImage Standalone::save_process(const pod::Pod& pod,
   img.exited = proc.state() == os::ProcState::EXITED;
   img.exit_code = proc.exit_code();
   img.next_fd = proc.next_fd();
-
-  Encoder e;
-  proc.program().save(e);
-  img.program_state = e.take();
+  img.program_state = proc.program().save();
 
   img.fds = proc.fd_table();
 
@@ -122,9 +119,10 @@ Status Standalone::restore_process(pod::Pod& pod, ProcessImage& image,
                                    const SockMap& socks) {
   auto prog = os::ProgramRegistry::instance().create(image.kind);
   if (!prog) return prog.status();
-  {
-    Decoder d(image.program_state);
-    prog.value()->load(d);
+  if (Status s = prog.value()->load(image.program_state); !s) {
+    return Status(s.err(), "program state of vpid " +
+                               std::to_string(image.vpid) + " (" +
+                               image.kind + "): " + s.message());
   }
 
   os::Process& proc = pod.spawn_stopped(image.vpid, std::move(prog).value());

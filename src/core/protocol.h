@@ -319,10 +319,12 @@ template <class F>
 void io(F& f, StreamOpen& m) {
   f(m.op_id, m.tag);
 }
+/// `data` views the sender's encoded image, or, decoded, the received
+/// frame: it is valid only while that buffer is.
 struct StreamChunk {
   static constexpr MsgType kType = MsgType::STREAM_CHUNK;
   std::string tag;
-  Bytes data;
+  ByteView data;
 };
 template <class F>
 void io(F& f, StreamChunk& m) {
@@ -451,7 +453,8 @@ Bytes encode(const M& m) {
 }
 
 /// Decodes a message of type M; Err::PROTO unless `msg` is M's type byte
-/// followed by exactly M's fields.
+/// followed by exactly M's fields.  A ByteView field views `msg`, so it
+/// is valid only while `msg` is.
 template <class M>
 Result<M> decode(const Bytes& msg) {
   M m;

@@ -8,8 +8,6 @@ namespace {
 constexpr sim::Time kRetransmitPeriod = 20 * sim::kMillisecond;
 constexpr std::size_t kMaxUnackedPerPeer = 64;
 
-enum class WireType : u8 { DATA = 1, ACK = 2 };
-
 }  // namespace
 
 GmDevice::GmDevice(sim::Engine& engine, net::IpAddr vip,
@@ -25,30 +23,30 @@ GmDevice::~GmDevice() {
 
 Status GmDevice::open_port(int port) {
   if (port < 0 || port >= kMaxPorts) return Status(Err::INVALID, "bad port");
-  Port& p = ports_[port];
+  Port& p = st_.ports[port];
   if (p.open) return Status(Err::ADDR_IN_USE, "port open");
   p.open = true;
   return Status::ok();
 }
 
 Status GmDevice::close_port(int port) {
-  auto it = ports_.find(port);
-  if (it == ports_.end() || !it->second.open) return Status(Err::BAD_FD);
-  ports_.erase(it);
+  auto it = st_.ports.find(port);
+  if (it == st_.ports.end() || !it->second.open) return Status(Err::BAD_FD);
+  st_.ports.erase(it);
   return Status::ok();
 }
 
 Status GmDevice::send(int port, net::SockAddr dst, const Bytes& data) {
-  auto it = ports_.find(port);
-  if (it == ports_.end() || !it->second.open) return Status(Err::BAD_FD);
+  auto it = st_.ports.find(port);
+  if (it == st_.ports.end() || !it->second.open) return Status(Err::BAD_FD);
   if (data.size() > kMaxMessage) return Status(Err::MSG_SIZE);
 
   PeerKey key{port, dst};
-  auto& pending = unacked_[key];
+  auto& pending = st_.unacked[key];
   if (pending.size() >= kMaxUnackedPerPeer) {
     return Status(Err::NO_BUFS, "send window full");
   }
-  u32 seq = next_seq_[key]++;
+  u32 seq = st_.next_seq[key]++;
   pending.push_back(Unacked{seq, data});
   transmit(port, dst, seq, data);
   arm_timer();
@@ -56,8 +54,8 @@ Status GmDevice::send(int port, net::SockAddr dst, const Bytes& data) {
 }
 
 std::optional<GmMessage> GmDevice::recv(int port) {
-  auto it = ports_.find(port);
-  if (it == ports_.end() || !it->second.open) return std::nullopt;
+  auto it = st_.ports.find(port);
+  if (it == st_.ports.end() || !it->second.open) return std::nullopt;
   if (it->second.recv_q.empty()) return std::nullopt;
   GmMessage m = std::move(it->second.recv_q.front());
   it->second.recv_q.pop_front();
@@ -65,7 +63,7 @@ std::optional<GmMessage> GmDevice::recv(int port) {
 }
 
 bool GmDevice::sends_drained(int port) const {
-  for (const auto& [key, q] : unacked_) {
+  for (const auto& [key, q] : st_.unacked) {
     if (key.port == port && !q.empty()) return false;
   }
   return true;
@@ -73,7 +71,7 @@ bool GmDevice::sends_drained(int port) const {
 
 std::size_t GmDevice::unacked_total() const {
   std::size_t n = 0;
-  for (const auto& [key, q] : unacked_) n += q.size();
+  for (const auto& [key, q] : st_.unacked) n += q.size();
   return n;
 }
 
@@ -86,11 +84,7 @@ void GmDevice::transmit(int port, net::SockAddr dst, u32 seq,
   p.raw_proto = kGmProto;
   p.src = net::SockAddr{vip_, static_cast<u16>(port)};
   p.dst = dst;
-  Encoder e;
-  e.put_u8(static_cast<u8>(WireType::DATA));
-  e.put_u32(seq);
-  e.put_bytes(data);
-  p.payload = e.take();
+  p.payload = encode_fields(GmData{seq, data});
   output_(std::move(p));
 }
 
@@ -100,24 +94,19 @@ void GmDevice::send_ack(int port, net::SockAddr dst, u32 seq) {
   p.raw_proto = kGmProto;
   p.src = net::SockAddr{vip_, static_cast<u16>(port)};
   p.dst = dst;
-  Encoder e;
-  e.put_u8(static_cast<u8>(WireType::ACK));
-  e.put_u32(seq);
-  p.payload = e.take();
+  p.payload = encode_fields(GmAck{seq});
   output_(std::move(p));
 }
 
 void GmDevice::handle_packet(const net::Packet& p) {
-  Decoder d(p.payload);
-  auto type = static_cast<WireType>(d.u8_().value_or(0));
-  u32 seq = d.u32_().value_or(0);
   int local_port = p.dst.port;
   net::SockAddr remote = p.src;
 
-  if (type == WireType::ACK) {
+  if (GmAck ack; decode_fields(p.payload, ack)) {
+    const u32 seq = ack.seq;
     PeerKey key{local_port, remote};
-    auto it = unacked_.find(key);
-    if (it == unacked_.end()) return;
+    auto it = st_.unacked.find(key);
+    if (it == st_.unacked.end()) return;
     while (!it->second.empty() &&
            static_cast<i32>(seq - it->second.front().seq) >= 0) {
       it->second.pop_front();  // cumulative ACK
@@ -126,11 +115,15 @@ void GmDevice::handle_packet(const net::Packet& p) {
   }
 
   // DATA: accept in order, drop duplicates/out-of-order (the sender
-  // retransmits in order, so in-order eventually arrives).
-  auto pit = ports_.find(local_port);
-  if (pit == ports_.end() || !pit->second.open) return;
+  // retransmits in order, so in-order eventually arrives).  A malformed
+  // packet is dropped.
+  GmData msg;
+  if (!decode_fields(p.payload, msg)) return;
+  const u32 seq = msg.seq;
+  auto pit = st_.ports.find(local_port);
+  if (pit == st_.ports.end() || !pit->second.open) return;
   PeerKey key{local_port, remote};
-  u32& expected = expected_seq_[key];
+  u32& expected = st_.expected_seq[key];
   if (seq != expected) {
     // Duplicate (already delivered): re-ACK so the sender stops.
     if (static_cast<i32>(seq - expected) < 0) {
@@ -139,8 +132,7 @@ void GmDevice::handle_packet(const net::Packet& p) {
     return;
   }
   if (pit->second.recv_q.size() >= kRecvQueueLimit) return;  // back off
-  Bytes data = d.bytes_().value_or({});
-  pit->second.recv_q.push_back(GmMessage{remote, std::move(data)});
+  pit->second.recv_q.push_back(GmMessage{remote, std::move(msg.data)});
   expected = seq + 1;
   send_ack(local_port, remote, seq);
 }
@@ -158,7 +150,7 @@ void GmDevice::arm_timer() {
 
 void GmDevice::on_timer() {
   bool outstanding = false;
-  for (auto& [key, q] : unacked_) {
+  for (auto& [key, q] : st_.unacked) {
     for (const Unacked& u : q) {
       transmit(key.port, key.remote, u.seq, u.data);
       ++retransmissions_;
@@ -170,92 +162,12 @@ void GmDevice::on_timer() {
 
 // ---- Checkpoint -------------------------------------------------------------------
 
-Bytes GmDevice::extract_state() const {
-  Encoder e;
-  e.put_u32(static_cast<u32>(ports_.size()));
-  for (const auto& [id, port] : ports_) {
-    e.put_i32(id);
-    e.put_bool(port.open);
-    e.put_u32(static_cast<u32>(port.recv_q.size()));
-    for (const GmMessage& m : port.recv_q) {
-      e.put_u32(m.from.ip.v);
-      e.put_u16(m.from.port);
-      e.put_bytes(m.data);
-    }
-  }
-  auto put_peer_map_u32 = [&e](const std::map<PeerKey, u32>& m) {
-    e.put_u32(static_cast<u32>(m.size()));
-    for (const auto& [key, v] : m) {
-      e.put_i32(key.port);
-      e.put_u32(key.remote.ip.v);
-      e.put_u16(key.remote.port);
-      e.put_u32(v);
-    }
-  };
-  put_peer_map_u32(next_seq_);
-  put_peer_map_u32(expected_seq_);
-  e.put_u32(static_cast<u32>(unacked_.size()));
-  for (const auto& [key, q] : unacked_) {
-    e.put_i32(key.port);
-    e.put_u32(key.remote.ip.v);
-    e.put_u16(key.remote.port);
-    e.put_u32(static_cast<u32>(q.size()));
-    for (const Unacked& u : q) {
-      e.put_u32(u.seq);
-      e.put_bytes(u.data);
-    }
-  }
-  return e.take();
-}
+Bytes GmDevice::extract_state() const { return encode_fields(st_); }
 
 Status GmDevice::reinstate(const Bytes& state) {
-  Decoder d(state);
-  ports_.clear();
-  next_seq_.clear();
-  expected_seq_.clear();
-  unacked_.clear();
-
-  u32 nports = d.count_(6).value_or(0);
-  for (u32 i = 0; i < nports; ++i) {
-    int id = d.i32_().value_or(0);
-    Port& p = ports_[id];
-    p.open = d.bool_().value_or(false);
-    u32 nmsg = d.count_(10).value_or(0);
-    for (u32 m = 0; m < nmsg; ++m) {
-      GmMessage msg;
-      msg.from.ip.v = d.u32_().value_or(0);
-      msg.from.port = d.u16_().value_or(0);
-      msg.data = d.bytes_().value_or({});
-      p.recv_q.push_back(std::move(msg));
-    }
-  }
-  auto get_peer_map_u32 = [&d](std::map<PeerKey, u32>& m) {
-    u32 n = d.count_(14).value_or(0);
-    for (u32 i = 0; i < n; ++i) {
-      PeerKey key;
-      key.port = d.i32_().value_or(0);
-      key.remote.ip.v = d.u32_().value_or(0);
-      key.remote.port = d.u16_().value_or(0);
-      m[key] = d.u32_().value_or(0);
-    }
-  };
-  get_peer_map_u32(next_seq_);
-  get_peer_map_u32(expected_seq_);
-  u32 nun = d.count_(14).value_or(0);
-  for (u32 i = 0; i < nun; ++i) {
-    PeerKey key;
-    key.port = d.i32_().value_or(0);
-    key.remote.ip.v = d.u32_().value_or(0);
-    key.remote.port = d.u16_().value_or(0);
-    u32 nq = d.count_(8).value_or(0);
-    auto& q = unacked_[key];
-    for (u32 m = 0; m < nq; ++m) {
-      Unacked u;
-      u.seq = d.u32_().value_or(0);
-      u.data = d.bytes_().value_or({});
-      q.push_back(std::move(u));
-    }
-  }
+  State st;
+  if (Status s = decode_fields(state, st); !s) return s;
+  st_ = std::move(st);
   // Unacknowledged messages resume retransmitting on the new device.
   if (unacked_total() > 0) arm_timer();
   return Status::ok();

@@ -49,6 +49,30 @@ struct GmMessage {
   net::SockAddr from;  // sender vip + port
   Bytes data;
 };
+template <class F>
+void io(F& f, GmMessage& m) {
+  f(m.from, m.data);
+}
+
+// Packets on the wire.  A DATA packet carries one message and its
+// per-sender sequence number; an ACK acknowledges every sequence number
+// up to and including `seq`.
+enum class GmWireType : u8 { DATA = 1, ACK = 2 };
+struct GmData {
+  u32 seq = 0;
+  Bytes data;
+};
+template <class F>
+void io(F& f, GmData& m) {
+  f(Fixed<GmWireType>{GmWireType::DATA}, m.seq, m.data);
+}
+struct GmAck {
+  u32 seq = 0;
+};
+template <class F>
+void io(F& f, GmAck& m) {
+  f(Fixed<GmWireType>{GmWireType::ACK}, m.seq);
+}
 
 class GmDevice {
  public:
@@ -82,7 +106,8 @@ class GmDevice {
 
   /// Serializes the complete driver state (paper requirement 2).
   Bytes extract_state() const;
-  /// Reinstates state extracted from another device instance.
+  /// Reinstates state extracted from another device instance; Err::PROTO
+  /// (and the device unchanged) unless `state` decodes exactly.
   Status reinstate(const Bytes& state);
 
   /// Stats for tests/benches.
@@ -98,14 +123,37 @@ class GmDevice {
       if (remote.ip != o.remote.ip) return remote.ip < o.remote.ip;
       return remote.port < o.remote.port;
     }
+    template <class F>
+    friend void io(F& f, PeerKey& k) {
+      f(k.port, k.remote);
+    }
   };
   struct Unacked {
     u32 seq;
     Bytes data;
+    template <class F>
+    friend void io(F& f, Unacked& u) {
+      f(u.seq, u.data);
+    }
   };
   struct Port {
     bool open = false;
     std::deque<GmMessage> recv_q;
+    template <class F>
+    friend void io(F& f, Port& p) {
+      f(p.open, p.recv_q);
+    }
+  };
+  /// The driver state extract_state() and reinstate() carry.
+  struct State {
+    std::map<int, Port> ports;
+    std::map<PeerKey, u32> next_seq;      // sender side
+    std::map<PeerKey, u32> expected_seq;  // receiver side
+    std::map<PeerKey, std::deque<Unacked>> unacked;
+    template <class F>
+    friend void io(F& f, State& s) {
+      f(s.ports, s.next_seq, s.expected_seq, s.unacked);
+    }
   };
 
   void transmit(int port, net::SockAddr dst, u32 seq, const Bytes& data);
@@ -117,10 +165,7 @@ class GmDevice {
   net::IpAddr vip_;
   std::function<void(net::Packet)> output_;
 
-  std::map<int, Port> ports_;
-  std::map<PeerKey, u32> next_seq_;              // sender side
-  std::map<PeerKey, std::deque<Unacked>> unacked_;
-  std::map<PeerKey, u32> expected_seq_;          // receiver side
+  State st_;
 
   sim::EventId timer_ = 0;
   u64 retransmissions_ = 0;

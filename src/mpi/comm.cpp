@@ -40,9 +40,7 @@ bool MpiComm::try_init(os::Syscalls& sys) {
       Status st = sys.connect(fd.value(), cfg_.addr_of(j));
       if (!st.is_ok() && st.err() != Err::IN_PROGRESS) return false;
       peer(j).set_fd(fd.value());
-      Encoder e;
-      e.put_i32(cfg_.rank);
-      peer(j).send(kTagHello, e.take());
+      peer(j).send(kTagHello, encode_fields(MpiHello{cfg_.rank}));
     }
     connects_issued_ = true;
   }
@@ -57,9 +55,7 @@ bool MpiComm::try_init(os::Syscalls& sys) {
       Status st = sys.connect(fd.value(), cfg_.addr_of(j));
       if (!st.is_ok() && st.err() != Err::IN_PROGRESS) return false;
       peers_[static_cast<std::size_t>(j)] = MsgIo(fd.value());
-      Encoder e;
-      e.put_i32(cfg_.rank);
-      peer(j).send(kTagHello, e.take());
+      peer(j).send(kTagHello, encode_fields(MpiHello{cfg_.rank}));
     }
   }
 
@@ -73,8 +69,8 @@ bool MpiComm::try_init(os::Syscalls& sys) {
     it->progress(sys);
     auto hello = it->pop_tag(kTagHello);
     if (hello) {
-      Decoder d(hello->data);
-      i32 r = d.i32_().value_or(-1);
+      MpiHello h;
+      const i32 r = decode_fields(hello->data, h) ? h.rank : -1;
       if (r > cfg_.rank && r < cfg_.size) {
         peers_[static_cast<std::size_t>(r)] = std::move(*it);
         hello_done_[static_cast<std::size_t>(r)] = true;
@@ -217,16 +213,7 @@ bool MpiComm::try_reduce_sum(os::Syscalls& sys, i32 root,
   }
   if (cfg_.rank == root) {
     for (i32 j = 0; j < cfg_.size; ++j) {
-      if (j == root) continue;
-      auto got = coll_.got[static_cast<std::size_t>(j)];
-      if (got) continue;
-      auto m = peer(j).pop_tag(kTagReduce);
-      if (!m) continue;
-      std::vector<double> v = unpack_doubles(m->data);
-      for (std::size_t k = 0; k < coll_.acc.size() && k < v.size(); ++k) {
-        coll_.acc[k] += v[k];
-      }
-      got = true;
+      if (j != root) take_reduce_part(j);
     }
     for (i32 j = 0; j < cfg_.size; ++j) {
       if (j != root && !coll_.got[static_cast<std::size_t>(j)]) return false;
@@ -236,7 +223,7 @@ bool MpiComm::try_reduce_sum(os::Syscalls& sys, i32 root,
     return true;
   }
   if (!coll_.sent) {
-    post_send(sys, root, kTagReduce, pack_doubles(in));
+    post_send(sys, root, kTagReduce, encode_fields(in));
     coll_.sent = true;
   }
   coll_active_ = false;  // non-root's part is done once sent
@@ -258,21 +245,11 @@ bool MpiComm::try_allreduce_sum(os::Syscalls& sys,
   }
   if (cfg_.rank == 0) {
     if (coll_.phase == 0) {
-      for (i32 j = 1; j < cfg_.size; ++j) {
-        auto got = coll_.got[static_cast<std::size_t>(j)];
-        if (got) continue;
-        auto m = peer(j).pop_tag(kTagReduce);
-        if (!m) continue;
-        std::vector<double> v = unpack_doubles(m->data);
-        for (std::size_t k = 0; k < coll_.acc.size() && k < v.size(); ++k) {
-          coll_.acc[k] += v[k];
-        }
-        got = true;
-      }
+      for (i32 j = 1; j < cfg_.size; ++j) take_reduce_part(j);
       for (i32 j = 1; j < cfg_.size; ++j) {
         if (!coll_.got[static_cast<std::size_t>(j)]) return false;
       }
-      Bytes packed = pack_doubles(coll_.acc);
+      const Bytes packed = encode_fields(coll_.acc);
       for (i32 j = 1; j < cfg_.size; ++j) {
         post_send(sys, j, kTagReduceResult, packed);
       }
@@ -283,12 +260,15 @@ bool MpiComm::try_allreduce_sum(os::Syscalls& sys,
     return true;
   }
   if (!coll_.sent) {
-    post_send(sys, 0, kTagReduce, pack_doubles(in));
+    post_send(sys, 0, kTagReduce, encode_fields(in));
     coll_.sent = true;
   }
   auto m = peer(0).pop_tag(kTagReduceResult);
   if (!m) return false;
-  *out = unpack_doubles(m->data);
+  if (!decode_fields(m->data, *out)) {
+    peer(0).fail();
+    return false;
+  }
   coll_active_ = false;
   return true;
 }
@@ -330,94 +310,20 @@ bool MpiComm::try_gather(os::Syscalls& sys, i32 root, const Bytes& in,
   return true;
 }
 
-// ---- Numeric payloads -----------------------------------------------------------
-
-Bytes MpiComm::pack_doubles(const std::vector<double>& v) {
-  Encoder e;
-  e.put_u32(static_cast<u32>(v.size()));
-  for (double x : v) e.put_f64(x);
-  return e.take();
-}
-
-std::vector<double> MpiComm::unpack_doubles(const Bytes& b) {
-  Decoder d(b);
-  u32 n = d.u32_().value_or(0);
+void MpiComm::take_reduce_part(i32 j) {
+  auto got = coll_.got[static_cast<std::size_t>(j)];
+  if (got) return;
+  auto m = peer(j).pop_tag(kTagReduce);
+  if (!m) return;
   std::vector<double> v;
-  v.reserve(n);
-  for (u32 i = 0; i < n; ++i) v.push_back(d.f64_().value_or(0));
-  return v;
-}
-
-// ---- Serialization ----------------------------------------------------------------
-
-void MpiComm::save(Encoder& e) const {
-  e.put_i32(cfg_.rank);
-  e.put_i32(cfg_.size);
-  e.put_u16(cfg_.base_port);
-  e.put_u32(static_cast<u32>(cfg_.rank_vips.size()));
-  for (const auto& v : cfg_.rank_vips) e.put_u32(v.v);
-
-  e.put_u32(static_cast<u32>(peers_.size()));
-  for (const MsgIo& io : peers_) io.save(e);
-  e.put_u32(static_cast<u32>(hello_done_.size()));
-  for (bool b : hello_done_) e.put_bool(b);
-  e.put_u32(static_cast<u32>(pending_accepts_.size()));
-  for (const MsgIo& io : pending_accepts_) io.save(e);
-
-  e.put_i32(listen_fd_);
-  e.put_bool(listener_ready_);
-  e.put_bool(connects_issued_);
-  e.put_bool(init_done_);
-
-  e.put_bool(coll_active_);
-  e.put_u32(coll_.phase);
-  e.put_bool(coll_.sent);
-  e.put_u32(static_cast<u32>(coll_.got.size()));
-  for (bool b : coll_.got) e.put_bool(b);
-  e.put_bytes(pack_doubles(coll_.acc));
-  e.put_u32(static_cast<u32>(coll_.parts.size()));
-  for (const Bytes& b : coll_.parts) e.put_bytes(b);
-}
-
-void MpiComm::load(Decoder& d) {
-  cfg_.rank = d.i32_().value_or(0);
-  cfg_.size = d.i32_().value_or(1);
-  cfg_.base_port = d.u16_().value_or(5200);
-  u32 nv = d.count_(4).value_or(0);
-  cfg_.rank_vips.clear();
-  for (u32 i = 0; i < nv; ++i) {
-    cfg_.rank_vips.push_back(net::IpAddr(d.u32_().value_or(0)));
+  if (!decode_fields(m->data, v)) {
+    peer(j).fail();
+    return;
   }
-
-  u32 np = d.count_(1).value_or(0);
-  peers_.assign(np, MsgIo{});
-  for (u32 i = 0; i < np; ++i) peers_[i].load(d);
-  u32 nh = d.count_(1).value_or(0);
-  hello_done_.assign(nh, false);
-  for (u32 i = 0; i < nh; ++i) {
-    hello_done_[i] = d.bool_().value_or(false);
+  for (std::size_t k = 0; k < coll_.acc.size() && k < v.size(); ++k) {
+    coll_.acc[k] += v[k];
   }
-  u32 na = d.count_(1).value_or(0);
-  pending_accepts_.assign(na, MsgIo{});
-  for (u32 i = 0; i < na; ++i) pending_accepts_[i].load(d);
-
-  listen_fd_ = d.i32_().value_or(-1);
-  listener_ready_ = d.bool_().value_or(false);
-  connects_issued_ = d.bool_().value_or(false);
-  init_done_ = d.bool_().value_or(false);
-
-  coll_active_ = d.bool_().value_or(false);
-  coll_.phase = d.u32_().value_or(0);
-  coll_.sent = d.bool_().value_or(false);
-  u32 ng = d.count_(1).value_or(0);
-  coll_.got.assign(ng, false);
-  for (u32 i = 0; i < ng; ++i) coll_.got[i] = d.bool_().value_or(false);
-  coll_.acc = unpack_doubles(d.bytes_().value_or({}));
-  u32 nparts = d.count_(4).value_or(0);
-  coll_.parts.assign(nparts, Bytes{});
-  for (u32 i = 0; i < nparts; ++i) {
-    coll_.parts[i] = d.bytes_().value_or({});
-  }
+  got = true;
 }
 
 }  // namespace zapc::mpi

@@ -35,6 +35,19 @@ struct MpiConfig {
                          static_cast<u16>(base_port + r)};
   }
 };
+template <class F>
+void io(F& f, MpiConfig& c) {
+  f(c.rank, c.size, c.base_port, c.rank_vips);
+}
+
+/// The first message on a connection to a lower rank: who is calling.
+struct MpiHello {
+  i32 rank = -1;
+};
+template <class F>
+void io(F& f, MpiHello& m) {
+  f(m.rank);
+}
 
 class MpiComm {
  public:
@@ -83,22 +96,26 @@ class MpiComm {
   /// Fds to block on when an operation returned "would block".
   std::vector<int> wait_fds() const;
 
-  /// True if any connection failed (peer died / reset).
+  /// True if any connection failed (peer died / reset, or sent a
+  /// malformed message).
   bool failed() const;
 
-  void save(Encoder& e) const;
-  void load(Decoder& d);
-
-  // ---- Helpers for numeric payloads -------------------------------------
-  static Bytes pack_doubles(const std::vector<double>& v);
-  static std::vector<double> unpack_doubles(const Bytes& b);
-
  private:
+  template <class F>
+  friend void io(F& f, MpiComm& c) {
+    f(c.cfg_, c.peers_, c.hello_done_, c.pending_accepts_, c.listen_fd_,
+      c.listener_ready_, c.connects_issued_, c.init_done_, c.coll_active_,
+      c.coll_.phase, c.coll_.sent, c.coll_.got, nested(c.coll_.acc),
+      c.coll_.parts);
+  }
+
   enum : u32 {
     kTagHello = kReservedTagBase + 1,
     kTagBarrier = kReservedTagBase + 2,
     kTagBarrierRelease = kReservedTagBase + 3,
     kTagBcast = kReservedTagBase + 4,
+    // A reduction's payload is the std::vector<double> by its field
+    // list: a u32 count, then each element.
     kTagReduce = kReservedTagBase + 5,
     kTagReduceResult = kReservedTagBase + 6,
     kTagGather = kReservedTagBase + 7,
@@ -121,6 +138,9 @@ class MpiComm {
   };
 
   MsgIo& peer(i32 r) { return peers_[static_cast<std::size_t>(r)]; }
+  /// Adds rank `j`'s kTagReduce part into coll_.acc once it has
+  /// arrived, marking coll_.got; a malformed part fails the connection.
+  void take_reduce_part(i32 j);
 
   MpiConfig cfg_;
   std::vector<MsgIo> peers_;      // peers_[rank()] unused

@@ -49,9 +49,9 @@ bool MsgIo::progress(os::Syscalls& sys) {
   // Reassemble frames.
   std::size_t off = 0;
   while (rx_.size() - off >= 8) {
-    Decoder d(rx_.data() + off, rx_.size() - off);
-    u32 tag = d.u32_().value_or(0);
-    u32 len = d.u32_().value_or(0);
+    Decoder d(rx_.data() + off, 8);
+    const u32 tag = d.get_le<u32>().value();
+    const u32 len = d.get_le<u32>().value();
     if (rx_.size() - off - 8 < len) break;
     Msg m;
     m.tag = tag;
@@ -80,34 +80,6 @@ std::optional<Msg> MsgIo::pop_tag(u32 tag) {
     }
   }
   return std::nullopt;
-}
-
-void MsgIo::save(Encoder& e) const {
-  e.put_i32(fd_);
-  e.put_bytes(Bytes(tx_.begin(), tx_.end()));
-  e.put_bytes(rx_);
-  e.put_u32(static_cast<u32>(inbox_.size()));
-  for (const Msg& m : inbox_) {
-    e.put_u32(m.tag);
-    e.put_bytes(m.data);
-  }
-  e.put_bool(failed_);
-}
-
-void MsgIo::load(Decoder& d) {
-  fd_ = d.i32_().value_or(-1);
-  Bytes tx = d.bytes_().value_or({});
-  tx_.assign(tx.begin(), tx.end());
-  rx_ = d.bytes_().value_or({});
-  inbox_.clear();
-  u32 n = d.count_(9).value_or(0);
-  for (u32 i = 0; i < n; ++i) {
-    Msg m;
-    m.tag = d.u32_().value_or(0);
-    m.data = d.bytes_().value_or({});
-    inbox_.push_back(std::move(m));
-  }
-  failed_ = d.bool_().value_or(false);
 }
 
 }  // namespace zapc::mpi

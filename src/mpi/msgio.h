@@ -21,6 +21,10 @@ struct Msg {
   u32 tag = 0;
   Bytes data;
 };
+template <class F>
+void io(F& f, Msg& m) {
+  f(m.tag, m.data);
+}
 
 /// Per-connection framed sender/receiver.  Frames are (tag u32, len u32,
 /// payload).
@@ -50,11 +54,15 @@ class MsgIo {
   /// True when all queued output has entered the socket.
   bool flushed() const { return tx_.empty(); }
   bool failed() const { return failed_; }
-
-  void save(Encoder& e) const;
-  void load(Decoder& d);
+  /// Marks the connection failed: the peer sent a malformed message.
+  void fail() { failed_ = true; }
 
  private:
+  template <class F>
+  friend void io(F& f, MsgIo& m) {
+    f(m.fd_, m.tx_, m.rx_, m.inbox_, m.failed_);
+  }
+
   int fd_ = -1;
   std::deque<u8> tx_;
   Bytes rx_;

@@ -13,6 +13,12 @@
 // and its small control state behind save()/load(); the checkpointer
 // captures both without the *distributed coordination* logic — the
 // paper's contribution — knowing anything about the application.
+//
+// A program's control state is described once, as an io() field list
+// (util/serialize.h) that FieldProgram walks both to save and to load.
+// Loading is strict: state that is short, padded or otherwise not what
+// the list describes fails Err::PROTO, and the restart or spawn that
+// asked for it fails rather than running the program from defaults.
 #pragma once
 
 #include <functional>
@@ -105,9 +111,9 @@ class Syscalls {
   virtual sim::Time time() const = 0;
 
   /// Creates a sibling process in the same pod running a registered
-  /// program (`kind` from the ProgramRegistry; `state` fed to its
-  /// load()).  Returns the new vpid — stable across migration, like all
-  /// pod-local identifiers.
+  /// program (`kind` from the ProgramRegistry; a non-empty `state` fed
+  /// to its load(), whose error fails the spawn).  Returns the new vpid
+  /// — stable across migration, like all pod-local identifiers.
   virtual Result<i32> spawn(const std::string& kind, const Bytes& state) = 0;
   /// Non-blocking wait: the exit code if the process has exited.
   virtual Result<i32> wait_pid(i32 vpid) = 0;
@@ -173,9 +179,27 @@ class Program {
   /// Executes one quantum.
   virtual StepResult step(Syscalls& sys) = 0;
 
-  /// Serializes/deserializes control state (bulk data lives in regions).
-  virtual void save(Encoder& enc) const = 0;
-  virtual void load(Decoder& dec) = 0;
+  /// Control state (bulk data lives in regions).
+  virtual Bytes save() const = 0;
+  /// Restores what save() produced; Err::PROTO unless `state` decodes
+  /// exactly, and then the program must not run.
+  virtual Status load(const Bytes& state) = 0;
+};
+
+/// A Program whose control state is P's io() field list, declared as a
+/// hidden friend of P so it reaches P's private members:
+///
+///   template <class F>
+///   friend void io(F& f, MyProgram& p) { f(p.pc_, p.count_, p.comm_); }
+template <class P>
+class FieldProgram : public Program {
+ public:
+  Bytes save() const final {
+    return encode_fields(static_cast<const P&>(*this));
+  }
+  Status load(const Bytes& state) final {
+    return decode_fields(state, static_cast<P&>(*this));
+  }
 };
 
 /// Global factory registry mapping Program::kind() to constructors.

@@ -109,8 +109,7 @@ Result<i32> PodSyscalls::spawn(const std::string& kind, const Bytes& state) {
   auto prog = os::ProgramRegistry::instance().create(kind);
   if (!prog) return prog.status();
   if (!state.empty()) {
-    Decoder d(state);
-    prog.value()->load(d);
+    if (Status s = prog.value()->load(state); !s) return s;
   }
   return pod_.spawn(std::move(prog).value());
 }

@@ -49,10 +49,11 @@ void PvmMaster::progress(os::Syscalls& sys) {
 
     // Collect results.
     while (auto m = s.io.pop_tag(kTagResult)) {
-      Decoder d(m->data);
       TaskResult r;
-      r.id = d.u32_().value_or(0);
-      r.payload = d.bytes_().value_or({});
+      if (!decode_fields(m->data, r)) {
+        s.io.fail();
+        break;
+      }
       results_.push_back(std::move(r));
       if (s.busy && s.task_id == results_.back().id) {
         s.busy = false;
@@ -64,10 +65,7 @@ void PvmMaster::progress(os::Syscalls& sys) {
     if (!s.busy && !backlog_.empty() && !s.io.failed()) {
       Task t = std::move(backlog_.front());
       backlog_.pop_front();
-      Encoder e;
-      e.put_u32(t.id);
-      e.put_bytes(t.payload);
-      s.io.send(kTagTask, e.take());
+      s.io.send(kTagTask, encode_fields(t));
       (void)s.io.progress(sys);
       s.busy = true;
       s.task_id = t.id;
@@ -99,63 +97,6 @@ bool PvmMaster::failed() const {
   return false;
 }
 
-void PvmMaster::save(Encoder& e) const {
-  e.put_u16(port_);
-  e.put_i32(expected_);
-  e.put_i32(listen_fd_);
-  e.put_bool(listener_ready_);
-  e.put_u32(static_cast<u32>(workers_.size()));
-  for (const Slot& s : workers_) {
-    s.io.save(e);
-    e.put_bool(s.busy);
-    e.put_u32(s.task_id);
-  }
-  e.put_u32(static_cast<u32>(backlog_.size()));
-  for (const Task& t : backlog_) {
-    e.put_u32(t.id);
-    e.put_bytes(t.payload);
-  }
-  e.put_u32(static_cast<u32>(results_.size()));
-  for (const TaskResult& r : results_) {
-    e.put_u32(r.id);
-    e.put_bytes(r.payload);
-  }
-  e.put_u32(outstanding_);
-}
-
-void PvmMaster::load(Decoder& d) {
-  port_ = d.u16_().value_or(0);
-  expected_ = d.i32_().value_or(0);
-  listen_fd_ = d.i32_().value_or(-1);
-  listener_ready_ = d.bool_().value_or(false);
-  u32 nw = d.u32_().value_or(0);
-  workers_.clear();
-  for (u32 i = 0; i < nw; ++i) {
-    Slot s;
-    s.io.load(d);
-    s.busy = d.bool_().value_or(false);
-    s.task_id = d.u32_().value_or(0);
-    workers_.push_back(std::move(s));
-  }
-  backlog_.clear();
-  u32 nb = d.u32_().value_or(0);
-  for (u32 i = 0; i < nb; ++i) {
-    Task t;
-    t.id = d.u32_().value_or(0);
-    t.payload = d.bytes_().value_or({});
-    backlog_.push_back(std::move(t));
-  }
-  results_.clear();
-  u32 nr = d.u32_().value_or(0);
-  for (u32 i = 0; i < nr; ++i) {
-    TaskResult r;
-    r.id = d.u32_().value_or(0);
-    r.payload = d.bytes_().value_or({});
-    results_.push_back(std::move(r));
-  }
-  outstanding_ = d.u32_().value_or(0);
-}
-
 // ---- Worker ---------------------------------------------------------------------
 
 bool PvmWorker::try_init(os::Syscalls& sys) {
@@ -178,33 +119,17 @@ std::optional<Task> PvmWorker::try_get_task(os::Syscalls& sys) {
   (void)io_.progress(sys);
   auto m = io_.pop_tag(kTagTask);
   if (!m) return std::nullopt;
-  Decoder d(m->data);
   Task t;
-  t.id = d.u32_().value_or(0);
-  t.payload = d.bytes_().value_or({});
+  if (!decode_fields(m->data, t)) {
+    io_.fail();
+    return std::nullopt;
+  }
   return t;
 }
 
 void PvmWorker::post_result(os::Syscalls& sys, const TaskResult& r) {
-  Encoder e;
-  e.put_u32(r.id);
-  e.put_bytes(r.payload);
-  io_.send(kTagResult, e.take());
+  io_.send(kTagResult, encode_fields(r));
   (void)io_.progress(sys);
-}
-
-void PvmWorker::save(Encoder& e) const {
-  e.put_u32(master_.ip.v);
-  e.put_u16(master_.port);
-  io_.save(e);
-  e.put_bool(connected_);
-}
-
-void PvmWorker::load(Decoder& d) {
-  master_.ip.v = d.u32_().value_or(0);
-  master_.port = d.u16_().value_or(0);
-  io_.load(d);
-  connected_ = d.bool_().value_or(false);
 }
 
 }  // namespace zapc::pvm

@@ -17,15 +17,25 @@
 
 namespace zapc::pvm {
 
+/// A unit of work, as the master sends it (and keeps it in its backlog).
 struct Task {
   u32 id = 0;
   Bytes payload;
 };
+template <class F>
+void io(F& f, Task& t) {
+  f(t.id, t.payload);
+}
 
+/// A worker's answer to task `id`.
 struct TaskResult {
   u32 id = 0;
   Bytes payload;
 };
+template <class F>
+void io(F& f, TaskResult& r) {
+  f(r.id, r.payload);
+}
 
 class PvmMaster {
  public:
@@ -53,15 +63,22 @@ class PvmMaster {
   std::vector<int> wait_fds() const;
   bool failed() const;
 
-  void save(Encoder& e) const;
-  void load(Decoder& d);
-
  private:
   struct Slot {
     mpi::MsgIo io;
     bool busy = false;
     u32 task_id = 0;
+
+    template <class F>
+    friend void io(F& f, Slot& s) {
+      f(s.io, s.busy, s.task_id);
+    }
   };
+  template <class F>
+  friend void io(F& f, PvmMaster& m) {
+    f(m.port_, m.expected_, m.listen_fd_, m.listener_ready_, m.workers_,
+      m.backlog_, m.results_, m.outstanding_);
+  }
 
   u16 port_ = 0;
   i32 expected_ = 0;
@@ -94,10 +111,12 @@ class PvmWorker {
     return io_.fd() >= 0 ? std::vector<int>{io_.fd()} : std::vector<int>{};
   }
 
-  void save(Encoder& e) const;
-  void load(Decoder& d);
-
  private:
+  template <class F>
+  friend void io(F& f, PvmWorker& w) {
+    f(w.master_, w.io_, w.connected_);
+  }
+
   net::SockAddr master_;
   mpi::MsgIo io_;
   bool connected_ = false;

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -49,9 +50,6 @@ class Encoder {
   void put_u16(u16 v) { put_le(v); }
   void put_u32(u32 v) { put_le(v); }
   void put_u64(u64 v) { put_le(v); }
-  void put_i32(i32 v) { put_le(static_cast<u32>(v)); }
-  void put_i64(i64 v) { put_le(static_cast<u64>(v)); }
-  void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_f64(double v) {
     u64 bits;
     std::memcpy(&bits, &v, sizeof(bits));
@@ -102,25 +100,9 @@ class Decoder {
   Decoder(const u8* p, std::size_t n) : p_(p), n_(n) {}
   explicit Decoder(ByteView v) : p_(v.data), n_(v.size) {}
 
-  Result<u8> u8_() { return get_le<u8>(); }
   Result<u16> u16_() { return get_le<u16>(); }
   Result<u32> u32_() { return get_le<u32>(); }
   Result<u64> u64_() { return get_le<u64>(); }
-  Result<i32> i32_() {
-    auto r = get_le<u32>();
-    if (!r) return r.status();
-    return static_cast<i32>(r.value());
-  }
-  Result<i64> i64_() {
-    auto r = get_le<u64>();
-    if (!r) return r.status();
-    return static_cast<i64>(r.value());
-  }
-  Result<bool> bool_() {
-    auto r = get_le<u8>();
-    if (!r) return r.status();
-    return r.value() != 0;
-  }
   Result<double> f64_() {
     auto r = get_le<u64>();
     if (!r) return r.status();
@@ -208,10 +190,12 @@ class Decoder {
 // its type:
 //
 //   bool, integers        little-endian; bool as one byte 0/1
+//   double                its IEEE-754 bits as a u64
 //   enums                 their underlying integer
 //   std::string, Bytes    u32 length, then the bytes
 //   ByteView              as Bytes; decoded as a view into the input
-//   std::vector, std::map u32 count, then each element (a map: key, value)
+//   std::vector, std::deque, std::map
+//                         u32 count, then each element (a map: key, value)
 //   std::array<T, N>      u32 count (N), then each element
 //   std::pair             first, then second
 //   Fixed<T>              a constant: a magic number or a message type
@@ -258,6 +242,8 @@ class FieldWriter {
   void put(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
       e_.put_u8(v ? 1 : 0);
+    } else if constexpr (std::is_same_v<T, double>) {
+      e_.put_f64(v);
     } else if constexpr (std::is_enum_v<T>) {
       put(static_cast<std::underlying_type_t<T>>(v));
     } else if constexpr (std::is_integral_v<T>) {
@@ -276,8 +262,11 @@ class FieldWriter {
   }
   template <typename T>
   void put(const std::vector<T>& v) {
-    e_.put_u32(static_cast<u32>(v.size()));
-    for (const T& x : v) put(x);
+    put_all(v);
+  }
+  template <typename T>
+  void put(const std::deque<T>& v) {
+    put_all(v);
   }
   template <typename K, typename V>
   void put(const std::map<K, V>& m) {
@@ -303,6 +292,12 @@ class FieldWriter {
   }
   template <typename T>
   void put(const Nested<T>& n);
+
+  template <typename C>
+  void put_all(const C& c) {
+    e_.put_u32(static_cast<u32>(c.size()));
+    for (const auto& x : c) put(x);
+  }
 
   Encoder& e_;
   bool head_only_;
@@ -387,6 +382,8 @@ class FieldReader {
       take(d_.get_le<u8>(), b);
       if (b > 1) fail("bad bool");
       v = b != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      take(d_.f64_(), v);
     } else if constexpr (std::is_enum_v<T>) {
       std::underlying_type_t<T> u{};
       get(u);
@@ -410,9 +407,20 @@ class FieldReader {
   }
   template <typename T>
   void get(std::vector<T>& v) {
+    get_all(v);
+  }
+  template <typename T>
+  void get(std::deque<T>& v) {
+    get_all(v);
+  }
+  void get(std::vector<bool>& v) {
     if (err_ != nullptr) return;
-    v.resize(count(min_encoded_size<T>()));
-    for (T& x : v) get(x);
+    v.assign(count(1), false);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      bool b = false;
+      get(b);
+      v[i] = b;
+    }
   }
   template <typename K, typename V>
   void get(std::map<K, V>& m) {
@@ -455,6 +463,13 @@ class FieldReader {
     }
   }
 
+  template <typename C>
+  void get_all(C& c) {
+    if (err_ != nullptr) return;
+    c.resize(count(min_encoded_size<typename C::value_type>()));
+    for (auto& x : c) get(x);
+  }
+
   Decoder d_;
   const char* err_ = nullptr;
 };
@@ -467,6 +482,13 @@ Status decode_fields(ByteView b, T&& v) {
   r(v);
   return r.finish();
 }
+template <typename T>
+Status decode_fields(const Bytes& b, T&& v) {
+  return decode_fields(ByteView{b.data(), b.size()}, v);
+}
+// Views decoded from a temporary would dangle.
+template <typename T>
+Status decode_fields(const Bytes&& b, T&& v) = delete;
 
 /// Record tags used in checkpoint images.  The numeric values are part of
 /// the on-disk format and must not be reordered.  Numbers 4, 6-8 and

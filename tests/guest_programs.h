@@ -13,7 +13,7 @@
 namespace zapc::test {
 
 /// Counts to a target, spending `step_cost` virtual CPU time per tick.
-class CounterProgram final : public os::Program {
+class CounterProgram final : public os::FieldProgram<CounterProgram> {
  public:
   CounterProgram() = default;
   CounterProgram(u32 target, sim::Time step_cost)
@@ -28,27 +28,21 @@ class CounterProgram final : public os::Program {
     return os::StepResult::yield(step_cost_);
   }
 
-  void save(Encoder& e) const override {
-    e.put_u32(target_);
-    e.put_u32(count_);
-    e.put_u64(step_cost_);
-  }
-  void load(Decoder& d) override {
-    target_ = d.u32_().value_or(0);
-    count_ = d.u32_().value_or(0);
-    step_cost_ = d.u64_().value_or(1);
-  }
-
   u32 count() const { return count_; }
 
  private:
+  template <class F>
+  friend void io(F& f, CounterProgram& p) {
+    f(p.target_, p.count_, p.step_cost_);
+  }
+
   u32 target_ = 0;
   sim::Time step_cost_ = 1;
   u32 count_ = 0;
 };
 
 /// TCP echo server: accepts one connection and echoes until EOF.
-class EchoServer final : public os::Program {
+class EchoServer final : public os::FieldProgram<EchoServer> {
  public:
   EchoServer() = default;
   explicit EchoServer(u16 port) : port_(port) {}
@@ -121,26 +115,14 @@ class EchoServer final : public os::Program {
     }
   }
 
-  void save(Encoder& e) const override {
-    e.put_u16(port_);
-    e.put_u32(pc_);
-    e.put_i32(lfd_);
-    e.put_i32(cfd_);
-    e.put_u32(echoed_);
-    e.put_bytes(pending_);
-  }
-  void load(Decoder& d) override {
-    port_ = d.u16_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    lfd_ = d.i32_().value_or(-1);
-    cfd_ = d.i32_().value_or(-1);
-    echoed_ = d.u32_().value_or(0);
-    pending_ = d.bytes_().value_or({});
-  }
-
   u32 echoed() const { return echoed_; }
 
  private:
+  template <class F>
+  friend void io(F& f, EchoServer& p) {
+    f(p.port_, p.pc_, p.lfd_, p.cfd_, p.echoed_, p.pending_);
+  }
+
   u16 port_ = 0;
   u32 pc_ = 0;
   i32 lfd_ = -1;
@@ -152,7 +134,7 @@ class EchoServer final : public os::Program {
 /// TCP echo client: connects, sends `total` patterned bytes, reads them
 /// back, verifies, exits 0 on success (3 on a corrupted echo, 4 if the
 /// stream ends early).
-class EchoClient final : public os::Program {
+class EchoClient final : public os::FieldProgram<EchoClient> {
  public:
   EchoClient() = default;
   EchoClient(net::SockAddr server, u32 total)
@@ -222,28 +204,14 @@ class EchoClient final : public os::Program {
     }
   }
 
-  void save(Encoder& e) const override {
-    e.put_u32(server_.ip.v);
-    e.put_u16(server_.port);
-    e.put_u32(total_);
-    e.put_u32(pc_);
-    e.put_i32(fd_);
-    e.put_u32(sent_);
-    e.put_u32(rcvd_);
-  }
-  void load(Decoder& d) override {
-    server_.ip.v = d.u32_().value_or(0);
-    server_.port = d.u16_().value_or(0);
-    total_ = d.u32_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    fd_ = d.i32_().value_or(-1);
-    sent_ = d.u32_().value_or(0);
-    rcvd_ = d.u32_().value_or(0);
-  }
-
   u32 received() const { return rcvd_; }
 
  private:
+  template <class F>
+  friend void io(F& f, EchoClient& p) {
+    f(p.server_, p.total_, p.pc_, p.fd_, p.sent_, p.rcvd_);
+  }
+
   static constexpr u32 kChunk = 2048;    // bytes offered per send
   static constexpr u32 kRecvMax = 4096;  // bytes asked of each recv
   static constexpr u32 kPeriod = 256;    // byte_at(i) repeats every 256
@@ -273,7 +241,7 @@ class EchoClient final : public os::Program {
 /// observer sees every region's generation move between checkpoints (a
 /// genuinely hot pod), and a lazy restore sees every cold region
 /// demanded right after resume (fills race demand faults).
-class RegionToucher final : public os::Program {
+class RegionToucher final : public os::FieldProgram<RegionToucher> {
  public:
   RegionToucher() = default;
   RegionToucher(u32 nregions, u32 region_bytes)
@@ -289,18 +257,12 @@ class RegionToucher final : public os::Program {
     return os::StepResult::yield(sim::kMillisecond);
   }
 
-  void save(Encoder& e) const override {
-    e.put_u32(nregions_);
-    e.put_u32(region_bytes_);
-    e.put_u32(next_);
-  }
-  void load(Decoder& d) override {
-    nregions_ = d.u32_().value_or(1);
-    region_bytes_ = d.u32_().value_or(0);
-    next_ = d.u32_().value_or(0);
+ private:
+  template <class F>
+  friend void io(F& f, RegionToucher& p) {
+    f(p.nregions_, p.region_bytes_, p.next_);
   }
 
- private:
   u32 nregions_ = 1;
   u32 region_bytes_ = 0;
   u32 next_ = 0;
@@ -308,7 +270,7 @@ class RegionToucher final : public os::Program {
 
 /// Writes a timestamped note to the SAN, sleeps, and records the observed
 /// (virtualized) elapsed time in a memory region.
-class TimeLogger final : public os::Program {
+class TimeLogger final : public os::FieldProgram<TimeLogger> {
  public:
   const char* kind() const override { return "test.time_logger"; }
 
@@ -335,16 +297,12 @@ class TimeLogger final : public os::Program {
     }
   }
 
-  void save(Encoder& e) const override {
-    e.put_u32(pc_);
-    e.put_u64(start_);
-  }
-  void load(Decoder& d) override {
-    pc_ = d.u32_().value_or(0);
-    start_ = d.u64_().value_or(0);
+ private:
+  template <class F>
+  friend void io(F& f, TimeLogger& p) {
+    f(p.pc_, p.start_);
   }
 
- private:
   u32 pc_ = 0;
   sim::Time start_ = 0;
 };

@@ -14,6 +14,7 @@
 #include "apps/launcher.h"
 #include "apps/ray.h"
 #include "apps/ray_scene.h"
+#include "ckpt/image.h"
 #include "core/agent.h"
 #include "core/manager.h"
 #include "fault/fault.h"
@@ -40,6 +41,20 @@ struct TestRig {
       agents.push_back(agent_store.back().get());
     }
     manager = std::make_unique<core::Manager>(*mgr_node);
+  }
+
+  /// The result blob rank 0 stored at `path`, decoded as an R (BtResult,
+  /// BratuResult or CpiResult); a missing or malformed blob fails the
+  /// test.
+  template <class R>
+  R result(const std::string& path) {
+    R r;
+    auto out = cl.san().read(path);
+    EXPECT_TRUE(out.is_ok()) << path;
+    if (out) {
+      EXPECT_TRUE(decode_fields(out.value(), r).is_ok()) << path;
+    }
+    return r;
   }
 
   /// Runs until the job finishes; returns its worst exit code.
@@ -103,10 +118,7 @@ TEST(Apps, CpiComputesPi) {
   TestRig rig(4);
   JobHandle job = launch_cpi(rig, 4);
   EXPECT_EQ(rig.run_job(job), 0);
-  auto out = rig.cl.san().read("results/cpi");
-  ASSERT_TRUE(out.is_ok());
-  Decoder d(out.value());
-  EXPECT_NEAR(d.f64_().value(), M_PI, 1e-6);
+  EXPECT_NEAR(rig.result<CpiResult>("results/cpi").pi, M_PI, 1e-6);
 }
 
 TEST(Apps, CpiSingleRank) {
@@ -140,10 +152,7 @@ TEST(Apps, BratuConverges) {
     return std::make_unique<BratuProgram>(p);
   });
   EXPECT_EQ(rig.run_job(job), 0);
-  auto out = rig.cl.san().read("results/bratu");
-  ASSERT_TRUE(out.is_ok());
-  Decoder d(out.value());
-  double residual = d.f64_().value();
+  const double residual = rig.result<BratuResult>("results/bratu").residual;
   EXPECT_LT(residual, 1.0);
   EXPECT_TRUE(std::isfinite(residual));
 }
@@ -166,9 +175,7 @@ TEST(Apps, BratuResidualIndependentOfRankCount) {
       return std::make_unique<BratuProgram>(p);
     });
     EXPECT_EQ(rig.run_job(job), 0);
-    Bytes out = rig.cl.san().read("results/bratu").value();
-    Decoder d(out);
-    res[trial] = d.f64_().value();
+    res[trial] = rig.result<BratuResult>("results/bratu").residual;
   }
   EXPECT_NEAR(res[0], res[1], 1e-9 + 1e-6 * std::abs(res[0]));
 }
@@ -185,12 +192,9 @@ TEST(Apps, BtDiffusionDecays) {
     return std::make_unique<BtProgram>(p);
   });
   EXPECT_EQ(rig.run_job(job), 0);
-  Bytes out = rig.cl.san().read("results/bt").value();
-  Decoder d(out);
-  double final_norm = d.f64_().value();
-  double initial_norm = d.f64_().value();
-  EXPECT_LT(final_norm, initial_norm);
-  EXPECT_GT(final_norm, 0.0);
+  const BtResult r = rig.result<BtResult>("results/bt");
+  EXPECT_LT(r.norm, r.initial_norm);
+  EXPECT_GT(r.norm, 0.0);
 }
 
 /// BT's final norm, bit for bit, after an uninterrupted `ranks`-rank run
@@ -207,9 +211,7 @@ u64 bt_final_norm_bits(i32 ranks, u32 n) {
     return std::make_unique<BtProgram>(p);
   });
   EXPECT_EQ(rig.run_job(job), 0);
-  Bytes out = rig.cl.san().read("results/bt").value();
-  Decoder d(out);
-  return std::bit_cast<u64>(d.f64_().value());
+  return std::bit_cast<u64>(rig.result<BtResult>("results/bt").norm);
 }
 
 // Pins BT's numerics: any reordering of the solver's floating-point
@@ -359,9 +361,51 @@ TEST(Apps, CpiSurvivesCheckpointRestartMigration) {
   ASSERT_TRUE(rr.ok) << rr.error;
 
   EXPECT_EQ(rig.run_job(job), 0);
-  Bytes out = rig.cl.san().read("results/cpi").value();
-  Decoder d(out);
-  EXPECT_NEAR(d.f64_().value(), M_PI, 1e-6);
+  EXPECT_NEAR(rig.result<CpiResult>("results/cpi").pi, M_PI, 1e-6);
+}
+
+TEST(Apps, BratuRestartFromTruncatedProgramStateFails) {
+  // A PROCESS record whose program state lost its last byte, re-framed
+  // with a valid CRC, must fail the restart rather than resume the rank
+  // from default parameters.
+  TestRig rig(2);
+  BratuProgram::Params base;
+  base.n = 48;
+  base.iterations = 2000;
+  base.tol = 0;
+  base.size = 2;
+  JobHandle job = launch_mpi_job(rig.agents, "bratu", 2, [&](i32 r) {
+    BratuProgram::Params p = base;
+    p.rank = r;
+    return std::make_unique<BratuProgram>(p);
+  });
+  rig.cl.run_for(50 * sim::kMillisecond);
+  ASSERT_FALSE(job.finished());
+  auto targets = job.san_targets();
+  ASSERT_TRUE(rig.checkpoint(targets).ok);
+  for (const auto& pn : job.pod_names) {
+    for (core::Agent* a : rig.agents) (void)a->destroy_pod(pn);
+  }
+
+  const std::string path = targets[1].uri.substr(std::string("san://").size());
+  auto image = ckpt::decode_image(rig.cl.san().read(path).value());
+  ASSERT_TRUE(image.is_ok()) << image.status().to_string();
+  ASSERT_EQ(image.value().processes.size(), 1u);
+  Bytes& state = image.value().processes[0].program_state;
+  ASSERT_FALSE(state.empty());
+  state.pop_back();
+  ASSERT_TRUE(
+      rig.cl.san().write(path, ckpt::encode_image(image.value())).is_ok());
+
+  auto rr = rig.restart(targets);
+  EXPECT_FALSE(rr.ok);
+  EXPECT_NE(rr.error.find("agent reported restart failure for " +
+                          targets[1].pod_name),
+            std::string::npos)
+      << rr.error;
+  for (core::Agent* a : rig.agents) {
+    EXPECT_EQ(a->find_pod(targets[1].pod_name), nullptr);
+  }
 }
 
 TEST(Apps, BratuSurvivesSnapshotAndCrashRestart) {
@@ -393,9 +437,8 @@ TEST(Apps, BratuSurvivesSnapshotAndCrashRestart) {
   ASSERT_TRUE(rr.ok) << rr.error;
 
   EXPECT_EQ(rig.run_job(job), 0);
-  Bytes out = rig.cl.san().read("results/bratu").value();
-  Decoder d(out);
-  EXPECT_TRUE(std::isfinite(d.f64_().value()));
+  EXPECT_TRUE(
+      std::isfinite(rig.result<BratuResult>("results/bratu").residual));
 }
 
 TEST(Apps, BtSurvivesCheckpointDuringHaloExchange) {

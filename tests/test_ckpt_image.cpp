@@ -151,7 +151,7 @@ Bytes image_with_record(RecordTag tag, const Bytes& payload) {
 /// `actual` follow.
 Bytes region_payload(u32 claimed, std::size_t actual) {
   Encoder e;
-  e.put_i32(1);
+  e.put_u32(1);  // vpid
   e.put_string("r");
   e.put_u32(claimed);
   Bytes body(actual, 0x22);
@@ -161,7 +161,7 @@ Bytes region_payload(u32 claimed, std::size_t actual) {
 
 Bytes zero_region_payload() {
   Encoder e;
-  e.put_i32(1);
+  e.put_u32(1);  // vpid
   e.put_string("z");
   e.put_u64(64);
   return e.take();
@@ -169,9 +169,9 @@ Bytes zero_region_payload() {
 
 Bytes region_ref_payload() {
   Encoder e;
-  e.put_i32(1);
+  e.put_u32(1);  // vpid
   e.put_string("copy");
-  e.put_i32(1);
+  e.put_u32(1);  // vpid
   e.put_string("src");
   return e.take();
 }
@@ -561,10 +561,7 @@ TEST(Standalone, MissingSocketMappingFails) {
   ProcessImage img;
   img.vpid = 1;
   img.kind = "test.counter";
-  test::CounterProgram c(1, 1);
-  Encoder e;
-  c.save(e);
-  img.program_state = e.take();
+  img.program_state = test::CounterProgram(1, 1).save();
   img.fds[3] = 99;  // no mapping provided
   EXPECT_EQ(Standalone::restore_process(pod, img, {}).err(), Err::NO_ENT);
 }

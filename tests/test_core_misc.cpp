@@ -311,37 +311,63 @@ TEST_F(CornerTest, NetworkLastOrderingStillCorrect) {
   FAIL() << "client did not finish";
 }
 
+/// Creates a listener but never accepts.
+class LazyListener final : public os::FieldProgram<LazyListener> {
+ public:
+  const char* kind() const override { return "test.lazy_listener"; }
+  os::StepResult step(os::Syscalls& sys) override {
+    if (pc_ == 0) {
+      auto fd = sys.socket(net::Proto::TCP);
+      lfd_ = fd.value_or(-1);
+      (void)sys.bind(lfd_, net::SockAddr{net::kAnyAddr, 5000});
+      (void)sys.listen(lfd_, 8);
+      pc_ = 1;
+    }
+    return os::StepResult::block(os::WaitSpec::sleep(sim::kSecond));
+  }
+
+ private:
+  template <class F>
+  friend void io(F& f, LazyListener& p) {
+    f(p.pc_, p.lfd_);
+  }
+
+  u32 pc_ = 0;
+  i32 lfd_ = -1;
+};
+
+/// Records virtual timestamps before and after a long downtime window.
+class Stamper final : public os::FieldProgram<Stamper> {
+ public:
+  const char* kind() const override { return "test.stamper"; }
+  os::StepResult step(os::Syscalls& sys) override {
+    Bytes& reg = sys.region("stamps", 64);
+    if (pc_ == 0) {
+      Encoder e;
+      e.put_u64(sys.time());
+      std::copy(e.bytes().begin(), e.bytes().end(), reg.begin());
+      pc_ = 1;
+      return os::StepResult::block(os::WaitSpec::sleep(5000));
+    }
+    Encoder e;
+    e.put_u64(sys.time());
+    std::copy(e.bytes().begin(), e.bytes().end(), reg.begin() + 8);
+    return os::StepResult::exit(0);
+  }
+
+ private:
+  template <class F>
+  friend void io(F& f, Stamper& p) {
+    f(p.pc_);
+  }
+
+  u32 pc_ = 0;
+};
+
 TEST_F(CornerTest, PendingAcceptSurvivesRestart) {
   // A connection sitting un-accepted in the listener's queue at
   // checkpoint time must be back in the queue after restart.
   pod::Pod& sp = agents_[0]->create_pod(vip(1), "lsn-pod");
-  // Guest creates the listener but never accepts.
-  class LazyListener final : public os::Program {
-   public:
-    const char* kind() const override { return "test.lazy_listener"; }
-    os::StepResult step(os::Syscalls& sys) override {
-      if (pc_ == 0) {
-        auto fd = sys.socket(net::Proto::TCP);
-        lfd_ = fd.value_or(-1);
-        (void)sys.bind(lfd_, net::SockAddr{net::kAnyAddr, 5000});
-        (void)sys.listen(lfd_, 8);
-        pc_ = 1;
-      }
-      return os::StepResult::block(os::WaitSpec::sleep(sim::kSecond));
-    }
-    void save(Encoder& e) const override {
-      e.put_u32(pc_);
-      e.put_i32(lfd_);
-    }
-    void load(Decoder& d) override {
-      pc_ = d.u32_().value_or(0);
-      lfd_ = d.i32_().value_or(-1);
-    }
-
-   private:
-    u32 pc_ = 0;
-    i32 lfd_ = -1;
-  };
   os::ProgramRegistry::instance().add("test.lazy_listener", [] {
     return std::make_unique<LazyListener>();
   });
@@ -388,31 +414,6 @@ TEST_F(CornerTest, PendingAcceptSurvivesRestart) {
 
 TEST_F(CornerTest, TimeVirtualizationAcrossRestart) {
   pod::Pod& sp = agents_[0]->create_pod(vip(1), "timer-pod");
-  // A guest that records virtual timestamps before and after a long
-  // downtime window.
-  class Stamper final : public os::Program {
-   public:
-    const char* kind() const override { return "test.stamper"; }
-    os::StepResult step(os::Syscalls& sys) override {
-      Bytes& reg = sys.region("stamps", 64);
-      if (pc_ == 0) {
-        Encoder e;
-        e.put_u64(sys.time());
-        std::copy(e.bytes().begin(), e.bytes().end(), reg.begin());
-        pc_ = 1;
-        return os::StepResult::block(os::WaitSpec::sleep(5000));
-      }
-      Encoder e;
-      e.put_u64(sys.time());
-      std::copy(e.bytes().begin(), e.bytes().end(), reg.begin() + 8);
-      return os::StepResult::exit(0);
-    }
-    void save(Encoder& e) const override { e.put_u32(pc_); }
-    void load(Decoder& d) override { pc_ = d.u32_().value_or(0); }
-
-   private:
-    u32 pc_ = 0;
-  };
   os::ProgramRegistry::instance().add("test.stamper", [] {
     return std::make_unique<Stamper>();
   });

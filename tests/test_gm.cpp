@@ -15,7 +15,7 @@ net::IpAddr gm_vip(u8 i) { return net::IpAddr(10, 77, 0, i); }
 
 /// Guest that ping-pongs `rounds` messages with a peer over the GM
 /// device (spin-polling like a real OS-bypass application).
-class GmPingPong final : public os::Program {
+class GmPingPong final : public os::FieldProgram<GmPingPong> {
  public:
   GmPingPong() = default;
   GmPingPong(int port, net::SockAddr peer, u32 rounds, bool initiator)
@@ -28,9 +28,7 @@ class GmPingPong final : public os::Program {
     if (pc_ == 0) {
       if (!sys.gm_open(port_).is_ok()) return StepResult::exit(1);
       if (initiator_) {
-        Encoder e;
-        e.put_u32(0);
-        (void)sys.gm_send(port_, peer_, e.take());
+        (void)sys.gm_send(port_, peer_, encode_fields(u32{0}));
         if (rounds_ <= 2) return StepResult::exit(0);
         expect_ = 1;
       }
@@ -39,13 +37,12 @@ class GmPingPong final : public os::Program {
     }
     auto m = sys.gm_recv(port_, nullptr);
     if (m.is_ok()) {
-      Decoder d(m.value());
-      u32 n = d.u32_().value_or(0);
-      if (n != expect_) return StepResult::exit(3);  // lost or reordered
+      u32 n = 0;
+      if (!decode_fields(m.value(), n) || n != expect_) {
+        return StepResult::exit(3);  // lost, reordered or malformed
+      }
       if (n + 1 >= rounds_) return StepResult::exit(0);
-      Encoder e;
-      e.put_u32(n + 1);
-      (void)sys.gm_send(port_, peer_, e.take());
+      (void)sys.gm_send(port_, peer_, encode_fields(n + 1));
       // The device keeps retransmitting our last message even after we
       // exit, so the peer always gets it.
       if (n + 2 >= rounds_) return StepResult::exit(0);
@@ -56,26 +53,12 @@ class GmPingPong final : public os::Program {
     return os::StepResult::block(os::WaitSpec::sleep(200));
   }
 
-  void save(Encoder& e) const override {
-    e.put_i32(port_);
-    e.put_u32(peer_.ip.v);
-    e.put_u16(peer_.port);
-    e.put_u32(rounds_);
-    e.put_bool(initiator_);
-    e.put_u32(pc_);
-    e.put_u32(expect_);
-  }
-  void load(Decoder& d) override {
-    port_ = d.i32_().value_or(0);
-    peer_.ip.v = d.u32_().value_or(0);
-    peer_.port = d.u16_().value_or(0);
-    rounds_ = d.u32_().value_or(0);
-    initiator_ = d.bool_().value_or(false);
-    pc_ = d.u32_().value_or(0);
-    expect_ = d.u32_().value_or(0);
+ private:
+  template <class F>
+  friend void io(F& f, GmPingPong& p) {
+    f(p.port_, p.peer_, p.rounds_, p.initiator_, p.pc_, p.expect_);
   }
 
- private:
   int port_ = 0;
   net::SockAddr peer_;
   u32 rounds_ = 0;
@@ -145,10 +128,8 @@ TEST(Gm, ReliableUnderLoss) {
   ASSERT_TRUE(p2.gm_device().open_port(1).is_ok());
 
   for (u32 i = 0; i < 40; ++i) {
-    Encoder e;
-    e.put_u32(i);
     ASSERT_TRUE(p1.gm_device()
-                    .send(1, net::SockAddr{gm_vip(2), 1}, e.take())
+                    .send(1, net::SockAddr{gm_vip(2), 1}, encode_fields(i))
                     .is_ok());
   }
   cl.run_for(5 * sim::kSecond);  // retransmissions repair the loss
@@ -156,8 +137,9 @@ TEST(Gm, ReliableUnderLoss) {
   for (u32 i = 0; i < 40; ++i) {
     auto m = p2.gm_device().recv(1);
     ASSERT_TRUE(m.has_value()) << "message " << i;
-    Decoder d(m->data);
-    EXPECT_EQ(d.u32_().value(), i);  // strict order preserved
+    u32 n = 0;
+    ASSERT_TRUE(decode_fields(m->data, n).is_ok());
+    EXPECT_EQ(n, i);  // strict order preserved
   }
   EXPECT_GT(p1.gm_device().retransmissions(), 0u);
   EXPECT_TRUE(p1.gm_device().sends_drained(1));

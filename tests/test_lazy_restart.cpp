@@ -232,9 +232,9 @@ TEST(LazyProtocol, DrainEpilogueSendsTheShortFrame) {
   e.put_u8(16);  // EPILOGUE_DONE
   e.put_u64(9);
   e.put_string("pod-b");
-  e.put_bool(true);
+  e.put_u8(1);  // ok
   e.put_string("");
-  e.put_bool(false);
+  e.put_u8(0);  // transient
   e.put_u64(1 << 20);  // image_bytes
   e.put_u64(5000);     // epilogue_us
   e.put_u64(64);       // dirtied_bytes

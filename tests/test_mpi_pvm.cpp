@@ -13,7 +13,7 @@ namespace {
 
 /// Generic guest program driving a scripted MPI scenario; the script is a
 /// function advanced by the step loop until it reports completion.
-class MpiScriptProgram final : public os::Program {
+class MpiScriptProgram final : public os::FieldProgram<MpiScriptProgram> {
  public:
   // Returns true when finished; *code is the exit code.
   using Script =
@@ -38,14 +38,14 @@ class MpiScriptProgram final : public os::Program {
     return apps::wait_comm(comm_);
   }
 
-  // Not checkpointable (scripts are test lambdas); tests that checkpoint
-  // use the real apps instead.
-  void save(Encoder&) const override {}
-  void load(Decoder&) override {}
-
   MpiComm& comm() { return comm_; }
 
  private:
+  // Not checkpointable (scripts are test lambdas); tests that checkpoint
+  // use the real apps instead.
+  template <class F>
+  friend void io(F&, MpiScriptProgram&) {}
+
   MpiComm comm_;
   Script script_;
   u32 phase_ = 0;
@@ -256,24 +256,25 @@ TEST(Mpi, LargeMessagesCross) {
 
 TEST(Mpi, PackUnpackDoubles) {
   std::vector<double> v{1.5, -2.25, 0, 1e300};
-  EXPECT_EQ(MpiComm::unpack_doubles(MpiComm::pack_doubles(v)), v);
+  const Bytes packed = encode_fields(v);
+  std::vector<double> back;
+  ASSERT_TRUE(decode_fields(packed, back).is_ok());
+  EXPECT_EQ(back, v);
 }
 
 TEST(Mpi, MsgIoSerializationRoundTrip) {
   MsgIo io(7);
   io.send(42, to_bytes("queued"));
-  Encoder e;
-  io.save(e);
+  const Bytes state = encode_fields(io);
   MsgIo io2;
-  Decoder d(e.bytes());
-  io2.load(d);
+  ASSERT_TRUE(decode_fields(state, io2).is_ok());
   EXPECT_EQ(io2.fd(), 7);
   EXPECT_FALSE(io2.flushed());  // queued bytes survived
 }
 
 // ---- PVM -----------------------------------------------------------------------
 
-class PvmEchoMaster final : public os::Program {
+class PvmEchoMaster final : public os::FieldProgram<PvmEchoMaster> {
  public:
   PvmEchoMaster() = default;
   PvmEchoMaster(u16 port, i32 workers, u32 tasks)
@@ -316,17 +317,18 @@ class PvmEchoMaster final : public os::Program {
         return StepResult::exit(9);
     }
   }
-  void save(Encoder&) const override {}
-  void load(Decoder&) override {}
-
  private:
+  // Not checkpointed by its tests: saves nothing.
+  template <class F>
+  friend void io(F&, PvmEchoMaster&) {}
+
   pvm::PvmMaster pvm_;
   u32 tasks_ = 0;
   u32 pc_ = 0;
   u32 good_ = 0;
 };
 
-class PvmEchoWorker final : public os::Program {
+class PvmEchoWorker final : public os::FieldProgram<PvmEchoWorker> {
  public:
   PvmEchoWorker() = default;
   explicit PvmEchoWorker(net::SockAddr master) : pvm_(master) {}
@@ -353,10 +355,11 @@ class PvmEchoWorker final : public os::Program {
                              to_bytes("done:" + to_string(t->payload))});
     return StepResult::yield(100);
   }
-  void save(Encoder&) const override {}
-  void load(Decoder&) override {}
-
  private:
+  // Not checkpointed by its tests: saves nothing.
+  template <class F>
+  friend void io(F&, PvmEchoWorker&) {}
+
   pvm::PvmWorker pvm_;
 };
 

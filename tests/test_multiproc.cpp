@@ -16,7 +16,7 @@ using test::CounterProgram;
 
 /// Parent that spawns `children` counters, waits for them, and exits
 /// with the number that finished successfully.
-class ParentProgram final : public os::Program {
+class ParentProgram final : public os::FieldProgram<ParentProgram> {
  public:
   ParentProgram() = default;
   explicit ParentProgram(i32 children) : children_(children) {}
@@ -27,9 +27,7 @@ class ParentProgram final : public os::Program {
     if (pc_ == 0) {
       for (i32 i = 0; i < children_; ++i) {
         CounterProgram child(200 + static_cast<u32>(i), 50);
-        Encoder e;
-        child.save(e);
-        auto vpid = sys.spawn("test.counter", e.bytes());
+        auto vpid = sys.spawn("test.counter", child.save());
         if (!vpid) return StepResult::exit(1);
         kids_.push_back(vpid.value());
       }
@@ -48,23 +46,14 @@ class ParentProgram final : public os::Program {
     return StepResult::block(os::WaitSpec::sleep(sim::kMillisecond));
   }
 
-  void save(Encoder& e) const override {
-    e.put_i32(children_);
-    e.put_u32(pc_);
-    e.put_u32(static_cast<u32>(kids_.size()));
-    for (i32 k : kids_) e.put_i32(k);
-  }
-  void load(Decoder& d) override {
-    children_ = d.i32_().value_or(0);
-    pc_ = d.u32_().value_or(0);
-    u32 n = d.u32_().value_or(0);
-    kids_.clear();
-    for (u32 i = 0; i < n; ++i) kids_.push_back(d.i32_().value_or(0));
-  }
-
   const std::vector<i32>& kids() const { return kids_; }
 
  private:
+  template <class F>
+  friend void io(F& f, ParentProgram& p) {
+    f(p.children_, p.pc_, p.kids_);
+  }
+
   i32 children_ = 0;
   u32 pc_ = 0;
   std::vector<i32> kids_;
@@ -108,38 +97,38 @@ TEST(MultiProc, KillTerminatesAndClosesFds) {
   EXPECT_EQ(pod.kill(999).err(), Err::NO_ENT);
 }
 
+/// Spawns a long-running counter and checks that wait_pid reports it
+/// still running.
+class Checker final : public os::FieldProgram<Checker> {
+ public:
+  const char* kind() const override { return "test.waiter"; }
+  os::StepResult step(os::Syscalls& sys) override {
+    if (pc_ == 0) {
+      auto kid = sys.spawn("test.counter", CounterProgram(100000, 100).save());
+      kid_ = kid.value_or(-1);
+      auto w = sys.wait_pid(kid_);
+      // Child just spawned: must not be reported exited.
+      result_ = w.err() == Err::WOULD_BLOCK ? 0 : 1;
+      pc_ = 1;
+    }
+    return os::StepResult::exit(result_);
+  }
+
+ private:
+  // Never checkpointed: saves nothing.
+  template <class F>
+  friend void io(F&, Checker&) {}
+
+  u32 pc_ = 0;
+  i32 kid_ = -1;
+  i32 result_ = 9;
+};
+
 TEST(MultiProc, WaitOnRunningReturnsWouldBlock) {
   os::Cluster cl;
   os::Node& n = cl.add_node("n1");
   pod::Pod pod(n, vip(1), "pod1");
 
-  class Checker final : public os::Program {
-   public:
-    const char* kind() const override { return "test.waiter"; }
-    os::StepResult step(os::Syscalls& sys) override {
-      if (pc_ == 0) {
-        auto kid = sys.spawn("test.counter", [] {
-          CounterProgram c(100000, 100);
-          Encoder e;
-          c.save(e);
-          return e.take();
-        }());
-        kid_ = kid.value_or(-1);
-        auto w = sys.wait_pid(kid_);
-        // Child just spawned: must not be reported exited.
-        result_ = w.err() == Err::WOULD_BLOCK ? 0 : 1;
-        pc_ = 1;
-      }
-      return os::StepResult::exit(result_);
-    }
-    void save(Encoder&) const override {}
-    void load(Decoder&) override {}
-
-   private:
-    u32 pc_ = 0;
-    i32 kid_ = -1;
-    i32 result_ = 9;
-  };
   i32 pid = pod.spawn(std::make_unique<Checker>());
   cl.run_for(10 * sim::kMillisecond);
   EXPECT_EQ(pod.find_process(pid)->exit_code(), 0);

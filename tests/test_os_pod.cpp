@@ -101,7 +101,7 @@ TEST(OsPod, EchoBetweenPodsOnSameNode) {
 }
 
 /// Echoes the first `limit` bytes of one connection, then closes it.
-class ShortEchoServer final : public os::Program {
+class ShortEchoServer final : public os::FieldProgram<ShortEchoServer> {
  public:
   ShortEchoServer(u16 port, u32 limit) : port_(port), limit_(limit) {}
 
@@ -137,10 +137,11 @@ class ShortEchoServer final : public os::Program {
     return StepResult::yield();
   }
 
-  void save(Encoder&) const override {}
-  void load(Decoder&) override {}
-
  private:
+  // Never checkpointed: saves nothing.
+  template <class F>
+  friend void io(F&, ShortEchoServer&) {}
+
   u16 port_;
   u32 limit_;
   i32 lfd_ = -1;

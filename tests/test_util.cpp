@@ -47,21 +47,15 @@ TEST(EncoderDecoder, PrimitivesRoundTrip) {
   e.put_u16(0xBEEF);
   e.put_u32(0xDEADBEEF);
   e.put_u64(0x0123456789ABCDEFull);
-  e.put_i32(-123456);
-  e.put_i64(-9876543210LL);
-  e.put_bool(true);
   e.put_f64(3.14159265358979);
   e.put_string("hello");
   e.put_bytes(Bytes{1, 2, 3});
 
   Decoder d(e.bytes());
-  EXPECT_EQ(d.u8_().value(), 0xAB);
+  EXPECT_EQ(d.get_le<u8>().value(), 0xAB);
   EXPECT_EQ(d.u16_().value(), 0xBEEF);
   EXPECT_EQ(d.u32_().value(), 0xDEADBEEFu);
   EXPECT_EQ(d.u64_().value(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(d.i32_().value(), -123456);
-  EXPECT_EQ(d.i64_().value(), -9876543210LL);
-  EXPECT_TRUE(d.bool_().value());
   EXPECT_DOUBLE_EQ(d.f64_().value(), 3.14159265358979);
   EXPECT_EQ(d.string_().value(), "hello");
   EXPECT_EQ(d.bytes_().value(), (Bytes{1, 2, 3}));
@@ -200,10 +194,10 @@ TEST(Records, TruncatedImageDetected) {
   Encoder p;
   p.put_bytes(Bytes(1000, 7));
   w.write(RecordTag::MEM_REGION, 1, std::move(p));
-  Bytes image = w.take();
-  image.resize(image.size() - 10);
+  const Bytes image = w.take();
+  const Bytes cut(image.begin(), image.end() - 10);
 
-  RecordReader r(image);
+  RecordReader r(cut);
   EXPECT_EQ(r.next().err(), Err::PROTO);
 }
 
