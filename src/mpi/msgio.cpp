@@ -5,29 +5,35 @@
 namespace zapc::mpi {
 
 void MsgIo::send(u32 tag, const Bytes& data) {
-  Encoder e;
+  Encoder e(std::move(tx_));
   e.put_u32(tag);
-  e.put_u32(static_cast<u32>(data.size()));
-  tx_.insert(tx_.end(), e.bytes().begin(), e.bytes().end());
-  tx_.insert(tx_.end(), data.begin(), data.end());
+  e.put_bytes(data);  // u32 length, then the payload
+  tx_ = e.take();
 }
 
 bool MsgIo::progress(os::Syscalls& sys) {
   if (failed_ || fd_ < 0) return !failed_;
 
-  // Transmit.
-  while (!tx_.empty()) {
-    std::size_t n = std::min<std::size_t>(tx_.size(), 64 * 1024);
-    Bytes chunk(tx_.begin(), tx_.begin() + static_cast<long>(n));
-    auto w = sys.send(fd_, chunk, 0);
+  // Transmit at most 64 KiB per send: the whole queue when it fits,
+  // else one copied chunk at a time.  The sent prefix is erased once.
+  std::size_t sent = 0;
+  while (sent < tx_.size()) {
+    const std::size_t n =
+        std::min<std::size_t>(tx_.size() - sent, 64 * 1024);
+    auto w = n == tx_.size()
+                 ? sys.send(fd_, tx_, 0)
+                 : sys.send(fd_, Bytes(tx_.begin() + sent,
+                                       tx_.begin() + sent + n),
+                            0);
     if (!w.is_ok()) {
-      if (w.err() == Err::WOULD_BLOCK) break;
-      failed_ = true;
-      return false;
+      if (w.err() != Err::WOULD_BLOCK) failed_ = true;
+      break;
     }
-    tx_.erase(tx_.begin(), tx_.begin() + static_cast<long>(w.value()));
+    sent += w.value();
     if (w.value() < n) break;
   }
+  tx_.erase(tx_.begin(), tx_.begin() + static_cast<long>(sent));
+  if (failed_) return false;
 
   // Receive.  On EOF/error the connection is marked failed but any bytes
   // that arrived with (or before) the close still get reassembled below —

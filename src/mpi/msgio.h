@@ -64,7 +64,7 @@ class MsgIo {
   }
 
   int fd_ = -1;
-  std::deque<u8> tx_;
+  Bytes tx_;
   Bytes rx_;
   std::deque<Msg> inbox_;
   bool failed_ = false;
