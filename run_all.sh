@@ -26,14 +26,10 @@ if [ "$bench_rc" -ne 0 ]; then
   exit "$bench_rc"
 fi
 
-# Offline protocol validation of the freshly written evidence.  The
-# canonical timeline is checked strictly; the ablation sweep includes a
-# deliberate NETWORK_LAST configuration, so the ordering check is
-# relaxed for everything else.
-./build/tools/zapc-trace --validate bench_results/fig2_timeline.json
+# Offline protocol validation of the freshly written evidence, every
+# file strictly.
 for f in bench_results/*.json; do
-  [ "$f" = bench_results/fig2_timeline.json ] && continue
-  ./build/tools/zapc-trace --validate --allow-network-last "$f"
+  ./build/tools/zapc-trace --validate "$f"
 done
 
 # Introspection-plane acceptance (DESIGN.md §9): with an injected slow
