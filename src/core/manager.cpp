@@ -86,7 +86,6 @@ void Manager::ledger_attribute(obs::LedgerEntry& e) {
     return;
   }
   e.attrib = std::move(attrib).value();
-  e.has_attrib = true;
 }
 
 void Manager::write_ledger(const OpState& op, const std::string& outcome,
@@ -154,10 +153,7 @@ void Manager::write_ledger(const OpState& op, const std::string& outcome,
       e.lazy_bytes += epi.lazy_bytes;
     }
   }
-  obs::Straggler s = health_.straggler(op.op_id);
-  e.straggler_pod = s.pod;
-  e.straggler_phase = s.phase;
-  e.straggler_lag_us = s.lag_us;
+  e.straggler = health_.straggler(op.op_id);
   e.trigger = op.is_ckpt() ? op.in.ckpt.trigger : op.in.restart.trigger;
   // MTTR only on the restart attempt that actually restored the
   // application — and it ends when the pods resume, not when the lazy

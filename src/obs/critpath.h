@@ -39,9 +39,23 @@ struct CritSegment {
   std::string phase;  // span name ("ckpt.standalone") or "edge:<what>"
   bool edge = false;
   SpanId span = 0;  // work segments: the span this slice belongs to
+  /// Share of the op's downtime (path segments) or latency (drain
+  /// segments), in percent; 0 when that total is 0.
+  double pct = 0;
 
   Time duration() const { return end > start ? end - start : 0; }
 };
+template <class F>
+void json_io(F& f, CritSegment& m) {
+  f("start_us", m.start);
+  f("end_us", m.end);
+  f("who", m.who);
+  f("pod", m.pod);
+  f("phase", m.phase);
+  f("edge", m.edge);
+  f.opt("span", m.span);
+  f.opt("pct", m.pct);
+}
 
 /// Done-side slack of one pod: how much later its completion could have
 /// arrived without extending the op (0 for the gating pod).
@@ -49,6 +63,11 @@ struct PodSlack {
   std::string pod;
   Time slack_us = 0;
 };
+template <class F>
+void json_io(F& f, PodSlack& m) {
+  f("pod", m.pod);
+  f("slack_us", m.slack_us);
+}
 
 struct OpAttribution {
   OpId op = 0;
@@ -96,16 +115,22 @@ Result<OpAttribution> attribute_op(
 Result<OpAttribution> attribute_op(const std::vector<SpanRecord>& spans,
                                    OpId op);
 
-/// The ledger/report serialization of an attribution:
-///   { "downtime_us": N, "latency_us": N, "critical_pod": "...",
-///     "critical_phase": "...", "critical_phase_us": N,
-///     "segments": [ { "start_us", "end_us", "who", "pod", "phase",
-///                     "edge", "pct" } ... ],
-///     "drain_segments": [ same shape, "pct" relative to latency ],
-///     "slack": [ { "pod", "slack_us" } ... ] }
-/// Loader back-compat: entries written before the COW split carry no
-/// "latency_us"/"drain_segments"; latency_us defaults to downtime_us.
-Json attribution_to_json(const OpAttribution& a);
-Result<OpAttribution> attribution_from_json(const Json& j);
+/// The ledger's "critpath" object; "drain_segments" is omitted while
+/// empty.
+template <class F>
+void json_io(F& f, OpAttribution& m) {
+  f("op", m.op);
+  f("kind", m.kind);
+  f("start_us", m.start);
+  f("end_us", m.end);
+  f("downtime_us", m.downtime_us);
+  f("latency_us", m.latency_us);
+  f("critical_pod", m.critical_pod);
+  f("critical_phase", m.critical_phase);
+  f("critical_phase_us", m.critical_phase_us);
+  f("segments", m.segments);
+  f.opt("drain_segments", m.drain_segments);
+  f("slack", m.slack);
+}
 
 }  // namespace zapc::obs

@@ -56,14 +56,14 @@ Json FlightRecorder::build_postmortem(const std::string& kind, OpId op,
   doc["time_us"] = t;
 
   Json spans = Json::array();
-  for (const FlightEntry& e : ring_) spans.push(span_to_json(e.span));
+  for (const FlightEntry& e : ring_) spans.push(to_json(e.span));
   doc["spans"] = std::move(spans);
 
   Json log = Json::array();
   for (const std::string& line : logs_) log.push(line);
   doc["log"] = std::move(log);
 
-  doc["metrics"] = snapshot_to_json(metrics().snapshot());
+  doc["metrics"] = to_json(metrics().snapshot());
   return doc;
 }
 

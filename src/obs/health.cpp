@@ -220,14 +220,8 @@ Json ClusterHealth::snapshot(Time now, OpId op) const {
   }
   doc["pods"] = std::move(pods);
 
-  Straggler s = straggler(op);
-  if (!s.pod.empty()) {
-    Json sj = Json::object();
-    sj["pod"] = s.pod;
-    sj["phase"] = s.phase;
-    sj["lag_us"] = s.lag_us;
-    doc["straggler"] = std::move(sj);
-  }
+  JsonWriter w(doc);
+  w.opt("straggler", straggler(op));
   return doc;
 }
 

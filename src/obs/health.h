@@ -78,7 +78,15 @@ struct Straggler {
   std::string pod;
   std::string phase;
   Time lag_us = 0;  // projection lag over the cluster median
+
+  bool operator==(const Straggler&) const = default;
 };
+template <class F>
+void json_io(F& f, Straggler& m) {
+  f("pod", m.pod);
+  f("phase", m.phase);
+  f("lag_us", m.lag_us);
+}
 
 class ClusterHealth {
  public:

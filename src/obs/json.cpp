@@ -1,8 +1,9 @@
 #include "obs/json.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace zapc::obs {
 namespace {
@@ -106,12 +107,14 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
 
   Result<Json> parse() {
-    auto v = value();
+    auto v = value(0);
     if (!v) return v;
     skip_ws();
     if (pos_ != s_.size()) {
@@ -147,12 +150,15 @@ class Parser {
     return false;
   }
 
-  Result<Json> value() {
+  Result<Json> value(int depth) {
     skip_ws();
     if (pos_ >= s_.size()) return Status(Err::PROTO, "unexpected end");
     char c = s_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if ((c == '{' || c == '[') && depth >= kMaxJsonDepth) {
+      return Status(Err::PROTO, "JSON nested too deep");
+    }
+    if (c == '{') return object(depth + 1);
+    if (c == '[') return array(depth + 1);
     if (c == '"') {
       auto str = string();
       if (!str) return str.status();
@@ -164,21 +170,33 @@ class Parser {
     return number();
   }
 
-  Result<Json> number() {
+  std::size_t digits() {
     std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '-' || s_[pos_] == '+')) {
+    while (pos_ < s_.size() && is_digit(s_[pos_])) ++pos_;
+    return pos_ - start;
+  }
+
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  Result<Json> number() {
+    const std::size_t start = pos_;
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    bool ok = int_digits == 1 || (int_digits > 1 && s_[int_start] != '0');
+    if (ok && pos_ < s_.size() && s_[pos_] == '.') {
       ++pos_;
+      ok = digits() > 0;
     }
-    if (pos_ == start) return Status(Err::PROTO, "bad JSON value");
-    try {
-      return Json(std::stod(s_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Status(Err::PROTO, "bad JSON number");
+    if (ok && pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      ok = digits() > 0;
     }
+    if (!ok) return Status(Err::PROTO, "bad JSON value");
+    const double d =
+        std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    if (!std::isfinite(d)) return Status(Err::PROTO, "bad JSON number");
+    return Json(d);
   }
 
   Result<std::string> string() {
@@ -217,9 +235,12 @@ class Parser {
                 return Status(Err::PROTO, "bad \\u escape");
               }
             }
-            // Exporter only emits \u00xx for control bytes; decode the
-            // low byte and accept anything else as-is (best effort).
-            out += static_cast<char>(code & 0xff);
+            // The writer escapes only control bytes; anything above
+            // ASCII is written as its raw UTF-8 bytes.
+            if (code > 0x7f) {
+              return Status(Err::PROTO, "\\u escape above 0x7f");
+            }
+            out += static_cast<char>(code);
             break;
           }
           default:
@@ -232,13 +253,13 @@ class Parser {
     return Status(Err::PROTO, "unterminated string");
   }
 
-  Result<Json> array() {
+  Result<Json> array(int depth) {
     if (!consume('[')) return Status(Err::PROTO, "expected [");
     Json arr = Json::array();
     skip_ws();
     if (consume(']')) return arr;
     while (true) {
-      auto v = value();
+      auto v = value(depth);
       if (!v) return v;
       arr.push(std::move(v).value());
       if (consume(']')) return arr;
@@ -246,7 +267,7 @@ class Parser {
     }
   }
 
-  Result<Json> object() {
+  Result<Json> object(int depth) {
     if (!consume('{')) return Status(Err::PROTO, "expected {");
     Json obj = Json::object();
     skip_ws();
@@ -255,8 +276,11 @@ class Parser {
       skip_ws();
       auto key = string();
       if (!key) return key.status();
+      if (obj.find(key.value()) != nullptr) {
+        return Status(Err::PROTO, "duplicate key " + key.value());
+      }
       if (!consume(':')) return Status(Err::PROTO, "expected :");
-      auto v = value();
+      auto v = value(depth);
       if (!v) return v;
       obj[key.value()] = std::move(v).value();
       if (consume('}')) return obj;
@@ -268,148 +292,62 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-Json u64_array(const std::vector<u64>& v) {
-  Json arr = Json::array();
-  for (u64 x : v) arr.push(x);
-  return arr;
-}
-
-std::vector<u64> u64_vector(const Json& arr) {
-  std::vector<u64> out;
-  for (const Json& v : arr.items()) out.push_back(v.num_u64());
-  return out;
-}
-
 }  // namespace
 
 Result<Json> json_parse(const std::string& text) {
   return Parser(text).parse();
 }
 
+// ---- Named field lists -----------------------------------------------------
+
+Status JsonReader::finish() const {
+  if (!st_ || found_ == obj_.size()) return st_;
+  for (const auto& [k, v] : obj_.fields()) {
+    if (std::none_of(keys_.begin(), keys_.end(),
+                     [&k = k](const char* n) { return k == n; })) {
+      return Status(Err::PROTO, k + ": unknown key");
+    }
+  }
+  return Status(Err::PROTO, "unknown key");
+}
+
+std::string to_hex(const Bytes& b) {
+  static const char* kHex = "0123456789abcdef";
+  std::string s;
+  s.reserve(b.size() * 2);
+  for (u8 c : b) {
+    s.push_back(kHex[c >> 4]);
+    s.push_back(kHex[c & 0xF]);
+  }
+  return s;
+}
+
+Result<Bytes> from_hex(const std::string& s) {
+  if (s.size() % 2 != 0) return Status(Err::PROTO, "odd hex length");
+  auto nib = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  Bytes out;
+  out.reserve(s.size() / 2);
+  for (std::size_t i = 0; i < s.size(); i += 2) {
+    int hi = nib(s[i]), lo = nib(s[i + 1]);
+    if (hi < 0 || lo < 0) return Status(Err::PROTO, "bad hex digit");
+    out.push_back(static_cast<u8>((hi << 4) | lo));
+  }
+  return out;
+}
+
 // ---- Evidence export -------------------------------------------------------
-
-Json snapshot_to_json(const MetricsSnapshot& snap) {
-  Json m = Json::object();
-  Json counters = Json::object();
-  for (const auto& [name, v] : snap.counters) counters[name] = v;
-  m["counters"] = std::move(counters);
-
-  Json gauges = Json::object();
-  for (const auto& [name, g] : snap.gauges) {
-    Json jg = Json::object();
-    jg["value"] = g.value;
-    jg["max"] = g.max_seen;
-    gauges[name] = std::move(jg);
-  }
-  m["gauges"] = std::move(gauges);
-
-  Json hists = Json::object();
-  for (const auto& [name, h] : snap.histograms) {
-    Json jh = Json::object();
-    jh["bounds"] = u64_array(h.bounds);
-    jh["counts"] = u64_array(h.counts);
-    jh["count"] = h.count;
-    jh["sum"] = h.sum;
-    jh["min"] = h.min;
-    jh["max"] = h.max;
-    hists[name] = std::move(jh);
-  }
-  m["histograms"] = std::move(hists);
-  return m;
-}
-
-Result<MetricsSnapshot> snapshot_from_json(const Json& j) {
-  if (!j.is_obj()) return Status(Err::PROTO, "metrics: not an object");
-  MetricsSnapshot out;
-  if (const Json* counters = j.find("counters")) {
-    for (const auto& [name, v] : counters->fields()) {
-      out.counters[name] = v.num_u64();
-    }
-  }
-  if (const Json* gauges = j.find("gauges")) {
-    for (const auto& [name, g] : gauges->fields()) {
-      GaugeValue gv;
-      if (const Json* v = g.find("value")) gv.value = v->num_i64();
-      if (const Json* v = g.find("max")) gv.max_seen = v->num_i64();
-      out.gauges[name] = gv;
-    }
-  }
-  if (const Json* hists = j.find("histograms")) {
-    for (const auto& [name, h] : hists->fields()) {
-      HistogramValue hv;
-      if (const Json* v = h.find("bounds")) hv.bounds = u64_vector(*v);
-      if (const Json* v = h.find("counts")) hv.counts = u64_vector(*v);
-      if (const Json* v = h.find("count")) hv.count = v->num_u64();
-      if (const Json* v = h.find("sum")) hv.sum = v->num_u64();
-      if (const Json* v = h.find("min")) hv.min = v->num_u64();
-      if (const Json* v = h.find("max")) hv.max = v->num_u64();
-      if (hv.counts.size() != hv.bounds.size() + 1) {
-        return Status(Err::PROTO, "histogram " + name + ": bad bucket count");
-      }
-      out.histograms[name] = std::move(hv);
-    }
-  }
-  return out;
-}
-
-Json span_to_json(const SpanRecord& s) {
-  Json js = Json::object();
-  js["id"] = static_cast<u64>(s.id);
-  js["parent"] = static_cast<u64>(s.parent);
-  js["kind"] = s.kind == SpanKind::EVENT ? "event" : "span";
-  if (s.op != 0) js["op"] = s.op;
-  js["name"] = s.name;
-  js["who"] = s.who;
-  js["start_us"] = s.start;
-  js["end_us"] = s.end;
-  if (s.open) js["open"] = true;
-  return js;
-}
-
-Json spans_to_json(const SpanRecorder& rec) {
-  Json arr = Json::array();
-  for (const SpanRecord& s : rec.spans()) arr.push(span_to_json(s));
-  return arr;
-}
-
-Result<std::vector<SpanRecord>> spans_from_json(const Json& arr) {
-  if (!arr.is_arr()) return Status(Err::PROTO, "spans: not an array");
-  std::vector<SpanRecord> out;
-  for (const Json& js : arr.items()) {
-    if (!js.is_obj()) return Status(Err::PROTO, "span: not an object");
-    SpanRecord s;
-    if (const Json* v = js.find("id")) s.id = static_cast<SpanId>(v->num_u64());
-    if (const Json* v = js.find("parent")) {
-      s.parent = static_cast<SpanId>(v->num_u64());
-    }
-    if (const Json* v = js.find("kind")) {
-      if (v->str() == "event") {
-        s.kind = SpanKind::EVENT;
-      } else if (v->str() == "span") {
-        s.kind = SpanKind::SPAN;
-      } else {
-        return Status(Err::PROTO, "span: bad kind '" + v->str() + "'");
-      }
-    }
-    if (const Json* v = js.find("op")) s.op = v->num_u64();
-    if (const Json* v = js.find("name")) s.name = v->str();
-    if (const Json* v = js.find("who")) s.who = v->str();
-    if (const Json* v = js.find("start_us")) s.start = v->num_u64();
-    if (const Json* v = js.find("end_us")) s.end = v->num_u64();
-    if (const Json* v = js.find("open")) s.open = v->boolean();
-    if (s.id == 0) return Status(Err::PROTO, "span: missing id");
-    out.push_back(std::move(s));
-  }
-  return out;
-}
 
 Json evidence_json(const std::string& name, const MetricsSnapshot& snap,
                    const SpanRecorder* spans) {
   Json doc = Json::object();
   doc["schema"] = kSchemaVersion;
   doc["name"] = name;
-  doc["metrics"] = snapshot_to_json(snap);
-  if (spans != nullptr) doc["spans"] = spans_to_json(*spans);
+  doc["metrics"] = to_json(snap);
+  if (spans != nullptr) doc["spans"] = to_json(spans->spans());
   return doc;
 }
 

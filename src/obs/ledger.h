@@ -10,15 +10,18 @@
 //
 // Each line is self-describing (schema tag on every line) and written
 // with a single fwrite + flush, so a crash can tear at most the final
-// line; the loader counts and skips a torn tail instead of failing.
+// line; the loader counts and skips a torn tail instead of failing.  A
+// line is the LedgerEntry's field list (json_io below), read strictly.
 #pragma once
 
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/critpath.h"
+#include "obs/health.h"
 #include "obs/json.h"
 #include "util/status.h"
 
@@ -39,9 +42,7 @@ struct LedgerEntry {
   /// keeps running its background drains after the pods resume, so its
   /// latency exceeds its downtime (DESIGN.md §11).
   Time downtime_us = 0;
-  /// Full op latency (start → terminal).  Loader back-compat: lines
-  /// written before the COW split carry no latency field, and the
-  /// loader folds the absent value back to downtime_us.
+  /// Full op latency (start → terminal).
   Time latency_us = 0;
   u32 pods = 0;  // agents that reported completion
   // Slowest per-phase duration across pods ("suspend", "netckpt",
@@ -50,37 +51,58 @@ struct LedgerEntry {
   u64 image_bytes = 0;    // largest per-pod committed image
   u64 network_bytes = 0;  // largest per-pod network-state image
   u64 logical_bytes = 0;  // largest per-pod logical (pre-delta) size
-  std::string straggler_pod;    // live-health straggler, "" if none
-  std::string straggler_phase;  // phase the straggler was lagging in
-  Time straggler_lag_us = 0;
-  bool has_attrib = false;  // critical-path attribution succeeded
-  OpAttribution attrib;     // valid only when has_attrib
+  Straggler straggler;  // live-health straggler; pod "" if none
+  std::optional<OpAttribution> attrib;  // when attribution succeeded
   /// Who initiated the op: "manual" (operator/test code) or
   /// "supervisor" (periodic-checkpoint policy or a recovery restart).
-  /// Loader back-compat: lines written before the supervisor carry no
-  /// trigger field and fold back to "manual".
   std::string trigger = "manual";
   /// Recovery restarts only: failure detection → application restored
   /// (downtime end − detect time), the MTTR the supervisor is graded on.
   /// 0 = not a recovery.
   Time mttr_us = 0;
   /// Lazy restarts only (DESIGN.md §13): demand faults taken during the
-  /// fill window and cold bytes restored off the downtime path.  Loader
-  /// back-compat: absent fields fold to 0.
+  /// fill window and cold bytes restored off the downtime path.
   u64 lazy_faults = 0;
   u64 lazy_bytes = 0;
   /// COW drains only: slowest per-pod drain time spent while the SAN QoS
   /// scheduler throttled it behind a foreground stream vs. while it
   /// merely contended with sibling drains, and the worst (lowest)
-  /// granted drain bandwidth.  Loader back-compat: absent fields fold
-  /// to 0 (pre-QoS lines).
+  /// granted drain bandwidth.
   Time drain_throttled_us = 0;
   Time drain_contended_us = 0;
   u64 drain_granted_bps = 0;
 };
 
-Json ledger_entry_to_json(const LedgerEntry& e);
-Result<LedgerEntry> ledger_entry_from_json(const Json& j);
+/// One ledger line.  Every optional key is omitted at its default.
+template <class F>
+void json_io(F& f, LedgerEntry& m) {
+  f.constant("schema", kLedgerSchemaVersion);
+  f("op", m.op);
+  f("kind", m.kind);
+  f("outcome", m.outcome);
+  f.opt("error", m.error);
+  f.opt("transient", m.transient);
+  f.opt("will_retry", m.will_retry);
+  f("attempt", m.attempt);
+  f("start_us", m.start_us);
+  f("end_us", m.end_us);
+  f("downtime_us", m.downtime_us);
+  f("latency_us", m.latency_us);
+  f("pods", m.pods);
+  f.opt("phase_us", m.phase_us);
+  f("image_bytes", m.image_bytes);
+  f("network_bytes", m.network_bytes);
+  f.opt("logical_bytes", m.logical_bytes);
+  f.opt("straggler", m.straggler);
+  f.opt("critpath", m.attrib);
+  f.opt("trigger", m.trigger, "manual");
+  f.opt("mttr_us", m.mttr_us);
+  f.opt("lazy_faults", m.lazy_faults);
+  f.opt("lazy_bytes", m.lazy_bytes);
+  f.opt("drain_throttled_us", m.drain_throttled_us);
+  f.opt("drain_contended_us", m.drain_contended_us);
+  f.opt("drain_granted_bps", m.drain_granted_bps);
+}
 
 /// Append-only JSONL ledger.  Default-constructed it records in memory
 /// only (tests, benches that dump at the end); with a path it appends
@@ -109,10 +131,7 @@ class Ledger {
   /// evidence JSON.
   Status write_file(const std::string& path) const;
 
-  struct LoadResult {
-    std::vector<LedgerEntry> entries;
-    int skipped_torn = 0;  // unparsable trailing line(s) skipped
-  };
+  using LoadResult = JsonLines<LedgerEntry>;
   /// Loads a ledger file.  A torn final line (crash mid-append) is
   /// skipped and counted; malformed lines elsewhere are Err::PROTO.
   static Result<LoadResult> load(const std::string& path);

@@ -9,7 +9,8 @@
 // discipline: the whole JSONL document is staged at `<path>.tmp` and
 // renamed over the live object, so a crash mid-append leaves the
 // previous generation intact.  Records themselves are append-only; the
-// newest entry is always the newest committed set.
+// newest entry is always the newest committed set.  A line is the
+// CatalogEntry's field list (json_io below), read strictly.
 #pragma once
 
 #include <optional>
@@ -34,6 +35,15 @@ struct CatalogImage {
   net::IpAddr vip{};
   ckpt::NetMeta meta;
 };
+template <class F>
+void json_io(F& f, CatalogImage& m) {
+  f("agent_ip", m.agent_ip);
+  f("agent_port", m.agent_port);
+  f("pod", m.pod);
+  f("uri", m.uri);
+  f("vip", obs::Text{m.vip});
+  f("meta", obs::Hex{m.meta});
+}
 
 /// One committed coordinated checkpoint: the full restorable set.
 struct CatalogEntry {
@@ -41,9 +51,18 @@ struct CatalogEntry {
   sim::Time t_us = 0;  // commit instant (virtual)
   std::vector<CatalogImage> images;
 };
+template <class F>
+void json_io(F& f, CatalogEntry& m) {
+  f.constant("schema", obs::kCatalogSchemaVersion);
+  f("op", m.op);
+  f("t_us", m.t_us);
+  f("images", m.images);
+}
 
-obs::Json catalog_entry_to_json(const CatalogEntry& e);
-Result<CatalogEntry> catalog_entry_from_json(const obs::Json& j);
+/// One catalog line.
+inline obs::Json catalog_entry_to_json(const CatalogEntry& e) {
+  return obs::to_json(e);
+}
 
 class Catalog {
  public:

@@ -328,7 +328,7 @@ TEST(CritPath, CowDrainStaysOffDowntimeCriticalPath) {
   EXPECT_EQ(a.max_drain_us(), 290u);
 
   // JSON round-trip keeps the split and the drain segments.
-  auto back = attribution_from_json(attribution_to_json(a));
+  auto back = from_json<OpAttribution>(to_json(a));
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   EXPECT_EQ(back.value().latency_us, a.latency_us);
   EXPECT_EQ(back.value().downtime_us, a.downtime_us);
@@ -422,7 +422,7 @@ TEST(CritPath, AttributionJsonRoundTrips) {
   ASSERT_TRUE(res.is_ok());
   const OpAttribution& a = res.value();
 
-  auto back = attribution_from_json(attribution_to_json(a));
+  auto back = from_json<OpAttribution>(to_json(a));
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   const OpAttribution& b = back.value();
   EXPECT_EQ(b.op, a.op);
@@ -463,13 +463,11 @@ TEST(Ledger, EntryJsonRoundTripsAllFields) {
   e.image_bytes = 1 << 20;
   e.network_bytes = 4096;
   e.logical_bytes = 2 << 20;
-  e.straggler_pod = "bt-3";
-  e.straggler_phase = "ckpt.standalone";
-  e.straggler_lag_us = 700;
+  e.straggler = Straggler{"bt-3", "ckpt.standalone", 700};
 
-  Json j = ledger_entry_to_json(e);
+  Json j = to_json(e);
   EXPECT_EQ(j.find("schema")->str(), kLedgerSchemaVersion);
-  auto back = ledger_entry_from_json(j);
+  auto back = from_json<LedgerEntry>(j);
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   const LedgerEntry& b = back.value();
   EXPECT_EQ(b.op, 33u);
@@ -485,16 +483,16 @@ TEST(Ledger, EntryJsonRoundTripsAllFields) {
   EXPECT_EQ(b.phase_us.at("standalone"), 2500u);
   EXPECT_EQ(b.image_bytes, u64{1} << 20);
   EXPECT_EQ(b.logical_bytes, u64{2} << 20);
-  EXPECT_EQ(b.straggler_pod, "bt-3");
-  EXPECT_EQ(b.straggler_lag_us, 700u);
-  EXPECT_FALSE(b.has_attrib);
+  EXPECT_EQ(b.straggler.pod, "bt-3");
+  EXPECT_EQ(b.straggler.lag_us, 700u);
+  EXPECT_FALSE(b.attrib.has_value());
 }
 
 TEST(Ledger, RejectsWrongSchemaTag) {
   Json j = Json::object();
   j["schema"] = "zapc.obs.health.v1";
   j["op"] = 1;
-  EXPECT_FALSE(ledger_entry_from_json(j).is_ok());
+  EXPECT_FALSE(from_json<LedgerEntry>(j).is_ok());
 }
 
 TEST(Ledger, PersistentAppendLoadsBackAndSkipsTornTail) {
@@ -637,8 +635,8 @@ TEST(CritPathAcceptance, SlowNodePodHoldsPluralityOfDowntime) {
   EXPECT_EQ(le.op, report.op_id);
   EXPECT_EQ(le.outcome, "ok");
   EXPECT_EQ(le.pods, 4u);
-  ASSERT_TRUE(le.has_attrib);
-  EXPECT_EQ(le.attrib.critical_pod, "p2");
+  ASSERT_TRUE(le.attrib.has_value());
+  EXPECT_EQ(le.attrib->critical_pod, "p2");
   EXPECT_FALSE(le.phase_us.empty());
 }
 

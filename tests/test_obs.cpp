@@ -2,6 +2,7 @@
 // zapc.obs.v1 JSON evidence exporter.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,52 @@ TEST(Json, RejectsMalformed) {
   EXPECT_FALSE(json_parse("\"unterminated").is_ok());
 }
 
+TEST(Json, RejectsWhatStrictJsonRejects) {
+  const char* bad[] = {
+      R"({"attempt":1-2})",      // a number's unparsed rest
+      R"({"a":+1})",             // leading plus
+      R"({"a":01})",             // leading zero
+      R"({"a":1.})",             // no fraction digits
+      R"({"a":.5})",             // no integer digits
+      R"({"a":1e})",             // no exponent digits
+      R"({"a":-})",              // sign alone
+      R"({"a":1e999})",          // overflows a double
+      R"({"a":1,"a":2})",        // duplicate key
+      R"({"a":"\u0080"})",       // an escape above ASCII
+  };
+  for (const char* text : bad) {
+    auto r = json_parse(text);
+    EXPECT_FALSE(r.is_ok()) << text;
+    EXPECT_EQ(r.err(), Err::PROTO) << text;
+  }
+  const char* good[] = {R"({"a":-0})", R"({"a":10.25e-3})", R"({"a":2E+2})",
+                        R"({"a":""})"};
+  for (const char* text : good) {
+    EXPECT_TRUE(json_parse(text).is_ok()) << text;
+  }
+}
+
+TEST(Json, RejectsNestingDeeperThanTheCap) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json_parse(nested(kMaxJsonDepth)).is_ok());
+  EXPECT_EQ(json_parse(nested(kMaxJsonDepth + 1)).err(), Err::PROTO);
+  // Far past the cap the parser fails instead of exhausting the stack.
+  EXPECT_EQ(json_parse(std::string(200000, '[')).err(), Err::PROTO);
+  EXPECT_EQ(json_parse(R"({"a":)" + nested(kMaxJsonDepth) + "}").err(),
+            Err::PROTO);
+}
+
+TEST(Json, NumbersClampIntoIntegerTypes) {
+  EXPECT_EQ(Json(1e300).num_u64(), ~u64{0});
+  EXPECT_EQ(Json(-5.0).num_u64(), 0u);
+  EXPECT_EQ(Json(1e300).num_i64(), std::numeric_limits<i64>::max());
+  EXPECT_EQ(Json(-1e300).num_i64(), std::numeric_limits<i64>::min());
+  EXPECT_EQ(Json(-7).num_i64(), -7);
+}
+
 TEST(Json, IntegralDoublesPrintAsIntegers) {
   Json j = Json::object();
   j["n"] = u64{123456789};
@@ -247,8 +294,8 @@ TEST(Json, SnapshotRoundTrip) {
   reg.histogram("agent.ckpt.suspend_us", {100, 1000}).observe(250);
   MetricsSnapshot snap = reg.snapshot();
 
-  Json j = snapshot_to_json(snap);
-  auto back = snapshot_from_json(j);
+  Json j = to_json(snap);
+  auto back = from_json<MetricsSnapshot>(j);
   ASSERT_TRUE(back.is_ok()) << back.status().message();
   const MetricsSnapshot& s = back.value();
   EXPECT_EQ(s.counters.at("net.tcp.retransmits"), 3u);
@@ -262,7 +309,7 @@ TEST(Json, SnapshotRoundTrip) {
   EXPECT_EQ(h.sum, 250u);
 
   // Serialization is deterministic.
-  EXPECT_EQ(snapshot_to_json(s).dump(), j.dump());
+  EXPECT_EQ(to_json(s).dump(), j.dump());
 }
 
 TEST(Json, EvidenceSchema) {
@@ -348,10 +395,10 @@ TEST(Json, SpansFromJsonRoundTripsOpsAndParents) {
   rec.end_at(90, root);
   rec.begin_at(95, "restart", "agent@n1");  // op-less, left open
 
-  Json arr = spans_to_json(rec);
+  Json arr = to_json(rec.spans());
   auto parsed = json_parse(arr.dump());
   ASSERT_TRUE(parsed.is_ok());
-  auto back = spans_from_json(parsed.value());
+  auto back = from_json<std::vector<SpanRecord>>(parsed.value());
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   const std::vector<SpanRecord>& spans = back.value();
   ASSERT_EQ(spans.size(), 3u);
@@ -456,7 +503,7 @@ TEST(Flight, RingWraparoundEvictsOldestAndPostmortemStaysWellFormed) {
 
   // The round-trips the analyzer does must survive the wrap: every
   // retained record parses back into a SpanRecord.
-  auto recs = spans_from_json(*spans);
+  auto recs = from_json<std::vector<SpanRecord>>(*spans);
   ASSERT_TRUE(recs.is_ok()) << recs.status().to_string();
   EXPECT_EQ(recs.value().size(), 32u);
 }

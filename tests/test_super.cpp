@@ -68,7 +68,7 @@ CatalogEntry sample_entry(obs::OpId op, sim::Time t) {
 
 TEST(Catalog, EntryRoundTripsThroughJson) {
   CatalogEntry e = sample_entry(42, 123456);
-  auto back = catalog_entry_from_json(catalog_entry_to_json(e));
+  auto back = obs::from_json<CatalogEntry>(catalog_entry_to_json(e));
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
   const CatalogEntry& r = back.value();
   EXPECT_EQ(r.op, 42u);
@@ -128,21 +128,21 @@ TEST(LedgerCompat, OldLinesDecodeAsManualWithNoMttr) {
   e.op = 7;
   e.kind = "restart";
   e.outcome = "ok";
-  obs::Json j = obs::ledger_entry_to_json(e);
+  obs::Json j = obs::to_json(e);
   // A manual op with no MTTR emits neither field (old readers see
   // byte-identical lines)...
   EXPECT_EQ(j.find("trigger"), nullptr);
   EXPECT_EQ(j.find("mttr_us"), nullptr);
   // ...and a line written before the supervisor existed folds back to
   // the defaults.
-  auto back = obs::ledger_entry_from_json(j);
+  auto back = obs::from_json<obs::LedgerEntry>(j);
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().trigger, "manual");
   EXPECT_EQ(back.value().mttr_us, 0u);
 
   e.trigger = "supervisor";
   e.mttr_us = 123456;
-  auto back2 = obs::ledger_entry_from_json(obs::ledger_entry_to_json(e));
+  auto back2 = obs::from_json<obs::LedgerEntry>(obs::to_json(e));
   ASSERT_TRUE(back2.is_ok());
   EXPECT_EQ(back2.value().trigger, "supervisor");
   EXPECT_EQ(back2.value().mttr_us, 123456u);

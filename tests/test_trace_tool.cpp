@@ -489,7 +489,7 @@ TEST(TraceAnalysis, LoadsEvidenceAndPostmortemDocsRejectsOthers) {
   pm["kind"] = "ckpt_fail";
   pm["op_id"] = u64{2};
   pm["phase"] = "mgr.ckpt.meta_wait";
-  pm["spans"] = obs::spans_to_json(rec);
+  pm["spans"] = obs::to_json(rec.spans());
   std::string pm_path = dir + "trace_tool_pm.json";
   std::ofstream(pm_path) << pm.dump(2);
   auto pdoc = load_trace_doc(pm_path);

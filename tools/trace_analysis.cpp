@@ -55,7 +55,7 @@ Result<TraceDoc> load_trace_doc(const std::string& path) {
   }
 
   if (const obs::Json* spans = doc.find("spans"); spans != nullptr) {
-    auto recs = obs::spans_from_json(*spans);
+    auto recs = obs::from_json<std::vector<obs::SpanRecord>>(*spans);
     if (!recs) {
       return Status(Err::PROTO, path + ": " + recs.status().to_string());
     }

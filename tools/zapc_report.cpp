@@ -101,7 +101,6 @@ void load_evidence_file(const std::string& path, RunSet& out,
     e.downtime_us = a.value().downtime_us;
     e.latency_us = a.value().latency_us;
     e.attrib = std::move(a).value();
-    e.has_attrib = true;
     out.ops.push_back(std::move(e));
   }
 }
@@ -141,7 +140,7 @@ u64 percentile(std::vector<u64> v, double p) {
 /// Critical-path time per phase for one entry; with no attribution the
 /// agent-reported per-phase durations stand in.
 std::map<std::string, obs::Time> entry_phases(const obs::LedgerEntry& e) {
-  if (e.has_attrib) return e.attrib.phase_totals();
+  if (e.attrib) return e.attrib->phase_totals();
   std::map<std::string, obs::Time> out;
   for (const auto& [name, us] : e.phase_us) out[name] = us;
   return out;
@@ -176,20 +175,18 @@ Aggregate aggregate(const RunSet& rs) {
       a.ok++;
     }
     a.downtime[e.kind].push_back(e.downtime_us);
-    a.latency[e.kind].push_back(
-        e.latency_us != 0 ? e.latency_us : e.downtime_us);
-    if (e.has_attrib && !e.attrib.drain_segments.empty()) {
-      a.drain[e.kind].push_back(e.attrib.max_drain_us());
+    a.latency[e.kind].push_back(e.latency_us);
+    if (e.attrib && !e.attrib->drain_segments.empty()) {
+      a.drain[e.kind].push_back(e.attrib->max_drain_us());
     } else if (auto it = e.phase_us.find("drain"); it != e.phase_us.end()) {
       a.drain[e.kind].push_back(it->second);
     }
     for (const auto& [phase, us] : entry_phases(e)) {
       a.phases[e.kind][phase].push_back(us);
     }
-    std::string pod =
-        e.has_attrib ? e.attrib.critical_pod : e.straggler_pod;
+    std::string pod = e.attrib ? e.attrib->critical_pod : e.straggler.pod;
     if (!pod.empty()) a.critical_pods[pod]++;
-    a.triggers[e.kind][e.trigger.empty() ? "manual" : e.trigger]++;
+    a.triggers[e.kind][e.trigger]++;
     if (e.mttr_us > 0 && e.outcome == "ok") a.mttr.push_back(e.mttr_us);
     a.drain_throttled_us += e.drain_throttled_us;
     a.drain_contended_us += e.drain_contended_us;
@@ -239,12 +236,12 @@ void print_op(const obs::LedgerEntry& e) {
     }
     std::printf("\n");
   }
-  if (!e.straggler_pod.empty()) {
-    std::printf("  straggler: %s (%s, lag %s)\n", e.straggler_pod.c_str(),
-                e.straggler_phase.c_str(),
-                obs::vtime_us(e.straggler_lag_us).c_str());
+  if (!e.straggler.pod.empty()) {
+    std::printf("  straggler: %s (%s, lag %s)\n", e.straggler.pod.c_str(),
+                e.straggler.phase.c_str(),
+                obs::vtime_us(e.straggler.lag_us).c_str());
   }
-  if (!e.has_attrib) {
+  if (!e.attrib) {
     if (!e.phase_us.empty()) {
       std::printf("  slowest-pod phases:");
       for (const auto& [name, us] : e.phase_us) {
@@ -254,17 +251,13 @@ void print_op(const obs::LedgerEntry& e) {
     }
     return;
   }
-  const obs::OpAttribution& a = e.attrib;
+  const obs::OpAttribution& a = *e.attrib;
   std::printf("  critical path (%s -> %s, %s total):\n",
               obs::vtime_us(a.start).c_str(), obs::vtime_us(a.end).c_str(),
               obs::vtime_us(a.downtime_us).c_str());
   for (const obs::CritSegment& s : a.segments) {
-    double pct = a.downtime_us > 0
-                     ? 100.0 * static_cast<double>(s.duration()) /
-                           static_cast<double>(a.downtime_us)
-                     : 0.0;
     std::printf("    %10s %5.1f%%  %-10s %-12s %s\n",
-                obs::vtime_us(s.duration()).c_str(), pct,
+                obs::vtime_us(s.duration()).c_str(), s.pct,
                 s.who.c_str(), s.pod.empty() ? "-" : s.pod.c_str(),
                 s.phase.c_str());
   }
@@ -387,12 +380,12 @@ int check_integrity(const RunSet& rs) {
                    static_cast<unsigned long long>(e.downtime_us));
       failures++;
     }
-    if (!e.has_attrib) continue;
+    if (!e.attrib) continue;
     u64 sum = 0;
-    for (const obs::CritSegment& s : e.attrib.segments) {
+    for (const obs::CritSegment& s : e.attrib->segments) {
       sum += s.duration();
     }
-    u64 total = e.attrib.downtime_us;
+    u64 total = e.attrib->downtime_us;
     u64 diff = sum > total ? sum - total : total - sum;
     if (total > 0 && diff * 100 > total) {
       std::fprintf(stderr,
