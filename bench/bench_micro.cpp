@@ -61,6 +61,27 @@ void BM_Crc32Bytewise(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32Bytewise)->Arg(4 << 10)->Arg(1 << 20);
 
+// The register after a run of zeros: folding the zeros (arg 1 = 0), the
+// before, against crc32_zeros (arg 1 = 1), which reads none of them.
+void BM_Crc32Zeros(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bool op = state.range(1) != 0;
+  const Bytes zeros(n, 0);
+  state.SetLabel(op ? "operator" : "fold");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        op ? crc32_zeros(crc32_init(), n)
+           : crc32_update(crc32_init(), zeros.data(), n));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32Zeros)
+    ->Args({64 << 10, 0})
+    ->Args({64 << 10, 1})
+    ->Args({1 << 20, 0})
+    ->Args({1 << 20, 1});
+
 void BM_RecordWriteRead(benchmark::State& state) {
   Bytes payload(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
@@ -73,6 +94,22 @@ void BM_RecordWriteRead(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RecordWriteRead)->Arg(4 << 10)->Arg(1 << 20);
+
+// Validating a record whose payload is all zero: each block is scanned
+// once and the CRC register stepped over it, not folded.
+void BM_RecordReadZeros(benchmark::State& state) {
+  RecordWriter w;
+  w.write(RecordTag::MEM_REGION, 1,
+          Bytes(static_cast<std::size_t>(state.range(0)), 0));
+  const Bytes image = w.take();
+  for (auto _ : state) {
+    RecordReader r(image);
+    benchmark::DoNotOptimize(r.next());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_RecordReadZeros)->Arg(1 << 20);
 
 Bytes pattern(std::size_t n) {
   Bytes b(n);

@@ -372,6 +372,19 @@ Result<PodImage> decode_image(const Bytes& data) {
         if (proc == nullptr) {
           return Status(Err::PROTO, "zero region for unknown vpid");
         }
+        // The size is the one field that maps memory on decode, so it is
+        // bounded first: by the region cap, and by the manifest's size
+        // for the region when the process has a manifest.
+        if (m.size > kMaxRegionBytes) {
+          return Status(Err::PROTO, "zero region larger than the region cap");
+        }
+        if (!proc->manifest.empty()) {
+          auto it = proc->manifest.find(m.name);
+          if (it == proc->manifest.end() || it->second.size != m.size) {
+            return Status(Err::PROTO,
+                          "zero region size disagrees with the manifest");
+          }
+        }
         proc->regions[std::move(m.name)] =
             RegionBuf::zeros(static_cast<std::size_t>(m.size));
         break;

@@ -165,6 +165,11 @@ struct ProcessImage {
   std::map<std::string, RegionMeta> manifest;  // all live regions
 };
 
+/// Largest region size an image may declare for a zero region, whose
+/// bytes are not in the image: far above any region a pod holds, it
+/// keeps a corrupt size from asking for a zero mapping no host can give.
+constexpr u64 kMaxRegionBytes = u64{1} << 36;  // 64 GiB
+
 // ---- Codec flags (PodImageHeader.codec_flags) -------------------------------
 // Recorded in the header so a reader knows how region records were
 // produced.
@@ -227,12 +232,14 @@ Bytes encode_image(const PodImage& image, Bytes storage = {});
 
 /// Parses a record stream back into a PodImage.  Strict: Err::PROTO on
 /// corruption, a record of another format version or an unknown tag, a
-/// payload its field list does not consume exactly, or bytes after the
-/// terminator.  decode(encode(x)) is codec-independent
-/// in content; in sharing, a ref region shares its source's buffer and a
-/// zero region (elided, or a raw record that is all zero) is a zero view
-/// (RegionBuf::zeros) that holds no memory.  Each record is read once:
-/// the CRC pass also finds its trailing zero run (RecordView::zero_tail).
+/// payload its field list does not consume exactly, bytes after the
+/// terminator, or a zero region whose size exceeds kMaxRegionBytes or
+/// differs from its process manifest's.  decode(encode(x)) is
+/// codec-independent in content; in sharing, a ref region shares its
+/// source's buffer and a zero region (elided, or a raw record that is all
+/// zero) is a zero view (RegionBuf::zeros) that holds no memory.  Each
+/// record is read once: the CRC pass also finds its trailing zero run
+/// (RecordView::zero_tail).
 Result<PodImage> decode_image(const Bytes& data);
 
 /// Overlays `delta` (a kCodecDelta image) onto `base` (the already fully

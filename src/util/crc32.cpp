@@ -12,6 +12,9 @@
 namespace zapc {
 namespace {
 
+// The IEEE polynomial, bit-reflected: bit 31 is the x^0 coefficient.
+constexpr u32 kPoly = 0xEDB88320u;
+
 // Slice-by-8 lookup tables: table[0] is the classic bytewise table;
 // table[k][b] is the CRC of byte b followed by k zero bytes, so eight
 // table lookups advance the state by eight input bytes at once.
@@ -22,7 +25,7 @@ CrcTables make_tables() {
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      c = (c & 1u) ? kPoly ^ (c >> 1) : (c >> 1);
     }
     t[0][i] = c;
   }
@@ -39,6 +42,35 @@ CrcTables make_tables() {
 const CrcTables& tables() {
   static const CrcTables t = make_tables();
   return t;
+}
+
+// a * b modulo the polynomial, both reflected like the register.  Each
+// step multiplies `b` by x, reducing the x^32 term it shifts out.
+u32 mul_mod_poly(u32 a, u32 b) {
+  u32 prod = 0;
+  for (u32 m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) prod ^= b;
+    b = (b & 1u) ? kPoly ^ (b >> 1) : (b >> 1);
+  }
+  return prod;
+}
+
+// zero_ops()[k] is x^(8 * 2^k) mod P: the register operator for 2^k zero
+// bytes.  Entry 0 is x^8 (one byte); each next entry squares the last.
+using ZeroOps = std::array<u32, 8 * sizeof(std::size_t)>;
+
+ZeroOps make_zero_ops() {
+  ZeroOps ops{};
+  ops[0] = 1u << (31 - 8);
+  for (std::size_t k = 1; k < ops.size(); ++k) {
+    ops[k] = mul_mod_poly(ops[k - 1], ops[k - 1]);
+  }
+  return ops;
+}
+
+const ZeroOps& zero_ops() {
+  static const ZeroOps ops = make_zero_ops();
+  return ops;
 }
 
 #ifdef ZAPC_CRC32_PCLMUL
@@ -174,6 +206,14 @@ u32 crc32_update(u32 state, const u8* p, std::size_t n) {
 }
 
 u32 crc32_final(u32 state) { return state ^ 0xFFFFFFFFu; }
+
+u32 crc32_zeros(u32 state, std::size_t n) {
+  const ZeroOps& ops = zero_ops();
+  for (std::size_t k = 0; n != 0; ++k, n >>= 1) {
+    if ((n & 1u) != 0) state = mul_mod_poly(ops[k], state);
+  }
+  return state;
+}
 
 u32 crc32(const u8* p, std::size_t n) {
   return crc32_final(crc32_update(crc32_init(), p, n));

@@ -22,6 +22,14 @@ u32 crc32_init();
 u32 crc32_update(u32 state, const u8* p, std::size_t n);
 u32 crc32_final(u32 state);
 
+/// The register crc32_update leaves after `n` zero bytes, computed
+/// without any bytes to read.  Over zeros the register update is linear:
+/// each zero byte multiplies the register by x^8 modulo the polynomial,
+/// so `n` of them multiply it by x^(8n).  That multiplier is built from
+/// precomputed x^(8*2^k) factors, one per set bit of `n` (the operator
+/// zlib's crc32_combine applies), so the cost grows with log2(n) only.
+u32 crc32_zeros(u32 state, std::size_t n);
+
 /// The slice-by-8 table walk on its own (8 input bytes per iteration):
 /// crc32_update's fallback, exposed so tests and bench_micro cover it on
 /// CPUs that take the PCLMUL path.

@@ -24,11 +24,7 @@ const char* record_tag_name(RecordTag tag) {
 }
 
 void RecordWriter::write(RecordTag tag, u16 version, const Bytes& payload) {
-  buf_.put_u32(static_cast<u32>(tag));
-  buf_.put_u16(version);
-  buf_.put_u64(payload.size());
-  buf_.put_raw(payload.data(), payload.size());
-  buf_.put_u32(record_crc(tag, version, payload.data(), payload.size()));
+  write_split(tag, version, Bytes{}, payload.data(), payload.size());
 }
 
 namespace {
@@ -54,18 +50,27 @@ void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
   buf_.put_u16(version);
   buf_.put_u64(head.size() + body_len);
   buf_.put_raw(head.data(), head.size());
+  u32 c = record_crc_head(tag, version, head);
+  // Zeros are never checksummed byte by byte: crc32_zeros advances the
+  // register over a run of them in O(log n).  A null body is one run.
+  if (body == nullptr) {
+    buf_.put_zeros(body_len);
+    buf_.put_u32(crc32_final(crc32_zeros(c, body_len)));
+    return;
+  }
   // Copy and checksum fused: each block is checksummed right after it is
   // copied, while it is still in cache, instead of in a second pass over
-  // a body that has long left it.
-  u32 c = record_crc_head(tag, version, head);
+  // a body that has long left it.  A block that is all zero is written
+  // as zeros and stepped over the same way.
   for (std::size_t off = 0; off < body_len; off += kCrcBlock) {
     const std::size_t n = std::min(kCrcBlock, body_len - off);
-    const std::size_t at = buf_.size();
-    if (body != nullptr) {
-      buf_.put_raw(body + off, n);
-    } else {
+    if (is_all_zero(body + off, n)) {
       buf_.put_zeros(n);
+      c = crc32_zeros(c, n);
+      continue;
     }
+    const std::size_t at = buf_.size();
+    buf_.put_raw(body + off, n);
     c = crc32_update(c, buf_.bytes().data() + at, n);
   }
   buf_.put_u32(crc32_final(c));
@@ -73,14 +78,8 @@ void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
 
 u32 record_crc(RecordTag tag, u16 version, const u8* payload,
                std::size_t len) {
-  return record_crc_split(tag, version, Bytes{}, payload, len);
-}
-
-u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
-                     const u8* body, std::size_t body_len) {
-  u32 c = record_crc_head(tag, version, head);
-  if (body_len > 0) c = crc32_update(c, body, body_len);
-  return crc32_final(c);
+  return crc32_final(
+      crc32_update(record_crc_head(tag, version, Bytes{}), payload, len));
 }
 
 Result<RecordView> RecordReader::next() {
@@ -108,10 +107,18 @@ Result<RecordView> RecordReader::next() {
   // End of the last block holding a non-zero byte (0: none).
   std::size_t nz_end = 0;
   constexpr std::size_t kBlock = RecordWriter::kCrcBlock;
+  // Every byte is read: a block is tested for zeros first, and only a
+  // block holding a non-zero byte is folded.  An all-zero block advances
+  // the register by crc32_zeros, which gives the same register as
+  // folding it, so the full record CRC is still compared.
   for (std::size_t off = 0; off < n; off += kBlock) {
     const std::size_t len = std::min(kBlock, n - off);
-    c = crc32_update(c, p + off, len);
-    if (!is_all_zero(p + off, len)) nz_end = off + len;
+    if (is_all_zero(p + off, len)) {
+      c = crc32_zeros(c, len);
+    } else {
+      c = crc32_update(c, p + off, len);
+      nz_end = off + len;
+    }
   }
   if (crc.value() != crc32_final(c)) {
     return Status(Err::PROTO, "record crc mismatch");

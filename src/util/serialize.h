@@ -203,10 +203,11 @@ class Decoder {
 //   any other type        its own io() field list
 //
 // Decoding is strict: a short field, a bool other than 0 or 1, a count the
-// remaining bytes cannot hold, a wrong array count, a wrong constant, a
-// duplicate map key or a trailing byte fails Err::PROTO.  A list may end in an optional tail,
-// `if (f.tail(present)) f(...)`: the writer writes it when `present`, the
-// reader reads it when bytes remain.
+// remaining bytes cannot hold, a wrong array count, a wrong constant, map
+// keys out of strictly increasing order (the one order the writer emits)
+// or a trailing byte fails Err::PROTO.  A list may end in an optional
+// tail, `if (f.tail(present)) f(...)`: the writer writes it when
+// `present`, the reader reads it when bytes remain.
 
 /// A field with one valid value.
 template <typename T>
@@ -432,9 +433,14 @@ class FieldReader {
       V v{};
       get(k);
       get(v);
-      if (err_ == nullptr && !m.emplace(std::move(k), std::move(v)).second) {
-        fail("duplicate map key");
+      if (err_ != nullptr) break;
+      // The writer emits keys in map order, so a repeated or descending
+      // key is no encoding of any map.
+      if (!m.empty() && !m.key_comp()(m.rbegin()->first, k)) {
+        fail("map keys not strictly increasing");
+        break;
       }
+      m.emplace_hint(m.end(), std::move(k), std::move(v));
     }
   }
   template <typename T, std::size_t N>
@@ -543,7 +549,10 @@ class RecordWriter {
   /// intermediate payload copy.  The body is copied and checksummed in
   /// one pass, kCrcBlock bytes at a time; the record bytes are those of
   /// write() on the concatenated payload.  A null `body` stands for
-  /// `body_len` zero bytes, written without reading any source.
+  /// `body_len` zero bytes, written without reading any source.  Zeros
+  /// are not folded through the CRC: a null body, and a body block that
+  /// is all zero, are written as zeros and advance the register by
+  /// crc32_zeros.
   void write_split(RecordTag tag, u16 version, const Bytes& head,
                    const u8* body, std::size_t body_len);
 
@@ -561,10 +570,6 @@ class RecordWriter {
 /// CRC covering a record's header fields and payload.
 u32 record_crc(RecordTag tag, u16 version, const u8* payload,
                std::size_t len);
-
-/// Same CRC over a payload given as two spans (head + body).
-u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
-                     const u8* body, std::size_t body_len);
 
 /// One parsed record.  The payload is a view into the image buffer the
 /// RecordReader iterates, so it is valid only while that buffer is.
@@ -588,8 +593,10 @@ class RecordReader {
   /// Reads the next record; Err::NO_ENT at end of stream, Err::PROTO on
   /// corruption (bad CRC or truncated frame).  The CRC is checked over
   /// the whole record before the view is returned.  The payload is read
-  /// once, kCrcBlock bytes at a time: each block is checksummed and then
-  /// tested for zeros while it is still in cache (RecordView::zero_tail).
+  /// once, kCrcBlock bytes at a time: each block is tested for zeros
+  /// first (which also yields RecordView::zero_tail).  An all-zero block
+  /// advances the register by crc32_zeros; only a block holding a
+  /// non-zero byte is folded, while it is still in cache.
   Result<RecordView> next();
 
   bool at_end() const { return dec_.at_end(); }

@@ -7,6 +7,7 @@
 #include "net/stack.h"
 #include "sim/engine.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/types.h"
 
 namespace zapc::test {
@@ -54,6 +55,24 @@ class TestNet {
   u64 sent_ = 0;
   u64 dropped_ = 0;
 };
+
+/// Passes every record payload of a checkpoint image through
+/// `edit(tag, payload)` and frames the records again with valid CRCs: a
+/// corrupt field the record CRC no longer catches, as a fuzzer's
+/// re-framed input.  Empty if `image` does not frame.
+template <typename Edit>
+Bytes reframe_records(const Bytes& image, Edit edit) {
+  RecordReader r(image);
+  RecordWriter w;
+  while (!r.at_end()) {
+    auto rec = r.next();
+    if (!rec) return {};
+    Bytes payload = rec.value().payload.to_bytes();
+    edit(rec.value().tag, payload);
+    w.write(rec.value().tag, rec.value().version, payload);
+  }
+  return w.take();
+}
 
 /// Deterministic payload of n bytes.
 inline Bytes pattern_bytes(std::size_t n, u8 salt = 0) {

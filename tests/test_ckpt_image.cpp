@@ -1,6 +1,7 @@
 // Checkpoint image format and standalone process capture tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -241,6 +242,121 @@ TEST(RegionFraming, RegionRefTrailingBytesRejected) {
       decode_image(image_with_record(RecordTag::MEM_REGION_REF, trailing))
           .err(),
       Err::PROTO);
+}
+
+// ---- Re-framed records: fields the CRC no longer guards -----------------------
+
+/// A process whose manifest lists a 64-byte zero region "z"; with zero
+/// elision "z" is written as a MEM_REGION_ZERO record (its size only).
+PodImage zero_region_image() {
+  PodImage img;
+  img.header.pod_name = "zombie-pod";
+  img.header.codec_flags = kCodecZeroElide;
+  ProcessImage p;
+  p.vpid = 1;
+  p.kind = "test.counter";
+  p.regions["z"] = RegionBuf::zeros(64);
+  p.manifest["z"] = RegionMeta{1, 64, 0};
+  img.processes.push_back(p);
+  return img;
+}
+
+/// `image` with its MEM_REGION_ZERO size field (the payload's last 8
+/// bytes) set to `size` and the record framed again.
+Bytes with_zero_region_size(const Bytes& image, u64 size) {
+  return test::reframe_records(image, [size](RecordTag tag, Bytes& payload) {
+    if (tag != RecordTag::MEM_REGION_ZERO) return;
+    for (std::size_t i = 0; i < 8; ++i) {
+      payload[payload.size() - 8 + i] = static_cast<u8>(size >> (8 * i));
+    }
+  });
+}
+
+// The size is the only thing a zero region record carries; a huge one
+// once went straight to the zero mapping, whose mmap failed and threw
+// std::bad_alloc out of decode_image.
+constexpr u64 kHugeZeroRegion = 0x4000200000000010;
+
+TEST(ZeroRegionSize, HugeSizeFailsDecodeWithProto) {
+  const Bytes data = encode_image(zero_region_image());
+  auto ok = decode_image(with_zero_region_size(data, 64));
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().processes[0].regions.at("z"), Bytes(64, 0));
+  for (u64 size : {kHugeZeroRegion, kMaxRegionBytes + 1, u64{63}, u64{65}}) {
+    EXPECT_EQ(decode_image(with_zero_region_size(data, size)).err(),
+              Err::PROTO)
+        << size;
+  }
+}
+
+TEST(ZeroRegionSize, CapBoundsAProcessWithoutManifest) {
+  PodImage img = zero_region_image();
+  img.processes[0].manifest.clear();
+  const Bytes data = encode_image(img);
+  auto ok = decode_image(with_zero_region_size(data, 1 << 20));
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().processes[0].regions.at("z").size(), 1u << 20);
+  for (u64 size : {kHugeZeroRegion, kMaxRegionBytes + 1}) {
+    EXPECT_EQ(decode_image(with_zero_region_size(data, size)).err(),
+              Err::PROTO)
+        << size;
+  }
+}
+
+/// `n` bytes of `v`, little-endian.
+Bytes le_bytes(u64 v, std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<u8>(v >> (8 * i));
+  return b;
+}
+
+Bytes cat(Bytes a, const Bytes& b) {
+  append_bytes(a, b);
+  return a;
+}
+
+// A map field has one encoding: its entries in key order.  A PROCESS
+// payload with two entries of its fd table or of its timers swapped
+// once decoded (and re-encoded to other bytes); it must fail instead.
+TEST(CanonicalMaps, ProcessMapWithSwappedKeysFailsDecode) {
+  PodImage img = sample_image();
+  img.processes[0].fds = {{3, 7}, {4, 9}};
+  img.processes[0].timer_remaining = {{1, 100}, {2, 200}};
+  const Bytes data = encode_image(img);
+  ASSERT_TRUE(decode_image(data).is_ok());
+
+  // Each map's two entries as encoded: (int fd, u32 socket) and
+  // (u32 timer id, i64 remaining).
+  const std::vector<std::pair<Bytes, Bytes>> maps = {
+      {cat(le_bytes(3, 4), le_bytes(7, 4)),
+       cat(le_bytes(4, 4), le_bytes(9, 4))},
+      {cat(le_bytes(1, 4), le_bytes(100, 8)),
+       cat(le_bytes(2, 4), le_bytes(200, 8))},
+  };
+  for (const auto& [first, second] : maps) {
+    const Bytes in_order = cat(first, second);
+    // The PROCESS payload with the two entries replaced by `entries`.
+    auto with_entries = [&](const Bytes& entries) {
+      bool found = false;
+      Bytes out = test::reframe_records(
+          data, [&](RecordTag tag, Bytes& payload) {
+            if (tag != RecordTag::PROCESS) return;
+            auto at = std::search(payload.begin(), payload.end(),
+                                  in_order.begin(), in_order.end());
+            if (at == payload.end()) return;
+            std::copy(entries.begin(), entries.end(), at);
+            found = true;
+          });
+      EXPECT_TRUE(found);
+      return out;
+    };
+    ASSERT_TRUE(decode_image(with_entries(in_order)).is_ok());
+    EXPECT_EQ(decode_image(with_entries(cat(second, first))).err(),
+              Err::PROTO);
+    // The same entry twice (a duplicate key) fails as well.
+    EXPECT_EQ(decode_image(with_entries(cat(first, first))).err(),
+              Err::PROTO);
+  }
 }
 
 /// REDIRECTED_SEND_Q payload: socket id, then length-prefixed data.

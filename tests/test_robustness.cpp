@@ -348,6 +348,49 @@ TEST_F(PostmortemTest, CorruptImageRestartDumpsRestartFail) {
   EXPECT_EQ(j.find("phase")->str().rfind("mgr.restart", 0), 0u);
 }
 
+// A well-framed image whose zero region claims a size no host can map
+// (a fuzzed size, re-framed with a valid CRC).  Its decode used to throw
+// std::bad_alloc and terminate the agent; the restart must fail cleanly
+// and the agent must live on to report it.
+TEST_F(PostmortemTest, HugeZeroRegionRestartFailsCleanly) {
+  ckpt::PodImage img;
+  img.header.pod_name = "zombie-pod";
+  img.header.codec_flags = ckpt::kCodecZeroElide;
+  ckpt::ProcessImage p;
+  p.vpid = 1;
+  p.kind = "test.counter";
+  p.regions["z"] = RegionBuf::zeros(64);
+  p.manifest["z"] = ckpt::RegionMeta{1, 64, 0};
+  img.processes.push_back(p);
+  const Bytes huge = test::reframe_records(
+      ckpt::encode_image(img), [](RecordTag tag, Bytes& payload) {
+        if (tag != RecordTag::MEM_REGION_ZERO) return;
+        const u64 size = 0x4000200000000010;
+        for (std::size_t i = 0; i < 8; ++i) {
+          payload[payload.size() - 8 + i] = static_cast<u8>(size >> (8 * i));
+        }
+      });
+  ASSERT_FALSE(huge.empty());
+  ASSERT_TRUE(cl_.san().write("ckpt/huge-zero", huge).is_ok());
+
+  ckpt::NetMeta meta;
+  meta.pod_vip = net::IpAddr::parse("10.9.9.9").value();
+  bool done = false;
+  core::Manager::RestartReport rr;
+  manager_->restart(
+      {{agents_[0]->addr(), "zombie-pod", "san://ckpt/huge-zero"}},
+      {{"zombie-pod", meta}},
+      [&](core::Manager::RestartReport r) {
+        rr = std::move(r);
+        done = true;
+      });
+  for (int i = 0; i < 20000 && !done; ++i) cl_.run_for(sim::kMillisecond);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(rr.ok);
+  EXPECT_NE(rr.error.find("zero region"), std::string::npos) << rr.error;
+  EXPECT_EQ(agents_[0]->find_pod("zombie-pod"), nullptr);
+}
+
 TEST(Robustness, SanRandomOpsBehaveLikeAMap) {
   Rng rng(2020);
   os::VirtualSAN san;

@@ -6,7 +6,9 @@
 #include <optional>
 #include <vector>
 
+#include "ckpt/image.h"
 #include "util/crc32.h"
+#include "util/region_buf.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -116,12 +118,25 @@ TEST(Records, CorruptionDetected) {
 TEST(Records, WriteSplitMatchesTwoPassForm) {
   const Bytes head = {0x10, 0x20, 0x30, 0x40, 0x50};
   const std::size_t block = RecordWriter::kCrcBlock;
+  // Body shapes: data; all zero (borrowed, and as a null body, which
+  // write_split writes without reading); data in every other block only,
+  // so zero blocks sit between, before and after data blocks.
+  enum class Shape { kData, kZeros, kNullZeros, kStriped };
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, block - 1, block,
                         block + 1, (std::size_t{3} << 20) + 7}) {
+   for (Shape shape : {Shape::kData, Shape::kZeros, Shape::kNullZeros,
+                       Shape::kStriped}) {
     Bytes body(n);
-    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<u8>(i * 131 + 7);
+    if (shape == Shape::kData || shape == Shape::kStriped) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (shape == Shape::kData || (i / block) % 2 == 1) {
+          body[i] = static_cast<u8>(i * 131 + 7);
+        }
+      }
+    }
     RecordWriter w;
-    w.write_split(RecordTag::MEM_REGION, 2, head, body.data(), n);
+    w.write_split(RecordTag::MEM_REGION, 2, head,
+                  shape == Shape::kNullZeros ? nullptr : body.data(), n);
 
     Encoder covered;  // what the CRC covers: tag, version, payload
     covered.put_u32(static_cast<u32>(RecordTag::MEM_REGION));
@@ -136,13 +151,15 @@ TEST(Records, WriteSplitMatchesTwoPassForm) {
     two_pass.put_raw(body.data(), n);
     two_pass.put_u32(crc32(covered.bytes()));
 
-    ASSERT_EQ(w.size(), two_pass.size()) << n;
+    const int s = static_cast<int>(shape);
+    ASSERT_EQ(w.size(), two_pass.size()) << n << " shape " << s;
     EXPECT_EQ(std::memcmp(w.bytes().data(), two_pass.bytes().data(),
                           w.size()),
               0)
-        << n;
+        << n << " shape " << s;
     RecordReader r(w.bytes());
-    EXPECT_TRUE(r.next().is_ok()) << n;
+    EXPECT_TRUE(r.next().is_ok()) << n << " shape " << s;
+   }
   }
 }
 
@@ -186,6 +203,50 @@ TEST(Records, ZeroTailMatchesBytewiseScan) {
   }
   for (std::size_t size : {std::size_t{0}, std::size_t{1}, block, n}) {
     EXPECT_EQ(zero_tail(Bytes(size, 0)), size) << size;
+  }
+}
+
+// The reader steps over an all-zero block with crc32_zeros instead of
+// folding it, but it still reads every byte and compares the whole
+// record CRC: one flipped bit anywhere in a multi-block zero body, or in
+// the CRC trailer, fails the decode.
+TEST(Records, BitFlipInZeroBodyFailsDecode) {
+  const std::size_t block = RecordWriter::kCrcBlock;
+  ckpt::PodImage img;
+  img.header.pod_name = "zeros";
+  ckpt::ProcessImage p;
+  p.vpid = 1;
+  p.kind = "test.counter";
+  // A zero view: written as zeros (codec flags clear), three full
+  // blocks and a partial one.
+  p.regions["workspace"] = RegionBuf::zeros(3 * block + 100);
+  img.processes.push_back(p);
+  const Bytes data = ckpt::encode_image(img);
+  ASSERT_TRUE(ckpt::decode_image(data).is_ok());
+
+  // The region record is the one before the 18-byte terminator: its
+  // body ends at its 4-byte CRC, and its payload (the reader's blocks)
+  // starts at the head: vpid, name, body length.
+  const std::size_t crc_at = data.size() - 18 - 4;
+  const std::size_t body_start = crc_at - (3 * block + 100);
+  const std::size_t payload_start = body_start - (4 + 4 + 9 + 4);
+  for (std::size_t i = body_start; i < crc_at; ++i) {
+    ASSERT_EQ(data[i], 0) << i;
+  }
+  const std::vector<std::pair<const char*, std::size_t>> flips = {
+      {"first block", payload_start + block / 2},
+      {"middle block", payload_start + block + block / 2},
+      {"middle block's first byte", payload_start + 2 * block},
+      {"last partial block", crc_at - 1},
+      {"crc trailer", crc_at + 2},
+  };
+  for (const auto& [where, at] : flips) {
+    for (u8 bit : {u8{0x01}, u8{0x80}}) {
+      Bytes bad = data;
+      bad[at] ^= bit;
+      EXPECT_EQ(ckpt::decode_image(bad).err(), Err::PROTO)
+          << where << " bit " << int{bit};
+    }
   }
 }
 
@@ -241,6 +302,37 @@ TEST(Crc32, KernelsMatchBytewiseOnAnImageSizedBuffer) {
   u32 want = crc32_update_bytewise(crc32_init(), big.data(), big.size());
   EXPECT_EQ(crc32_update(crc32_init(), big.data(), big.size()), want);
   EXPECT_EQ(crc32_update_slice8(crc32_init(), big.data(), big.size()), want);
+}
+
+// crc32_zeros is the register crc32_update leaves after folding real
+// zeros: around every power-of-two and block boundary the writer and the
+// reader step over, and at random lengths, from random register states.
+TEST(Crc32, ZerosOperatorMatchesFoldingZeros) {
+  const std::size_t block = RecordWriter::kCrcBlock;
+  const Bytes zeros((std::size_t{1} << 20) + 7, 0);
+  auto check = [&](u32 state, std::size_t n) {
+    ASSERT_EQ(crc32_zeros(state, n), crc32_update(state, zeros.data(), n))
+        << "n " << n << " state " << state;
+  };
+  Rng rng(0x2E805);
+  for (std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
+        std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{4095},
+        block - 1, block, block + 1, zeros.size()}) {
+    check(crc32_init(), n);
+    check(0, n);
+    check(rng.next_u32(), n);
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    check(rng.next_u32(), rng.below(zeros.size() + 1));
+  }
+  // Spliced into a stream: data, zeros, data gives the one-shot CRC.
+  Bytes b = random_bytes(rng, 3000);
+  std::fill(b.begin() + 1000, b.begin() + 2500, 0);
+  u32 c = crc32_update(crc32_init(), b.data(), 1000);
+  c = crc32_zeros(c, 1500);
+  c = crc32_update(c, b.data() + 2500, 500);
+  EXPECT_EQ(crc32_final(c), crc32(b));
 }
 
 TEST(Crc32, ChainedUpdatesEqualOneShot) {

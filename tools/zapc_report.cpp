@@ -17,6 +17,11 @@
 //   zapc-report --compare old/ new/          # run-over-run drift
 //   zapc-report --check --compare old/ new/  # fail when p95 downtime
 //                                            # regressed > --max-increase %
+//
+// Exit status: 1 when any input is rejected (a ledger or a named
+// evidence file that fails to load, an op whose attribution fails),
+// with or without --check; also 1 when a --check gate fails; 2 on a
+// usage error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -52,7 +57,7 @@ struct RunSet {
   int files = 0;
   int skipped_torn = 0;
   int attrib_failures = 0;
-  std::vector<std::string> errors;  // per-file problems (--check fails)
+  std::vector<std::string> errors;  // per-file problems: exit 1
 };
 
 bool ends_with(const std::string& s, const std::string& suf) {
@@ -508,7 +513,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "zapc-report: %s\n", e.c_str());
       }
     }
-    return compare_runs(ra, rb, opt);
+    const int regressed = compare_runs(ra, rb, opt);
+    return ra.errors.empty() && rb.errors.empty() ? regressed : 1;
   }
 
   RunSet rs;
@@ -540,5 +546,7 @@ int main(int argc, char** argv) {
         "path sums to its downtime and matches the ledger's within 1%%\n",
         rs.ops.size(), rs.files);
   }
-  return 0;
+  // A rejected input fails the run with or without --check: a script
+  // must not take a ledger that failed to load for an empty one.
+  return rs.errors.empty() ? 0 : 1;
 }
