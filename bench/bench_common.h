@@ -231,7 +231,8 @@ inline void print_header(const std::string& title,
 /// from the process-global registry don't bleed between benches.
 class JsonEvidence {
  public:
-  explicit JsonEvidence(std::string name) : name_(std::move(name)) {
+  explicit JsonEvidence(std::string name) {
+    doc_.name = std::move(name);
     // Register the canonical metric vocabulary up front so every export
     // carries the full key set (zeros included) and stays diffable.
     obs::stats::ensure_core_metrics();
@@ -240,27 +241,24 @@ class JsonEvidence {
 
   /// Appends one result row (arbitrary JSON object, typically mirroring
   /// a printed table line).
-  void add_row(obs::Json row) { rows_.push(std::move(row)); }
+  void add_row(obs::Json row) { doc_.rows.push_back(std::move(row)); }
 
   /// Writes bench_results/<name>.json; returns the path.  Optionally
   /// embeds a span stream (e.g. a Testbed trace's recorder).
   std::string write(const obs::SpanRecorder* spans = nullptr) {
-    obs::MetricsSnapshot now = obs::metrics().snapshot();
-    obs::Json doc =
-        obs::evidence_json(name_, now.diff_since(baseline_), spans);
-    if (rows_.size() > 0) doc["rows"] = rows_;
+    doc_.metrics = obs::metrics().snapshot().diff_since(baseline_);
+    if (spans != nullptr) doc_.spans = spans->spans();
     std::filesystem::create_directories("bench_results");
-    std::string path = "bench_results/" + name_ + ".json";
+    std::string path = "bench_results/" + doc_.name + ".json";
     std::ofstream f(path);
-    f << doc.dump(2) << "\n";
+    f << obs::to_json(doc_).dump(2) << "\n";
     std::printf("\n[evidence] %s\n", path.c_str());
     return path;
   }
 
  private:
-  std::string name_;
+  obs::Evidence doc_;
   obs::MetricsSnapshot baseline_;
-  obs::Json rows_ = obs::Json::array();
 };
 
 }  // namespace zapc::bench

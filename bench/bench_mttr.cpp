@@ -140,16 +140,16 @@ KillResult run_kill(sim::Time interval_us, obs::Ledger& ledger) {
   }
   fault::injector().clear();
 
-  const super::Supervisor::LastRecovery& lr = supervisor.last_recovery();
-  if (ec != 0 || !lr.ok) {
+  const std::optional<obs::LastRecovery>& lr = supervisor.last_recovery();
+  if (ec != 0 || !lr || !lr->ok) {
     std::fprintf(stderr, "bench_mttr: client exit %d, recovery %s "
-                 "(interval %llu us)\n", ec, lr.ok ? "ok" : "failed",
+                 "(interval %llu us)\n", ec, lr && lr->ok ? "ok" : "failed",
                  static_cast<unsigned long long>(interval_us));
     return out;
   }
   out.ok = true;
-  out.detect_us = lr.detect_us - kill_at;
-  out.mttr_us = lr.mttr_us;
+  out.detect_us = lr->detect_us - kill_at;
+  out.mttr_us = lr->mttr_us;
   out.lost_work_us = kill_at - last_commit_us;
   out.ckpts = static_cast<u32>(supervisor.catalog().size());
   return out;

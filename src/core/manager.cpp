@@ -177,8 +177,14 @@ sim::Time Manager::retry_delay(const RetryPolicy& p, u32 attempt) {
 
 // ---- Introspection plane (DESIGN.md §9) -------------------------------------
 
+obs::HealthDoc Manager::health_doc(obs::OpId op) const {
+  obs::HealthDoc doc = health_.snapshot(node_.now(), op);
+  if (supervisor_status_ != nullptr) doc.supervisor = supervisor_status_();
+  return doc;
+}
+
 std::string Manager::health_json(obs::OpId op) const {
-  return health_.snapshot(node_.now(), op).dump(2);
+  return obs::to_json(health_doc(op)).dump(2);
 }
 
 void Manager::serve_status(u16 port) {
@@ -210,13 +216,10 @@ void Manager::status_on_msg(MsgChannel* ch, Bytes msg) {
   if (!type || type.value() != MsgType::HEALTH_QUERY) return;
   auto q = decode<HealthQuery>(msg);
   if (!q) return;
-  obs::OpId op =
-      q.value().op_id != 0 ? q.value().op_id : health_.latest_op();
+  const obs::HealthDoc doc = health_doc(q.value().op_id);  // 0 = latest
   HealthSnapshotMsg reply;
-  reply.op_id = op;
-  obs::Json doc = health_.snapshot(node_.now(), op);
-  if (status_extra_ != nullptr) doc["supervisor"] = status_extra_();
-  reply.json = doc.dump();
+  reply.op_id = doc.op_id;
+  reply.json = obs::to_json(doc).dump();
   (void)ch->send(encode(reply));
 }
 
@@ -382,9 +385,9 @@ void Manager::begin_attempt(OpInputs in, u32 attempt) {
       op.span_meta_wait = r->begin_at(op.t_start, "mgr.ckpt.meta_wait",
                                       "manager", op.span_root, op.op_id);
     }
-    // The restart schedule: record each connection's discard/redirect
-    // decision so the offline analyzer can check recv >= acked on the
-    // restored pairs without the images.
+    // The restart schedule, for the timeline: each restored connection's
+    // discard/redirect decision.  The offline recv >= acked check reads
+    // the agents' net.sock.restored events, not these.
     for (const ckpt::NetMeta& meta : op.in.peer_metas) {
       for (const auto& e : meta.entries) {
         if (e.state != ckpt::ConnState::FULL_DUPLEX &&

@@ -272,7 +272,8 @@ class Manager {
   /// for ops run with `heartbeat_us > 0`.
   const obs::ClusterHealth& health() const { return health_; }
 
-  /// zapc.obs.health.v1 snapshot of one op (0 = latest), serialized.
+  /// zapc.obs.health.v1 snapshot of one op (0 = latest), serialized: the
+  /// document the status endpoint serves, supervisor section included.
   std::string health_json(obs::OpId op = 0) const;
 
   /// Opens the queryable status endpoint: any client connecting to
@@ -301,10 +302,12 @@ class Manager {
       std::function<void(const CheckpointReport&, const std::vector<Target>&)>;
   void set_on_commit(CommitFn fn) { commit_fn_ = std::move(fn); }
 
-  /// Extra JSON merged into every HEALTH_SNAPSHOT reply under the
-  /// "supervisor" key (zapc-top renders it as the supervisor pane).
-  using StatusExtraFn = std::function<obs::Json()>;
-  void set_status_extra(StatusExtraFn fn) { status_extra_ = std::move(fn); }
+  /// The "supervisor" section of every health snapshot (zapc-top
+  /// renders it as the supervisor pane).
+  using SupervisorStatusFn = std::function<obs::SupervisorStatus()>;
+  void set_supervisor_status(SupervisorStatusFn fn) {
+    supervisor_status_ = std::move(fn);
+  }
 
   /// Aborts whatever coordinated op is in flight (no-op when idle) — the
   /// checkpoint first when a checkpoint and a restart overlap.  The
@@ -428,6 +431,8 @@ class Manager {
   /// Fills the attribution + straggler half of a ledger entry from the
   /// span stream and live health model; counts attribution failures.
   void ledger_attribute(obs::LedgerEntry& e);
+  /// The health snapshot both health_json() and the endpoint serve.
+  obs::HealthDoc health_doc(obs::OpId op) const;
   /// Status-endpoint connection handler (HEALTH_QUERY → HEALTH_SNAPSHOT).
   void status_on_msg(MsgChannel* ch, Bytes msg);
 
@@ -457,7 +462,7 @@ class Manager {
   obs::Ledger* ledger_ = nullptr;
   /// Supervisor hooks (DESIGN.md §12); empty = off.
   CommitFn commit_fn_;
-  StatusExtraFn status_extra_;
+  SupervisorStatusFn supervisor_status_;
   /// Status endpoint (serve_status); connections live until peer close.
   std::unique_ptr<MsgServer> status_server_;
   std::list<std::unique_ptr<MsgChannel>> status_conns_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace zapc::obs {
@@ -23,7 +22,6 @@ void ClusterHealth::op_begin(OpId op, const std::string& kind, Time t,
   oh = OpHealth{};
   oh.kind = kind;
   oh.started_us = t;
-  oh.active = true;
   for (const std::string& p : pods) {
     oh.pods[p].pod = p;
   }
@@ -33,7 +31,7 @@ void ClusterHealth::op_begin(OpId op, const std::string& kind, Time t,
   while (ops_.size() > kMaxOps) {
     auto victim = ops_.end();
     for (auto it = ops_.begin(); it != ops_.end(); ++it) {
-      if (!it->second.active && it->first != latest_) {
+      if (it->second.outcome && it->first != latest_) {
         victim = it;
         break;
       }
@@ -92,14 +90,12 @@ void ClusterHealth::pod_done(OpId op, const std::string& pod, Time t) {
 void ClusterHealth::op_end(OpId op, Time t, bool ok) {
   OpHealth* oh = find_op(op);
   if (oh == nullptr) return;
-  oh->active = false;
-  oh->ok = ok;
-  oh->ended_us = t;
+  oh->outcome = OpOutcome{t, ok};
 }
 
 bool ClusterHealth::op_active(OpId op) const {
   const OpHealth* oh = find_op(op);
-  return oh != nullptr && oh->active;
+  return oh != nullptr && !oh->outcome;
 }
 
 Time ClusterHealth::median_finish_us(OpId op) const {
@@ -179,49 +175,38 @@ std::vector<HealthWarning> ClusterHealth::take_warnings() {
   return out;
 }
 
-Json ClusterHealth::snapshot(Time now, OpId op) const {
+HealthDoc ClusterHealth::snapshot(Time now, OpId op) const {
   if (op == 0) op = latest_;
-  Json doc = Json::object();
-  doc["schema"] = kHealthSchemaVersion;
-  doc["t_us"] = now;
-  doc["op_id"] = op;
+  HealthDoc doc;
+  doc.t_us = now;
+  doc.op_id = op;
   const OpHealth* oh = find_op(op);
   if (oh == nullptr) return doc;
 
-  doc["kind"] = oh->kind;
-  doc["active"] = oh->active;
-  doc["started_us"] = oh->started_us;
-  if (!oh->active) {
-    doc["ended_us"] = oh->ended_us;
-    doc["ok"] = oh->ok;
-  }
-
-  Time median = median_finish_us(op);
-  doc["median_finish_us"] = median;
-
-  Json pods = Json::object();
+  OpStatus& os = doc.op.emplace();
+  os.kind = oh->kind;
+  os.active = !oh->outcome;
+  os.started_us = oh->started_us;
+  os.outcome = oh->outcome;
+  os.median_finish_us = median_finish_us(op);
+  os.straggler = straggler(op);
   for (const auto& [name, ph] : oh->pods) {
-    Json p = Json::object();
-    p["phase"] = ph.phase;
-    p["beacons"] = ph.beacons;
-    p["pct_done"] = ph.pct_done();
-    p["bytes_done"] = ph.bytes_done;
-    p["bytes_expected"] = ph.bytes_expected;
-    p["throughput_bps"] = ph.throughput_bps;
-    p["eta_us"] = ph.eta_us;
-    p["done"] = ph.done;
-    p["last_seen_us"] = ph.last_seen_us;
-    p["heartbeat_age_us"] =
-        ph.beacons == 0 && !ph.done
-            ? Json(0)
-            : Json(now >= ph.last_seen_us ? now - ph.last_seen_us : 0);
-    p["lag_us"] = lag_us(op, name);
-    pods[name] = std::move(p);
+    const bool reported = ph.beacons > 0 || ph.done;
+    os.pods[name] = PodStatus{
+        .phase = ph.phase,
+        .beacons = ph.beacons,
+        .pct_done = ph.pct_done(),
+        .bytes_done = ph.bytes_done,
+        .bytes_expected = ph.bytes_expected,
+        .throughput_bps = ph.throughput_bps,
+        .eta_us = ph.eta_us,
+        .done = ph.done,
+        .last_seen_us = ph.last_seen_us,
+        .heartbeat_age_us =
+            reported && now >= ph.last_seen_us ? now - ph.last_seen_us : 0,
+        .lag_us = lag_us(op, name),
+    };
   }
-  doc["pods"] = std::move(pods);
-
-  JsonWriter w(doc);
-  w.opt("straggler", straggler(op));
   return doc;
 }
 

@@ -18,21 +18,21 @@
 // early warnings the Manager turns into trace events — attributed
 // warnings ahead of the blind phase-deadline timeouts.
 //
-// Snapshots serialize to the `zapc.obs.health.v1` JSON schema
-// (obs/json.h), which is what the Manager's status endpoint and
-// zapc-top render.
+// Snapshots are HealthDoc views, one field list written as the
+// `zapc.obs.health.v1` JSON document the Manager's status endpoint serves
+// and zapc-top reads back strictly.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/span.h"
 
 namespace zapc::obs {
-
-class Json;
 
 /// Live view of one pod inside a coordinated operation, rebuilt from its
 /// latest HEARTBEAT/PROGRESS reports.
@@ -88,6 +88,144 @@ void json_io(F& f, Straggler& m) {
   f("lag_us", m.lag_us);
 }
 
+// ---- The zapc.obs.health.v1 document --------------------------------------
+
+/// One pod's row: its PodHealth plus what the snapshot derives from it.
+struct PodStatus {
+  std::string phase;
+  u32 beacons = 0;
+  double pct_done = 0;
+  u64 bytes_done = 0;
+  u64 bytes_expected = 0;
+  u64 throughput_bps = 0;
+  Time eta_us = 0;
+  bool done = false;
+  Time last_seen_us = 0;
+  Time heartbeat_age_us = 0;  // 0 until the pod first reports
+  Time lag_us = 0;
+};
+template <class F>
+void json_io(F& f, PodStatus& m) {
+  f("phase", m.phase);
+  f("beacons", m.beacons);
+  f("pct_done", m.pct_done);
+  f("bytes_done", m.bytes_done);
+  f("bytes_expected", m.bytes_expected);
+  f("throughput_bps", m.throughput_bps);
+  f("eta_us", m.eta_us);
+  f("done", m.done);
+  f("last_seen_us", m.last_seen_us);
+  f("heartbeat_age_us", m.heartbeat_age_us);
+  f("lag_us", m.lag_us);
+}
+
+/// How a finished op ended.
+struct OpOutcome {
+  Time ended_us = 0;
+  bool ok = false;
+};
+template <class F>
+void json_io(F& f, OpOutcome& m) {
+  f("ended_us", m.ended_us);
+  f("ok", m.ok);
+}
+
+/// The op a snapshot describes, when the model knows it.
+struct OpStatus {
+  std::string kind;  // "ckpt" or "restart"
+  bool active = false;
+  Time started_us = 0;
+  std::optional<OpOutcome> outcome;  // once the op is no longer active
+  Time median_finish_us = 0;
+  std::map<std::string, PodStatus> pods;
+  Straggler straggler;  // omitted while nobody lags
+};
+template <class F>
+void json_io(F& f, OpStatus& m) {
+  f("kind", m.kind);
+  f("active", m.active);
+  f("started_us", m.started_us);
+  f.group(m.outcome);
+  f.check(m.active != m.outcome.has_value(),
+          "ended_us: not present exactly when the op is finished");
+  f("median_finish_us", m.median_finish_us);
+  f("pods", m.pods);
+  f.opt("straggler", m.straggler);
+}
+
+/// One supervised node as the failure detector sees it.
+struct NodeLiveness {
+  std::string node;
+  std::string state;  // super::node_state_name
+  Time beacon_age_us = 0;
+  u32 false_alarms = 0;
+  u32 beacons = 0;
+};
+template <class F>
+void json_io(F& f, NodeLiveness& m) {
+  f("node", m.node);
+  f("state", m.state);
+  f("beacon_age_us", m.beacon_age_us);
+  f("false_alarms", m.false_alarms);
+  f("beacons", m.beacons);
+}
+
+/// The supervisor's most recent recovery.
+struct LastRecovery {
+  bool ok = false;
+  std::string dead_nodes;  // comma-joined names that triggered it
+  Time detect_us = 0;      // confirmation instant
+  Time restored_us = 0;    // success instant (0 on failure)
+  Time mttr_us = 0;        // restored − detect
+  u32 attempts = 0;
+};
+template <class F>
+void json_io(F& f, LastRecovery& m) {
+  f("ok", m.ok);
+  f("dead_nodes", m.dead_nodes);
+  f("detect_us", m.detect_us);
+  f("restored_us", m.restored_us);
+  f("mttr_us", m.mttr_us);
+  f("attempts", m.attempts);
+}
+
+/// The "supervisor" section (super/supervisor.h), present whenever a
+/// Supervisor is attached to the Manager.
+struct SupervisorStatus {
+  std::string state;  // "idle", "recovering" or "degraded"
+  u32 recoveries = 0;
+  u32 attempts_remaining = 0;
+  u64 catalog_entries = 0;
+  std::vector<NodeLiveness> nodes;
+  std::optional<LastRecovery> last_recovery;
+};
+template <class F>
+void json_io(F& f, SupervisorStatus& m) {
+  f("state", m.state);
+  f("recoveries", m.recoveries);
+  f("attempts_remaining", m.attempts_remaining);
+  f("catalog_entries", m.catalog_entries);
+  f("nodes", m.nodes);
+  f.opt("last_recovery", m.last_recovery);
+}
+
+/// A zapc.obs.health.v1 snapshot.  An op the model does not know (or no
+/// op yet) leaves only the stamp and the id.
+struct HealthDoc {
+  Time t_us = 0;
+  OpId op_id = 0;
+  std::optional<OpStatus> op;
+  std::optional<SupervisorStatus> supervisor;
+};
+template <class F>
+void json_io(F& f, HealthDoc& m) {
+  f.constant("schema", kHealthSchemaVersion);
+  f("t_us", m.t_us);
+  f("op_id", m.op_id);
+  f.group(m.op);
+  f.opt("supervisor", m.supervisor);
+}
+
 class ClusterHealth {
  public:
   struct Policy {
@@ -126,9 +264,9 @@ class ClusterHealth {
   OpId latest_op() const { return latest_; }
   bool op_active(OpId op) const;
 
-  /// zapc.obs.health.v1 snapshot of one op (0 = latest); `now` stamps
-  /// the document and derives per-pod heartbeat ages.
-  Json snapshot(Time now, OpId op = 0) const;
+  /// Snapshot of one op (0 = latest); `now` stamps the document and
+  /// derives per-pod heartbeat ages.
+  HealthDoc snapshot(Time now, OpId op = 0) const;
 
   void clear();
 
@@ -136,9 +274,7 @@ class ClusterHealth {
   struct OpHealth {
     std::string kind;  // "ckpt" or "restart"
     Time started_us = 0;
-    Time ended_us = 0;
-    bool active = false;
-    bool ok = false;
+    std::optional<OpOutcome> outcome;  // set when the op ends
     std::map<std::string, PodHealth> pods;
   };
 

@@ -339,16 +339,4 @@ Result<Bytes> from_hex(const std::string& s) {
   return out;
 }
 
-// ---- Evidence export -------------------------------------------------------
-
-Json evidence_json(const std::string& name, const MetricsSnapshot& snap,
-                   const SpanRecorder* spans) {
-  Json doc = Json::object();
-  doc["schema"] = kSchemaVersion;
-  doc["name"] = name;
-  doc["metrics"] = to_json(snap);
-  if (spans != nullptr) doc["spans"] = to_json(spans->spans());
-  return doc;
-}
-
 }  // namespace zapc::obs

@@ -1,37 +1,21 @@
 // Minimal JSON tree, writer, strict parser, the named field lists every
-// JSON record is written and read through, and the evidence exporter.
-//
-// Serializes a metrics snapshot + span stream to the stable
-// `zapc.obs.v1` schema benches write under bench_results/*.json:
-//
-//   {
-//     "schema": "zapc.obs.v1",
-//     "name": "<bench or export name>",
-//     "metrics": {
-//       "counters":   { "net.tcp.retransmits": 3, ... },
-//       "gauges":     { "sim.queue_depth": {"value": 2, "max": 40}, ... },
-//       "histograms": { "agent.ckpt.suspend_us": {
-//           "bounds": [...], "counts": [...],
-//           "count": n, "sum": s, "min": m, "max": M }, ... }
-//     },
-//     "spans": [ { "id": 1, "parent": 0, "kind": "span"|"event",
-//                  "name": "...", "who": "...",
-//                  "start_us": t0, "end_us": t1 }, ... ],   // optional
-//     "rows":  [ ... ]                                      // bench series
-//   }
+// JSON record is written and read through, and the `zapc.obs.v1`
+// evidence envelope benches write under bench_results/*.json (Evidence,
+// at the end of this file).
 //
 // The writer emits object keys sorted (std::map) with a fixed number
 // format, so identical data always produces identical bytes — snapshots
 // round-trip exactly and diffs of bench_results/*.json stay readable.
 // No external JSON dependency.  The parser reads back what the system
-// wrote — the op ledger, the supervisor's catalog on the SAN, evidence
-// and health snapshots — so it accepts strict JSON only, nested at most
-// kMaxJsonDepth levels.
+// wrote — the op ledger, the supervisor's catalog on the SAN, evidence,
+// postmortems and health snapshots — so it accepts strict JSON only,
+// nested at most kMaxJsonDepth levels.
 #pragma once
 
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -95,16 +79,8 @@ class Json {
   bool is_obj() const { return type_ == Type::OBJ; }
 
   bool boolean() const { return bool_; }
+  /// Records read their integers strictly through JsonReader.
   double num() const { return num_; }
-  /// The number clamped into u64 / i64 (NaN reads 0).  Records read their
-  /// integers strictly through JsonReader instead.
-  u64 num_u64() const {
-    return num_ > 0 ? num_ < 0x1p64 ? static_cast<u64>(num_) : ~u64{0} : 0;
-  }
-  i64 num_i64() const {
-    if (!(num_ >= -0x1p63)) return num_ < 0 ? INT64_MIN : 0;
-    return num_ < 0x1p63 ? static_cast<i64>(num_) : INT64_MAX;
-  }
   const std::string& str() const { return str_; }
 
   // Arrays.
@@ -159,6 +135,7 @@ Result<Json> json_parse(const std::string& text);
 //     f("op", m.op);
 //     f.opt("error", m.error);                // omitted while ""
 //     f.opt("trigger", m.trigger, "manual");  // omitted while "manual"
+//     f.group(m.end);  // std::optional<G>: G's own keys, inline, or none
 //   }
 //
 // JsonWriter walks the list to build an object and JsonReader walks the
@@ -172,6 +149,7 @@ Result<Json> json_parse(const std::string& text);
 //   std::vector<T>            an array
 //   std::map<std::string, T>  an object keyed by the map's keys
 //   std::optional<T>          T; opt() omits it while empty
+//   Json                      itself, unread (bench rows)
 //   Names{e, table}           an enum as one of its names
 //   Text{v}                   v.to_string(), read by T::parse
 //   Hex{v}                    the hex of v's binary field list
@@ -180,7 +158,8 @@ Result<Json> json_parse(const std::string& text);
 // Reading is strict: a missing required key, an unknown key, a wrong JSON
 // type, a wrong constant, a failed check(), or an integer that is
 // fractional, out of its type's range or beyond 2^53 in magnitude fails
-// Err::PROTO naming the key.  An absent opt() key reads as its default.
+// Err::PROTO naming the key.  An absent opt() key reads as its default;
+// a group is present when any of its keys is, and then needs them all.
 
 template <typename T>
 inline constexpr bool kIsVector = false;
@@ -211,6 +190,10 @@ class JsonWriter {
   template <typename T, typename D>
   void opt(const char* key, const T& v, const D& def) {
     if (!(v == def)) (*this)(key, v);
+  }
+  template <typename G>
+  void group(std::optional<G>& g) {
+    if (g.has_value()) json_io(*this, *g);
   }
   void constant(const char* key, const char* v) { obj_[key] = v; }
   void check(bool, const char*) {}
@@ -243,6 +226,16 @@ class JsonReader {
       v = def;
     }
   }
+  template <typename G>
+  void group(std::optional<G>& g) {
+    const std::size_t found = found_;
+    const Status st = st_;
+    json_io(*this, g.emplace());
+    if (found_ == found) {  // none of its keys: the group is absent
+      g.reset();
+      st_ = st;
+    }
+  }
   void constant(const char* key, const char* v) {
     const Json* j = find(key);
     if (st_ && (j == nullptr || !j->is_str() || j->str() != v)) {
@@ -255,6 +248,8 @@ class JsonReader {
 
   /// OK when every key decoded and the object holds no other key.
   Status finish() const;
+  /// OK when every key so far decoded; other keys are not checked.
+  const Status& status() const { return st_; }
 
   template <typename T>
   static Status read(const Json& j, T& v);
@@ -330,6 +325,8 @@ template <typename T>
 Json to_json(const T& v) {
   if constexpr (requires { v.json(); }) {
     return v.json();
+  } else if constexpr (std::is_same_v<T, Json>) {
+    return v;
   } else if constexpr (std::is_same_v<T, bool> ||
                        std::is_same_v<T, double> ||
                        std::is_same_v<T, std::string>) {
@@ -362,6 +359,8 @@ template <typename T>
 Status JsonReader::read(const Json& j, T& v) {
   if constexpr (requires { v.read(j); }) {
     return v.read(j);
+  } else if constexpr (std::is_same_v<T, Json>) {
+    v = j;
   } else if constexpr (std::is_same_v<T, bool>) {
     if (j.type() != Json::Type::BOOL) {
       return Status(Err::PROTO, "expected a boolean");
@@ -489,12 +488,26 @@ void json_io(F& f, SpanRecord& m) {
   f.opt("open", m.open);
 }
 
-// ---- Evidence export -------------------------------------------------------
+// ---- Evidence envelope -----------------------------------------------------
 
-/// Assembles the full zapc.obs.v1 document (spans section omitted when
-/// `spans` is null).  Callers may attach extra sections (e.g. "rows")
-/// before dumping.
-Json evidence_json(const std::string& name, const MetricsSnapshot& snap,
-                   const SpanRecorder* spans = nullptr);
+/// The zapc.obs.v1 document: a bench's metrics (the registry's delta
+/// over its run), its span stream (omitted when the export has no span
+/// recorder) and its printed table as free-form rows (omitted while
+/// there are none).
+struct Evidence {
+  std::string name;
+  MetricsSnapshot metrics;
+  std::optional<std::vector<SpanRecord>> spans;
+  std::vector<Json> rows;  // bench series, free-form
+};
+
+template <class F>
+void json_io(F& f, Evidence& m) {
+  f.constant("schema", kSchemaVersion);
+  f("name", m.name);
+  f("metrics", m.metrics);
+  f.opt("spans", m.spans);
+  f.opt("rows", m.rows);
+}
 
 }  // namespace zapc::obs

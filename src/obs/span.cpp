@@ -1,7 +1,5 @@
 #include "obs/span.h"
 
-#include "obs/flight.h"
-
 namespace zapc::obs {
 
 OpId next_op_id() {
@@ -24,7 +22,6 @@ SpanId SpanRecorder::begin_at(Time t, const std::string& name,
   s.start = t;
   s.end = t;
   s.open = true;
-  flight().note_span(s);
   spans_.push_back(std::move(s));
   return spans_.back().id;
 }
@@ -34,7 +31,6 @@ void SpanRecorder::end_at(Time t, SpanId id) {
   if (s == nullptr || !s->open) return;
   s->end = t >= s->start ? t : s->start;
   s->open = false;
-  flight().note_span(*s);
 }
 
 SpanId SpanRecorder::event_at(Time t, const std::string& who,
@@ -50,7 +46,6 @@ SpanId SpanRecorder::event_at(Time t, const std::string& who,
   s.start = t;
   s.end = t;
   s.open = false;
-  flight().note_span(s);
   spans_.push_back(std::move(s));
   return spans_.back().id;
 }

@@ -31,8 +31,6 @@
 
 namespace zapc::obs {
 
-class FlightRecorder;
-
 /// Virtual time in microseconds (mirrors sim::Time without depending on
 /// the engine; obs sits below sim in the library stack).
 using Time = u64;

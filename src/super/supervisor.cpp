@@ -91,7 +91,7 @@ void Supervisor::start(std::vector<core::Manager::Target> targets) {
              const std::vector<core::Manager::Target>& tgts) {
         on_commit(report, tgts);
       });
-  manager_.set_status_extra([this] { return status_json(); });
+  manager_.set_supervisor_status([this] { return status(); });
   const sim::Time now = node_.now();
   for (NodeInfo& ni : nodes_) {
     ni.last_seen_us = now;
@@ -220,9 +220,7 @@ void Supervisor::declare_dead(NodeInfo& ni) {
   state_ = State::RECOVERING;
   detect_us_ = node_.now();
   attempt_ = 1;
-  last_recovery_ = LastRecovery{};
-  last_recovery_.valid = true;
-  last_recovery_.detect_us = detect_us_;
+  last_recovery_.emplace().detect_us = detect_us_;
   obs::metrics().counter("super.recovery.started").inc();
   manager_.abort_current("supervisor: node death preempts in-flight op");
   // The coalesce window folds near-simultaneous deaths into one
@@ -341,8 +339,8 @@ void Supervisor::recovery_attempt() {
     if (!dead_names.empty()) dead_names += ",";
     dead_names += ni.ref.node_name;
   }
-  last_recovery_.dead_nodes = dead_names;
-  last_recovery_.attempts = attempt_;
+  last_recovery_->dead_nodes = dead_names;
+  last_recovery_->attempts = attempt_;
 
   auto find_node = [this](const std::string& ip, u16 port) -> NodeInfo* {
     for (NodeInfo& ni : nodes_) {
@@ -431,14 +429,14 @@ void Supervisor::recovery_done(
     const sim::Time now = node_.now();
     state_ = State::IDLE;
     ++recoveries_;
-    last_recovery_.ok = true;
+    last_recovery_->ok = true;
     // A lazy restart reports done only after its cold-region fill tail,
     // but the application was restored the instant every pod resumed —
     // the end of the report's downtime window.  MTTR stops there.
     const sim::Time lazy_tail = r.total_us - r.downtime_us;
-    last_recovery_.restored_us = now - lazy_tail;
-    last_recovery_.mttr_us = last_recovery_.restored_us - detect_us_;
-    last_recovery_.attempts = attempt_;
+    last_recovery_->restored_us = now - lazy_tail;
+    last_recovery_->mttr_us = last_recovery_->restored_us - detect_us_;
+    last_recovery_->attempts = attempt_;
     obs::metrics().counter("super.recovery.ok").inc();
     // Future periodic checkpoints must follow the pods to their new
     // homes, still writing each pod's canonical checkpoint URI.
@@ -450,7 +448,7 @@ void Supervisor::recovery_done(
     }
     targets_ = std::move(next);
     trace("recovery complete: " + std::to_string(restart_targets.size()) +
-          " pods restored, mttr=" + std::to_string(last_recovery_.mttr_us) +
+          " pods restored, mttr=" + std::to_string(last_recovery_->mttr_us) +
           "us (attempt " + std::to_string(attempt_) + ")");
     return;
   }
@@ -469,8 +467,8 @@ void Supervisor::recovery_done(
 
 void Supervisor::give_up(const std::string& why) {
   state_ = State::DEGRADED;
-  last_recovery_.ok = false;
-  last_recovery_.attempts = attempt_;
+  last_recovery_->ok = false;
+  last_recovery_->attempts = attempt_;
   obs::metrics().counter("super.recovery.gave_up").inc();
   trace("recovery abandoned: " + why);
   ZLOG_ERROR("supervisor: recovery abandoned (" << why
@@ -497,36 +495,20 @@ u32 Supervisor::attempts_remaining() const {
   return opts_.max_recovery_attempts - attempt_;
 }
 
-obs::Json Supervisor::status_json() const {
+obs::SupervisorStatus Supervisor::status() const {
   const sim::Time now = node_.now();
-  obs::Json j = obs::Json::object();
-  j["state"] = state_name(state_);
-  j["recoveries"] = static_cast<u64>(recoveries_);
-  j["attempts_remaining"] = static_cast<u64>(attempts_remaining());
-  j["catalog_entries"] = static_cast<u64>(catalog_.size());
-  obs::Json nodes = obs::Json::array();
+  obs::SupervisorStatus st;
+  st.state = state_name(state_);
+  st.recoveries = recoveries_;
+  st.attempts_remaining = attempts_remaining();
+  st.catalog_entries = catalog_.size();
   for (const NodeInfo& ni : nodes_) {
-    obs::Json jn = obs::Json::object();
-    jn["node"] = ni.ref.node_name;
-    jn["state"] = node_state_name(ni.state);
-    jn["beacon_age_us"] =
-        ni.last_seen_us > now ? u64{0} : u64{now - ni.last_seen_us};
-    jn["false_alarms"] = static_cast<u64>(ni.false_alarms);
-    jn["beacons"] = static_cast<u64>(ni.beacons);
-    nodes.push(std::move(jn));
+    st.nodes.push_back({ni.ref.node_name, node_state_name(ni.state),
+                        ni.last_seen_us > now ? 0 : now - ni.last_seen_us,
+                        ni.false_alarms, ni.beacons});
   }
-  j["nodes"] = std::move(nodes);
-  if (last_recovery_.valid) {
-    obs::Json lr = obs::Json::object();
-    lr["ok"] = last_recovery_.ok;
-    lr["dead_nodes"] = last_recovery_.dead_nodes;
-    lr["detect_us"] = last_recovery_.detect_us;
-    lr["restored_us"] = last_recovery_.restored_us;
-    lr["mttr_us"] = last_recovery_.mttr_us;
-    lr["attempts"] = static_cast<u64>(last_recovery_.attempts);
-    j["last_recovery"] = std::move(lr);
-  }
-  return j;
+  st.last_recovery = last_recovery_;
+  return st;
 }
 
 }  // namespace zapc::super

@@ -27,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,16 +105,6 @@ class Supervisor {
     DEGRADED = 2,    // recovery exhausted/impossible; operator needed
   };
 
-  struct LastRecovery {
-    bool valid = false;
-    bool ok = false;
-    std::string dead_nodes;  // comma-joined names that triggered it
-    sim::Time detect_us = 0;    // confirmation instant
-    sim::Time restored_us = 0;  // success instant (0 on failure)
-    sim::Time mttr_us = 0;      // restored − detect
-    u32 attempts = 0;
-  };
-
   /// `node` is the node the supervisor (and Manager) run on.  `trace`
   /// optional, same stream the Manager writes.
   Supervisor(os::Node& node, core::Manager& manager,
@@ -135,15 +126,18 @@ class Supervisor {
   State state() const { return state_; }
   NodeState node_state(const std::string& node_name) const;
   const Catalog& catalog() const { return catalog_; }
-  const LastRecovery& last_recovery() const { return last_recovery_; }
+  /// The most recent recovery; empty until a death is confirmed.
+  const std::optional<obs::LastRecovery>& last_recovery() const {
+    return last_recovery_;
+  }
   u32 recoveries() const { return recoveries_; }
   u32 attempts_remaining() const;
   /// Current checkpoint target set (reflects post-recovery placement).
   const std::vector<core::Manager::Target>& targets() const {
     return targets_;
   }
-  /// The "supervisor" section of the HEALTH_SNAPSHOT document.
-  obs::Json status_json() const;
+  /// The "supervisor" section of the health snapshot.
+  obs::SupervisorStatus status() const;
 
   /// Effective thresholds (defaults resolved against the cadence).
   sim::Time suspect_after_us() const { return suspect_after_; }
@@ -198,7 +192,7 @@ class Supervisor {
   sim::Time detect_us_ = 0;  // current recovery's confirmation instant
   u32 attempt_ = 0;          // current recovery attempt (1-based)
   u32 recoveries_ = 0;       // successful recoveries so far
-  LastRecovery last_recovery_;
+  std::optional<obs::LastRecovery> last_recovery_;
   Rng rng_{0x5093D5ull};
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -28,6 +28,15 @@ namespace {
 using test::EchoClient;
 using test::EchoServer;
 
+/// Reads a serialized health snapshot back strictly.
+obs::HealthDoc read_health(const std::string& text) {
+  auto j = obs::json_parse(text);
+  auto doc = j ? obs::from_json<obs::HealthDoc>(j.value())
+               : Result<obs::HealthDoc>(j.status());
+  EXPECT_TRUE(doc.is_ok()) << doc.status().to_string();
+  return doc.is_ok() ? doc.value() : obs::HealthDoc{};
+}
+
 // ---- Protocol round-trips ---------------------------------------------------
 
 TEST(HealthProtocol, HeartbeatRoundTrips) {
@@ -181,25 +190,26 @@ TEST(ClusterHealth, SnapshotFollowsHealthV1Schema) {
   h.progress(4, "a", "ckpt.standalone", 1000, 25, 100, 777, 900);
   h.heartbeat(4, "b", "ckpt.suspend", 1000);
 
-  obs::Json doc = h.snapshot(/*now=*/1500, /*op=*/0);  // 0 = latest
-  EXPECT_EQ(doc.find("schema")->str(), obs::kHealthSchemaVersion);
-  EXPECT_EQ(doc.find("op_id")->num_u64(), 4u);
-  EXPECT_EQ(doc.find("kind")->str(), "ckpt");
-  EXPECT_TRUE(doc.find("active")->boolean());
-  const obs::Json* pods = doc.find("pods");
-  ASSERT_NE(pods, nullptr);
-  ASSERT_EQ(pods->size(), 2u);
-  const obs::Json* a = pods->find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->find("phase")->str(), "ckpt.standalone");
-  EXPECT_DOUBLE_EQ(a->find("pct_done")->num(), 25.0);
-  EXPECT_EQ(a->find("eta_us")->num_u64(), 900u);
-  EXPECT_EQ(a->find("heartbeat_age_us")->num_u64(), 500u);
+  obs::HealthDoc doc = h.snapshot(/*now=*/1500, /*op=*/0);  // 0 = latest
+  EXPECT_EQ(doc.op_id, 4u);
+  ASSERT_TRUE(doc.op.has_value());
+  EXPECT_EQ(doc.op->kind, "ckpt");
+  EXPECT_TRUE(doc.op->active);
+  ASSERT_EQ(doc.op->pods.size(), 2u);
+  const obs::PodStatus& a = doc.op->pods.at("a");
+  EXPECT_EQ(a.phase, "ckpt.standalone");
+  EXPECT_DOUBLE_EQ(a.pct_done, 25.0);
+  EXPECT_EQ(a.eta_us, 900u);
+  EXPECT_EQ(a.heartbeat_age_us, 500u);
 
-  // The document round-trips through its own serializer.
-  auto parsed = obs::json_parse(doc.dump(2));
+  // The document round-trips through its writer and strict reader.
+  const obs::Json j = obs::to_json(doc);
+  auto parsed = obs::json_parse(j.dump(2));
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().find("schema")->str(), obs::kHealthSchemaVersion);
+  auto back = obs::from_json<obs::HealthDoc>(parsed.value());
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(obs::to_json(back.value()).dump(), j.dump());
 }
 
 // ---- End-to-end: slow node named as straggler -------------------------------
@@ -312,12 +322,10 @@ TEST_F(HealthPlaneTest, SlowNodePodNamedStragglerWithNonzeroLag) {
   EXPECT_TRUE(warn_in_trace);
 
   // The snapshot names the straggler too (what zapc-top renders).
-  auto parsed = obs::json_parse(manager_->health_json(report.op_id));
-  ASSERT_TRUE(parsed.is_ok());
-  const obs::Json* sj = parsed.value().find("straggler");
-  ASSERT_NE(sj, nullptr);
-  EXPECT_EQ(sj->find("pod")->str(), "client-pod");
-  EXPECT_GT(sj->find("lag_us")->num_u64(), 0u);
+  obs::HealthDoc doc = read_health(manager_->health_json(report.op_id));
+  ASSERT_TRUE(doc.op.has_value());
+  EXPECT_EQ(doc.op->straggler.pod, "client-pod");
+  EXPECT_GT(doc.op->straggler.lag_us, 0u);
 }
 
 TEST_F(HealthPlaneTest, PlaneOffSendsNoBeacons) {
@@ -350,14 +358,10 @@ TEST_F(HealthPlaneTest, StatusEndpointServesHealthSnapshot) {
   cl_.run_for(50 * sim::kMillisecond);
 
   ASSERT_FALSE(got.empty());
-  auto parsed = obs::json_parse(got);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  const obs::Json& doc = parsed.value();
-  EXPECT_EQ(doc.find("schema")->str(), obs::kHealthSchemaVersion);
-  EXPECT_EQ(doc.find("op_id")->num_u64(), report.op_id);
-  const obs::Json* pods = doc.find("pods");
-  ASSERT_NE(pods, nullptr);
-  EXPECT_EQ(pods->size(), 2u);
+  obs::HealthDoc doc = read_health(got);
+  EXPECT_EQ(doc.op_id, report.op_id);
+  ASSERT_TRUE(doc.op.has_value());
+  EXPECT_EQ(doc.op->pods.size(), 2u);
 }
 
 TEST_F(HealthPlaneTest, StatusEndpointHandlesInterleavedQueries) {
@@ -402,11 +406,7 @@ TEST_F(HealthPlaneTest, StatusEndpointHandlesInterleavedQueries) {
   ASSERT_EQ(got2.size(), 5u);
   for (const auto* side : {&got1, &got2}) {
     for (const std::string& json : *side) {
-      auto parsed = obs::json_parse(json);
-      ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-      EXPECT_EQ(parsed.value().find("schema")->str(),
-                obs::kHealthSchemaVersion);
-      EXPECT_EQ(parsed.value().find("op_id")->num_u64(), report.op_id);
+      EXPECT_EQ(read_health(json).op_id, report.op_id);
     }
   }
 

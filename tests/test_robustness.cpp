@@ -243,23 +243,25 @@ class PostmortemTest : public ::testing::Test {
     return obs::flight().dumps_written() - dumps_before_;
   }
 
-  /// Parses the most recent postmortem and checks the required fields.
-  obs::Json last_postmortem(const std::string& want_kind, u64 want_op) {
+  /// Reads the most recent postmortem back strictly and checks the
+  /// required fields.
+  obs::Postmortem last_postmortem(const std::string& want_kind,
+                                  u64 want_op) {
     EXPECT_TRUE(std::filesystem::exists(obs::flight().last_path()))
         << obs::flight().last_path();
-    auto parsed = obs::json_parse(obs::flight().last_json());
-    EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-    if (!parsed.is_ok()) return obs::Json{};
-    const obs::Json& j = parsed.value();
-    EXPECT_EQ(j.find("schema")->str(), obs::kPostmortemSchemaVersion);
+    auto j = obs::json_parse(obs::flight().last_json());
+    auto pm = j ? obs::from_json<obs::Postmortem>(j.value())
+                : Result<obs::Postmortem>(j.status());
+    EXPECT_TRUE(pm.is_ok()) << pm.status().to_string();
+    if (!pm.is_ok()) return obs::Postmortem{};
     if (!want_kind.empty()) {
-      EXPECT_EQ(j.find("kind")->str(), want_kind);
+      EXPECT_EQ(pm.value().kind, want_kind);
     }
-    EXPECT_EQ(j.find("op_id")->num_u64(), want_op);
+    EXPECT_EQ(pm.value().op_id, want_op);
     EXPECT_NE(want_op, 0u);
-    EXPECT_FALSE(j.find("phase")->str().empty());
-    EXPECT_FALSE(j.find("reason")->str().empty());
-    return parsed.value();
+    EXPECT_FALSE(pm.value().phase.empty());
+    EXPECT_FALSE(pm.value().reason.empty());
+    return pm.value();
   }
 
   os::Cluster cl_;
@@ -286,10 +288,10 @@ TEST_F(PostmortemTest, FailedCheckpointDumpsCkptFail) {
   ASSERT_FALSE(cr.ok);
 
   ASSERT_GE(new_dumps(), 1u);
-  obs::Json j = last_postmortem("ckpt_fail", cr.op_id);
+  obs::Postmortem pm = last_postmortem("ckpt_fail", cr.op_id);
   // The op died waiting for meta-data; the dump names that phase.
-  EXPECT_EQ(j.find("phase")->str(), "mgr.ckpt.meta_wait");
-  EXPECT_EQ(j.find("who")->str(), "manager");
+  EXPECT_EQ(pm.phase, "mgr.ckpt.meta_wait");
+  EXPECT_EQ(pm.who, "manager");
 }
 
 TEST_F(PostmortemTest, AgentNodeDeathDumpsOnManagerAndSurvivor) {
@@ -316,10 +318,10 @@ TEST_F(PostmortemTest, AgentNodeDeathDumpsOnManagerAndSurvivor) {
   // which aborted on the Manager's ABORT (ckpt_abort).  Both postmortems
   // carry the same op id.
   ASSERT_GE(new_dumps(), 2u);
-  obs::Json j = last_postmortem("ckpt_abort", cr.op_id);
-  EXPECT_EQ(j.find("who")->str(), "agent@n1");
+  obs::Postmortem pm = last_postmortem("ckpt_abort", cr.op_id);
+  EXPECT_EQ(pm.who, "agent@n1");
   // The agent died inside its checkpoint pipeline, phase says where.
-  EXPECT_EQ(j.find("phase")->str().rfind("ckpt", 0), 0u);
+  EXPECT_EQ(pm.phase.rfind("ckpt", 0), 0u);
 }
 
 TEST_F(PostmortemTest, CorruptImageRestartDumpsRestartFail) {
@@ -343,9 +345,9 @@ TEST_F(PostmortemTest, CorruptImageRestartDumpsRestartFail) {
   ASSERT_FALSE(rr.ok);
 
   ASSERT_GE(new_dumps(), 1u);
-  obs::Json j = last_postmortem("restart_fail", rr.op_id);
-  EXPECT_EQ(j.find("who")->str(), "manager");
-  EXPECT_EQ(j.find("phase")->str().rfind("mgr.restart", 0), 0u);
+  obs::Postmortem pm = last_postmortem("restart_fail", rr.op_id);
+  EXPECT_EQ(pm.who, "manager");
+  EXPECT_EQ(pm.phase.rfind("mgr.restart", 0), 0u);
 }
 
 // A well-framed image whose zero region claims a size no host can map

@@ -307,7 +307,7 @@ TEST_F(SuperTest, KilledNodeIsAutoRecoveredOntoSurvivors) {
     if (e.outcome != "ok") continue;
     ++recovery_rows;
     EXPECT_GT(e.mttr_us, 0u);
-    EXPECT_EQ(e.mttr_us, supervisor_->last_recovery().mttr_us);
+    EXPECT_EQ(e.mttr_us, supervisor_->last_recovery()->mttr_us);
   }
   EXPECT_EQ(recovery_rows, 1);
 
@@ -320,18 +320,17 @@ TEST_F(SuperTest, KilledNodeIsAutoRecoveredOntoSurvivors) {
   }
   EXPECT_GT(super_ckpts, 0);
 
-  const Supervisor::LastRecovery& lr = supervisor_->last_recovery();
-  EXPECT_TRUE(lr.valid);
+  ASSERT_TRUE(supervisor_->last_recovery().has_value());
+  const obs::LastRecovery& lr = *supervisor_->last_recovery();
   EXPECT_TRUE(lr.ok);
   EXPECT_EQ(lr.dead_nodes, "n1");
   EXPECT_GT(lr.mttr_us, 0u);
 
   // The server pod moved to a survivor; the status document says so.
-  obs::Json st = supervisor_->status_json();
-  ASSERT_NE(st.find("state"), nullptr);
-  EXPECT_EQ(st.find("state")->str(), "idle");
-  ASSERT_NE(st.find("last_recovery"), nullptr);
-  EXPECT_TRUE(st.find("last_recovery")->find("ok")->boolean());
+  obs::SupervisorStatus st = supervisor_->status();
+  EXPECT_EQ(st.state, "idle");
+  ASSERT_TRUE(st.last_recovery.has_value());
+  EXPECT_TRUE(st.last_recovery->ok);
   expect_no_temp_images();
 
   // The GC bounds SAN growth: only the newest two supervisor-stamped
@@ -486,6 +485,19 @@ TEST_F(SuperTest, HeartbeatBlackoutIsAFalseAlarmNotADeath) {
   EXPECT_GT(counter_value("super.false_alarms"), 0u);
 }
 
+TEST_F(SuperTest, HealthJsonCarriesTheSupervisorSection) {
+  start_supervisor(fast_options());
+  cl_.run_for(100 * sim::kMillisecond);
+  // health_json() serves the same document as the status endpoint.
+  auto j = obs::json_parse(manager_->health_json());
+  ASSERT_TRUE(j.is_ok()) << j.status().to_string();
+  auto doc = obs::from_json<obs::HealthDoc>(j.value());
+  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
+  ASSERT_TRUE(doc.value().supervisor.has_value());
+  EXPECT_EQ(doc.value().supervisor->state, "idle");
+  EXPECT_EQ(doc.value().supervisor->nodes.size(), 4u);
+}
+
 TEST_F(SuperTest, NoCommittedCatalogMeansDegradedNotCrashLoop) {
   const u64 gave_up_before = counter_value("super.recovery.gave_up");
   start_app();
@@ -501,10 +513,10 @@ TEST_F(SuperTest, NoCommittedCatalogMeansDegradedNotCrashLoop) {
   EXPECT_EQ(supervisor_->node_state("n1"), NodeState::DEAD);
   EXPECT_EQ(supervisor_->state(), Supervisor::State::DEGRADED);
   EXPECT_EQ(supervisor_->attempts_remaining(), 0u);
-  EXPECT_FALSE(supervisor_->last_recovery().ok);
+  ASSERT_TRUE(supervisor_->last_recovery().has_value());
+  EXPECT_FALSE(supervisor_->last_recovery()->ok);
   EXPECT_EQ(counter_value("super.recovery.gave_up"), gave_up_before + 1);
-  obs::Json st = supervisor_->status_json();
-  EXPECT_EQ(st.find("state")->str(), "degraded");
+  EXPECT_EQ(supervisor_->status().state, "degraded");
 }
 
 }  // namespace

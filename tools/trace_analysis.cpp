@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "obs/event.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/vtime.h"
 
@@ -21,45 +22,33 @@ Result<TraceDoc> load_trace_doc(const std::string& path) {
   if (!in) return Status(Err::IO, "cannot read " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
+  auto fail = [&](const Status& st) {
+    return Status(Err::PROTO, path + ": " + st.message());
+  };
 
   auto parsed = obs::json_parse(buf.str());
-  if (!parsed) {
-    return Status(Err::PROTO, path + ": " + parsed.status().to_string());
-  }
+  if (!parsed) return fail(parsed.status());
   const obs::Json& doc = parsed.value();
 
+  // The schema names the envelope, whose own list then reads it whole.
   TraceDoc out;
   out.path = path;
-  const obs::Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_str()) {
-    return Status(Err::PROTO, path + ": missing schema field");
-  }
-  out.schema = schema->str();
+  obs::JsonReader head(doc);
+  head("schema", out.schema);
+  if (!head.status()) return fail(head.status());
   if (out.schema == obs::kSchemaVersion) {
-    if (const obs::Json* n = doc.find("name"); n != nullptr && n->is_str()) {
-      out.name = n->str();
-    }
+    auto ev = obs::from_json<obs::Evidence>(doc);
+    if (!ev) return fail(ev.status());
+    out.name = ev.value().name;
+    if (ev.value().spans) out.spans = std::move(*ev.value().spans);
   } else if (out.schema == obs::kPostmortemSchemaVersion) {
-    std::string kind, phase;
-    if (const obs::Json* k = doc.find("kind"); k != nullptr) kind = k->str();
-    if (const obs::Json* p = doc.find("phase"); p != nullptr) {
-      phase = p->str();
-    }
-    u64 op = 0;
-    if (const obs::Json* o = doc.find("op_id"); o != nullptr) {
-      op = o->num_u64();
-    }
-    out.name = kind + " op=" + std::to_string(op) + " phase=" + phase;
+    auto pm = obs::from_json<obs::Postmortem>(doc);
+    if (!pm) return fail(pm.status());
+    out.name = pm.value().kind + " op=" + std::to_string(pm.value().op_id) +
+               " phase=" + pm.value().phase;
+    out.spans = std::move(pm.value().spans);
   } else {
     return Status(Err::PROTO, path + ": unknown schema " + out.schema);
-  }
-
-  if (const obs::Json* spans = doc.find("spans"); spans != nullptr) {
-    auto recs = obs::from_json<std::vector<obs::SpanRecord>>(*spans);
-    if (!recs) {
-      return Status(Err::PROTO, path + ": " + recs.status().to_string());
-    }
-    out.spans = std::move(recs).value();
   }
   return out;
 }
@@ -232,20 +221,18 @@ std::vector<Violation> validate_ops_detailed(
 
     // ---- NETWORK_FIRST ordering: per agent op, the network-state
     // checkpoint completes before the standalone checkpoint starts.
-    if (!opts.allow_network_last) {
-      std::map<obs::SpanId, const obs::SpanRecord*> standalone;  // by root
-      for (const auto* r : named("ckpt.standalone")) {
-        standalone[r->parent] = r;
-      }
-      for (const auto* net : named("ckpt.netckpt")) {
-        auto it = standalone.find(net->parent);
-        if (it == standalone.end() || net->open) continue;
-        if (net->end > it->second->start) {
-          bad.push_back(net->who +
-                        ": standalone checkpoint started before the "
-                        "network checkpoint finished (NETWORK_FIRST "
-                        "violated)");
-        }
+    std::map<obs::SpanId, const obs::SpanRecord*> standalone;  // by root
+    for (const auto* r : named("ckpt.standalone")) {
+      standalone[r->parent] = r;
+    }
+    for (const auto* net : named("ckpt.netckpt")) {
+      auto it = standalone.find(net->parent);
+      if (it == standalone.end() || net->open) continue;
+      if (net->end > it->second->start) {
+        bad.push_back(net->who +
+                      ": standalone checkpoint started before the "
+                      "network checkpoint finished (NETWORK_FIRST "
+                      "violated)");
       }
     }
 
@@ -508,14 +495,6 @@ std::vector<std::string> validate_ops(
     out.push_back("op " + std::to_string(v.op) + ": " + v.message);
   }
   return out;
-}
-
-obs::Json violation_to_json(const Violation& v, const std::string& file) {
-  obs::Json j = obs::Json::object();
-  j["file"] = file;
-  j["op"] = v.op;
-  j["message"] = v.message;
-  return j;
 }
 
 }  // namespace zapc::tools

@@ -58,9 +58,6 @@ std::string render_op_timeline(const OpTrace& op,
                                const std::set<obs::SpanId>& critical);
 
 struct ValidateOptions {
-  /// Accept the NETWORK_LAST ablation ordering (standalone before
-  /// network checkpoint) instead of flagging it.
-  bool allow_network_last = false;
   /// Accept spans still open at end-of-trace.  A flight-recorder
   /// postmortem is a snapshot taken mid-failure, so its in-flight spans
   /// are legitimately open; a completed run's evidence must close every
@@ -85,8 +82,17 @@ std::vector<std::string> validate_ops(
     const std::vector<obs::SpanRecord>& spans,
     const ValidateOptions& opts = {});
 
-/// The zapc-trace --json line format: one compact object per violation,
-/// `{"file": ..., "op": N, "message": ...}`.
-obs::Json violation_to_json(const Violation& v, const std::string& file);
+/// The zapc-trace --json line: one compact object per violation.
+struct ViolationLine {
+  std::string file;
+  obs::OpId op = 0;
+  std::string message;
+};
+template <class F>
+void json_io(F& f, ViolationLine& m) {
+  f("file", m.file);
+  f("op", m.op);
+  f("message", m.message);
+}
 
 }  // namespace zapc::tools

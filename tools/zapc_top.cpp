@@ -15,15 +15,17 @@
 //
 // Knobs: --nodes N, --slow NODE, --mult X (1 = no fault), --hb-ms N,
 // --refresh-ms N, --no-ansi.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "fault/fault.h"
-#include "obs/json.h"
+#include "obs/health.h"
 #include "obs/vtime.h"
 #include "super/supervisor.h"
 
@@ -44,72 +46,45 @@ struct Options {
 
 constexpr u16 kStatusPort = 7070;
 
-double num_at(const obs::Json& obj, const std::string& key) {
-  const obs::Json* v = obj.find(key);
-  return v != nullptr && v->is_num() ? v->num() : 0.0;
-}
-
-std::string str_at(const obs::Json& obj, const std::string& key) {
-  const obs::Json* v = obj.find(key);
-  return v != nullptr && v->is_str() ? v->str() : std::string();
-}
-
 /// One rendered frame of the table.
-void render(const obs::Json& doc, bool ansi) {
+void render(const obs::HealthDoc& doc, bool ansi) {
   if (ansi) std::printf("\033[2J\033[H");
-  u64 t = static_cast<u64>(num_at(doc, "t_us"));
+  const obs::OpStatus* op = doc.op ? &*doc.op : nullptr;
   std::printf("zapc-top  t=%s  op=%llu kind=%s %s\n",
-              obs::vtime_us(t).c_str(),
-              static_cast<unsigned long long>(num_at(doc, "op_id")),
-              str_at(doc, "kind").c_str(),
-              doc.find("active") != nullptr && doc.find("active")->boolean()
-                  ? "active"
-                  : "finished");
+              obs::vtime_us(doc.t_us).c_str(),
+              static_cast<unsigned long long>(doc.op_id),
+              op != nullptr ? op->kind.c_str() : "",
+              op != nullptr && op->active ? "active" : "finished");
   std::printf("%-10s %-18s %7s %9s %10s %10s %8s\n", "POD", "PHASE",
               "%DONE", "MB/s", "ETA", "LAG", "HB-AGE");
-  const obs::Json* pods = doc.find("pods");
-  if (pods == nullptr) return;
-  for (const auto& [name, p] : pods->fields()) {
-    double mbps = num_at(p, "throughput_bps") / (1 << 20);
+  if (op == nullptr) return;
+  for (const auto& [name, p] : op->pods) {
+    double mbps = static_cast<double>(p.throughput_bps) / (1 << 20);
     std::printf("%-10s %-18s %7.1f %9.1f %10s %10s %8s\n", name.c_str(),
-                str_at(p, "phase").c_str(), num_at(p, "pct_done"), mbps,
-                obs::vtime_us(static_cast<u64>(num_at(p, "eta_us"))).c_str(),
-                obs::vtime_us(static_cast<u64>(num_at(p, "lag_us"))).c_str(),
-                obs::vtime_us(
-                    static_cast<u64>(num_at(p, "heartbeat_age_us")))
-                    .c_str());
+                p.phase.c_str(), p.pct_done, mbps,
+                obs::vtime_us(p.eta_us).c_str(),
+                obs::vtime_us(p.lag_us).c_str(),
+                obs::vtime_us(p.heartbeat_age_us).c_str());
   }
-  if (const obs::Json* s = doc.find("straggler"); s != nullptr) {
-    std::printf("straggler: %s (%s, lag %s)\n", str_at(*s, "pod").c_str(),
-                str_at(*s, "phase").c_str(),
-                obs::vtime_us(static_cast<u64>(num_at(*s, "lag_us")))
-                    .c_str());
+  if (const obs::Straggler& s = op->straggler; !s.pod.empty()) {
+    std::printf("straggler: %s (%s, lag %s)\n", s.pod.c_str(),
+                s.phase.c_str(), obs::vtime_us(s.lag_us).c_str());
   }
   // Supervisor pane: the failure detector's per-node verdicts plus the
   // autonomic loop's state line (the "supervisor" section is present
   // whenever a Supervisor is attached to the Manager).
-  if (const obs::Json* sup = doc.find("supervisor"); sup != nullptr) {
+  if (const auto& sup = doc.supervisor; sup.has_value()) {
     std::printf("\n%-10s %-12s %10s %6s %8s\n", "NODE", "LIVENESS",
                 "BEACON-AGE", "FLAPS", "BEACONS");
-    if (const obs::Json* nodes = sup->find("nodes"); nodes != nullptr) {
-      for (const obs::Json& n : nodes->items()) {
-        std::printf("%-10s %-12s %10s %6llu %8llu\n",
-                    str_at(n, "node").c_str(), str_at(n, "state").c_str(),
-                    obs::vtime_us(
-                        static_cast<u64>(num_at(n, "beacon_age_us")))
-                        .c_str(),
-                    static_cast<unsigned long long>(num_at(n, "false_alarms")),
-                    static_cast<unsigned long long>(num_at(n, "beacons")));
-      }
+    for (const obs::NodeLiveness& n : sup->nodes) {
+      std::printf("%-10s %-12s %10s %6u %8u\n", n.node.c_str(),
+                  n.state.c_str(), obs::vtime_us(n.beacon_age_us).c_str(),
+                  n.false_alarms, n.beacons);
     }
-    std::printf("supervisor: %s  recoveries=%llu attempts_left=%llu "
+    std::printf("supervisor: %s  recoveries=%u attempts_left=%u "
                 "catalog=%llu\n",
-                str_at(*sup, "state").c_str(),
-                static_cast<unsigned long long>(num_at(*sup, "recoveries")),
-                static_cast<unsigned long long>(
-                    num_at(*sup, "attempts_remaining")),
-                static_cast<unsigned long long>(
-                    num_at(*sup, "catalog_entries")));
+                sup->state.c_str(), sup->recoveries, sup->attempts_remaining,
+                static_cast<unsigned long long>(sup->catalog_entries));
   }
   std::fflush(stdout);
 }
@@ -217,27 +192,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "zapc-top: cannot reach status endpoint\n");
     return 1;
   }
-  obs::Json best;  // latest mid-op document with beacon data
+  // Latest mid-op document with beacon data.
+  std::optional<obs::HealthDoc> best;
   u32 frames = 0;
+  Status bad_frame;  // first reply that failed to read
   ch->set_on_msg([&](Bytes msg) {
     auto m = core::decode<core::HealthSnapshotMsg>(msg);
-    if (!m) return;
-    auto doc = obs::json_parse(m.value().json);
-    if (!doc) return;
-    const obs::Json* active = doc.value().find("active");
-    const obs::Json* pods = doc.value().find("pods");
-    bool has_beacons = false;
-    if (pods != nullptr) {
-      for (const auto& [name, p] : pods->fields()) {
-        (void)name;
-        if (num_at(p, "beacons") > 0) has_beacons = true;
-      }
+    auto j = m ? obs::json_parse(m.value().json)
+               : Result<obs::Json>(m.status());
+    auto doc = j ? obs::from_json<obs::HealthDoc>(j.value())
+                 : Result<obs::HealthDoc>(j.status());
+    if (!doc) {
+      if (bad_frame) bad_frame = doc.status();
+      return;
     }
-    if (active != nullptr && active->boolean() && has_beacons) {
-      best = doc.value();
+    const obs::HealthDoc& d = doc.value();
+    if (d.op && d.op->active &&
+        std::any_of(d.op->pods.begin(), d.op->pods.end(),
+                    [](const auto& p) { return p.second.beacons > 0; })) {
+      best = d;
     }
     ++frames;
-    if (live) render(doc.value(), opt.ansi);
+    if (live) render(d, opt.ansi);
   });
 
   bool done = false;
@@ -262,23 +238,26 @@ int main(int argc, char** argv) {
   }
   fault::injector().clear();
 
+  if (!bad_frame) {
+    std::fprintf(stderr, "zapc-top: malformed snapshot: %s\n",
+                 bad_frame.to_string().c_str());
+    return 1;
+  }
   if (!done || !report.ok) {
     std::fprintf(stderr, "zapc-top: checkpoint failed: %s\n",
                  report.error.c_str());
     return 1;
   }
-  if (frames == 0 || best.is_null()) {
+  if (frames == 0 || !best.has_value()) {
     std::fprintf(stderr, "zapc-top: no mid-op snapshot captured\n");
     return 1;
   }
 
   if (opt.snapshot) {
-    std::printf("%s\n", best.dump(2).c_str());
+    std::printf("%s\n", obs::to_json(*best).dump(2).c_str());
   }
-  const obs::Json* s = best.find("straggler");
-  std::string straggler_pod = s != nullptr ? str_at(*s, "pod") : "";
-  u64 straggler_lag =
-      s != nullptr ? static_cast<u64>(num_at(*s, "lag_us")) : 0;
+  const std::string& straggler_pod = best->op->straggler.pod;
+  const u64 straggler_lag = best->op->straggler.lag_us;
   std::fprintf(stderr, "zapc-top: %u frames, straggler=%s lag=%s\n", frames,
                straggler_pod.empty() ? "none" : straggler_pod.c_str(),
                obs::vtime_us(straggler_lag).c_str());

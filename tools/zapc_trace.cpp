@@ -24,7 +24,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: zapc-trace [--validate [--json] | --critpath] "
-               "[--allow-network-last] [--allow-open-spans] file.json...\n");
+               "[--allow-open-spans] file.json...\n");
   return 2;
 }
 
@@ -44,8 +44,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--critpath") {
       critpath = true;
-    } else if (arg == "--allow-network-last") {
-      opts.allow_network_last = true;
     } else if (arg == "--allow-open-spans") {
       opts.allow_open_spans = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -116,8 +114,8 @@ int main(int argc, char** argv) {
       // nothing else on stdout (clean files emit no lines at all).
       if (!bad.empty()) rc = 1;
       for (const auto& v : bad) {
-        std::printf("%s\n",
-                    zapc::tools::violation_to_json(v, f).dump().c_str());
+        zapc::tools::ViolationLine line{f, v.op, v.message};
+        std::printf("%s\n", zapc::obs::to_json(line).dump().c_str());
       }
     } else if (bad.empty()) {
       std::printf("OK %s (%zu ops)\n", f.c_str(), ops.size());
