@@ -1,6 +1,7 @@
 #include "core/agent.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/netckpt.h"
 #include "fault/fault.h"
@@ -28,6 +29,36 @@ constexpr u32 kDefaultHotPermille = 250;
 void drop_regions(ckpt::PodImage& image) {
   for (auto& p : image.processes) p.regions.clear();
 }
+
+/// Region bytes an image holds, before any codec.
+u64 region_bytes(const ckpt::PodImage& image) {
+  u64 n = 0;
+  for (const auto& p : image.processes) {
+    for (const auto& [name, r] : p.regions) n += r.size();
+  }
+  return n;
+}
+
+/// Span name and histogram of each Agent::Phase, in enum order.  A
+/// histogram observes its span's duration unless leave() is handed
+/// another figure (a costed phase's unslowed cost, DESIGN.md §13).
+struct PhaseInfo {
+  const char* span;
+  const char* histogram;
+};
+constexpr PhaseInfo kPhases[] = {
+    {"ckpt.suspend", "agent.ckpt.suspend_us"},
+    {"ckpt.netckpt", "agent.ckpt.netckpt_us"},
+    {"ckpt.standalone", "agent.ckpt.standalone_us"},
+    {"ckpt.stream", "agent.ckpt.stream_us"},
+    {"ckpt.cowmark", "agent.ckpt.cowmark_us"},
+    {"ckpt.barrier", "agent.ckpt.barrier_wait_us"},
+    {"ckpt.drain", "agent.ckpt.drain_us"},
+    {"restart.connectivity", "agent.restart.connectivity_us"},
+    {"restart.netstate", "agent.restart.netstate_us"},
+    {"restart.standalone", "agent.restart.standalone_us"},
+    {"restart.lazy", "agent.restart.lazy_us"},
+};
 
 }  // namespace
 
@@ -99,17 +130,149 @@ obs::ObsTag Agent::tag(const Op& op, obs::SpanId parent) {
                      [this] { return node_.now(); }};
 }
 
-template <typename Op>
-obs::SpanId Agent::begin_phase(const Op& op, const char* name) {
-  obs::SpanRecorder* r = rec();
-  return r == nullptr ? 0
-                      : r->begin_at(node_.now(), name, who(), op.span_root,
-                                    op.cmd.op_id);
+void Agent::end_span(obs::SpanId span) {
+  if (obs::SpanRecorder* r = rec()) r->end_at(node_.now(), span);
 }
 
-void Agent::end_spans(std::initializer_list<obs::SpanId> spans) {
+// ---- The op skeleton (DESIGN.md §13) ---------------------------------------
+
+template <typename Op>
+void Agent::open_root(const std::shared_ptr<Op>& op, const char* name) {
   if (obs::SpanRecorder* r = rec()) {
-    for (obs::SpanId s : spans) r->end_at(node_.now(), s);
+    // cmd.parent_span is the Manager's root span: with a shared recorder
+    // (Testbed/Trace) the agent's subtree hangs off the Manager's op.
+    op->span_root = r->begin_at(op->t_start, name, who(),
+                                op->cmd.parent_span, op->cmd.op_id);
+  }
+  if (op->cmd.heartbeat_us > 0) {
+    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
+  }
+}
+
+template <typename Op>
+void Agent::enter(Op& op, Phase ph, sim::Time cost, u64 bytes) {
+  const char* name = kPhases[static_cast<std::size_t>(ph)].span;
+  const sim::Time now = node_.now();
+  obs::SpanRecorder* r = rec();
+  op.phases.push_back(
+      {ph,
+       r == nullptr ? 0
+                    : r->begin_at(now, name, who(), op.span_root, op.cmd.op_id),
+       now});
+  op.wm = {name, now, now + slowdown(cost), bytes};
+}
+
+template <typename Op, typename Fn>
+void Agent::charge(const std::shared_ptr<Op>& op, sim::Time cost, u64 bytes,
+                   Fn&& next) {
+  op->wm = {op->wm.phase, node_.now(), node_.now() + slowdown(cost), bytes};
+  after(cost, [op, f = std::forward<Fn>(next)]() mutable {
+    if (!op->finished) f();
+  });
+}
+
+void Agent::leave(OpBase& op, Phase ph, std::optional<u64> observed) {
+  static_assert(std::size(kPhases) == kPhaseCount);
+  auto it = std::find_if(op.phases.begin(), op.phases.end(),
+                         [ph](const OpenPhase& p) { return p.id == ph; });
+  if (it == op.phases.end()) return;
+  const auto i = static_cast<std::size_t>(ph);
+  op.took[i] = observed.value_or(node_.now() - it->start);
+  obs::metrics().histogram(kPhases[i].histogram).observe(op.took[i]);
+  end_span(it->span);
+  op.phases.erase(it);
+}
+
+template <typename Op>
+void Agent::teardown(const std::shared_ptr<Op>& op, const std::string& why,
+                     Cause cause) {
+  constexpr bool kCkpt = std::is_same_v<Op, CkptOp>;
+  const bool live = !op->finished;
+  const bool ordered = cause == Cause::ABORTED;
+  if (!live && (kCkpt || !ordered)) return;
+  const char* kind = ordered ? "restart_abort" : nullptr;  // postmortem
+  bool drain = false;  // past its barrier a checkpoint loses only the drain
+  if constexpr (kCkpt) {
+    drain = op->drain_pending;
+    kind = drain ? "ckpt_drain_fail" : "ckpt_abort";
+    op->drain_pending = false;
+    drop_regions(op->image);
+    op->encoded_image = Bytes{};
+    // GC the staged half of a never-committed two-phase write.
+    if (!op->san_tmp.empty() && node_.san().remove(op->san_tmp).is_ok()) {
+      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
+    }
+    op->san_tmp.clear();
+  } else if (op->pod != nullptr) {
+    op->pod->set_lazy_fault_handler(nullptr);  // stops the lazy window
+  }
+  op->finished = op->aborted = true;
+  san_release(op->san);
+  if (live && kind != nullptr) {
+    ZLOG_WARN(who() << ": " << kind << " of " << op->cmd.pod_name << ": "
+                    << why);
+    // Dumped before the phases close: the postmortem's `phase` is the
+    // phase still open at the moment of death.
+    obs::dump_op_failure(rec(), kind, op->cmd.op_id, who(), why,
+                         node_.now());
+  }
+  for (const OpenPhase& p : op->phases) end_span(p.span);
+  op->phases.clear();
+  end_span(op->span_root);
+
+  // The kind's failure report.
+  auto failed = [&](auto done) {
+    done.error = why;
+    done.transient = cause == Cause::TRANSIENT;
+    return done;
+  };
+  if constexpr (kCkpt) {
+    // The pod runs on: a failed drain loses only this checkpoint attempt,
+    // and closes the epilogue its CKPT_DONE left open.
+    if (drain) {
+      return epilogue_done(op, Phase::DRAIN, failed(drain_report(*op)));
+    }
+    // Gracefully resume the application (paper §4).
+    if (pod::Pod* pod = find_pod(op->cmd.pod_name)) {
+      pod->filter().clear_obs_tag();
+      pod->filter().unblock_addr(pod->vip());
+      if (pod->suspended()) pod->resume();
+    }
+    if (op->mgr != nullptr) {
+      (void)op->mgr->send(encode(failed(ckpt_report(*op))));
+    }
+  } else {
+    std::erase_if(waiting_restarts_,
+                  [&op](const auto& w) { return w.second == op; });
+    // A Manager abort means the coordinated restart failed as a whole:
+    // even a pod this agent restored must go.
+    if (op->pod != nullptr) {
+      if (ordered) op->connectivity.reset();  // holds references into it
+      if (find_pod(op->cmd.pod_name) == op->pod) {
+        (void)destroy_pod(op->cmd.pod_name);
+        if (ordered) {
+          trace_op(ev::Text(ev::kDestroy).kv(ev::kPod, op->cmd.pod_name),
+                   op->cmd.op_id, op->span_root);
+        }
+      }
+      op->pod = nullptr;
+    }
+    if (!ordered && op->mgr != nullptr) {
+      (void)op->mgr->send(encode(failed(restart_report(*op))));
+    }
+  }
+}
+
+template <typename Op>
+void Agent::epilogue_done(const std::shared_ptr<Op>& op, Phase ph,
+                          EpilogueDone dd) {
+  dd.op_id = op->cmd.op_id;
+  dd.pod_name = op->cmd.pod_name;
+  dd.epilogue_us = op->t_epilogue > 0 ? node_.now() - op->t_epilogue : 0;
+  leave(*op, ph, dd.epilogue_us);
+  end_span(op->span_root);
+  if (op->mgr != nullptr && op->mgr->open()) {
+    (void)op->mgr->send(encode(dd));
   }
 }
 
@@ -160,7 +323,7 @@ void Agent::san_step(const std::shared_ptr<Op>& op,
                  .kv("share_pct", static_cast<u64>(share * 100.0 + 0.5))
                  .kv("fg", node_.san().active_foreground())
                  .kv("drains", node_.san().active_drains()),
-             op->cmd.op_id, leg->span);
+             op->cmd.op_id, op->inner_span());
   }
   const sim::Time cost = (costs_.*leg->cost)(n, share);
   ++x.steps;
@@ -169,7 +332,7 @@ void Agent::san_step(const std::shared_ptr<Op>& op,
   if (node_.san().foreground_active()) x.throttled_us += cost;
   if (node_.san().active_drains() > 1) x.contended_us += cost;
   const sim::Time eta = slowdown((costs_.*leg->cost)(leg->total - off, share));
-  op->wm.enter(leg->phase, x.t_start, node_.now() + eta, leg->total);
+  op->wm = {op->wm.phase, x.t_start, node_.now() + eta, leg->total};
   after(cost, [this, op, leg, next = off + n] { san_step(op, leg, next); });
 }
 
@@ -305,10 +468,7 @@ std::size_t Agent::held_ckpt_bytes() const {
   std::size_t n = 0;
   for (const auto& c : conns_) {
     if (c.ckpt == nullptr) continue;
-    n += c.ckpt->encoded_image.size();
-    for (const auto& p : c.ckpt->image.processes) {
-      for (const auto& [name, r] : p.regions) n += r.size();
-    }
+    n += c.ckpt->encoded_image.size() + region_bytes(c.ckpt->image);
   }
   return n;
 }
@@ -388,8 +548,10 @@ void Agent::on_msg(Conn* conn, Bytes msg) {
       break;
     }
     case MsgType::ABORT: {
-      if (conn->ckpt) ckpt_abort(conn->ckpt, "manager abort");
-      if (conn->restart) restart_abort(conn->restart, "manager abort");
+      if (conn->ckpt) teardown(conn->ckpt, "manager abort", Cause::ABORTED);
+      if (conn->restart) {
+        teardown(conn->restart, "manager abort", Cause::ABORTED);
+      }
       break;
     }
     case MsgType::SUPERVISE_CMD: {
@@ -407,17 +569,19 @@ void Agent::on_closed(Conn* conn) {
   // ... Similarly a failure of the Manager itself will be noted by the
   // Agents.  In both cases, the operation will be gracefully aborted, and
   // the application will resume its execution."
-  if (conn->ckpt) ckpt_abort(conn->ckpt, "manager connection lost");
+  if (conn->ckpt) {
+    teardown(conn->ckpt, "manager connection lost", Cause::ABORTED);
+  }
   // A finished restore is left alone on channel close (the normal end of
   // a successful op); an unfinished one means the Manager died mid-op.
   if (conn->restart && !conn->restart->finished) {
-    restart_abort(conn->restart, "manager connection lost");
+    teardown(conn->restart, "manager connection lost", Cause::ABORTED);
   }
   // The Manager closes the channel once the coordinated op is over: a
   // restore that finished OK and was never aborted is done with its
   // migration stream.  (An aborted one keeps it for a whole-op retry;
   // a newer stream reusing the tag is not this restore's to drop.)
-  if (conn->restart && conn->restart->ok && !conn->restart->aborted) {
+  if (conn->restart && conn->restart->finished && !conn->restart->aborted) {
     auto it = streams_.find(conn->restart->stream_tag);
     if (it != streams_.end() && it->second.op_id == conn->restart->stream_op) {
       streams_.erase(it);
@@ -456,13 +620,8 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
     return;
   }
 
-  if (obs::SpanRecorder* r = rec()) {
-    // cmd.parent_span is the Manager's root span: with a shared recorder
-    // (Testbed/Trace) the agent's subtree hangs off the Manager's op.
-    op->span_root = r->begin_at(op->t_start, "ckpt", who(),
-                                op->cmd.parent_span, op->cmd.op_id);
-  }
-  op->span_suspend = begin_phase(*op, "ckpt.suspend");
+  open_root(op, "ckpt");
+  enter(*op, Phase::SUSPEND);
 
   // COW eligibility (DESIGN.md §11): snapshots to the SAN under
   // NETWORK_FIRST ordering only; anything else (migration, pipelined
@@ -474,27 +633,45 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
     if (op->cow) op->san_final = op->dest.value().path;
   }
 
-  op->wm.enter("ckpt.suspend");
-  if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
-  }
-
   // Step 1: suspend the pod and block its network.
   trace_op(ev::Text(ev::kSuspend).kv(ev::kPod, op->cmd.pod_name),
            op->cmd.op_id, op->span_root);
   pod->suspend();
-  pod->filter().set_obs_tag(tag(*op, op->span_suspend));
+  pod->filter().set_obs_tag(tag(*op, op->inner_span()));
   pod->filter().block_addr(pod->vip());
-  after(costs_.suspend_cost(pod->process_count()), [this, op] {
-    if (op->ordering == CkptOrdering::NETWORK_FIRST) return ckpt_network(op);
-    ckpt_standalone(op);
-  });
+  charge(op, costs_.suspend_cost(pod->process_count()), 0,
+         [this, op] { ckpt_next(op); });
 }
 
-void Agent::ckpt_end_suspend(CkptOp& op) {
-  op.suspend_us = node_.now() - op.t_start;
-  obs::metrics().histogram("agent.ckpt.suspend_us").observe(op.suspend_us);
-  end_spans({op.span_suspend});
+void Agent::ckpt_next(const std::shared_ptr<CkptOp>& op) {
+  // NETWORK_FIRST reports the meta-data first, so the standalone step
+  // overlaps the Manager's barrier (Figure 2); NETWORK_LAST reverses.
+  const bool net_first = op->ordering == CkptOrdering::NETWORK_FIRST;
+  switch (op->steps++) {
+    case 0:
+      return net_first ? ckpt_network(op) : ckpt_standalone(op);
+    case 1:
+      if (!net_first) return ckpt_network(op);
+      return op->cow ? ckpt_cowmark(op) : ckpt_standalone(op);
+    default:
+      if (!net_first) encode_op_image(*op);  // see ckpt_standalone
+      return ckpt_standalone_done(op);
+  }
+}
+
+pod::Pod* Agent::ckpt_step(const std::shared_ptr<CkptOp>& op, Phase ph) {
+  if (op->finished) return nullptr;
+  if (fault_crashed(kPhases[static_cast<std::size_t>(ph)].span)) {
+    return nullptr;
+  }
+  pod::Pod* pod = find_pod(op->cmd.pod_name);
+  if (pod == nullptr) {
+    teardown(op, "pod vanished");
+    return nullptr;
+  }
+  leave(*op, Phase::SUSPEND);
+  enter(*op, ph);
+  return pod;
 }
 
 void Agent::capture_standalone(const std::shared_ptr<CkptOp>& op,
@@ -553,21 +730,13 @@ void Agent::capture_standalone(const std::shared_ptr<CkptOp>& op,
 }
 
 void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
-  // NETWORK_LAST runs this phase second; its continuation then encodes
-  // the image the standalone phase captured.
-  const bool late = op->ordering == CkptOrdering::NETWORK_LAST;
-  if (op->aborted) return;
-  if (fault_crashed("ckpt.netckpt")) return;
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod == nullptr) return ckpt_abort(op, "pod vanished");
-
-  if (!late) ckpt_end_suspend(*op);
-  op->span_netckpt = begin_phase(*op, "ckpt.netckpt");
+  pod::Pod* pod = ckpt_step(op, Phase::NETCKPT);
+  if (pod == nullptr) return;
 
   // Step 2: network-state checkpoint (sockets + kernel-bypass device).
   Status st = NetCheckpoint::save(*pod, op->image.meta, op->image.sockets,
-                                  tag(*op, op->span_netckpt));
-  if (!st) return ckpt_abort(op, st.to_string());
+                                  tag(*op, op->inner_span()));
+  if (!st) return teardown(op, st.to_string());
   if (gm::GmDevice* dev = pod->gm_device_if_present()) {
     op->image.has_gm_device = true;
     op->image.gm_state = dev->extract_state();
@@ -576,51 +745,35 @@ void Agent::ckpt_network(const std::shared_ptr<CkptOp>& op) {
   for (const auto& s : op->image.sockets) {
     op->queued_bytes += s.byte_size();
   }
-  sim::Time cost =
+  const sim::Time cost =
       costs_.net_ckpt_cost(op->image.sockets.size(), op->queued_bytes);
-  op->wm.enter("ckpt.netckpt", node_.now(), node_.now() + slowdown(cost),
-               op->queued_bytes);
-  after(cost, [this, op, cost, late] {
-    if (op->aborted) return;
-    op->netckpt_us = cost;
-    obs::metrics().histogram("agent.ckpt.netckpt_us").observe(cost);
-    end_spans({op->span_netckpt});
+  charge(op, cost, op->queued_bytes, [this, op, cost] {
+    leave(*op, Phase::NETCKPT, cost);
     MetaReport report;
     report.op_id = op->cmd.op_id;
     report.pod_name = op->cmd.pod_name;
     report.meta = op->image.meta;
     report.net_ckpt_us = cost;
     (void)op->mgr->send(encode(report));
-    if (late) {
-      encode_op_image(*op);
-      return ckpt_standalone_done(op);
-    }
-    // Step 2a: meta-data reported; the standalone checkpoint proceeds at
-    // once (the barrier overlaps it).
-    if (op->cow) return ckpt_cowmark(op);
-    ckpt_standalone(op);
+    // Step 2a: meta-data reported; under NETWORK_FIRST the standalone
+    // checkpoint proceeds at once (the barrier overlaps it).
+    ckpt_next(op);
   });
 }
 
 void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
-  // NETWORK_LAST runs this phase first: it charges the raw region bytes
-  // (no image is encoded yet), and neither redirects nor pipelines.
-  const bool early = op->ordering == CkptOrdering::NETWORK_LAST;
-  if (op->aborted) return;
-  if (fault_crashed("ckpt.standalone")) return;
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod == nullptr) return ckpt_abort(op, "pod vanished");
-
-  if (early) ckpt_end_suspend(*op);
-  op->span_standalone = begin_phase(*op, "ckpt.standalone");
+  pod::Pod* pod = ckpt_step(op, Phase::STANDALONE);
+  if (pod == nullptr) return;
 
   // Step 3: standalone pod checkpoint (Zap substrate).
   capture_standalone(op, *pod);
   u64 bytes = 0;
-  if (early) {
-    for (const auto& p : op->image.processes) {
-      for (const auto& [name, r] : p.regions) bytes += r.size();
-    }
+  if (op->ordering == CkptOrdering::NETWORK_LAST) {
+    // NETWORK_LAST's one real difference: the network state is not saved
+    // yet, so there is no image to encode.  This step charges the raw
+    // region bytes, neither redirects nor pipelines, and ckpt_next
+    // encodes once the network step is done.
+    bytes = region_bytes(op->image);
   } else {
     // Migration redirect optimization (paper §5): every connected TCP
     // socket whose peer's destination agent is known ships its (possibly
@@ -652,19 +805,11 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
     }
   }
 
-  sim::Time cost =
+  const sim::Time cost =
       costs_.standalone_ckpt_cost(bytes, op->image.processes.size());
-  op->wm.enter("ckpt.standalone", node_.now(), node_.now() + slowdown(cost),
-               bytes);
-  after(cost, [this, op, cost, early] {
-    if (op->aborted) return;
-    op->standalone_us = cost;
-    obs::metrics().histogram("agent.ckpt.standalone_us").observe(cost);
-    if (early) {
-      end_spans({op->span_standalone});
-      return ckpt_network(op);
-    }
-    ckpt_standalone_done(op);
+  charge(op, cost, bytes, [this, op, cost] {
+    leave(*op, Phase::STANDALONE, cost);
+    ckpt_next(op);
   });
 }
 
@@ -683,17 +828,15 @@ void Agent::encode_op_image(CkptOp& op) {
 void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op) {
   const sim::Time t0 = node_.now();
   const sim::Time took = stream_image(op, /*pipelined=*/true, [this, op, t0] {
-    op->standalone_us = node_.now() - t0;
-    obs::metrics().histogram("agent.ckpt.stream_us").observe(op->standalone_us);
-    obs::metrics().histogram("agent.ckpt.standalone_us")
-        .observe(op->standalone_us);
-    end_spans({op->span_stream});
+    // The stream is the standalone step: one figure for both phases.
+    const u64 us = node_.now() - t0;
+    leave(*op, Phase::STREAM, us);
+    leave(*op, Phase::STANDALONE, us);
     op->delivered = true;
-    ckpt_standalone_done(op);
+    ckpt_next(op);
   });
   if (op->aborted) return;
-  op->span_stream = begin_phase(*op, "ckpt.stream");
-  op->wm.enter("ckpt.stream", t0, t0 + slowdown(took), op->encoded_size);
+  enter(*op, Phase::STREAM, took, op->encoded_size);
 }
 
 sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
@@ -701,7 +844,7 @@ sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
   const Uri& dest = op->dest.value();
   auto ch = connect_channel(node_.host_stack(), dest.endpoint);
   if (ch == nullptr) {
-    ckpt_abort(op, "cannot reach stream target");
+    teardown(op, "cannot reach stream target");
     return 0;
   }
   MsgChannel* raw = ch.get();
@@ -746,11 +889,8 @@ sim::Time Agent::stream_image(const std::shared_ptr<CkptOp>& op,
 }
 
 void Agent::ckpt_standalone_done(const std::shared_ptr<CkptOp>& op) {
-  op->standalone_done = true;
   op->t_standalone_done = node_.now();
-  op->wm.enter("ckpt.barrier");
-  end_spans({op->span_standalone});  // no-op if already closed
-  op->span_barrier = begin_phase(*op, "ckpt.barrier");
+  enter(*op, Phase::BARRIER);
   // COW mode stages nothing here: serialization and the SAN write both
   // happen in the background drain, after the pod has resumed.
   if (!op->delivered && !op->cow) deliver_image(op);
@@ -762,8 +902,8 @@ void Agent::ckpt_standalone_done(const std::shared_ptr<CkptOp>& op) {
       op->cmd.barrier_wait_us > 0) {
     after(op->cmd.barrier_wait_us, [this, op] {
       if (op->finished || op->aborted || op->continue_received) return;
-      ckpt_abort(op, "continue barrier deadline expired (manager stalled)",
-                 /*transient=*/true);
+      teardown(op, "continue barrier deadline expired (manager stalled)",
+               Cause::TRANSIENT);
     });
   }
 }
@@ -771,12 +911,8 @@ void Agent::ckpt_standalone_done(const std::shared_ptr<CkptOp>& op) {
 // ---- COW concurrent checkpoint (DESIGN.md §11) -------------------------------
 
 void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
-  if (op->aborted) return;
-  if (fault_crashed("ckpt.cowmark")) return;
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod == nullptr) return ckpt_abort(op, "pod vanished");
-
-  op->span_cowmark = begin_phase(*op, "ckpt.cowmark");
+  pod::Pod* pod = ckpt_step(op, Phase::COWMARK);
+  if (pod == nullptr) return;
 
   // The in-memory capture IS the COW snapshot: the image shares the
   // pod's region buffers, and a region the resumed pod writes while the
@@ -786,14 +922,10 @@ void Agent::ckpt_cowmark(const std::shared_ptr<CkptOp>& op) {
   // the background drain.
   capture_standalone(op, *pod);
 
-  sim::Time cost = costs_.cow_mark_cost(op->image.processes.size());
-  op->wm.enter("ckpt.cowmark");
-  after(cost, [this, op, cost] {
-    if (op->aborted) return;
-    op->cowmark_us = cost;
-    obs::metrics().histogram("agent.ckpt.cowmark_us").observe(cost);
-    end_spans({op->span_cowmark});
-    ckpt_standalone_done(op);
+  const sim::Time cost = costs_.cow_mark_cost(op->image.processes.size());
+  charge(op, cost, 0, [this, op, cost] {
+    leave(*op, Phase::COWMARK, cost);
+    ckpt_next(op);
   });
 }
 
@@ -801,13 +933,12 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
   if (op->aborted) return;
   if (fault_crashed("ckpt.drain")) return;
   san_open(op->san, os::SanStreamClass::BACKGROUND);
-  op->span_drain = begin_phase(*op, "ckpt.drain");
+  op->t_epilogue = node_.now();
+  enter(*op, Phase::DRAIN);
   encode_op_image(*op);
   san_step(op,
            std::make_shared<const SanLeg>(SanLeg{
                .what = ev::kLegDrain,
-               .phase = "ckpt.drain",
-               .span = op->span_drain,
                .total = op->encoded_size,
                .chunk = kStreamChunk,
                .cost = &CostModel::qos_drain_chunk_cost,
@@ -834,27 +965,20 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   // The blocking path's two-phase commit in one go: nothing to wait for,
   // the pod has long resumed.
   Status st = commit_image(*op, op->san_final, /*publish=*/true);
-  if (!st) return ckpt_abort(op, st.message(), /*transient=*/true);
+  if (!st) return teardown(op, st.message(), Cause::TRANSIENT);
 
   op->drain_pending = false;
   op->finished = true;
-  EpilogueDone dd = drain_epilogue(*op, /*ok=*/true);
+  EpilogueDone dd = drain_report(*op);
+  dd.ok = true;
   dd.image_bytes = op->encoded_size;
-  obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.epilogue_us);
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
-  end_spans({op->span_drain, op->span_root});
-  if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode(dd));
-  }
+  epilogue_done(op, Phase::DRAIN, std::move(dd));
 }
 
-EpilogueDone Agent::drain_epilogue(const CkptOp& op, bool ok) {
+EpilogueDone Agent::drain_report(const CkptOp& op) {
   EpilogueDone dd;
-  dd.op_id = op.cmd.op_id;
-  dd.pod_name = op.cmd.pod_name;
-  dd.ok = ok;
-  dd.epilogue_us = op.san.t_start > 0 ? node_.now() - op.san.t_start : 0;
   dd.dirtied_bytes = op.dirtied_bytes;
   dd.throttled_us = op.san.throttled_us;
   dd.contended_us = op.san.contended_us;
@@ -945,7 +1069,7 @@ void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op,
 
 void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
   if (fault_crashed("ckpt.deliver")) return;
-  if (!op->dest) return ckpt_abort(op, op->dest.status().to_string());
+  if (!op->dest) return teardown(op, op->dest.status().to_string());
   const Uri& dest = op->dest.value();
   if (dest.scheme == "san") {
     // Two-phase commit: stage the image now; it only replaces the
@@ -954,7 +1078,7 @@ void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
     // untouched, and the incremental chain state — updated at commit —
     // stays in sync with what is actually on the SAN.
     Status st = commit_image(*op, dest.path, /*publish=*/false);
-    if (!st) ckpt_abort(op, st.message(), /*transient=*/true);
+    if (!st) teardown(op, st.message(), Cause::TRANSIENT);
     return;
   }
   if (dest.scheme == "agent") {
@@ -966,14 +1090,14 @@ void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
     stream_image(op, /*pipelined=*/false, nullptr);
     return;
   }
-  ckpt_abort(op, "unsupported checkpoint destination " + op->cmd.dest_uri);
+  teardown(op, "unsupported checkpoint destination " + op->cmd.dest_uri);
 }
 
 void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   if (op->finished || op->aborted || op->drain_pending) return;
   // Steps 3a/4a: finish only after the standalone checkpoint completed
   // AND the Manager's continue arrived (the single synchronization).
-  if (!op->standalone_done || !op->continue_received) return;
+  if (op->t_standalone_done == 0 || !op->continue_received) return;
   if (fault_crashed("ckpt.barrier")) return;
 
   // Commit point: the staged image atomically replaces the previous one
@@ -981,7 +1105,7 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   // incremental chain — an aborted delta must not become the next base.
   if (!op->san_tmp.empty()) {
     Status st = commit_image(*op, op->san_final, /*publish=*/true);
-    if (!st) return ckpt_abort(op, st.message(), /*transient=*/true);
+    if (!st) return teardown(op, st.message(), Cause::TRANSIENT);
   }
   // COW mode: the pod resumes now, but the op stays open — the image
   // drains to the SAN in the background and EPILOGUE_DONE closes it.
@@ -991,11 +1115,9 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
     op->finished = true;
   }
 
-  obs::metrics()
-      .histogram("agent.ckpt.barrier_wait_us")
-      .observe(node_.now() - op->t_standalone_done);
-  end_spans({op->span_barrier});
-  if (!op->cow) end_spans({op->span_root});
+  leave(*op, Phase::BARRIER);
+  // A COW op's root span stays open until its drain's EPILOGUE_DONE.
+  if (!op->cow) end_span(op->span_root);
 
   pod::Pod* pod = find_pod(op->cmd.pod_name);
   if (pod != nullptr) {
@@ -1039,68 +1161,11 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   done.logical_bytes = op->logical_bytes;
   done.delta_seq = op->is_delta ? op->image.header.delta_seq : 0;
   done.drain_pending = op->cow;
-  done.cowmark_us = op->cowmark_us;
+  done.cowmark_us = op->took_us(Phase::COWMARK);
   (void)op->mgr->send(encode(done));
 
   // Downtime is over; start draining the snapshot to the SAN.
   if (op->cow) ckpt_drain(op);
-}
-
-void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
-                       const std::string& why, bool transient) {
-  if (op->finished || op->aborted) return;
-  // Once the pod has resumed, a failure only loses the in-flight drain.
-  const bool drain = op->drain_pending;
-  op->aborted = true;
-  op->finished = true;
-  op->drain_pending = false;
-  san_release(op->san);
-  drop_regions(op->image);
-  op->encoded_image = Bytes{};
-  // GC the staged half of a never-committed two-phase write.
-  if (!op->san_tmp.empty()) {
-    if (node_.san().remove(op->san_tmp).is_ok()) {
-      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-    }
-    op->san_tmp.clear();
-  }
-  ZLOG_WARN("agent@" << node_.name() << ": "
-                     << (drain ? "drain of " : "checkpoint of ")
-                     << op->cmd.pod_name
-                     << (drain ? " failed: " : " aborted: ") << why);
-  // Flight-recorder dump before the spans close: the postmortem's
-  // `phase` is the phase still open at the moment of death.
-  obs::dump_op_failure(rec(), drain ? "ckpt_drain_fail" : "ckpt_abort",
-                       op->cmd.op_id, who(), why, node_.now());
-  // Close whichever phases were open at abort time (no-ops otherwise).
-  end_spans({op->span_suspend, op->span_netckpt, op->span_standalone,
-             op->span_stream, op->span_cowmark, op->span_barrier,
-             op->span_drain, op->span_root});
-  if (drain) {
-    // The pod is already running: a failed drain loses only this
-    // checkpoint attempt, never application state.  The CKPT_DONE went
-    // out at the barrier, so the failure closes the drain's epilogue.
-    if (op->mgr != nullptr && op->mgr->open()) {
-      EpilogueDone dd = drain_epilogue(*op, /*ok=*/false);
-      dd.error = why;
-      dd.transient = transient;
-      (void)op->mgr->send(encode(dd));
-    }
-    return;
-  }
-  // Gracefully resume the application (paper §4).
-  pod::Pod* pod = find_pod(op->cmd.pod_name);
-  if (pod != nullptr) {
-    pod->filter().clear_obs_tag();
-    pod->filter().unblock_addr(pod->vip());
-    if (pod->suspended()) pod->resume();
-  }
-  if (op->mgr != nullptr) {
-    CkptDone done = ckpt_report(*op);
-    done.error = why;
-    done.transient = transient;
-    (void)op->mgr->send(encode(done));
-  }
 }
 
 CkptDone Agent::ckpt_report(const CkptOp& op) {
@@ -1108,9 +1173,9 @@ CkptDone Agent::ckpt_report(const CkptOp& op) {
   done.op_id = op.cmd.op_id;
   done.pod_name = op.cmd.pod_name;
   done.total_us = node_.now() - op.t_start;
-  done.suspend_us = op.suspend_us;
-  done.netckpt_us = op.netckpt_us;
-  done.standalone_us = op.standalone_us;
+  done.suspend_us = op.took_us(Phase::SUSPEND);
+  done.netckpt_us = op.took_us(Phase::NETCKPT);
+  done.standalone_us = op.took_us(Phase::STANDALONE);
   done.barrier_us =
       op.t_standalone_done > 0 ? node_.now() - op.t_standalone_done : 0;
   return done;
@@ -1125,15 +1190,8 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
   op->t_start = node_.now();
   conn->restart = op;
   if (fault_crashed("restart.begin")) return;
-  if (obs::SpanRecorder* r = rec()) {
-    op->span_root = r->begin_at(op->t_start, "restart", who(),
-                                op->cmd.parent_span, op->cmd.op_id);
-  }
-
-  op->wm.enter("restart");
-  if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
-  }
+  open_root(op, "restart");
+  op->wm = Watermark{"restart"};
 
   // Apply the virtual→real location updates ("substituting the
   // destination network addresses in place of the original addresses").
@@ -1257,15 +1315,14 @@ void Agent::restart_with_image(const std::shared_ptr<RestartOp>& op,
     if (referenced.count(s.old_id) == 0) unreferenced.insert(s.old_id);
   }
 
-  op->span_connectivity = begin_phase(*op, "restart.connectivity");
-  op->wm.enter("restart.connectivity");
+  enter(*op, Phase::CONNECTIVITY);
   op->connectivity = std::make_unique<ConnectivityRestore>(
       *op->pod, op->cmd.meta, op->image.sockets, std::move(unreferenced),
       30 * sim::kSecond,
       [this, op](Status st, ckpt::SockMap map) {
         restart_connectivity_done(op, std::move(st), std::move(map));
       });
-  op->connectivity->set_obs_tag(tag(*op, op->span_connectivity));
+  op->connectivity->set_obs_tag(tag(*op, op->inner_span()));
   op->connectivity->start();
 }
 
@@ -1275,10 +1332,7 @@ void Agent::restart_connectivity_done(const std::shared_ptr<RestartOp>& op,
   if (!st) return restart_finish(op, st);
   op->socks = std::move(map);
   op->t_conn_done = node_.now();
-  obs::metrics()
-      .histogram("agent.restart.connectivity_us")
-      .observe(op->t_conn_done - op->t_start);
-  end_spans({op->span_connectivity});
+  leave(*op, Phase::CONNECTIVITY, op->t_conn_done - op->t_start);
   restart_wait_redirects(op, /*waited=*/0);
 }
 
@@ -1321,7 +1375,7 @@ void Agent::restart_wait_redirects(const std::shared_ptr<RestartOp>& op,
 void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
   if (op->finished) return;
   if (fault_crashed("restart.netstate")) return;
-  op->span_netstate = begin_phase(*op, "restart.netstate");
+  enter(*op, Phase::NETSTATE);
   // Step 3: restore the network state of every socket (and the
   // kernel-bypass device, if the pod had one).
   if (op->image.has_gm_device) {
@@ -1359,20 +1413,15 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
     restored_bytes += img.byte_size() + extra.size();
     Status st =
         NetCheckpoint::restore_socket(*op->pod, mit->second, img, discard,
-                                      extra,
-                                      tag(*op, op->span_netstate));
+                                      extra, tag(*op, op->inner_span()));
     if (!st) return restart_finish(op, st);
   }
 
-  sim::Time cost =
+  const sim::Time cost =
       costs_.net_restore_cost(op->image.sockets.size(), restored_bytes);
-  op->wm.enter("restart.netstate", node_.now(),
-               node_.now() + slowdown(cost), restored_bytes);
-  after(cost, [this, op, cost] {
-    if (op->finished) return;
+  charge(op, cost, restored_bytes, [this, op, cost] {
     op->t_net_done = node_.now();
-    obs::metrics().histogram("agent.restart.netstate_us").observe(cost);
-    end_spans({op->span_netstate});
+    leave(*op, Phase::NETSTATE, cost);
     restart_standalone(op);
   });
 }
@@ -1380,16 +1429,13 @@ void Agent::restart_net_state(const std::shared_ptr<RestartOp>& op) {
 void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   if (op->finished) return;
   if (fault_crashed("restart.standalone")) return;
-  op->span_standalone = begin_phase(*op, "restart.standalone");
+  enter(*op, Phase::RESTORE);
   // Step 4: standalone restart.  The *logic* (rebuilding processes, fd
   // tables, region bytes) happens instantly either way; what differs is
   // how the virtual time is charged.  The image is sized and the lazy
   // cold set ranked first: restore_processes moves the region bytes out
   // of the image into the pod.
-  u64 image_bytes = 0;
-  for (const auto& p : op->image.processes) {
-    for (const auto& [name, r] : p.regions) image_bytes += r.size();
-  }
+  const u64 image_bytes = region_bytes(op->image);
   // Lazy pipelined restore (DESIGN.md §13): rank regions by the
   // working-set signal persisted in the manifest; the cold tail is
   // deferred past resume and filled in the background / on demand fault.
@@ -1445,16 +1491,12 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   if (!op->cmd.pipelined) {
     // Monolithic path: fetch + decode + rebuild charged serially as one
     // blocking byte term.
-    sim::Time cost = costs_.standalone_restart_cost(
+    const sim::Time cost = costs_.standalone_restart_cost(
         image_bytes, op->image.processes.size());
-    op->wm.enter("restart.standalone", node_.now(),
-                 node_.now() + slowdown(cost), image_bytes);
-    after(cost, [this, op, cost] {
-      if (op->finished || op->pod == nullptr) return;
-      obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
+    return charge(op, cost, image_bytes, [this, op, cost] {
+      leave(*op, Phase::RESTORE, cost);
       restart_resume(op);
     });
-    return;
   }
 
   op->cold = std::move(cold);
@@ -1480,18 +1522,14 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
                     costs_.per_process * op->image.processes.size();
   auto leg = std::make_shared<const SanLeg>(SanLeg{
       .what = ev::kLegRestore,
-      .phase = "restart.standalone",
-      .span = op->span_standalone,
       .total = op->hot_bytes,
       .chunk = kStreamChunk,
       .cost = &CostModel::restart_chunk_cost,
       .live = [op] { return !op->finished && op->pod != nullptr; },
-      .tail = nullptr,
       .done =
           [this, op] {
-            op->fetch_us = node_.now() - op->san.t_start;
-            obs::metrics().histogram("agent.restart.standalone_us")
-                .observe(op->fetch_us);
+            // The phase's figure is the SAN fetch time only.
+            leave(*op, Phase::RESTORE, node_.now() - op->san.t_start);
             restart_resume(op);
           },
   });
@@ -1499,7 +1537,6 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
 }
 
 void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
-  if (op->finished || op->pod == nullptr) return;
   op->pod->resume();
   op->t_downtime_end = node_.now();
   // Downtime is over; the resume announces the cold regions the lazy
@@ -1513,7 +1550,8 @@ void Agent::restart_resume(const std::shared_ptr<RestartOp>& op) {
   // faults raised by the running pod), ending in an EPILOGUE_DONE.
   if (op->lazy_remaining == 0 || !lazy_live(op)) return;
   if (fault_crashed("restart.lazy")) return;
-  op->span_lazy = begin_phase(*op, "restart.lazy");
+  op->t_epilogue = node_.now();
+  enter(*op, Phase::LAZY);
   restart_lazy_fill(op, 0);
 }
 
@@ -1541,18 +1579,15 @@ void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
   // the fill completes (and its cost elapses) before the next one starts.
   op->pod->clear_lazy_pending(c.vpid, c.name);
   san_open(op->san, os::SanStreamClass::FOREGROUND);
+  const obs::SpanId span = op->inner_span();  // outlives a teardown
   san_step(op,
            std::make_shared<const SanLeg>(SanLeg{
                .what = ev::kLegLazyFill,
-               .phase = "restart.lazy",
-               .span = op->span_lazy,
                .total = c.bytes,
                .chunk = 0,  // one step per region
                .cost = &CostModel::lazy_fill_cost,
-               .live = nullptr,
-               .tail = nullptr,
                .done =
-                   [this, op, idx] {
+                   [this, op, idx, span] {
                      const RestartOp::ColdRegion& done = op->cold[idx];
                      op->lazy_filled_bytes += done.bytes;
                      if (op->lazy_remaining > 0) --op->lazy_remaining;
@@ -1561,8 +1596,7 @@ void Agent::restart_lazy_fill(const std::shared_ptr<RestartOp>& op,
                                   .kv(ev::kVpid, done.vpid)
                                   .kv(ev::kRegion, done.name)
                                   .kv("bytes", done.bytes),
-                              op->cmd.op_id, op->span_lazy);
-                     if (!lazy_live(op)) return;
+                              op->cmd.op_id, span);
                      restart_lazy_fill(op, idx + 1);
                    },
            }),
@@ -1596,110 +1630,59 @@ void Agent::restart_lazy_fault(const std::shared_ptr<RestartOp>& op,
                .kv(ev::kRegion, name)
                .kv("bytes", bytes)
                .kv("tax_us", tax),
-           op->cmd.op_id, op->span_lazy);
-  if (op->lazy_remaining == 0 && op->san.stream == 0) {
-    restart_lazy_finish(op);
-  }
+           op->cmd.op_id, op->inner_span());
+  if (op->lazy_remaining == 0 && op->san.stream == 0) restart_lazy_finish(op);
 }
 
 void Agent::restart_lazy_finish(const std::shared_ptr<RestartOp>& op) {
-  if (op->lazy_done_sent) return;
-  op->lazy_done_sent = true;
-  const u64 lazy_us =
-      op->t_downtime_end > 0 ? node_.now() - op->t_downtime_end : 0;
-  obs::metrics().histogram("agent.restart.lazy_us").observe(lazy_us);
+  if (op->phases.empty()) return;  // the lazy window already closed
   obs::metrics().histogram("agent.restart.lazy_faults")
       .observe(op->lazy_faults);
-  end_spans({op->span_lazy, op->span_root});
   EpilogueDone ld;
-  ld.op_id = op->cmd.op_id;
-  ld.pod_name = op->cmd.pod_name;
   ld.ok = true;
-  ld.epilogue_us = lazy_us;
   ld.lazy_bytes = op->lazy_filled_bytes;
   ld.faults = op->lazy_faults;
   ld.fault_bytes = op->lazy_fault_bytes;
-  if (op->mgr != nullptr && op->mgr->open()) {
-    (void)op->mgr->send(encode(ld));
-  }
+  epilogue_done(op, Phase::LAZY, std::move(ld));
 }
 
 void Agent::restart_finish(const std::shared_ptr<RestartOp>& op, Status st) {
   if (op->finished) return;
-  op->finished = true;
-  op->ok = st.is_ok();
-  const bool lazy_pending = st.is_ok() && op->lazy_remaining > 0;
-  // With cold regions still to fill, the op's root span stays open until
-  // the lazy window drains (mirror of the COW drain span).
-  restart_close_spans(*op, /*keep_root=*/lazy_pending);
-  if (!st && op->pod != nullptr) {
-    (void)destroy_pod(op->cmd.pod_name);  // clean up the partial pod
-    op->pod = nullptr;  // a later Manager abort must not touch it
+  if (!st) {
+    // Timeouts (stream never arrived, redirects missing) are worth a
+    // whole-op retry; decode/protocol errors are not.
+    return teardown(op, st.message(),
+                    st.err() == Err::TIMED_OUT ? Cause::TRANSIENT
+                                               : Cause::FAILED);
   }
-  RestartDone done;
-  done.op_id = op->cmd.op_id;
-  done.pod_name = op->cmd.pod_name;
-  done.ok = st.is_ok();
-  done.error = st.message();
-  // Timeouts (stream never arrived, redirects missing) are worth a
-  // whole-op retry; decode/protocol errors are not.
-  done.transient = !st.is_ok() && st.err() == Err::TIMED_OUT;
-  done.total_us = node_.now() - op->t_start;
-  done.connectivity_us =
-      op->t_conn_done > op->t_start ? op->t_conn_done - op->t_start : 0;
-  done.net_restore_us =
-      op->t_net_done > op->t_conn_done ? op->t_net_done - op->t_conn_done : 0;
-  done.standalone_us =
-      op->t_net_done > 0 && node_.now() > op->t_net_done
-          ? node_.now() - op->t_net_done
-          : 0;
-  done.lazy_pending = lazy_pending;
-  done.downtime_us =
-      op->t_downtime_end > 0 ? op->t_downtime_end - op->t_start
-                             : done.total_us;
-  done.hot_bytes = op->hot_bytes;
-  done.lazy_bytes = op->lazy_total_bytes;
-  done.fetch_us = op->fetch_us;
+  op->finished = true;
+  RestartDone done = restart_report(*op);
+  done.ok = true;
+  // With cold regions still to fill, the root span stays open until the
+  // lazy window's EPILOGUE_DONE (mirror of the COW drain).
+  done.lazy_pending = op->lazy_remaining > 0;
+  if (!done.lazy_pending) end_span(op->span_root);
   if (op->mgr != nullptr) (void)op->mgr->send(encode(done));
 }
 
-void Agent::restart_close_spans(const RestartOp& op, bool keep_root) {
-  end_spans({op.span_connectivity, op.span_netstate, op.span_standalone,
-             op.span_lazy});
-  if (!keep_root) end_spans({op.span_root});
-}
-
-void Agent::restart_abort(const std::shared_ptr<RestartOp>& op,
-                          const std::string& why) {
-  // Runs on live AND already-finished restores: a Manager abort means
-  // the coordinated restart failed as a whole, so even a pod this agent
-  // restored successfully must be torn down.
-  op->aborted = true;  // stops the lazy window, if one is running
-  san_release(op->san);
-  if (op->pod != nullptr) op->pod->set_lazy_fault_handler(nullptr);
-  const bool live = !op->finished;
-  if (live) {
-    op->finished = true;
-    ZLOG_WARN("agent@" << node_.name() << ": restart of " << op->cmd.pod_name
-                       << " aborted: " << why);
-    obs::dump_op_failure(rec(), "restart_abort", op->cmd.op_id, who(), why,
-                         node_.now());
-  }
-  // A live restore's open phases, or the spans a lazy window still kept
-  // open past RESTART_DONE; no-ops for a closed op.
-  restart_close_spans(*op, /*keep_root=*/false);
-  // Drop a parked stream wait belonging to this op.
-  std::erase_if(waiting_restarts_,
-                [&op](const auto& w) { return w.second == op; });
-  if (op->pod != nullptr) {
-    op->connectivity.reset();  // holds references into the pod
-    if (find_pod(op->cmd.pod_name) == op->pod) {
-      (void)destroy_pod(op->cmd.pod_name);
-      trace_op(ev::Text(ev::kDestroy).kv(ev::kPod, op->cmd.pod_name),
-               op->cmd.op_id, op->span_root);
-    }
-    op->pod = nullptr;
-  }
+RestartDone Agent::restart_report(const RestartOp& op) {
+  const sim::Time now = node_.now();
+  RestartDone done;
+  done.op_id = op.cmd.op_id;
+  done.pod_name = op.cmd.pod_name;
+  done.total_us = now - op.t_start;
+  done.connectivity_us =
+      op.t_conn_done > op.t_start ? op.t_conn_done - op.t_start : 0;
+  done.net_restore_us =
+      op.t_net_done > op.t_conn_done ? op.t_net_done - op.t_conn_done : 0;
+  done.standalone_us =
+      op.t_net_done > 0 && now > op.t_net_done ? now - op.t_net_done : 0;
+  done.downtime_us =
+      op.t_downtime_end > 0 ? op.t_downtime_end - op.t_start : done.total_us;
+  done.hot_bytes = op.hot_bytes;
+  done.lazy_bytes = op.lazy_total_bytes;
+  done.fetch_us = op.cmd.pipelined ? op.took_us(Phase::RESTORE) : 0;
+  return done;
 }
 
 }  // namespace zapc::core

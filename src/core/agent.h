@@ -10,13 +10,16 @@
 // data for the migration optimization.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ckpt/image.h"
 #include "ckpt/standalone.h"
@@ -76,6 +79,19 @@ class Agent {
   CkptOrdering ordering() const { return ordering_; }
 
  private:
+  /// An op's phases (Figures 1 and 3, the COW drain, the lazy window).
+  enum class Phase : u8 {
+    SUSPEND, NETCKPT, STANDALONE, STREAM, COWMARK, BARRIER, DRAIN,
+    CONNECTIVITY, NETSTATE, RESTORE, LAZY,
+  };
+  static constexpr std::size_t kPhaseCount = 11;
+
+  struct OpenPhase {
+    Phase id;
+    obs::SpanId span;  // 0 when tracing is off
+    sim::Time start;
+  };
+
   /// Introspection-plane watermark for the phase currently in flight:
   /// what the next HEARTBEAT/PROGRESS beacon reports (DESIGN.md §9).
   /// `end` is the projected completion instant with the injected
@@ -83,14 +99,15 @@ class Agent {
   struct Watermark {
     std::string phase;   // innermost phase name ("ckpt.standalone", ...)
     sim::Time start = 0; // when the costed wait began
-    sim::Time end = 0;   // projected completion (0 = control phase)
+    sim::Time end = 0;   // projected completion (control phase: start)
     u64 bytes = 0;       // bytes this phase moves (0 = control phase)
-    void enter(std::string p, sim::Time s = 0, sim::Time e = 0, u64 b = 0) {
-      phase = std::move(p);
-      start = s;
-      end = e;
-      bytes = b;
-    }
+  };
+
+  /// Why an op ends early, as its teardown reports it.
+  enum class Cause : u8 {
+    FAILED,     // failed here; not worth retrying the whole op
+    TRANSIENT,  // failed here; the Manager may retry the whole op
+    ABORTED,    // the Manager ended it (ABORT, or its channel closed)
   };
 
   /// An op's QoS-metered SAN transfers (DESIGN.md §13): the COW drain, or
@@ -111,15 +128,13 @@ class Agent {
   /// (0 = one step for the whole transfer, even an empty one), each
   /// costed by `cost` at the share the SAN grants when the step starts.
   struct SanLeg {
-    std::string_view what;  // agent.qos receipt leg
-    const char* phase;  // watermark phase
-    obs::SpanId span;   // parent of the QoS receipts
+    std::string_view what;  // agent.qos receipt leg, under the inner phase
     u64 total;
     u64 chunk;
     sim::Time (CostModel::*cost)(u64, double) const;
-    std::function<bool()> live;       // per step; false stops (null: live)
-    std::function<sim::Time()> tail;  // after the last chunk, stream held
-    std::function<void()> done;       // once the stream is released
+    std::function<bool()> live = nullptr;       // per step; false stops
+    std::function<sim::Time()> tail = nullptr;  // after the last chunk
+    std::function<void()> done;  // once the stream is released
   };
 
   /// What every op this agent serves carries besides its command.
@@ -127,8 +142,17 @@ class Agent {
     MsgChannel* mgr = nullptr;
     sim::Time t_start = 0;
     bool finished = false;
-    bool aborted = false;  // torn down; a restore's stops its lazy window
+    bool aborted = false;  // torn down, on any failure; stops a lazy window
     obs::SpanId span_root = 0;  // "ckpt" / "restart"; 0 when tracing is off
+    // Open phases, innermost last (two: ckpt.stream in ckpt.standalone).
+    std::vector<OpenPhase> phases;
+    // What each closed phase observed in its histogram (0: not closed).
+    std::array<u64, kPhaseCount> took{};
+    u64 took_us(Phase ph) const { return took[static_cast<std::size_t>(ph)]; }
+    obs::SpanId inner_span() const {
+      return phases.empty() ? 0 : phases.back().span;
+    }
+    sim::Time t_epilogue = 0;  // the background epilogue began (0: none)
     SanXfer san;  // drain: BACKGROUND; restore fetch, lazy fills: FOREGROUND
     Watermark wm;    // introspection plane (cmd.heartbeat_us > 0)
     u32 hb_seq = 0;  // beacons published so far
@@ -140,7 +164,8 @@ class Agent {
     // the op only when the image is delivered) and the phase ordering.
     Result<Uri> dest = Status(Err::INVALID, "no destination");
     CkptOrdering ordering = CkptOrdering::NETWORK_FIRST;
-    sim::Time t_standalone_done = 0;
+    u8 steps = 0;  // checkpoint steps started (ckpt_next)
+    sim::Time t_standalone_done = 0;  // barrier entered (0: not yet)
     ckpt::PodImage image;
     // The encoded image until a SAN commit takes it over; encoded_size
     // outlives that hand-off for the done messages and traces.
@@ -149,7 +174,6 @@ class Agent {
     std::vector<RedirectData> redirects;  // to ship to peer agents
     u64 queued_bytes = 0;
     bool continue_received = false;
-    bool standalone_done = false;
     // Incremental / streaming bookkeeping.
     bool is_delta = false;   // this image is a delta over the prior one
     u64 logical_bytes = 0;   // full pre-codec state size (all regions)
@@ -168,20 +192,6 @@ class Agent {
     // Id of the Manager's 'mgr.continue' EVENT (from the CONTINUE
     // message): the cross-node parent of this agent's resume records.
     obs::SpanId continue_event = 0;
-    // Phase spans (Figure 2 breakdown); 0 when tracing is off.
-    obs::SpanId span_suspend = 0;     // "ckpt.suspend"
-    obs::SpanId span_netckpt = 0;     // "ckpt.netckpt"
-    obs::SpanId span_standalone = 0;  // "ckpt.standalone"
-    obs::SpanId span_stream = 0;      // "ckpt.stream" (pipelined delivery)
-    obs::SpanId span_barrier = 0;     // "ckpt.barrier"
-    obs::SpanId span_cowmark = 0;     // "ckpt.cowmark" (COW mode)
-    obs::SpanId span_drain = 0;       // "ckpt.drain" (COW mode)
-    // Per-phase durations as measured (shipped in CKPT_DONE for the
-    // Manager's op ledger); 0 for phases not reached.
-    u64 suspend_us = 0;
-    u64 netckpt_us = 0;
-    u64 standalone_us = 0;
-    u64 cowmark_us = 0;
   };
 
   struct RestartOp : OpBase {
@@ -192,13 +202,9 @@ class Agent {
     pod::Pod* pod = nullptr;
     std::unique_ptr<ConnectivityRestore> connectivity;
     ckpt::SockMap socks;
-    bool ok = false;  // finished with the pod restored
     // stream:// source: the consumed stream's tag and opening op.
     std::string stream_tag;
     obs::OpId stream_op = 0;
-    obs::SpanId span_connectivity = 0;  // "restart.connectivity"
-    obs::SpanId span_netstate = 0;      // "restart.netstate"
-    obs::SpanId span_standalone = 0;    // "restart.standalone"
     // Pipelined / lazy restore (DESIGN.md §13).
     struct ColdRegion {
       i32 vpid = 0;
@@ -207,15 +213,12 @@ class Agent {
     };
     std::vector<ColdRegion> cold;  // lazily-deferred regions, fill order
     sim::Time t_downtime_end = 0;  // pod resumed (downtime over)
-    u64 fetch_us = 0;         // eager streaming duration
     u64 hot_bytes = 0;        // region bytes restored before resume
     u64 lazy_total_bytes = 0; // region bytes deferred past resume
     u64 lazy_filled_bytes = 0;
     u64 lazy_faults = 0;
     u64 lazy_fault_bytes = 0;
     std::size_t lazy_remaining = 0;  // cold regions not yet filled
-    bool lazy_done_sent = false;
-    obs::SpanId span_lazy = 0;  // "restart.lazy"
   };
 
   struct Conn {
@@ -230,56 +233,46 @@ class Agent {
   void on_closed(Conn* conn);
   void reap_conns();
 
-  // Checkpoint phases (Figure 1, agent side).  Under NETWORK_LAST the
-  // same two phase bodies run in the other order.
+  // Checkpoint steps (Figure 1, agent side).
   void ckpt_begin(Conn* conn, CheckpointCmd cmd);
+  /// Runs the next step: network, standalone (in op order), barrier.
+  void ckpt_next(const std::shared_ptr<CkptOp>& op);
+  /// Ends the suspend phase and enters `ph`: the step's pod, or nullptr
+  /// when the op is over, the agent crashed at `ph` or the pod vanished.
+  pod::Pod* ckpt_step(const std::shared_ptr<CkptOp>& op, Phase ph);
   void ckpt_network(const std::shared_ptr<CkptOp>& op);
   void ckpt_standalone(const std::shared_ptr<CkptOp>& op);
-  /// Closes the suspend phase as the first costed phase starts.
-  void ckpt_end_suspend(CkptOp& op);
   /// CKPT_DONE with the (possibly partial) phase durations, so aborted
   /// ledger lines still carry attribution-grade timings.
   CkptDone ckpt_report(const CkptOp& op);
-  /// Encodes the op's image and drops the region buffers it shares
-  /// with the pod, so a resumed pod never clones one (DESIGN.md §14).
+  /// Encodes the op's image and drops the region buffers it shares with
+  /// the pod, so a resumed pod never clones one (DESIGN.md §14).
   void encode_op_image(CkptOp& op);
   void ckpt_standalone_done(const std::shared_ptr<CkptOp>& op);
   void ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op);
-  // COW concurrent checkpoint (DESIGN.md §11): snapshot-mark inside the
-  // stop-the-world window, then serialize + commit to the SAN in a
-  // background drain after the pod resumes.
+  // COW checkpoint (DESIGN.md §11): mark, then drain after the resume.
   void ckpt_cowmark(const std::shared_ptr<CkptOp>& op);
   void ckpt_drain(const std::shared_ptr<CkptOp>& op);
   void ckpt_drain_commit(const std::shared_ptr<CkptOp>& op);
-  /// The drain's EPILOGUE_DONE, with the fields its commit and its
-  /// failure share.
-  EpilogueDone drain_epilogue(const CkptOp& op, bool ok);
+  /// The drain's EPILOGUE_DONE fields, shared by its commit and failure.
+  EpilogueDone drain_report(const CkptOp& op);
   /// Two-phase SAN commit shared by the blocking and COW paths: stages
-  /// the image at `<path>.tmp` and verifies its size (once per op), then
-  /// with `publish` renames it into place and advances the pod's
-  /// incremental chain.  A failure leaves at worst a `.tmp` for the GC —
-  /// the last committed image is never clobbered.
+  /// the image at `<path>.tmp` and checks its size (once per op); with
+  /// `publish`, renames it into place and advances the pod's incremental
+  /// chain.  A failure never clobbers the last committed image.
   Status commit_image(CkptOp& op, const std::string& path, bool publish);
   /// Moves the pod's incremental chain onto a just-committed image.
   void advance_chain(const CkptOp& op);
-  /// The one checkpoint teardown.  `transient` marks failures the
-  /// Manager may safely retry (storage hiccup, barrier watchdog).  Past
-  /// the barrier only the COW drain is lost: the failure goes out as the
-  /// drain's EPILOGUE_DONE instead of a CKPT_DONE.
-  void ckpt_abort(const std::shared_ptr<CkptOp>& op, const std::string& why,
-                  bool transient = false);
   void deliver_image(const std::shared_ptr<CkptOp>& op);
   /// Captures header + processes into op->image, deciding full vs delta
   /// from the command and this agent's per-pod incremental state.
   void capture_standalone(const std::shared_ptr<CkptOp>& op, pod::Pod& pod);
   /// Pipelined agent:// delivery, started with the standalone phase.
   void ckpt_stream(const std::shared_ptr<CkptOp>& op);
-  /// The one agent:// sender: connects to op->dest, sends STREAM_OPEN,
-  /// the encoded image in chunks, STREAM_CLOSE and the redirects, then
-  /// runs `on_sent`.  Pipelined, each chunk is due once its serialize
-  /// slice elapses, so the wire overlaps serialization; otherwise every
-  /// chunk goes out inline, now.  Returns the pipelined schedule's span
-  /// (0 inline); an unreachable target aborts the op.
+  /// The one agent:// sender: STREAM_OPEN, the image in chunks,
+  /// STREAM_CLOSE and the redirects, then `on_sent`.  Pipelined, a chunk
+  /// is due once its serialize slice elapses; otherwise all go out now.
+  /// Returns the pipelined schedule's span; an unreachable target aborts.
   sim::Time stream_image(const std::shared_ptr<CkptOp>& op, bool pipelined,
                          std::function<void()> on_sent);
   /// Ships redirected send queues to the peers' receiving agents; `raw`
@@ -308,14 +301,38 @@ class Agent {
   /// True while the lazy window for `op` should keep running (pod alive,
   /// not aborted, agent not crashed).
   bool lazy_live(const std::shared_ptr<RestartOp>& op);
+  /// The restore's end: RESTART_DONE on success, the teardown otherwise.
   void restart_finish(const std::shared_ptr<RestartOp>& op, Status st);
-  /// Closes the restore's phase spans, and its root unless `keep_root`.
-  void restart_close_spans(const RestartOp& op, bool keep_root);
-  /// Manager-initiated teardown: a failed *coordinated* restart means
-  /// even a pod this agent restored successfully must be destroyed
-  /// (mirror of the checkpoint abort).
-  void restart_abort(const std::shared_ptr<RestartOp>& op,
-                     const std::string& why);
+  /// RESTART_DONE with the phase timings so far.
+  RestartDone restart_report(const RestartOp& op);
+
+  // The op skeleton both kinds share (DESIGN.md §13).
+  /// Opens the op's root span under the Manager's and starts its beacons.
+  template <typename Op>
+  void open_root(const std::shared_ptr<Op>& op, const char* name);
+  /// Opens phase `ph` now: its span under the op's root, and the
+  /// watermark of `bytes` moved by `cost` from now (0, 0: control phase).
+  template <typename Op>
+  void enter(Op& op, Phase ph, sim::Time cost = 0, u64 bytes = 0);
+  /// Re-watermarks the innermost phase with `cost` and `bytes`, then runs
+  /// `next` once `cost` elapses, unless the op is over.
+  template <typename Op, typename Fn>
+  void charge(const std::shared_ptr<Op>& op, sim::Time cost, u64 bytes,
+              Fn&& next);
+  /// Closes phase `ph` if open: observes its histogram (`observed`, or
+  /// else its duration), records that in op.took and ends its span.
+  void leave(OpBase& op, Phase ph, std::optional<u64> observed = {});
+  /// The one teardown (DESIGN.md §13): flags, SAN stream and held bytes,
+  /// log and postmortem, open phases and root, the kind's failure report.
+  /// A Manager abort also takes down a finished restore's pod.
+  template <typename Op>
+  void teardown(const std::shared_ptr<Op>& op, const std::string& why,
+                Cause cause = Cause::FAILED);
+  /// The one epilogue finisher (COW drain, lazy window): leaves phase
+  /// `ph` if open, closes the root the DONE left open, sends `dd`.
+  template <typename Op>
+  void epilogue_done(const std::shared_ptr<Op>& op, Phase ph,
+                     EpilogueDone dd);
 
   // Introspection plane: periodic HEARTBEAT/PROGRESS beacons while an
   // op runs, stamped into the causal trace under the op's root span.
@@ -359,11 +376,8 @@ class Agent {
   obs::SpanRecorder* rec() {
     return trace_ != nullptr ? &trace_->recorder() : nullptr;
   }
-  /// Opens a phase span of `op` under its root now (0 untraced).
-  template <typename Op>
-  obs::SpanId begin_phase(const Op& op, const char* name);
-  /// Closes `spans` now; 0 or already-closed ids are no-ops.
-  void end_spans(std::initializer_list<obs::SpanId> spans);
+  /// Closes `span` now; 0 or an already-closed id is a no-op.
+  void end_span(obs::SpanId span);
   /// Causal-trace context for handing down into filter/TCP/netckpt.
   template <typename Op>
   obs::ObsTag tag(const Op& op, obs::SpanId parent);

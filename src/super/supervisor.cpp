@@ -326,13 +326,9 @@ void Supervisor::recovery_attempt() {
     after(sim::kMillisecond, [this] { recovery_attempt(); });
     return;
   }
-  std::optional<CatalogEntry> latest = catalog_.latest();
-  if (!latest.has_value()) {
-    give_up("no committed checkpoint in the catalog");
-    return;
-  }
   // Recompute the dead set each attempt: deaths during a failed attempt
-  // fold into the next one.
+  // fold into the next one.  It is recorded before any give-up, so a
+  // recovery that finds nothing to restore still names its dead nodes.
   std::string dead_names;
   for (const NodeInfo& ni : nodes_) {
     if (ni.state != NodeState::DEAD) continue;
@@ -340,6 +336,11 @@ void Supervisor::recovery_attempt() {
     dead_names += ni.ref.node_name;
   }
   last_recovery_->dead_nodes = dead_names;
+  std::optional<CatalogEntry> latest = catalog_.latest();
+  if (!latest.has_value()) {
+    give_up("no committed checkpoint in the catalog");
+    return;
+  }
   last_recovery_->attempts = attempt_;
 
   auto find_node = [this](const std::string& ip, u16 port) -> NodeInfo* {

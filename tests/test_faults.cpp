@@ -164,6 +164,21 @@ class FaultTest : public ::testing::Test {
     }
   }
 
+  /// The teardown closed every span a surviving agent opened for `op`:
+  /// no phase of a failed op is left open on a live node.
+  void expect_agent_spans_closed(int agent_idx, obs::OpId op) {
+    const std::string who = "agent@" + nodes_[agent_idx]->name();
+    int opened = 0;
+    for (const auto& s : trace_.recorder().spans()) {
+      if (s.kind != obs::SpanKind::SPAN || s.op != op || s.who != who) {
+        continue;
+      }
+      ++opened;
+      EXPECT_FALSE(s.open) << who << " left " << s.name << " open";
+    }
+    EXPECT_GT(opened, 0) << who << " opened no span for op " << op;
+  }
+
   /// The most recent ledger line, for asserting on the just-run op.
   const obs::LedgerEntry& last_ledger() {
     EXPECT_FALSE(ledger_.entries().empty());
@@ -483,6 +498,7 @@ TEST_P(CkptCrashPhaseTest, FailsWithinDeadlineAndSurvivorResumes) {
   // one ledger line recording the failure.
   EXPECT_EQ(last_ledger().outcome, "aborted");
   expect_ledger_line_per_op();
+  const obs::OpId failed = last_ledger().op;
 
   // The surviving agent's pod was resumed by the abort, not left
   // suspended behind the barrier, and no half-written image remains.
@@ -492,6 +508,7 @@ TEST_P(CkptCrashPhaseTest, FailsWithinDeadlineAndSurvivorResumes) {
   ASSERT_NE(cp, nullptr);
   EXPECT_FALSE(cp->suspended());
   expect_no_temp_images();
+  expect_agent_spans_closed(1, failed);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCkptPhases, CkptCrashPhaseTest,
@@ -539,6 +556,7 @@ TEST_P(CowCrashPhaseTest, FailsPromptlyAndSurvivorKeepsRunning) {
   // A crash in the drain happens after the downtime window closed; the
   // ledger must still show the split (latency past the downtime stamp).
   EXPECT_GE(last_ledger().latency_us, last_ledger().downtime_us);
+  const obs::OpId failed = last_ledger().op;
 
   fault::injector().clear();
   cl_.run_for(3 * sim::kSecond);
@@ -547,6 +565,7 @@ TEST_P(CowCrashPhaseTest, FailsPromptlyAndSurvivorKeepsRunning) {
   EXPECT_FALSE(cp->suspended());
   expect_no_temp_images();
   expect_san_streams_balanced();
+  expect_agent_spans_closed(1, failed);
 }
 
 INSTANTIATE_TEST_SUITE_P(CowPhases, CowCrashPhaseTest,
@@ -684,11 +703,13 @@ TEST_P(RestartCrashPhaseTest, FailsWithinDeadlineAndTearsDownPartials) {
   EXPECT_FALSE(rr.ok);
   EXPECT_LT(cl_.now() - t0, 8 * sim::kSecond);
   EXPECT_TRUE(nodes_[2]->failed());
+  const obs::OpId failed = last_ledger().op;
 
   // The surviving destination tore its restored pod down again.
   fault::injector().clear();
   cl_.run_for(sim::kSecond);
   EXPECT_EQ(agents_[3]->find_pod("client-pod"), nullptr);
+  expect_agent_spans_closed(3, failed);
 
   // The images are untouched: restarting on healthy nodes still works,
   // and every attempt along the way (including the abort) is ledgered.

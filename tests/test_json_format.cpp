@@ -328,7 +328,7 @@ TEST(JsonFormat, SupervisorSectionWithLastRecovery) {
   EXPECT_EQ(
       obs::to_json(sup.status()).dump(),
       R"j({"attempts_remaining":0,"catalog_entries":0,)j"
-      R"j("last_recovery":{"attempts":1,"dead_nodes":"","detect_us":520000,)j"
+      R"j("last_recovery":{"attempts":1,"dead_nodes":"n1","detect_us":520000,)j"
       R"j("mttr_us":0,"ok":false,"restored_us":0},)j"
       R"j("nodes":[{"beacon_age_us":819800,"beacons":10,"false_alarms":0,)j"
       R"j("node":"n1","state":"dead"},{"beacon_age_us":19800,"beacons":50,)j"
